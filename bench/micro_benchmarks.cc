@@ -29,7 +29,6 @@
 #include "clapf/recommender.h"
 #include "clapf/sampling/dss_sampler.h"
 #include "clapf/sampling/uniform_sampler.h"
-#include "clapf/serving/model_server.h"
 #include "clapf/serving/sharded_server.h"
 #include "clapf/util/fault_injection.h"
 #include "clapf/util/linalg.h"
@@ -313,7 +312,7 @@ void BM_ModelSwapUnderLoad(benchmark::State& state) {
 BENCHMARK(BM_ModelSwapUnderLoad)->UseRealTime();
 
 // Scatter-gather query cost as the shard count grows. Arg is the shard
-// count (1 = monolithic layout inside the sharded server, scored inline).
+// count (1 = the monolithic case, scored inline).
 // Answers are bit-identical across rows — the drill suite proves it — so
 // this row isolates the pure fan-out overhead: per-shard heaps, the
 // threshold broadcast, and the latch join against the scatter pool.
@@ -324,14 +323,14 @@ void BM_RecommendSharded(benchmark::State& state) {
   options.max_queue_depth = 1 << 20;
   options.num_shards = static_cast<int32_t>(state.range(0));
   options.scatter_threads = 2;
-  ShardedModelServer server(data, options);
+  ModelServer server(data, options);
   FactorModel candidate(500, 2000, 20);
   Rng rng(17);
   candidate.InitGaussian(rng, 0.1);
   CLAPF_CHECK_OK(server.PublishModel(candidate));
   UserId u = 0;
   for (auto _ : state) {
-    auto got = server.RecommendOne(u, 10);
+    auto got = server.Recommend(u, 10);
     CLAPF_CHECK_OK(got.status());
     benchmark::DoNotOptimize(got->data());
     u = (u + 1) % 500;
@@ -352,7 +351,7 @@ void BM_ShardPublish(benchmark::State& state) {
   ServerOptions options;
   options.num_threads = 2;
   options.num_shards = 8;
-  ShardedModelServer server(data, options);
+  ModelServer server(data, options);
   FactorModel candidate(500, 2000, 20);
   Rng rng(17);
   candidate.InitGaussian(rng, 0.1);

@@ -263,22 +263,21 @@ int main(int argc, char** argv) {
   }
   std::printf("serving stats: %s\n", server.stats().ToString().c_str());
 
-  // 8. Sharded scatter-gather serving. The same catalog partitioned into
-  // four shards, each with its own packed slice, canary gate, breaker, and
-  // flight stream, behind the same PublishModel/RecommendOne surface —
-  // and answers BIT-IDENTICAL to the monolithic server above.
+  // 8. Sharded scatter-gather serving. The same server class over four
+  // shards, each with its own packed slice, canary gate, breaker, and
+  // flight stream — and answers BIT-IDENTICAL to the one-shard server above.
   ServerOptions shard_options = server_options;
   shard_options.max_queue_depth = 64;
   shard_options.num_shards = 4;
   shard_options.per_tenant_quota = 8;
-  ShardedModelServer sharded(data, shard_options);
+  ModelServer sharded(data, shard_options);
   std::printf("sharded server: %s\n", sharded.shard_map().ToString().c_str());
   CLAPF_CHECK_OK(sharded.PublishModel(recovered->model));
   auto mono_answer = server.Recommend(3, 5);
-  auto shard_answer = sharded.RecommendOne(3, 5);
+  auto shard_answer = sharded.Recommend(3, 5);
   CLAPF_CHECK_OK(mono_answer.status());
   CLAPF_CHECK_OK(shard_answer.status());
-  std::printf("scatter-gather check: monolithic item %d (%.6f) == "
+  std::printf("scatter-gather check: one-shard item %d (%.6f) == "
               "sharded item %d (%.6f)\n",
               (*mono_answer)[0].item, (*mono_answer)[0].score,
               (*shard_answer)[0].item, (*shard_answer)[0].score);
@@ -298,12 +297,15 @@ int main(int argc, char** argv) {
   // breaker windows and admission quota); the default tenant is untouched.
   CLAPF_CHECK_OK(sharded.PublishModel(
       PublishRequest(recovered->model).WithTenant("acme")));
-  auto acme = sharded.RecommendOne(3, 5, {}, "acme");
+  auto acme = sharded.Recommend(3, 5, {}, "acme");
   CLAPF_CHECK_OK(acme.status());
   std::printf("tenants:");
   for (const std::string& name : sharded.tenants()) {
     std::printf(" \"%s\"", name.c_str());
   }
-  std::printf("\nsharded stats:\n%s\n", sharded.stats().ToString().c_str());
+  std::printf("\nsharded stats: %s\n", sharded.stats().ToString().c_str());
+  for (const ShardStatsSnapshot& shard : sharded.shard_stats()) {
+    std::printf("  %s\n", shard.ToString().c_str());
+  }
   return 0;
 }

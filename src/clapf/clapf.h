@@ -53,6 +53,7 @@
 #include "clapf/model/factor_model.h"
 #include "clapf/model/model_io.h"
 #include "clapf/model/packed_snapshot.h"
+#include "clapf/model/retrieval.h"
 #include "clapf/model/score_kernel.h"
 #include "clapf/obs/exporter.h"
 #include "clapf/obs/metrics.h"
@@ -71,7 +72,6 @@
 #include "clapf/serving/admission_queue.h"
 #include "clapf/serving/flight_recorder.h"
 #include "clapf/serving/governor.h"
-#include "clapf/serving/model_server.h"
 #include "clapf/serving/model_shard.h"
 #include "clapf/serving/publish_request.h"
 #include "clapf/serving/serving_stats.h"

@@ -11,11 +11,6 @@
 
 namespace clapf {
 
-/// Items scored per block in serving scans. Deadline-aware queries poll the
-/// clock (and the fault injector) between blocks, so a query can overrun its
-/// budget by at most one block's scoring cost.
-inline constexpr int32_t kRankerBlockItems = 1024;
-
 /// Serving-safe list length: a request for more items than the catalog holds
 /// returns the full ranked catalog instead of relying on every caller to
 /// bound k themselves.

@@ -41,15 +41,24 @@ Dataset Dataset::SliceItemRange(const Dataset& data, ItemId begin,
   out.num_items_ = end - begin;
   out.offsets_.assign(1, 0);
   out.offsets_.reserve(static_cast<size_t>(data.num_users_) + 1);
+  // Items are sorted per user, so each user's slice is one contiguous
+  // subrange: record its bounds, then fill the item array allocated once at
+  // its final size (a growing array would leave its discarded buffers
+  // behind in the heap of a long-lived server).
   for (UserId u = 0; u < data.num_users_; ++u) {
     auto items = data.ItemsOf(u);
-    // Items are sorted per user, so the slice is one contiguous subrange.
-    auto lo = std::lower_bound(items.begin(), items.end(), begin);
-    auto hi = std::lower_bound(items.begin(), items.end(), end);
-    for (auto it = lo; it != hi; ++it) {
+    out.offsets_.push_back(
+        out.offsets_.back() +
+        (std::lower_bound(items.begin(), items.end(), end) -
+         std::lower_bound(items.begin(), items.end(), begin)));
+  }
+  out.items_.reserve(static_cast<size_t>(out.offsets_.back()));
+  for (UserId u = 0; u < data.num_users_; ++u) {
+    auto items = data.ItemsOf(u);
+    for (auto it = std::lower_bound(items.begin(), items.end(), begin);
+         it != items.end() && *it < end; ++it) {
       out.items_.push_back(*it - begin);
     }
-    out.offsets_.push_back(static_cast<int64_t>(out.items_.size()));
   }
   return out;
 }

@@ -10,6 +10,7 @@
 
 #include <thread>
 
+#include "clapf/model/retrieval.h"
 #include "clapf/model/score_kernel.h"
 #include "clapf/util/crc32.h"
 #include "clapf/util/fault_injection.h"
@@ -109,15 +110,6 @@ void ForEachItem(int64_t n, int threads,
     for (int64_t i = 0; i < n; ++i) fn(i);
   }
 }
-
-// Items per deadline/fault poll in the quantized first pass — matches the
-// serving scan loops' kRankerBlockItems granularity (kept local so the
-// model layer does not depend on core/).
-constexpr ItemId kPqScanChunkItems = 1024;
-
-// Matches the serving loops' injected kServeSlowBlock stall so pq deadline
-// drills exercise the same timing fault.
-constexpr std::chrono::milliseconds kPqSlowBlockStall(2);
 
 // The k-th largest of keys[0..n) (1 <= k <= n), by MSB-first radix
 // selection with no data-dependent branches in the scan loops. This is the
@@ -722,13 +714,13 @@ Status IvfIndex::QuantizedShortlist(
     return true;
   };
   // Windowed variant for un-bounded spans: deadline/fault polls every
-  // kPqScanChunkItems, matching the serving scan loops' poll granularity.
+  // kRankerBlockItems, matching the serving scan loops' poll granularity.
   const auto collect_span = [&](ItemId span_lo, ItemId span_hi) {
     for (ItemId lo = span_lo; lo < span_hi;) {
       const ItemId hi = std::min<ItemId>(
-          span_hi, (lo / kPqScanChunkItems + 1) * kPqScanChunkItems);
+          span_hi, (lo / kRankerBlockItems + 1) * kRankerBlockItems);
       if (faults.armed() && faults.ShouldFire(FaultPoint::kServeSlowBlock)) {
-        std::this_thread::sleep_for(kPqSlowBlockStall);
+        std::this_thread::sleep_for(kSlowBlockStall);
       }
       collect_raw(lo, hi);
       if (deadline_hit()) return false;
@@ -794,7 +786,7 @@ Status IvfIndex::QuantizedShortlist(
     PqScoreBoundBlocks(lane_base.data(), stride, d, lane_weights.data(), base,
                        sb0, nsb, bound_scores.data());
     if (faults.armed() && faults.ShouldFire(FaultPoint::kServeSlowBlock)) {
-      std::this_thread::sleep_for(kPqSlowBlockStall);
+      std::this_thread::sleep_for(kSlowBlockStall);
     }
     runs.clear();
     int32_t run_b = -1;
@@ -955,9 +947,18 @@ Status VerifyIvfBinding(const FactorModel& model, const IvfIndex& index,
   return Status::OK();
 }
 
-double MeasureIvfRecall(const PackedSnapshot& exact, const IvfIndex& index,
-                        int32_t sample_users, size_t k, int32_t nprobe) {
-  if (exact.num_items() != index.num_items() ||
+namespace {
+
+// Recall@k of the path `index` serves — Retrieve through its probes at
+// `nprobe`, through the quantized first pass at `rerank_budget` when `pq` —
+// against Retrieve's full fused scan of `exact` (the base-order snapshot of
+// the same model: an independent ground truth, so a desynced permutation or
+// code book scores low instead of agreeing with itself). Averages
+// |retrieved ∩ exact| / k over up to `sample_users` evenly spaced users.
+double MeasureRecall(const PackedSnapshot& exact, const IvfIndex& index,
+                     int32_t sample_users, size_t k, int32_t nprobe, bool pq,
+                     size_t rerank_budget) {
+  if ((pq && !index.has_pq()) || exact.num_items() != index.num_items() ||
       exact.num_users() != index.packed().num_users()) {
     return 0.0;
   }
@@ -967,146 +968,142 @@ double MeasureIvfRecall(const PackedSnapshot& exact, const IvfIndex& index,
   k = std::min(k, static_cast<size_t>(n));
   if (k == 0) return 1.0;
 
+  const QueryOptions scan;  // the packed full scan
+  QueryOptions probe;
+  probe.ann = true;
+  probe.ann_nprobe = nprobe;
+  probe.pq = pq;
+  probe.rerank_budget = static_cast<int32_t>(rerank_budget);
   const int32_t stride =
       std::max(1, num_users / std::min(sample_users, num_users));
-  std::vector<IvfProbeRange> ranges;
   double recall_sum = 0.0;
   int32_t users = 0;
   for (UserId u = 0; u < num_users; u += stride) {
-    TopKAccumulator truth_acc(k);
-    ScoreBlocksTopK(exact, u, 0, n, nullptr, &truth_acc);
-    const std::vector<ScoredItem> truth = truth_acc.Take();
-
-    index.SelectProbes(u, nprobe, k, &ranges, nullptr);
-    TopKAccumulator ann_acc(k);
-    for (const IvfProbeRange& r : ranges) {
-      ScoreBlocksTopKMapped(index.packed(), u, r.begin, r.end,
-                            index.local_to_global_data(), nullptr, &ann_acc);
-    }
-    const std::vector<ScoredItem> ann = ann_acc.Take();
-
-    std::vector<int32_t> truth_ids, ann_ids;
-    truth_ids.reserve(truth.size());
-    ann_ids.reserve(ann.size());
-    for (const ScoredItem& s : truth) truth_ids.push_back(s.item);
-    for (const ScoredItem& s : ann) ann_ids.push_back(s.item);
-    std::sort(truth_ids.begin(), truth_ids.end());
-    std::sort(ann_ids.begin(), ann_ids.end());
-    std::vector<int32_t> both;
-    std::set_intersection(truth_ids.begin(), truth_ids.end(), ann_ids.begin(),
-                          ann_ids.end(), std::back_inserter(both));
-    recall_sum += static_cast<double>(both.size()) /
-                  static_cast<double>(truth.size());
-    ++users;
-  }
-  return users > 0 ? recall_sum / users : 1.0;
-}
-
-Status VerifyIvfRecall(const PackedSnapshot& exact, const IvfIndex& index,
-                       int32_t sample_users, size_t k, int32_t nprobe,
-                       double floor, const std::string& context) {
-  if (exact.num_items() != index.num_items()) {
-    return Status::FailedPrecondition(
-        context + ": ivf recall probe dimensions disagree (exact " +
-        std::to_string(exact.num_items()) + " items, index " +
-        std::to_string(index.num_items()) + ")");
-  }
-  const double recall = MeasureIvfRecall(exact, index, sample_users, k, nprobe);
-  if (recall < floor) {
-    return Status::FailedPrecondition(
-        context + ": ivf measured recall@" + std::to_string(k) + " = " +
-        std::to_string(recall) + " at nprobe=" + std::to_string(nprobe) +
-        " below the contract floor " + std::to_string(floor));
-  }
-  return Status::OK();
-}
-
-double MeasurePqRecall(const PackedSnapshot& exact, const IvfIndex& index,
-                       int32_t sample_users, size_t k, int32_t nprobe,
-                       size_t rerank_budget) {
-  if (!index.has_pq()) return 0.0;
-  if (exact.num_items() != index.num_items() ||
-      exact.num_users() != index.packed().num_users()) {
-    return 0.0;
-  }
-  const int32_t n = exact.num_items();
-  const int32_t num_users = exact.num_users();
-  if (n == 0 || num_users == 0 || sample_users <= 0) return 1.0;
-  k = std::min(k, static_cast<size_t>(n));
-  if (k == 0) return 1.0;
-  if (rerank_budget == 0) {
-    rerank_budget = static_cast<size_t>(
-        std::max<int32_t>(1, index.default_rerank_budget()));
-  }
-  rerank_budget = std::max(rerank_budget, k);
-
-  const int32_t stride =
-      std::max(1, num_users / std::min(sample_users, num_users));
-  std::vector<IvfProbeRange> probes, rerank;
-  double recall_sum = 0.0;
-  int32_t users = 0;
-  for (UserId u = 0; u < num_users; u += stride) {
-    TopKAccumulator truth_acc(k);
-    ScoreBlocksTopK(exact, u, 0, n, nullptr, &truth_acc);
-    const std::vector<ScoredItem> truth = truth_acc.Take();
-
-    // The composed serving path verbatim: probes → quantized first pass →
-    // exact fused re-rank of the surviving blocks.
-    index.SelectProbes(u, nprobe, k, &probes, nullptr);
-    Status first = index.QuantizedShortlist(u, probes, rerank_budget,
-                                            /*excluded=*/nullptr,
-                                            /*deadline=*/std::nullopt,
-                                            &rerank, /*survivors=*/nullptr);
-    CLAPF_CHECK(first.ok());  // no deadline passed, so expiry is impossible
-    TopKAccumulator pq_acc(k);
-    for (const IvfProbeRange& r : rerank) {
-      ScoreBlocksTopKMapped(index.packed(), u, r.begin, r.end,
-                            index.local_to_global_data(), nullptr, &pq_acc);
-    }
-    const std::vector<ScoredItem> got = pq_acc.Take();
-
+    // No deadline is passed, so neither retrieval can fail.
+    auto truth = Retrieve({nullptr, &exact, nullptr}, u, k, nullptr, k, scan,
+                          std::nullopt, nullptr, nullptr, nullptr);
+    auto got = Retrieve({nullptr, nullptr, &index}, u, k, nullptr, k, probe,
+                        std::nullopt, nullptr, nullptr, nullptr);
+    CLAPF_CHECK(truth.ok() && got.ok());
     std::vector<int32_t> truth_ids, got_ids;
-    truth_ids.reserve(truth.size());
-    got_ids.reserve(got.size());
-    for (const ScoredItem& s : truth) truth_ids.push_back(s.item);
-    for (const ScoredItem& s : got) got_ids.push_back(s.item);
+    for (const ScoredItem& s : *truth) truth_ids.push_back(s.item);
+    for (const ScoredItem& s : *got) got_ids.push_back(s.item);
     std::sort(truth_ids.begin(), truth_ids.end());
     std::sort(got_ids.begin(), got_ids.end());
     std::vector<int32_t> both;
     std::set_intersection(truth_ids.begin(), truth_ids.end(), got_ids.begin(),
                           got_ids.end(), std::back_inserter(both));
     recall_sum += static_cast<double>(both.size()) /
-                  static_cast<double>(truth.size());
+                  static_cast<double>(truth_ids.size());
     ++users;
   }
   return users > 0 ? recall_sum / users : 1.0;
 }
 
-Status VerifyPqRecall(const PackedSnapshot& exact, const IvfIndex& index,
-                      int32_t sample_users, size_t k, int32_t nprobe,
-                      size_t rerank_budget, double floor,
-                      const std::string& context) {
-  if (!index.has_pq()) {
+}  // namespace
+
+double MeasureIvfRecall(const PackedSnapshot& exact, const IvfIndex& index,
+                        int32_t sample_users, size_t k, int32_t nprobe) {
+  return MeasureRecall(exact, index, sample_users, k, nprobe, /*pq=*/false,
+                       0);
+}
+
+double MeasurePqRecall(const PackedSnapshot& exact, const IvfIndex& index,
+                       int32_t sample_users, size_t k, int32_t nprobe,
+                       size_t rerank_budget) {
+  return MeasureRecall(exact, index, sample_users, k, nprobe, /*pq=*/true,
+                       rerank_budget);
+}
+
+Status VerifyAnnRecall(const PackedSnapshot& exact, const IvfIndex& index,
+                       int32_t sample_users, size_t k, int32_t nprobe,
+                       size_t rerank_budget, double floor,
+                       const std::string& context) {
+  const bool pq = index.options().pq;
+  if (pq && !index.has_pq()) {
     return Status::FailedPrecondition(
         context + ": ivf pq recall gate requires a code book but the index "
                   "carries none (or it is desynced from the catalog)");
   }
   if (exact.num_items() != index.num_items()) {
     return Status::FailedPrecondition(
-        context + ": ivf pq recall probe dimensions disagree (exact " +
+        context + ": ivf recall probe dimensions disagree (exact " +
         std::to_string(exact.num_items()) + " items, index " +
         std::to_string(index.num_items()) + ")");
   }
-  const double recall =
-      MeasurePqRecall(exact, index, sample_users, k, nprobe, rerank_budget);
+  const double recall = MeasureRecall(exact, index, sample_users, k, nprobe,
+                                      pq, rerank_budget);
   if (recall < floor) {
     return Status::FailedPrecondition(
-        context + ": ivf pq composed measured recall@" + std::to_string(k) +
-        " = " + std::to_string(recall) + " at nprobe=" +
-        std::to_string(nprobe) + " below the contract floor " +
-        std::to_string(floor));
+        context + ": ivf " + (pq ? "pq composed " : "") +
+        "measured recall@" + std::to_string(k) + " = " +
+        std::to_string(recall) + " at nprobe=" + std::to_string(nprobe) +
+        " below the contract floor " + std::to_string(floor));
   }
   return Status::OK();
+}
+
+Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
+    const FactorModel& model, const PackedSnapshot& exact,
+    const IvfGateOptions& options, const IvfIndex* previous,
+    const std::string& context, MetricsRegistry* metrics) {
+  std::shared_ptr<IvfIndex> ivf;  // mutable only for the drills below
+  if (previous != nullptr) {
+    int64_t reassigned = 0;
+    auto rebuilt =
+        IvfIndex::RebuildDirty(*previous, model, options.ivf, &reassigned);
+    // A majority-dirty republish means the catalog's geometry moved out
+    // from under the frozen centroids, and measured recall would pay for
+    // the stale partition: retrain from scratch instead. Incremental
+    // reassignment only wins when the republish is a sliver.
+    if (rebuilt.ok() && 2 * reassigned <= model.num_items()) {
+      ivf = std::make_shared<IvfIndex>(std::move(rebuilt).value());
+      if (metrics != nullptr) {
+        metrics->GetCounter("ann.index_rebuilds_incremental_total")->Inc();
+        metrics->GetCounter("ann.index_items_reassigned_total")
+            ->Inc(reassigned);
+      }
+    }
+  }
+  if (ivf == nullptr) {
+    ivf = std::make_shared<IvfIndex>(IvfIndex::Build(model, options.ivf));
+    if (metrics != nullptr) {
+      metrics->GetCounter("ann.index_builds_total")->Inc();
+    }
+  }
+  FaultInjector& faults = FaultInjector::Instance();
+  if (faults.armed() && faults.ShouldFire(FaultPoint::kAnnCorruptIndex)) {
+    // Desync drill: the armed hit schedule picks which build (which shard's
+    // index) is scrambled, and only that build's gate must refuse.
+    ivf->DesyncForTesting();
+  }
+  if (options.ivf.pq && faults.armed() &&
+      faults.ShouldFire(FaultPoint::kAnnCorruptCodes)) {
+    // Code-book drill: geometry and floats stay intact, so only the
+    // measured composed-recall gate below can catch it.
+    ivf->CorruptPqForTesting();
+  }
+  std::shared_ptr<const IvfIndex> built = std::move(ivf);
+  if (!options.verify) return built;
+  // The index must be bound to exactly this model's item parameters, and
+  // the measured recall@k of the path it serves (the composed quantized +
+  // re-rank path when it carries codes: the strictly stronger check, and
+  // the only one that catches a corrupted code book) must clear the floor.
+  Status gate = VerifyIvfBinding(model, *built, context);
+  if (gate.ok() && options.recall_floor > 0.0) {
+    gate = VerifyAnnRecall(
+        exact, *built, options.recall_users,
+        static_cast<size_t>(std::max<int32_t>(1, options.recall_k)),
+        /*nprobe=*/0, /*rerank_budget=*/0, options.recall_floor, context);
+  }
+  if (metrics != nullptr) {
+    metrics
+        ->GetCounter(gate.ok() ? "ann.recall_gate_pass_total"
+                               : "ann.recall_gate_fail_total")
+        ->Inc();
+  }
+  if (!gate.ok()) return gate;
+  return built;
 }
 
 }  // namespace clapf

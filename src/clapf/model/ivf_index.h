@@ -11,6 +11,7 @@
 #include "clapf/model/factor_model.h"
 #include "clapf/model/packed_snapshot.h"
 #include "clapf/model/pq_codec.h"
+#include "clapf/obs/metrics.h"
 #include "clapf/util/status.h"
 
 namespace clapf {
@@ -268,39 +269,63 @@ class IvfIndex {
 Status VerifyIvfBinding(const FactorModel& model, const IvfIndex& index,
                         const std::string& context);
 
-/// Measured recall@k of the probe path at `nprobe` against the exact fused
-/// full scan over `exact` (the *base-order* snapshot of the same model — an
+/// Measured recall@k of the plain ANN path at `nprobe` — Retrieve through
+/// the index, exactly as queries run it — against the exact fused full scan
+/// over `exact` (the *base-order* snapshot of the same model — an
 /// independent ground truth, so a desynced permutation scores low instead of
 /// agreeing with itself). Averages |ann ∩ exact| / k over up to
 /// `sample_users` evenly spaced users. Returns 1.0 for an empty catalog.
 double MeasureIvfRecall(const PackedSnapshot& exact, const IvfIndex& index,
                         int32_t sample_users, size_t k, int32_t nprobe);
 
-/// The measured half of the ANN canary gate: FailedPrecondition (with the
-/// measured value in the message) when MeasureIvfRecall falls below `floor`.
-Status VerifyIvfRecall(const PackedSnapshot& exact, const IvfIndex& index,
-                       int32_t sample_users, size_t k, int32_t nprobe,
-                       double floor, const std::string& context);
-
-/// Measured recall@k of the *composed* quantized+re-rank path — quantized
-/// first pass at `rerank_budget` (0 = the index default) over the probes at
-/// `nprobe`, then the exact fused re-rank of the survivors — against the
-/// exact full scan over `exact` (base-order snapshot: independent ground
-/// truth). This is the serving path verbatim, so a corrupted or desynced
-/// code book scores low here even though every structural check passes.
-/// Returns 0.0 when the index carries no servable codes.
+/// The same measurement for the *composed* path — quantized first pass at
+/// `rerank_budget` (0 = the index default) over the probes at `nprobe`, then
+/// the exact re-rank of the survivors. This is the serving path verbatim, so
+/// a corrupted or desynced code book scores low here even though every
+/// structural check passes. Returns 0.0 when the index carries no servable
+/// codes.
 double MeasurePqRecall(const PackedSnapshot& exact, const IvfIndex& index,
                        int32_t sample_users, size_t k, int32_t nprobe,
                        size_t rerank_budget);
 
-/// The measured composed-recall gate for pq-enabled indexes: the same
-/// contract floor as VerifyIvfRecall, applied to the quantized+re-rank path
-/// that will actually serve. FailedPrecondition (with the measured value)
-/// below `floor`, or when the index has no servable codes at all.
-Status VerifyPqRecall(const PackedSnapshot& exact, const IvfIndex& index,
-                      int32_t sample_users, size_t k, int32_t nprobe,
-                      size_t rerank_budget, double floor,
-                      const std::string& context);
+/// The measured half of the ANN canary gate: FailedPrecondition (with the
+/// measured value in the message) when the recall of the path `index`
+/// serves falls below `floor` — MeasurePqRecall's composed path for an index
+/// built with IvfOptions::pq (refused outright when its codes are missing),
+/// MeasureIvfRecall's otherwise.
+Status VerifyAnnRecall(const PackedSnapshot& exact, const IvfIndex& index,
+                       int32_t sample_users, size_t k, int32_t nprobe,
+                       size_t rerank_budget, double floor,
+                       const std::string& context);
+
+/// How a publish builds and gates one IVF index (BuildGatedIvf).
+struct IvfGateOptions {
+  IvfOptions ivf;
+  /// Binding + structural verification, then the measured recall check.
+  bool verify = true;
+  /// recall@recall_k floor at the index's default nprobe, measured against
+  /// the exact packed scan; <= 0 skips the measured check (binding and
+  /// structure still run when `verify` is set).
+  double recall_floor = 0.95;
+  /// Users sampled by the recall probe (evenly spaced).
+  int32_t recall_users = 16;
+  int32_t recall_k = 10;
+};
+
+/// The one ANN build-and-gate routine, shared by serving publishes (one call
+/// per shard slice) and Recommender::EnableIvf. Builds the index over
+/// `model` — incrementally from `previous` (may be null) when its options
+/// are compatible and at most half the items changed, else from scratch —
+/// fires the kAnnCorruptIndex / kAnnCorruptCodes drills, then, with
+/// `options.verify`, refuses it unless VerifyIvfBinding and (recall_floor >
+/// 0) VerifyAnnRecall against `exact` (the base-order snapshot of `model`)
+/// pass. `metrics` (may be null) counts ann.index_builds_total,
+/// ann.index_rebuilds_incremental_total, ann.index_items_reassigned_total
+/// and the ann.recall_gate_pass_total / ann.recall_gate_fail_total verdicts.
+Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
+    const FactorModel& model, const PackedSnapshot& exact,
+    const IvfGateOptions& options, const IvfIndex* previous,
+    const std::string& context, MetricsRegistry* metrics);
 
 }  // namespace clapf
 

@@ -11,7 +11,7 @@
 #include "clapf/online/online_trainer.h"
 #include "clapf/online/wal.h"
 #include "clapf/serving/flight_recorder.h"
-#include "clapf/serving/model_server.h"
+#include "clapf/serving/sharded_server.h"
 #include "clapf/util/status.h"
 
 namespace clapf {
@@ -74,7 +74,8 @@ struct DeployerOptions {
 /// fallback). Arrivals outside the envelope are refused at Ingest.
 ///
 /// Thread-safe: Ingest/RunCycle/positions are serialized on an internal
-/// mutex; serving traffic runs concurrently against the ModelServer.
+/// mutex; serving traffic runs concurrently against the ModelServer, whose
+/// shard count the loop does not care about.
 class ContinuousDeployer {
  public:
   /// `server` is borrowed and must outlive the deployer; its history fixes

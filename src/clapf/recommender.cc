@@ -8,50 +8,22 @@
 
 #include "clapf/core/ranker.h"
 #include "clapf/model/model_io.h"
-#include "clapf/model/score_kernel.h"
 #include "clapf/obs/trace_span.h"
-#include "clapf/util/fault_injection.h"
 #include "clapf/util/thread_pool.h"
 
 namespace clapf {
 
 namespace {
 
-// How long an injected kServeSlowBlock stall parks the scoring loop. Long
-// enough that a sub-millisecond test deadline deterministically expires.
-constexpr std::chrono::milliseconds kSlowBlockStall(2);
-
 using Clock = std::chrono::steady_clock;
 
-std::optional<Clock::time_point> DeadlineFrom(const QueryOptions& options) {
-  if (options.deadline <= std::chrono::microseconds::zero()) {
-    return std::nullopt;
-  }
-  return Clock::now() + options.deadline;
-}
-
-// Per-thread query scratch. Reusing the buffers across queries (and across
-// users within a batch shard) removes the per-query resize allocation from
-// the serving hot path; after the first query on a thread the only O(m) work
-// left outside scoring is the excluded-bitmap reset.
-struct QueryArena {
-  std::vector<double> scores;
-  std::vector<bool> excluded;
-};
-
-QueryArena& LocalArena() {
-  thread_local QueryArena arena;
-  return arena;
-}
-
-// Results are sorted best-to-worst, so the floor cuts a suffix.
-void ApplyMinScore(const std::optional<double>& floor,
-                   std::vector<ScoredItem>* top) {
-  if (!floor) return;
-  auto first_below =
-      std::find_if(top->begin(), top->end(),
-                   [&](const ScoredItem& s) { return s.score < *floor; });
-  top->erase(first_below, top->end());
+// Per-thread exclusion bitmap. Reusing it across queries (and across users
+// within a batch shard) removes the per-query allocation from the serving
+// hot path; after the first query on a thread the only O(m) work left
+// outside scoring is the bitmap reset.
+std::vector<bool>& LocalExcluded() {
+  thread_local std::vector<bool> excluded;
+  return excluded;
 }
 
 }  // namespace
@@ -84,166 +56,43 @@ Result<Recommender> Recommender::Load(const std::string& model_path,
 
 Result<std::vector<ScoredItem>> Recommender::RecommendOne(
     UserId u, size_t k, const QueryOptions& options,
-    const std::optional<Clock::time_point>& deadline,
-    std::vector<double>* score_buf, std::vector<bool>* excluded) const {
+    const std::optional<Clock::time_point>& deadline) const {
   k = ClampK(k, model_.num_items());
   if (k == 0) return std::vector<ScoredItem>{};
 
   const bool cold = history_.NumItemsOf(u) == 0;
   if (cold && !options.cold_start_fallback) return std::vector<ScoredItem>{};
 
-  excluded->assign(static_cast<size_t>(model_.num_items()), false);
+  std::vector<bool>& excluded = LocalExcluded();
+  excluded.assign(static_cast<size_t>(model_.num_items()), false);
   for (ItemId i : history_.ItemsOf(u)) {
-    (*excluded)[static_cast<size_t>(i)] = true;
+    excluded[static_cast<size_t>(i)] = true;
   }
   for (ItemId i : options.exclude) {
     if (i >= 0 && i < model_.num_items()) {
-      (*excluded)[static_cast<size_t>(i)] = true;
+      excluded[static_cast<size_t>(i)] = true;
     }
   }
 
-  // ANN fast path: probe-list selection over the IVF index, then the exact
-  // fused kernel re-ranks only the shortlisted cluster ranges — sub-linear
-  // in the catalog. min_items inflates the widening floor by everything the
-  // scan may skip (history + explicit excludes), so the shortlist can always
-  // fill k slots and the result count matches the full scan's. Chunked like
-  // the packed path below, with the same per-chunk fault injection and
-  // deadline polling.
-  if (!cold && options.ann && options.use_packed && ivf_ != nullptr &&
-      ivf_->num_items() == model_.num_items()) {
-    const IvfIndex& ivf = *ivf_;
-    FaultInjector& faults = FaultInjector::Instance();
-    thread_local std::vector<IvfProbeRange> probes;
-    const size_t min_items =
-        k + static_cast<size_t>(history_.NumItemsOf(u)) +
-        options.exclude.size();
-    int32_t probes_used = 0;
-    ivf.SelectProbes(u, options.ann_nprobe, min_items, &probes, &probes_used);
-    if (ann_queries_metric_ != nullptr) {
-      ann_queries_metric_->Inc();
-      ann_probes_metric_->Inc(probes_used);
-      ann_shortlist_hist_->Record(
-          static_cast<double>(IvfIndex::CoveredItems(probes)));
-    }
-
-    // Quantized first pass (pq): stream the int8 codes over the shortlist,
-    // keep the top rerank_budget survivors, and narrow the exact re-rank
-    // below to just the blocks holding them. Exclusions are applied during
-    // the quantized scan (they never consume budget); min_score, deadline,
-    // and the smaller-id tie-break all live in the exact re-rank, which is
-    // the same fused mapped kernel as the plain ANN path.
-    const bool pq = options.pq && ivf.has_pq();
-    thread_local std::vector<IvfProbeRange> rerank_ranges;
-    const std::vector<IvfProbeRange>* scan_ranges = &probes;
-    if (pq) {
-      size_t budget = options.rerank_budget > 0
-                          ? static_cast<size_t>(options.rerank_budget)
-                          : static_cast<size_t>(std::max<int32_t>(
-                                1, ivf.default_rerank_budget()));
-      budget = std::max(budget, k);
-      int64_t survivors = 0;
-      Status first = ivf.QuantizedShortlist(u, probes, budget, excluded,
-                                            deadline, &rerank_ranges,
-                                            &survivors);
-      if (!first.ok()) return first;
-      if (ann_pq_queries_metric_ != nullptr) {
-        ann_pq_queries_metric_->Inc();
-        ann_rerank_hist_->Record(static_cast<double>(survivors));
-      }
-      scan_ranges = &rerank_ranges;
-    } else if (options.pq && ann_pq_fallback_metric_ != nullptr) {
-      // pq requested but the index carries no codes — plain ANN serves.
-      ann_pq_fallback_metric_->Inc();
-    }
-
-    TopKAccumulator acc(k);
-    ItemId scanned = 0;
-    for (size_t ri = 0; ri < scan_ranges->size(); ++ri) {
-      // Sparse pq re-rank ranges each start on a cold block; prefetching a
-      // few ranges ahead overlaps those misses with scoring. (Plain ANN's
-      // handful of huge ranges is unaffected.)
-      if (ri + 3 < scan_ranges->size()) {
-        ivf.PrefetchRange((*scan_ranges)[ri + 3]);
-      }
-      const IvfProbeRange& r = (*scan_ranges)[ri];
-      for (ItemId lo = r.begin; lo < r.end; lo += kRankerBlockItems) {
-        const ItemId hi = std::min<ItemId>(r.end, lo + kRankerBlockItems);
-        if (faults.armed() && faults.ShouldFire(FaultPoint::kServeSlowBlock)) {
-          std::this_thread::sleep_for(kSlowBlockStall);
-        }
-        ScoreBlocksTopKMapped(ivf.packed(), u, lo, hi,
-                              ivf.local_to_global_data(), excluded, &acc);
-        scanned += hi - lo;
-        if (deadline && Clock::now() > *deadline) {
-          return Status::DeadlineExceeded(
-              "ann query for user " + std::to_string(u) +
-              " expired after scoring " + std::to_string(scanned) +
-              " shortlisted items");
-        }
-      }
-    }
-    std::vector<ScoredItem> top = acc.Take();
-    ApplyMinScore(options.min_score, &top);
-    return top;
+  std::vector<ScoredItem> top;
+  if (cold) {
+    // Cold-start: rank by popularity straight from the shared table (no
+    // scoring work, so no deadline polling).
+    top = SelectTopK(popularity_, excluded, k);
+  } else {
+    // min_items inflates the ANN widening floor by everything the scan may
+    // skip, so the shortlist can always fill k slots.
+    const size_t min_items = k +
+                             static_cast<size_t>(history_.NumItemsOf(u)) +
+                             options.exclude.size();
+    RetrievalPath path = RetrievalPath::kNone;
+    auto got = Retrieve({&model_, packed_.get(), ivf_.get()}, u, k, &excluded,
+                        min_items, options, deadline, nullptr,
+                        ann_metrics_ ? &*ann_metrics_ : nullptr, &path);
+    if (ann_metrics_) ann_metrics_->CountQuery(options, path);
+    if (!got.ok()) return got;
+    top = *std::move(got);
   }
-  if (!cold && options.ann && options.use_packed &&
-      ann_fallback_metric_ != nullptr) {
-    // ANN requested but no (usable) index — serve the full scan instead.
-    ann_fallback_metric_->Inc();
-  }
-
-  // Packed fast path: fused score + top-k over the SIMD snapshot. Never
-  // materializes the score vector — each kRankerBlockItems chunk is scored
-  // blockwise into the accumulator with threshold early-reject. Mirrors the
-  // exact path's fault-injection and deadline polling per chunk, so serving
-  // resilience behaves identically in both modes.
-  if (!cold && options.use_packed && packed_ != nullptr) {
-    const PackedSnapshot& packed = *packed_;
-    FaultInjector& faults = FaultInjector::Instance();
-    TopKAccumulator acc(k);
-    for (ItemId lo = 0; lo < packed.num_items(); lo += kRankerBlockItems) {
-      const ItemId hi =
-          std::min<ItemId>(packed.num_items(), lo + kRankerBlockItems);
-      if (faults.armed() && faults.ShouldFire(FaultPoint::kServeSlowBlock)) {
-        std::this_thread::sleep_for(kSlowBlockStall);
-      }
-      ScoreBlocksTopK(packed, u, lo, hi, excluded, &acc);
-      if (deadline && Clock::now() > *deadline) {
-        return Status::DeadlineExceeded(
-            "query for user " + std::to_string(u) + " expired after scoring " +
-            std::to_string(hi) + "/" + std::to_string(packed.num_items()) +
-            " items");
-      }
-    }
-    std::vector<ScoredItem> top = acc.Take();
-    ApplyMinScore(options.min_score, &top);
-    return top;
-  }
-
-  // Cold-start: rank by popularity straight from the shared table, no copy
-  // (and no per-block deadline polling — there is no scoring work to bound).
-  const std::vector<double>* scores = &popularity_;
-  if (!cold) {
-    score_buf->resize(static_cast<size_t>(model_.num_items()));
-    FaultInjector& faults = FaultInjector::Instance();
-    for (ItemId lo = 0; lo < model_.num_items(); lo += kRankerBlockItems) {
-      const ItemId hi =
-          std::min<ItemId>(model_.num_items(), lo + kRankerBlockItems);
-      if (faults.armed() &&
-          faults.ShouldFire(FaultPoint::kServeSlowBlock)) {
-        std::this_thread::sleep_for(kSlowBlockStall);
-      }
-      model_.ScoreItemRange(u, lo, hi, score_buf);
-      if (deadline && Clock::now() > *deadline) {
-        return Status::DeadlineExceeded(
-            "query for user " + std::to_string(u) + " expired after scoring " +
-            std::to_string(hi) + "/" + std::to_string(model_.num_items()) +
-            " items");
-      }
-    }
-    scores = score_buf;
-  }
-  std::vector<ScoredItem> top = SelectTopK(*scores, *excluded, k);
   ApplyMinScore(options.min_score, &top);
   return top;
 }
@@ -259,10 +108,6 @@ Status Recommender::EnablePacked(int32_t verify_sample_users) {
   return Status::OK();
 }
 
-void Recommender::AdoptPacked(std::shared_ptr<const PackedSnapshot> packed) {
-  packed_ = std::move(packed);
-}
-
 Status Recommender::EnableIvf(const IvfOptions& options,
                               int32_t verify_sample_users,
                               double verify_recall_floor, size_t recall_k) {
@@ -270,30 +115,17 @@ Status Recommender::EnableIvf(const IvfOptions& options,
     Status base = EnablePacked(0);
     if (!base.ok()) return base;
   }
-  auto ivf = std::make_shared<IvfIndex>(IvfIndex::Build(model_, options));
-  if (verify_sample_users > 0) {
-    Status bind = VerifyIvfBinding(model_, *ivf, "EnableIvf");
-    if (!bind.ok()) return bind;
-    if (verify_recall_floor > 0.0) {
-      // With pq on, gate the *composed* quantized+re-rank path — the one
-      // that will actually serve — instead of the probe-only recall.
-      Status recall =
-          options.pq
-              ? VerifyPqRecall(*packed_, *ivf, verify_sample_users, recall_k,
-                               /*nprobe=*/0, /*rerank_budget=*/0,
-                               verify_recall_floor, "EnableIvf")
-              : VerifyIvfRecall(*packed_, *ivf, verify_sample_users, recall_k,
-                                /*nprobe=*/0, verify_recall_floor,
-                                "EnableIvf");
-      if (!recall.ok()) return recall;
-    }
-  }
-  ivf_ = std::move(ivf);
+  IvfGateOptions gate;
+  gate.ivf = options;
+  gate.verify = verify_sample_users > 0;
+  gate.recall_floor = verify_recall_floor;
+  gate.recall_users = verify_sample_users;
+  gate.recall_k = static_cast<int32_t>(recall_k);
+  auto ivf = BuildGatedIvf(model_, *packed_, gate, /*previous=*/nullptr,
+                           "EnableIvf", /*metrics=*/nullptr);
+  if (!ivf.ok()) return ivf.status();
+  ivf_ = *std::move(ivf);
   return Status::OK();
-}
-
-void Recommender::AdoptIvf(std::shared_ptr<const IvfIndex> ivf) {
-  ivf_ = std::move(ivf);
 }
 
 void Recommender::SetMetrics(MetricsRegistry* registry) {
@@ -301,28 +133,14 @@ void Recommender::SetMetrics(MetricsRegistry* registry) {
     queries_metric_ = nullptr;
     deadline_metric_ = nullptr;
     latency_metric_ = nullptr;
-    ann_queries_metric_ = nullptr;
-    ann_probes_metric_ = nullptr;
-    ann_fallback_metric_ = nullptr;
-    ann_pq_queries_metric_ = nullptr;
-    ann_pq_fallback_metric_ = nullptr;
-    ann_shortlist_hist_ = nullptr;
-    ann_rerank_hist_ = nullptr;
+    ann_metrics_.reset();
     return;
   }
   queries_metric_ = registry->GetCounter("ranker.queries_total");
   deadline_metric_ = registry->GetCounter("ranker.deadline_exceeded_total");
   latency_metric_ =
       registry->GetHistogram("ranker.query.latency_us", LatencyBucketsUs());
-  ann_queries_metric_ = registry->GetCounter("ann.queries_total");
-  ann_probes_metric_ = registry->GetCounter("ann.probes_total");
-  ann_fallback_metric_ = registry->GetCounter("ann.fallback_total");
-  ann_pq_queries_metric_ = registry->GetCounter("ann.pq_queries_total");
-  ann_pq_fallback_metric_ = registry->GetCounter("ann.pq_fallback_total");
-  ann_shortlist_hist_ =
-      registry->GetHistogram("ann.shortlist_size", DrawDepthBuckets());
-  ann_rerank_hist_ =
-      registry->GetHistogram("ann.rerank_survivors", DrawDepthBuckets());
+  ann_metrics_.emplace(registry);
 }
 
 Result<std::vector<ScoredItem>> Recommender::Recommend(
@@ -332,9 +150,7 @@ Result<std::vector<ScoredItem>> Recommender::Recommend(
   }
   if (queries_metric_ != nullptr) queries_metric_->Inc();
   TraceSpan span(latency_metric_);
-  QueryArena& arena = LocalArena();
-  auto out = RecommendOne(u, k, options, DeadlineFrom(options), &arena.scores,
-                          &arena.excluded);
+  auto out = RecommendOne(u, k, options, DeadlineFrom(options));
   span.Stop();
   if (deadline_metric_ != nullptr &&
       out.status().code() == StatusCode::kDeadlineExceeded) {
@@ -363,12 +179,10 @@ Result<BatchReply> Recommender::RecommendBatchPartial(
   const std::optional<Clock::time_point> deadline = DeadlineFrom(options);
   std::atomic<bool> expired{false};
 
-  auto run_range = [&](size_t lo, size_t hi, std::vector<double>* score_buf,
-                       std::vector<bool>* excluded) {
+  auto run_range = [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
       if (expired.load(std::memory_order_relaxed)) return;
-      auto one =
-          RecommendOne(users[i], k, options, deadline, score_buf, excluded);
+      auto one = RecommendOne(users[i], k, options, deadline);
       if (!one.ok()) {
         expired.store(true, std::memory_order_relaxed);
         return;
@@ -386,11 +200,10 @@ Result<BatchReply> Recommender::RecommendBatchPartial(
       std::min<size_t>(static_cast<size_t>(threads), users.size()));
 
   if (threads == 1) {
-    QueryArena& arena = LocalArena();
-    run_range(0, users.size(), &arena.scores, &arena.excluded);
+    run_range(0, users.size());
   } else {
     // Contiguous shards, one task per thread; each task uses its thread's
-    // arena and writes disjoint result slots, so no synchronization beyond
+    // scratch and writes disjoint result slots, so no synchronization beyond
     // the pool's completion barrier (and the shared expiry flag) is needed.
     ThreadPool pool(threads);
     const size_t shard = (users.size() + static_cast<size_t>(threads) - 1) /
@@ -399,10 +212,7 @@ Result<BatchReply> Recommender::RecommendBatchPartial(
       const size_t lo = static_cast<size_t>(t) * shard;
       const size_t hi = std::min(users.size(), lo + shard);
       if (lo >= hi) break;
-      pool.Submit([&run_range, lo, hi] {
-        QueryArena& arena = LocalArena();
-        run_range(lo, hi, &arena.scores, &arena.excluded);
-      });
+      pool.Submit([&run_range, lo, hi] { run_range(lo, hi); });
     }
     pool.Wait();
   }

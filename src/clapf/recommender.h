@@ -13,73 +13,12 @@
 #include "clapf/model/factor_model.h"
 #include "clapf/model/ivf_index.h"
 #include "clapf/model/packed_snapshot.h"
+#include "clapf/model/retrieval.h"
 #include "clapf/obs/metrics.h"
 #include "clapf/util/status.h"
 #include "clapf/util/top_k.h"
 
 namespace clapf {
-
-/// Per-query knobs for Recommender::Recommend / RecommendBatch. The default
-/// constructed value reproduces the classic behaviour: exclude nothing
-/// beyond the user's history, fall back to popularity for cold users, no
-/// score floor, no deadline.
-struct QueryOptions {
-  /// Items to skip in addition to the user's history (out-of-range ids are
-  /// ignored).
-  std::vector<ItemId> exclude;
-  /// When true (default), users without history are served the popularity
-  /// ranking. When false, cold users get an empty result instead — callers
-  /// that have their own cold-start strategy opt out here.
-  bool cold_start_fallback = true;
-  /// Drop results scoring below this floor; the result may then hold fewer
-  /// than k items.
-  std::optional<double> min_score;
-  /// Worker threads for RecommendBatch. 0 (default) = hardware concurrency;
-  /// single-user Recommend ignores this.
-  int num_threads = 0;
-  /// Wall-clock budget for the whole call (single query or entire batch).
-  /// <= 0 (default) means unbounded. The scoring loop polls the clock every
-  /// kRankerBlockItems items, so overrun is bounded by one block's cost;
-  /// an expired budget yields Status DeadlineExceeded instead of running
-  /// unbounded — batches additionally hand back the completed prefix via
-  /// RecommendBatchPartial.
-  std::chrono::microseconds deadline{0};
-  /// Serve from the packed SIMD snapshot when the recommender carries one:
-  /// the fused score+top-k kernel, approximate within PackedScoreBound().
-  /// Default true — but a snapshot exists only where one was built
-  /// (ModelServer::PublishModel does it at swap time; EnablePacked opts in
-  /// manually), so training and offline-eval paths stay on the exact double
-  /// scan and their goldens stay bit-identical. Set false to force the exact
-  /// path even when a snapshot is present.
-  bool use_packed = true;
-  /// Serve through the IVF approximate index when the recommender carries
-  /// one (EnableIvf / AdoptIvf): probe-list selection + exact fused re-rank
-  /// of the shortlisted blocks, sub-linear in the catalog. Off by default —
-  /// ANN is approximate *beyond* PackedScoreBound (it can miss items
-  /// entirely), so callers opt in per query; without an index the query
-  /// silently falls back to the full scan (counted in ann.fallback_total).
-  /// Requires use_packed: with the packed path disabled, ANN is off too.
-  bool ann = false;
-  /// Probe-list width for ANN queries. 0 (default) = the index's
-  /// default_nprobe; any value is clamped to [1, num_clusters]. More probes
-  /// = higher recall, more items scanned; nprobe = num_clusters degenerates
-  /// to the exact full scan.
-  int32_t ann_nprobe = 0;
-  /// Quantized first-pass scoring inside the ANN shortlist: stream the int8
-  /// codes over the probe ranges, keep the top rerank_budget candidates,
-  /// then exact-fused-re-rank only the survivors. Requires `ann` and an
-  /// index built with IvfOptions::pq (a pq query against an index without
-  /// codes silently serves the plain ANN path, counted in
-  /// ann.pq_fallback_total). Lossier than plain ANN in principle — which is
-  /// why publishes gate the *composed* path's measured recall — but every
-  /// returned score is still exact.
-  bool pq = false;
-  /// Survivor count the quantized first pass hands to the exact re-rank.
-  /// 0 (default) = the index's default_rerank_budget; always clamped up to
-  /// k so the re-rank can fill every slot. A budget ≥ the shortlist
-  /// degenerates to the plain ANN path bit-identically.
-  int32_t rerank_budget = 0;
-};
 
 /// Reply from Recommender::RecommendBatchPartial: results[i] answers
 /// users[i]. When the batch deadline expires mid-flight the work already
@@ -142,14 +81,9 @@ class Recommender {
   /// queries with QueryOptions::use_packed take the fused fast path. When
   /// `verify_sample_users` > 0 the repack is first checked against the exact
   /// model (VerifyPackedAgreement); a violation is returned and the
-  /// recommender stays exact. Convenience for CLI / standalone use —
-  /// ModelServer::PublishModel instead builds and gates the snapshot itself and
-  /// hands it over via AdoptPacked.
+  /// recommender stays exact. Convenience for CLI / standalone use; serving
+  /// publishes build and gate a snapshot per shard slice.
   Status EnablePacked(int32_t verify_sample_users = 0);
-
-  /// Adopts a pre-built snapshot (shared with e.g. the serving canary
-  /// probe); pass nullptr to drop back to exact-only queries.
-  void AdoptPacked(std::shared_ptr<const PackedSnapshot> packed);
 
   /// The snapshot packed queries run on, or null when none was built.
   const PackedSnapshot* packed_snapshot() const { return packed_.get(); }
@@ -157,19 +91,15 @@ class Recommender {
   /// Builds and adopts an IVF index over the current model so queries with
   /// QueryOptions::ann take the sub-linear probe + re-rank path (building
   /// the base packed snapshot first if none exists — ANN implies packed).
-  /// When `verify_sample_users` > 0 the index must pass VerifyIvfBinding,
-  /// and additionally VerifyIvfRecall at the index's default nprobe when
-  /// `verify_recall_floor` > 0; a violation is returned and the recommender
-  /// keeps serving without the index. Convenience for CLI / standalone use —
-  /// serving publishes instead gate the index themselves and hand it over
-  /// via AdoptIvf.
+  /// When `verify_sample_users` > 0 the index must pass BuildGatedIvf's
+  /// gate: VerifyIvfBinding, and additionally VerifyAnnRecall at the
+  /// index's default nprobe when `verify_recall_floor` > 0; a violation is
+  /// returned and the recommender keeps serving without the index.
+  /// Convenience for CLI / standalone use — serving publishes gate each
+  /// shard slice's index through the same routine.
   Status EnableIvf(const IvfOptions& options = {},
                    int32_t verify_sample_users = 0,
                    double verify_recall_floor = 0.0, size_t recall_k = 10);
-
-  /// Adopts a pre-built (already gated) index; nullptr drops back to full
-  /// scans.
-  void AdoptIvf(std::shared_ptr<const IvfIndex> ivf);
 
   /// The index ANN queries probe, or null when none was built.
   const IvfIndex* ivf_index() const { return ivf_.get(); }
@@ -183,13 +113,11 @@ class Recommender {
 
   /// Routes ranker telemetry into `registry`: ranker.queries_total, the
   /// ranker.query.latency_us histogram, ranker.deadline_exceeded_total, and
-  /// the ANN family — ann.queries_total, ann.probes_total,
-  /// ann.fallback_total, ann.pq_queries_total, ann.pq_fallback_total, plus
-  /// the ann.shortlist_size and ann.rerank_survivors histograms (power-of-two
-  /// buckets), so shortlist inflation and the survivor distribution are
-  /// visible in the Prometheus/JSON exports. Null (default state) disables
-  /// instrumentation. The registry is not owned and must outlive every
-  /// query; copies of the recommender share the same handles.
+  /// the ANN family of RetrievalMetrics, so shortlist inflation and the
+  /// survivor distribution are visible in the Prometheus/JSON exports. Null
+  /// (default state) disables instrumentation. The registry is not owned
+  /// and must outlive every query; copies of the recommender share the same
+  /// handles.
   void SetMetrics(MetricsRegistry* registry);
 
   int32_t num_users() const { return model_.num_users(); }
@@ -200,36 +128,29 @@ class Recommender {
  private:
   Recommender(FactorModel model, Dataset history);
 
-  /// Single-user kernel behind every query entry point. `score_buf` and
-  /// `excluded` are caller-provided scratch so batch queries reuse their
-  /// per-thread buffers across users. `deadline` is an absolute wall-clock
-  /// point (nullopt = unbounded) polled between scoring blocks; expiry
-  /// yields DeadlineExceeded.
+  /// Single-user kernel behind every query entry point: exclusions and
+  /// cold-start here, the scan in Retrieve. `deadline` is an absolute
+  /// wall-clock point (nullopt = unbounded) polled between scoring chunks;
+  /// expiry yields DeadlineExceeded.
   Result<std::vector<ScoredItem>> RecommendOne(
       UserId u, size_t k, const QueryOptions& options,
-      const std::optional<std::chrono::steady_clock::time_point>& deadline,
-      std::vector<double>* score_buf, std::vector<bool>* excluded) const;
+      const std::optional<std::chrono::steady_clock::time_point>& deadline)
+      const;
 
   FactorModel model_;
   Dataset history_;
   std::vector<double> popularity_;  // cold-start fallback scores
   // Immutable SIMD repack shared read-only across query threads; null until
-  // EnablePacked/AdoptPacked. Copies of the recommender share it.
+  // EnablePacked. Copies of the recommender share it.
   std::shared_ptr<const PackedSnapshot> packed_;
   // Immutable IVF index shared read-only across query threads; null until
-  // EnableIvf/AdoptIvf. Copies of the recommender share it.
+  // EnableIvf. Copies of the recommender share it.
   std::shared_ptr<const IvfIndex> ivf_;
   // Telemetry handles (null = off); see SetMetrics.
   Counter* queries_metric_ = nullptr;
   Counter* deadline_metric_ = nullptr;
   Histogram* latency_metric_ = nullptr;
-  Counter* ann_queries_metric_ = nullptr;
-  Counter* ann_probes_metric_ = nullptr;
-  Counter* ann_fallback_metric_ = nullptr;
-  Counter* ann_pq_queries_metric_ = nullptr;
-  Counter* ann_pq_fallback_metric_ = nullptr;
-  Histogram* ann_shortlist_hist_ = nullptr;
-  Histogram* ann_rerank_hist_ = nullptr;
+  std::optional<RetrievalMetrics> ann_metrics_;
 };
 
 }  // namespace clapf

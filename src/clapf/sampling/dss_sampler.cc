@@ -60,7 +60,8 @@ ItemId DssSampler::SampleObservedAdaptive(UserId u, int32_t q, bool reversed,
   scratch_.clear();
   scratch_.reserve(items.size());
   for (ItemId i : items) {
-    double v = model_->ItemFactors(i)[static_cast<size_t>(q)];
+    const double v =
+        LoadRelaxed(model_->ItemFactors(i)[static_cast<size_t>(q)]);
     scratch_.emplace_back(reversed ? -v : v, i);
   }
   size_t pos = geometric_.Sample(scratch_.size(), rng_);
@@ -107,7 +108,7 @@ Triple DssSampler::Sample() {
       static_cast<int32_t>(rng_.Uniform(
           static_cast<uint64_t>(model_->num_factors())));
   const bool reversed =
-      model_->UserFactors(t.u)[static_cast<size_t>(q)] < 0.0;
+      LoadRelaxed(model_->UserFactors(t.u)[static_cast<size_t>(q)]) < 0.0;
 
   // Step (4): CLAPF-MAP wants a low-scored companion k (small f_uk makes the
   // listwise margin f_uk - f_ui informative); CLAPF-MRR wants a high-scored

@@ -15,13 +15,18 @@ FactorRankList::FactorRankList(const FactorModel* model) : model_(model) {
 
 void FactorRankList::Refresh() {
   const int32_t m = model_->num_items();
+  keys_.resize(static_cast<size_t>(m));
   for (int32_t q = 0; q < model_->num_factors(); ++q) {
+    for (ItemId i = 0; i < m; ++i) {
+      keys_[static_cast<size_t>(i)] =
+          LoadRelaxed(model_->ItemFactors(i)[static_cast<size_t>(q)]);
+    }
     auto& ranking = rankings_[static_cast<size_t>(q)];
     ranking.resize(static_cast<size_t>(m));
     std::iota(ranking.begin(), ranking.end(), 0);
     std::sort(ranking.begin(), ranking.end(), [&](ItemId a, ItemId b) {
-      double va = model_->ItemFactors(a)[static_cast<size_t>(q)];
-      double vb = model_->ItemFactors(b)[static_cast<size_t>(q)];
+      const double va = keys_[static_cast<size_t>(a)];
+      const double vb = keys_[static_cast<size_t>(b)];
       if (va != vb) return va > vb;
       return a < b;
     });

@@ -1,6 +1,7 @@
 #ifndef CLAPF_SAMPLING_RANK_LIST_H_
 #define CLAPF_SAMPLING_RANK_LIST_H_
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -8,6 +9,15 @@
 #include "clapf/model/factor_model.h"
 
 namespace clapf {
+
+/// Reads a model parameter that HogWild SGD workers may be writing
+/// concurrently: a relaxed atomic load (as RelaxedAccess does), so a racing
+/// read sees some whole written value instead of being a data race.
+inline double LoadRelaxed(const double& x) {
+  // atomic_ref requires a non-const referent even for loads.
+  return std::atomic_ref<double>(const_cast<double&>(x))
+      .load(std::memory_order_relaxed);
+}
 
 /// Per-factor item rankings used by DSS and AoBPR (paper §5.1, Step 2):
 /// for each latent factor q, all items sorted descending by their factor
@@ -19,6 +29,9 @@ class FactorRankList {
   explicit FactorRankList(const FactorModel* model);
 
   /// Rebuilds every factor's ranking from the model's current item factors.
+  /// Each factor column is first copied into a key vector, so the sort
+  /// compares fixed values even while other SGD workers write the model;
+  /// ties break by ascending item id, which makes the order total.
   void Refresh();
 
   /// Item at `position` in factor `q`'s descending ranking. If `reversed`,
@@ -35,6 +48,7 @@ class FactorRankList {
   const FactorModel* model_;
   // rankings_[q] holds item ids sorted by V_{.,q} descending.
   std::vector<std::vector<ItemId>> rankings_;
+  std::vector<double> keys_;  // one factor column, scratch for Refresh
   int64_t refresh_count_ = 0;
 };
 

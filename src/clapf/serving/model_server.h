@@ -1,330 +1,9 @@
 #ifndef CLAPF_SERVING_MODEL_SERVER_H_
 #define CLAPF_SERVING_MODEL_SERVER_H_
 
-#include <cstdint>
-#include <memory>
-#include <mutex>
-#include <span>
-#include <string>
-#include <utility>
-#include <vector>
-
-#include "clapf/data/dataset.h"
-#include "clapf/model/factor_model.h"
-#include "clapf/obs/metrics.h"
-#include "clapf/recommender.h"
-#include "clapf/serving/admission_queue.h"
-#include "clapf/serving/flight_recorder.h"
-#include "clapf/serving/governor.h"
-#include "clapf/serving/publish_request.h"
-#include "clapf/serving/serving_stats.h"
-#include "clapf/util/status.h"
-
-namespace clapf {
-
-/// Validation gate a candidate model must clear before a hot swap.
-struct CanaryOptions {
-  /// Master switch; disabling skips every pre-publish check except the
-  /// dimension match (which is a hard invariant of the serving history).
-  bool enabled = true;
-  /// Sampled-AUC floor on the held-out probe set; <= 0 skips the probe.
-  /// A structurally broken model (corrupt factors, wrong training run)
-  /// scores ~0.5 here while any healthy model clears 0.6 comfortably.
-  double min_auc = 0.0;
-  /// Negatives sampled per probe case (SampledEvaluator protocol).
-  int32_t probe_negatives = 20;
-  /// Fraction of the serving history re-held-out as the probe set.
-  double probe_fraction = 0.1;
-  /// Seed for the probe split and negative sampling (deterministic gate).
-  uint64_t seed = 1;
-  /// Users sampled by the packed-vs-exact agreement check when a packed
-  /// snapshot is published (ServerOptions::packed): every item of every
-  /// sampled user must agree within PackedScoreBound(). <= 0 skips the
-  /// check.
-  int32_t packed_agreement_users = 64;
-
-  // ANN half of the gate, only exercised when ServerOptions::ann builds an
-  // IVF index per publish. The binding + structural checks (VerifyIvfBinding:
-  // the index was built from exactly this candidate's item parameters and
-  // its permutation is coherent) always run; the measured check re-ranks
-  // `ann_recall_users` sampled users at the index's default nprobe and
-  // refuses the publish when recall@`ann_recall_k` vs the exact fused scan
-  // falls below `ann_recall_floor`. This is the PackedScoreBound discipline
-  // extended into the approximate regime: the contract is measured at the
-  // gate, not hoped for.
-  /// Measured-recall floor; <= 0 skips the measured check.
-  double ann_recall_floor = 0.95;
-  /// Users sampled by the recall probe (evenly spaced).
-  int32_t ann_recall_users = 16;
-  /// The k of the recall@k contract.
-  int32_t ann_recall_k = 10;
-};
-
-/// Post-publish error-rate circuit breaker. Queries are grouped into
-/// tumbling windows; when a full-enough window's internal-error rate
-/// crosses the threshold, the server rolls back to the previous snapshot
-/// (or degrades to the popularity fallback when none exists).
-struct BreakerOptions {
-  bool enabled = true;
-  /// Queries per evaluation window.
-  int64_t window = 64;
-  /// Smallest window the breaker will judge — avoids tripping on one
-  /// unlucky error at low traffic.
-  int64_t min_samples = 16;
-  /// Internal-error fraction at which the breaker trips.
-  double error_threshold = 0.5;
-
-  // Half-open recovery. After a trip the rolled-back-from snapshot is kept
-  // aside; once `cooldown_queries` further queries have been answered by the
-  // fallback, it is re-admitted for a `probe_window`-query probe. A probe
-  // whose internal-error rate stays below `error_threshold` reinstates the
-  // snapshot (no republish needed); a failed probe reverts to the fallback
-  // and discards the snapshot for good. Every transition lands in the
-  // flight recorder.
-  /// Master switch for half-open recovery.
-  bool half_open = true;
-  /// Queries served by the fallback before a probe window opens.
-  int64_t cooldown_queries = 64;
-  /// Queries the probe window admits against the tripped snapshot.
-  int64_t probe_window = 16;
-};
-
-/// ModelServer construction knobs.
-struct ServerOptions {
-  /// Query worker threads.
-  int num_threads = 2;
-  /// Admission bound: requests past this many pending-or-running tasks are
-  /// shed with Unavailable.
-  int64_t max_queue_depth = 64;
-  /// Build a packed SIMD snapshot of each published model and serve queries
-  /// through the fused score+top-k fast path. The canary gate then also
-  /// verifies packed-vs-exact agreement (CanaryOptions::
-  /// packed_agreement_users) and runs its AUC probe through the packed
-  /// kernels, so what is vetted is what serves. Disable to serve the exact
-  /// double path only.
-  bool packed = true;
-  /// Build an IVF approximate-MIPS index alongside each published packed
-  /// snapshot (requires `packed`) and canary-verify it (binding + measured
-  /// recall@k, CanaryOptions::ann_recall_*) before adoption, so queries
-  /// opting in with QueryOptions::ann take the sub-linear probe + re-rank
-  /// path. When the previous snapshot carries a compatible index the
-  /// publish rebuilds incrementally: frozen centroids, only items whose
-  /// parameters changed are reassigned (the online incremental-publish
-  /// path). Off by default: index builds cost a k-means pass per publish.
-  bool ann = false;
-  /// Index build knobs when `ann` is set. With `ivf.pq` on, each publish
-  /// additionally trains/refreshes the per-lane int8 code book next to the
-  /// repack and the canary gate measures the *composed* quantized+re-rank
-  /// recall instead of the probe-only recall (same floor) — queries opt in
-  /// per request with QueryOptions::pq.
-  IvfOptions ivf;
-  CanaryOptions canary;
-  BreakerOptions breaker;
-  /// Adaptive knob control (policy, bounds, tick cadence); the default
-  /// `performance` policy reproduces the static pre-governor behavior.
-  GovernorOptions governor;
-  /// Events retained by the incident flight recorder (rounded up to a power
-  /// of two).
-  int64_t flight_recorder_capacity = 256;
-  /// When non-empty, the flight recorder is dumped (JSON, atomic write) to
-  /// this path every time the circuit breaker trips — the post-incident
-  /// black box is on disk before anyone asks for it.
-  std::string flight_dump_path;
-  /// Queries served slower than this many microseconds are recorded in the
-  /// flight recorder as slow-query events; 0 disables.
-  int64_t slow_query_us = 0;
-
-  // Sharded serving (ShardedModelServer only; ModelServer ignores these).
-  /// Contiguous catalog shards, each with its own slice, packed snapshot,
-  /// breaker, and flight recorder. Clamped to [1, ceil(num_items / 8)].
-  int32_t num_shards = 1;
-  /// Scatter worker threads fanning one query across shards; 0 picks
-  /// min(num_shards, 4). Irrelevant when num_shards == 1 (inline scoring).
-  int scatter_threads = 0;
-  /// Per-tenant in-flight admission budget; <= 0 disables tenant quotas
-  /// (the global max_queue_depth bound always applies).
-  int64_t per_tenant_quota = 0;
-};
-
-/// Always-on serving front end: owns the interaction history, a worker pool
-/// behind a bounded admission queue, and an RCU-style snapshot of the
-/// currently served model that training can hot-swap while queries run.
-///
-/// Lifecycle of a model version:
-///   Publish(candidate) → canary gate (finite scan + wire-format/CRC
-///   round-trip + optional sampled-AUC floor) → atomic snapshot swap.
-/// A failed gate leaves the prior snapshot serving untouched. After a
-/// publish, a serve-time integrity check (non-finite top-k scores surface
-/// as Internal) feeds the circuit breaker; a tripped breaker rolls back to
-/// the previous snapshot, or — when no valid snapshot exists — degrades to
-/// the popularity fallback rather than going dark.
-///
-/// Readers copy a shared_ptr under a mutex held for nanoseconds, then score
-/// entirely lock-free on their private snapshot; publishes swap the pointer
-/// under the same mutex, so an in-flight query keeps its model alive until
-/// it finishes (grace period by refcount — the RCU pattern).
-///
-/// Thread-safe: queries, publishes, and stats reads may run concurrently.
-class ModelServer {
- public:
-  /// Serves against `history` (copied); starts with no model published, so
-  /// queries are answered by the popularity fallback until the first
-  /// successful Publish.
-  ModelServer(Dataset history, const ServerOptions& options);
-
-  /// Stops the governor ticker thread and drains in-flight queries.
-  ~ModelServer();
-
-  /// The unified publish entry point: resolves `request` (an in-memory
-  /// candidate or a CRC-verified model file — the implicit PublishRequest
-  /// conversions make `PublishModel(model)` and `PublishModel(path)` read
-  /// like the calls they replaced), gates it, and on success atomically
-  /// swaps it in as the new serving snapshot. On gate failure
-  /// (InvalidArgument / Corruption / FailedPrecondition) the previous
-  /// snapshot keeps serving. This server is single-shard and
-  /// single-tenant: a request targeting any shard but kAllShards/0 or any
-  /// tenant but kDefaultTenant is refused — route those to
-  /// ShardedModelServer.
-  Status PublishModel(PublishRequest request);
-
-  /// Top-k for one user through admission control on the serving pool.
-  /// Outcomes: the ranked list, DeadlineExceeded (options.deadline expired),
-  /// Unavailable (shed at admission), OutOfRange (bad id), or Internal
-  /// (served-model integrity failure — breaker food).
-  Result<std::vector<ScoredItem>> Recommend(UserId u, size_t k,
-                                            const QueryOptions& options = {});
-
-  /// Batched query as one admitted unit of work; parallelism is across
-  /// requests (the pool), not within a batch. An expired deadline returns
-  /// the completed prefix with the rest flagged, per RecommendBatchPartial.
-  Result<BatchReply> RecommendBatch(std::span<const UserId> users, size_t k,
-                                    const QueryOptions& options = {});
-
-  /// Version of the snapshot currently serving; 0 when none (degraded).
-  int64_t version() const;
-
-  /// True while queries are answered by the popularity fallback because no
-  /// valid model snapshot exists.
-  bool degraded() const;
-
-  /// Point-in-time copy of all serving counters.
-  ServingStatsSnapshot stats() const;
-
-  /// The server's metrics registry: every serving counter plus the
-  /// serving.query.latency_us / serving.batch.latency_us histograms and the
-  /// admission/ranker instrumentation. Snapshot or export it to scrape the
-  /// server (see ExportPrometheusText / WriteMetricsJsonFile).
-  const MetricsRegistry& metrics() const { return metrics_; }
-  MetricsRegistry* mutable_metrics() { return &metrics_; }
-
-  /// The incident flight recorder: every degradation decision (governor
-  /// adjustments, sheds, deadline misses, breaker trips, probes) lands here
-  /// and can be dumped at any time — automatically on a breaker trip when
-  /// ServerOptions::flight_dump_path is set.
-  const FlightRecorder& flight_recorder() const { return recorder_; }
-
-  /// Dumps the flight recorder as JSON to `path` (atomic write).
-  Status DumpFlightRecorder(const std::string& path,
-                            const FlightDumpOptions& options = {}) const;
-
-  /// The serving governor (never null). Its knobs() are the live values; in
-  /// drills, drive the control loop deterministically with TickGovernor().
-  const ServingGovernor& governor() const { return *governor_; }
-
-  /// One manual governor control step (see ServingGovernor::Tick).
-  void TickGovernor() { governor_->Tick(); }
-
-  const Dataset& history() const { return history_; }
-
- private:
-  struct Snapshot {
-    int64_t version;
-    Recommender recommender;
-  };
-
-  /// Gate + swap for a resolved in-memory candidate (the tail of every
-  /// PublishModel call).
-  Status PublishCandidate(FactorModel candidate);
-
-  /// Pre-publish validation; `context` names the candidate in errors.
-  /// `packed` is the candidate's freshly built snapshot (null when packed
-  /// serving is off): the gate verifies its agreement with the exact model
-  /// and routes the AUC probe through it.
-  Status GateCandidate(const FactorModel& candidate,
-                       const PackedSnapshot* packed,
-                       const std::string& context) const;
-
-  /// The RCU read: copy the current snapshot pointer (may be null).
-  std::shared_ptr<const Snapshot> Acquire() const;
-
-  /// Runs on a pool worker: snapshot read + query + serve-time checks.
-  Result<std::vector<ScoredItem>> ServeOne(UserId u, size_t k,
-                                           const QueryOptions& options);
-  Result<BatchReply> ServeBatch(std::span<const UserId> users, size_t k,
-                                const QueryOptions& options);
-
-  /// Popularity ranking with history/option exclusions — the no-snapshot
-  /// fallback path.
-  Result<std::vector<ScoredItem>> ServeDegraded(
-      UserId u, size_t k, const QueryOptions& options) const;
-
-  /// Stats + breaker accounting for one finished query, including the
-  /// half-open recovery state machine (closed → cooldown → half-open).
-  void RecordOutcome(const Status& status);
-
-  /// Breaker action: revert to the previous snapshot or degrade, keep the
-  /// rolled-back-from snapshot aside for a later probe, and auto-dump the
-  /// flight recorder when configured.
-  void TripBreaker();
-
-  /// Half-open transitions (called off the breaker lock, take snapshot_mu_).
-  void BeginProbe();
-  void ResolveProbe(bool recovered, double error_rate);
-
-  Dataset history_;
-  std::vector<double> popularity_;  // fallback scores, index = item id
-  ServerOptions options_;
-  Dataset probe_train_;  // canary probe split of the history
-  Dataset probe_test_;
-
-  mutable std::mutex snapshot_mu_;
-  std::shared_ptr<const Snapshot> current_;   // null until first publish
-  std::shared_ptr<const Snapshot> previous_;  // breaker rollback target
-  int64_t next_version_ = 1;
-
-  // Kept aside for half-open recovery, guarded by snapshot_mu_ like the
-  // serving chain itself. `tripped_` is the snapshot the breaker rolled back
-  // from (probe candidate); `probe_fallback_` is what `current_` pointed at
-  // before the probe swapped the candidate back in (revert target).
-  std::shared_ptr<const Snapshot> tripped_;
-  std::shared_ptr<const Snapshot> probe_fallback_;
-
-  /// Tumbling-window breaker phase. kClosed judges full windows and trips;
-  /// kCooldown counts queries toward the probe; kHalfOpen judges the probe
-  /// window against the re-admitted snapshot.
-  enum class BreakerState { kClosed, kCooldown, kHalfOpen };
-
-  std::mutex breaker_mu_;
-  int64_t window_queries_ = 0;
-  int64_t window_errors_ = 0;
-  BreakerState breaker_state_ = BreakerState::kClosed;
-  int64_t cooldown_left_ = 0;    // queries until the probe opens
-  int64_t probe_left_ = 0;       // queries left in the probe window
-  int64_t probe_errors_ = 0;     // internal errors seen during the probe
-
-  // Declared before queue_/stats_/the latency handles: they are all views
-  // into this registry and member construction follows declaration order.
-  MetricsRegistry metrics_;
-  Histogram* query_latency_;  // serving.query.latency_us
-  Histogram* batch_latency_;  // serving.batch.latency_us
-  FlightRecorder recorder_;   // before queue_: workers record into it
-  AdmissionQueue queue_;
-  ServingStats stats_;
-  // Last: observes metrics_/queue_/recorder_, so it must die first and the
-  // ticker thread it owns must never outlive them.
-  std::unique_ptr<ServingGovernor> governor_;
-};
-
-}  // namespace clapf
+// ModelServer and its options are declared in sharded_server.h: the server
+// is sharded, and one shard is the monolithic case. This header keeps the
+// older include path working.
+#include "clapf/serving/sharded_server.h"
 
 #endif  // CLAPF_SERVING_MODEL_SERVER_H_

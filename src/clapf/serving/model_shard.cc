@@ -1,36 +1,21 @@
 #include "clapf/serving/model_shard.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
-#include "clapf/core/ranker.h"
 #include "clapf/model/model_io.h"
-#include "clapf/model/score_kernel.h"
-#include "clapf/util/fault_injection.h"
 #include "clapf/util/logging.h"
 
 namespace clapf {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-// Matches the monolithic ranker's injected kServeSlowBlock stall so sharded
-// deadline drills exercise the same timing fault.
-constexpr std::chrono::milliseconds kSlowBlockStall(2);
-
-// Per-thread scatter scratch, mirroring the recommender's QueryArena: one
-// scatter worker reuses its buffers across shards and queries, so after
-// warm-up the only O(shard) work outside scoring is the bitmap reset.
-struct ShardArena {
-  std::vector<double> scores;
-  std::vector<bool> excluded;
-};
-
-ShardArena& LocalArena() {
-  thread_local ShardArena arena;
-  return arena;
+// Per-thread exclusion bitmap: one scatter worker reuses it across shards
+// and queries, so after warm-up the only O(shard) work outside scoring is
+// the bitmap reset.
+std::vector<bool>& LocalExcluded() {
+  thread_local std::vector<bool> excluded;
+  return excluded;
 }
 
 }  // namespace
@@ -48,12 +33,14 @@ ModelShard::ModelShard(int32_t id, ItemId begin, ItemId end,
 }
 
 Result<std::shared_ptr<ShardSlice>> ModelShard::BuildSlice(
-    const FactorModel& candidate, bool packed, bool verify_integrity,
+    FactorModel candidate, bool packed, bool verify_integrity,
     int32_t packed_agreement_users, const std::string& context,
-    const ShardAnnOptions* ann, const ShardSlice* previous,
-    int64_t* ann_items_reassigned) const {
-  auto slice =
-      std::make_shared<ShardSlice>(candidate.SliceItems(begin_, end_));
+    const IvfGateOptions* ann, const ShardSlice* previous,
+    MetricsRegistry* metrics) const {
+  auto slice = std::make_shared<ShardSlice>(
+      candidate.num_items() == num_local_items()
+          ? std::move(candidate)
+          : candidate.SliceItems(begin_, end_));
   if (verify_integrity) {
     // The slice carries the full user matrix plus this shard's items, so
     // the finite scan + CRC round-trip covers exactly the parameters this
@@ -71,64 +58,21 @@ Result<std::shared_ptr<ShardSlice>> ModelShard::BuildSlice(
     slice->packed = std::move(snap);
   }
   if (packed && ann != nullptr) {
-    if (ann_items_reassigned != nullptr) *ann_items_reassigned = -1;
-    std::shared_ptr<IvfIndex> ivf;
-    if (previous != nullptr && previous->ivf != nullptr) {
-      int64_t reassigned = 0;
-      auto rebuilt = IvfIndex::RebuildDirty(*previous->ivf, slice->model,
-                                            ann->ivf, &reassigned);
-      // Majority-dirty slices retrain from scratch: frozen centroids from
-      // the previous slice would partition the moved geometry poorly and
-      // the recall gate would (rightly) refuse the result.
-      if (rebuilt.ok() && 2 * reassigned <= slice->model.num_items()) {
-        ivf = std::make_shared<IvfIndex>(std::move(rebuilt).value());
-        if (ann_items_reassigned != nullptr) {
-          *ann_items_reassigned = reassigned;
-        }
-      }
-    }
-    if (ivf == nullptr) {
-      ivf = std::make_shared<IvfIndex>(IvfIndex::Build(slice->model,
-                                                       ann->ivf));
-    }
-    FaultInjector& faults = FaultInjector::Instance();
-    if (faults.armed() && faults.ShouldFire(FaultPoint::kAnnCorruptIndex)) {
-      // Per-shard desync drill: the armed hit schedule picks which shard's
-      // index is scrambled, and only that shard's gate must refuse.
-      ivf->DesyncForTesting();
-    }
-    if (ann->ivf.pq && faults.armed() &&
-        faults.ShouldFire(FaultPoint::kAnnCorruptCodes)) {
-      // Code-book corruption drill: geometry and floats stay intact, so
-      // only the measured composed-recall gate below can catch it.
-      ivf->CorruptPqForTesting();
-    }
-    if (ann->canary) {
-      CLAPF_RETURN_IF_ERROR(VerifyIvfBinding(slice->model, *ivf, context));
-      if (ann->recall_floor > 0.0) {
-        const size_t gate_k =
-            static_cast<size_t>(std::max<int32_t>(1, ann->recall_k));
-        // With codes present, gate the composed quantized+re-rank path the
-        // shard will actually serve — strictly stronger than the probe-only
-        // check, since the survivors are a subset of the shortlist.
-        CLAPF_RETURN_IF_ERROR(
-            ivf->has_pq()
-                ? VerifyPqRecall(*slice->packed, *ivf, ann->recall_users,
-                                 gate_k, /*nprobe=*/0, /*rerank_budget=*/0,
-                                 ann->recall_floor, context)
-                : VerifyIvfRecall(*slice->packed, *ivf, ann->recall_users,
-                                  gate_k, /*nprobe=*/0, ann->recall_floor,
-                                  context));
-      }
-    }
-    slice->ivf = std::move(ivf);
+    // Each shard's index covers its own slice and is gated on its own: a
+    // corrupt or low-recall index refuses only this shard's slice.
+    auto ivf = BuildGatedIvf(
+        slice->model, *slice->packed, *ann,
+        previous != nullptr ? previous->ivf.get() : nullptr, context,
+        metrics);
+    if (!ivf.ok()) return ivf.status();
+    slice->ivf = *std::move(ivf);
   }
   return slice;
 }
 
 std::vector<bool>* ModelShard::BuildExcluded(
     UserId u, const QueryOptions& options) const {
-  std::vector<bool>* excluded = &LocalArena().excluded;
+  std::vector<bool>* excluded = &LocalExcluded();
   excluded->assign(static_cast<size_t>(num_local_items()), false);
   for (ItemId i : history_.ItemsOf(u)) {
     (*excluded)[static_cast<size_t>(i)] = true;
@@ -143,138 +87,19 @@ std::vector<bool>* ModelShard::BuildExcluded(
 
 Result<std::vector<ScoredItem>> ModelShard::ScoreTopK(
     const ShardSlice& slice, UserId u, size_t k, const QueryOptions& options,
-    const std::optional<Clock::time_point>& deadline,
-    ThresholdBroadcast* broadcast) const {
-  const ItemId local_items = num_local_items();
-  const size_t local_k = std::min(k, static_cast<size_t>(local_items));
+    const std::optional<std::chrono::steady_clock::time_point>& deadline,
+    ThresholdBroadcast* broadcast, const RetrievalMetrics* metrics,
+    RetrievalPath* path) const {
+  const size_t local_k = std::min(k, static_cast<size_t>(num_local_items()));
   if (local_k == 0) return std::vector<ScoredItem>{};
-
   std::vector<bool>* excluded = BuildExcluded(u, options);
-  FaultInjector& faults = FaultInjector::Instance();
-  std::vector<ScoredItem> top;
-
-  if (options.ann && options.use_packed && slice.ivf != nullptr &&
-      slice.ivf->num_items() == local_items) {
-    // IVF shortlist path: probe the shard-local index and re-rank the
-    // shortlisted cluster ranges with the fused mapped kernel. The index
-    // was built over the sliced model, so the "global" ids it emits are
-    // shard-local ids — the excluded bitmap indexes them directly and the
-    // final `+= begin_` below lifts them to catalog ids. The cross-shard
-    // bar stays sound under ANN: a shortlist heap's threshold is a lower
-    // bound on that shard's (and hence the global) k-th-best only among
-    // scanned items, so the bar is raised from full heaps exactly as in
-    // the exhaustive path and can only prune items below a real score.
-    const IvfIndex& ivf = *slice.ivf;
-    thread_local std::vector<IvfProbeRange> probes;
-    const size_t min_items = local_k + history_.ItemsOf(u).size() +
-                             options.exclude.size();
-    ivf.SelectProbes(u, options.ann_nprobe, min_items, &probes, nullptr);
-    const std::vector<IvfProbeRange>* scan_ranges = &probes;
-    if (options.pq && ivf.has_pq()) {
-      // Quantized first pass over this shard's own code book: stream the
-      // int8 codes across the probe ranges and keep only rerank_budget
-      // survivor blocks for the exact re-rank below. The cross-shard bar is
-      // deliberately NOT applied to quantized scores — quantization error
-      // could push a true global-top-k item under the bar — so the bar
-      // kicks in only at the exact stage, where it remains sound.
-      thread_local std::vector<IvfProbeRange> rerank_ranges;
-      size_t budget = options.rerank_budget > 0
-                          ? static_cast<size_t>(options.rerank_budget)
-                          : static_cast<size_t>(std::max<int32_t>(
-                                1, ivf.default_rerank_budget()));
-      budget = std::max(budget, local_k);
-      int64_t survivors = 0;
-      CLAPF_RETURN_IF_ERROR(ivf.QuantizedShortlist(
-          u, probes, budget, excluded, deadline, &rerank_ranges, &survivors));
-      scan_ranges = &rerank_ranges;
-    }
-    TopKAccumulator acc(local_k);
-    ItemId scanned = 0;
-    for (size_t ri = 0; ri < scan_ranges->size(); ++ri) {
-      // Sparse pq re-rank ranges each start on a cold block; prefetching a
-      // few ranges ahead overlaps those misses with scoring.
-      if (ri + 3 < scan_ranges->size()) {
-        ivf.PrefetchRange((*scan_ranges)[ri + 3]);
-      }
-      const IvfProbeRange& range = (*scan_ranges)[ri];
-      for (ItemId lo = range.begin; lo < range.end; lo += kRankerBlockItems) {
-        const ItemId hi = std::min<ItemId>(range.end, lo + kRankerBlockItems);
-        if (faults.armed() &&
-            faults.ShouldFire(FaultPoint::kServeSlowBlock)) {
-          std::this_thread::sleep_for(kSlowBlockStall);
-        }
-        const double bar =
-            broadcast != nullptr
-                ? broadcast->Get()
-                : -std::numeric_limits<double>::infinity();
-        ScoreBlocksTopKMapped(ivf.packed(), u, lo, hi,
-                              ivf.local_to_global_data(), excluded, &acc,
-                              bar);
-        if (broadcast != nullptr && acc.full()) {
-          broadcast->Raise(acc.threshold_score());
-        }
-        scanned += hi - lo;
-        if (deadline && Clock::now() > *deadline) {
-          return Status::DeadlineExceeded(
-              "ann query for user " + std::to_string(u) +
-              " expired in shard " + std::to_string(id_) +
-              " after scoring " + std::to_string(scanned) +
-              " shortlisted items");
-        }
-      }
-    }
-    top = acc.Take();
-  } else if (options.use_packed && slice.packed != nullptr) {
-    // Packed fast path: fused score + top-k over the shard's SIMD repack,
-    // chunked like the monolithic ranker (fault + deadline poll per chunk).
-    // Each chunk ends by raising the cross-shard bar to this heap's
-    // threshold; the next chunk starts by reading the bar, so concurrent
-    // shards prune each other mid-query.
-    const PackedSnapshot& packed = *slice.packed;
-    TopKAccumulator acc(local_k);
-    for (ItemId lo = 0; lo < local_items; lo += kRankerBlockItems) {
-      const ItemId hi = std::min<ItemId>(local_items, lo + kRankerBlockItems);
-      if (faults.armed() && faults.ShouldFire(FaultPoint::kServeSlowBlock)) {
-        std::this_thread::sleep_for(kSlowBlockStall);
-      }
-      const double bar =
-          broadcast != nullptr
-              ? broadcast->Get()
-              : -std::numeric_limits<double>::infinity();
-      ScoreBlocksTopK(packed, u, lo, hi, excluded, &acc, bar);
-      if (broadcast != nullptr && acc.full()) {
-        broadcast->Raise(acc.threshold_score());
-      }
-      if (deadline && Clock::now() > *deadline) {
-        return Status::DeadlineExceeded(
-            "query for user " + std::to_string(u) + " expired in shard " +
-            std::to_string(id_) + " after scoring " + std::to_string(hi) +
-            "/" + std::to_string(local_items) + " items");
-      }
-    }
-    top = acc.Take();
-  } else {
-    // Exact double scan over the sliced model; scores are bit-identical to
-    // the monolithic scan of the same items, so the gathered merge is too.
-    std::vector<double>* scores = &LocalArena().scores;
-    scores->resize(static_cast<size_t>(local_items));
-    for (ItemId lo = 0; lo < local_items; lo += kRankerBlockItems) {
-      const ItemId hi = std::min<ItemId>(local_items, lo + kRankerBlockItems);
-      if (faults.armed() && faults.ShouldFire(FaultPoint::kServeSlowBlock)) {
-        std::this_thread::sleep_for(kSlowBlockStall);
-      }
-      slice.model.ScoreItemRange(u, lo, hi, scores);
-      if (deadline && Clock::now() > *deadline) {
-        return Status::DeadlineExceeded(
-            "query for user " + std::to_string(u) + " expired in shard " +
-            std::to_string(id_) + " after scoring " + std::to_string(hi) +
-            "/" + std::to_string(local_items) + " items");
-      }
-    }
-    top = SelectTopK(*scores, *excluded, local_k);
-  }
-
-  for (ScoredItem& item : top) item.item += begin_;
+  const size_t min_items =
+      local_k + history_.ItemsOf(u).size() + options.exclude.size();
+  auto top = Retrieve({&slice.model, slice.packed.get(), slice.ivf.get()}, u,
+                      local_k, excluded, min_items, options, deadline,
+                      broadcast, metrics, path);
+  if (!top.ok()) return top;
+  for (ScoredItem& item : *top) item.item += begin_;
   return top;
 }
 

@@ -1,10 +1,8 @@
 #ifndef CLAPF_SERVING_MODEL_SHARD_H_
 #define CLAPF_SERVING_MODEL_SHARD_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -14,16 +12,17 @@
 #include "clapf/model/factor_model.h"
 #include "clapf/model/ivf_index.h"
 #include "clapf/model/packed_snapshot.h"
-#include "clapf/recommender.h"
+#include "clapf/model/retrieval.h"
+#include "clapf/obs/metrics.h"
 #include "clapf/util/status.h"
 #include "clapf/util/top_k.h"
 
 namespace clapf {
 
 /// One published model version restricted to a shard's item range: the
-/// sliced exact model plus (when packed serving is on) its SIMD repack.
-/// Immutable once published; query workers share it read-only via
-/// shared_ptr, exactly like the monolithic server's Snapshot.
+/// sliced exact model plus (when packed serving is on) its SIMD repack and
+/// (when ANN serving is on) its IVF index. Immutable once published; query
+/// workers share it read-only via shared_ptr.
 struct ShardSlice {
   explicit ShardSlice(FactorModel sliced_model)
       : model(std::move(sliced_model)) {}
@@ -34,59 +33,11 @@ struct ShardSlice {
   std::shared_ptr<const IvfIndex> ivf;           // null when ANN is off
 };
 
-/// Per-shard ANN build + gate parameters for BuildSlice. Each shard builds
-/// its own IvfIndex over its sliced catalog, and each index is gated
-/// independently — a corrupt or low-recall index refuses only its own
-/// shard's slice, never its siblings'.
-struct ShardAnnOptions {
-  /// With `ivf.pq` on, every slice gets its own code book (trained on the
-  /// shard's items, frozen across that shard's incremental rebuilds) and
-  /// the recall check below measures the composed quantized+re-rank path.
-  IvfOptions ivf;
-  /// Structural/binding verification plus the measured recall check below.
-  bool canary = true;
-  /// Publish-time recall@recall_k floor at the index's default nprobe,
-  /// measured against the shard's exact packed scan; <= 0 disables the
-  /// measured check (binding + structure still run when `canary` is set).
-  double recall_floor = 0.95;
-  int32_t recall_users = 16;
-  int32_t recall_k = 10;
-};
-
-/// Cross-shard early-reject bar for one scatter-gather query. Each shard
-/// publishes its full-heap threshold after every scoring chunk; every shard
-/// reads the running maximum and skips scores strictly below it. Any one
-/// shard's k-th-best is a lower bound on the global k-th-best, and the
-/// rejection test is strict (ties still reach Push for the smaller-id
-/// tie-break), so the broadcast can only skip items that cannot be in the
-/// global top-k — merged results stay bit-identical to a monolithic scan.
-///
-/// Relaxed atomics are sufficient: the bar is monotone and a stale read is
-/// merely a weaker (always-correct) bound.
-class ThresholdBroadcast {
- public:
-  ThresholdBroadcast()
-      : floor_(-std::numeric_limits<double>::infinity()) {}
-
-  /// Raises the bar to at least `threshold` (monotone max).
-  void Raise(double threshold) {
-    double cur = floor_.load(std::memory_order_relaxed);
-    while (threshold > cur &&
-           !floor_.compare_exchange_weak(cur, threshold,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-
-  double Get() const { return floor_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> floor_;
-};
-
 /// Immutable identity of one catalog shard — its item range, the serving
 /// history and popularity table restricted to it — plus the two operations
-/// the sharded server fans out: building a gated slice of a candidate model
-/// and answering a local top-k scatter query.
+/// the server fans out: building a gated slice of a candidate model and
+/// answering a local top-k scatter query. A one-shard server has one
+/// ModelShard covering the whole catalog.
 ///
 /// All ids crossing this class's boundary are global: queries hand in global
 /// exclusion lists and get back global item ids; the local renumbering
@@ -108,39 +59,44 @@ class ModelShard {
   ItemId end() const { return end_; }
   int32_t num_local_items() const { return end_ - begin_; }
 
-  /// Builds this shard's ShardSlice of full-catalog `candidate` (version
-  /// left 0 for the server to assign at swap time). When `verify_integrity`
-  /// is set the sliced model must pass VerifyModelIntegrity (finite scan +
-  /// wire-format/CRC round-trip); when `packed` is set a PackedSnapshot is
-  /// built and, if `packed_agreement_users` > 0, verified against the slice
-  /// within PackedScoreBound. When `ann` is non-null (requires `packed`) an
-  /// IvfIndex is built over the sliced catalog and gated per ShardAnnOptions;
-  /// `previous` (may be null) supplies the prior slice whose index seeds an
-  /// incremental RebuildDirty, and `ann_items_reassigned` (may be null)
-  /// receives the number of items the incremental path reassigned, or -1
-  /// when a full build ran. Gate failures leave nothing published.
+  /// Builds this shard's ShardSlice of `candidate` (version left 0 for the
+  /// server to assign at swap time). `candidate` holds either the full
+  /// catalog, whose items [begin, end) are copied out (SliceItems), or
+  /// exactly this shard's items, which the slice adopts as they are — so
+  /// the one-shard server moves its candidate in and a publish holds one
+  /// copy of the model. When `verify_integrity` is set the sliced model
+  /// must pass VerifyModelIntegrity (finite scan + wire-format/CRC
+  /// round-trip); when `packed` is set a PackedSnapshot is built and, if
+  /// `packed_agreement_users` > 0, verified against the slice within
+  /// PackedScoreBound. When `ann` is non-null (requires `packed`) an
+  /// IvfIndex is built over the sliced catalog and gated by BuildGatedIvf,
+  /// incrementally from `previous`'s index when it has one; `metrics` (may
+  /// be null) receives the build and gate counters. Gate failures leave
+  /// nothing published.
   Result<std::shared_ptr<ShardSlice>> BuildSlice(
-      const FactorModel& candidate, bool packed, bool verify_integrity,
+      FactorModel candidate, bool packed, bool verify_integrity,
       int32_t packed_agreement_users, const std::string& context,
-      const ShardAnnOptions* ann = nullptr,
+      const IvfGateOptions* ann = nullptr,
       const ShardSlice* previous = nullptr,
-      int64_t* ann_items_reassigned = nullptr) const;
+      MetricsRegistry* metrics = nullptr) const;
 
-  /// Scatter kernel: top-k of this shard's items for user `u`, through the
+  /// Scatter kernel: Retrieve over this shard's slice for user `u` — the
   /// IVF shortlist when `options.ann` is set and the slice carries an index,
   /// else the packed fast path when the slice carries a snapshot and
   /// `options.use_packed` allows it, else the exact double scan. Applies
   /// history and options.exclude exclusions; does NOT apply min_score or
-  /// cold-start policy — those are gather-side (router) decisions so they
-  /// act exactly once per query, as in the monolithic path. Returns at most
-  /// min(k, shard size) items with GLOBAL ids, DeadlineExceeded when
-  /// `deadline` expires mid-scan. `broadcast` (may be null) is the
-  /// cross-shard early-reject bar.
+  /// cold-start policy — those are gather-side decisions so they act
+  /// exactly once per query. Returns at most min(k, shard size) items with
+  /// GLOBAL ids, DeadlineExceeded when `deadline` expires mid-scan.
+  /// `broadcast` (may be null) is the cross-shard early-reject bar;
+  /// `metrics` and `path` are Retrieve's.
   Result<std::vector<ScoredItem>> ScoreTopK(
       const ShardSlice& slice, UserId u, size_t k,
       const QueryOptions& options,
       const std::optional<std::chrono::steady_clock::time_point>& deadline,
-      ThresholdBroadcast* broadcast) const;
+      ThresholdBroadcast* broadcast,
+      const RetrievalMetrics* metrics = nullptr,
+      RetrievalPath* path = nullptr) const;
 
   /// Degraded scatter kernel: local popularity top-k with the same
   /// exclusion rules, for shards whose serving chain has no valid slice.

@@ -52,15 +52,6 @@ std::string ShardStatsSnapshot::ToString() const {
   return out;
 }
 
-std::string ShardedStatsSnapshot::ToString() const {
-  std::string out = total.ToString();
-  for (const ShardStatsSnapshot& s : shards) {
-    out += '\n';
-    out += s.ToString();
-  }
-  return out;
-}
-
 ShardServingStats::ShardServingStats(MetricsRegistry* registry, int32_t shard)
     : shard_(shard) {
   CLAPF_CHECK(registry != nullptr);

@@ -97,18 +97,6 @@ struct ShardStatsSnapshot {
   std::string ToString() const;
 };
 
-/// Server-wide counters plus the per-shard breakdown. The `shards` vector is
-/// always in ascending shard-id order regardless of which thread, tenant, or
-/// registry iteration produced the counts — two snapshots of the same quiet
-/// server render byte-identically, which is what the drill goldens assert.
-struct ShardedStatsSnapshot {
-  ServingStatsSnapshot total;
-  std::vector<ShardStatsSnapshot> shards;  // ascending shard id
-
-  /// total.ToString() followed by one line per shard, '\n'-joined.
-  std::string ToString() const;
-};
-
 /// Per-shard counter bundle in a shared registry, named
 /// `serving.shard.<id>.*_total`. Same relaxed-increment semantics as
 /// ServingStats.

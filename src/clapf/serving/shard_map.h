@@ -53,34 +53,6 @@ class ShardMap {
   std::vector<ItemId> bounds_;  // num_shards + 1 entries, bounds_[0] == 0
 };
 
-/// Pluggable scatter-breadth policy: which shards a top-k query for `u`
-/// must consult. The default BroadcastRouter consults every shard, which is
-/// the only policy that preserves exact full-catalog top-k; narrower routers
-/// (e.g. probing only shards a learned index nominates) trade recall for
-/// fan-out and are the extension point this interface exists for.
-///
-/// Implementations must be thread-safe: Route runs concurrently on query
-/// workers. The returned ids are sanitized by the server (clamped to valid
-/// shards, sorted, deduplicated); an empty route falls back to broadcast.
-class ShardRouter {
- public:
-  virtual ~ShardRouter() = default;
-
-  /// Appends the shards to consult for user `u` into `shards` (cleared
-  /// first by the caller).
-  virtual void Route(UserId u, const ShardMap& map,
-                     std::vector<int32_t>* shards) const = 0;
-};
-
-/// Consults every shard — exact scatter-gather.
-class BroadcastRouter final : public ShardRouter {
- public:
-  void Route(UserId /*u*/, const ShardMap& map,
-             std::vector<int32_t>* shards) const override {
-    for (int32_t s = 0; s < map.num_shards(); ++s) shards->push_back(s);
-  }
-};
-
 }  // namespace clapf
 
 #endif  // CLAPF_SERVING_SHARD_MAP_H_

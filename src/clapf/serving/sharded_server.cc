@@ -24,39 +24,47 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::optional<Clock::time_point> DeadlineFrom(const QueryOptions& options) {
-  if (options.deadline <= std::chrono::microseconds::zero()) {
-    return std::nullopt;
-  }
-  return Clock::now() + options.deadline;
-}
+// Scores the whole catalog through the slices a publish built — through
+// the packed snapshots that will serve when packed serving is on — so the
+// canary's sampled-AUC probe vets the kernels production queries run.
+class SliceRanker final : public Ranker {
+ public:
+  SliceRanker(const ShardMap& map,
+              const std::vector<std::shared_ptr<ShardSlice>>& slices)
+      : map_(map), slices_(slices) {}
 
-// Results are sorted best-to-worst, so the floor cuts a suffix (identical
-// to the monolithic ranker's ApplyMinScore).
-void ApplyMinScore(const std::optional<double>& floor,
-                   std::vector<ScoredItem>* top) {
-  if (!floor) return;
-  auto first_below =
-      std::find_if(top->begin(), top->end(),
-                   [&](const ScoredItem& s) { return s.score < *floor; });
-  top->erase(first_below, top->end());
-}
+  void ScoreItems(UserId u, std::vector<double>* scores) const override {
+    if (slices_.size() == 1) {  // one shard: its slice is the catalog
+      FactorModelRanker(&slices_[0]->model, slices_[0]->packed.get())
+          .ScoreItems(u, scores);
+      return;
+    }
+    scores->resize(static_cast<size_t>(map_.num_items()));
+    std::vector<double> local;
+    for (size_t s = 0; s < slices_.size(); ++s) {
+      FactorModelRanker(&slices_[s]->model, slices_[s]->packed.get())
+          .ScoreItems(u, &local);
+      std::copy(local.begin(), local.end(),
+                scores->begin() + map_.begin(static_cast<int32_t>(s)));
+    }
+  }
+
+ private:
+  const ShardMap& map_;
+  const std::vector<std::shared_ptr<ShardSlice>>& slices_;
+};
 
 }  // namespace
 
-ShardedModelServer::ShardedModelServer(
-    Dataset history, const ServerOptions& options,
-    std::shared_ptr<const ShardRouter> router)
+ModelServer::ModelServer(Dataset history, const ServerOptions& options)
     : history_(std::move(history)),
       options_(options),
       shard_map_(ShardMap::Create(history_.num_items(), options.num_shards)),
-      router_(router != nullptr
-                  ? std::move(router)
-                  : std::make_shared<const BroadcastRouter>()),
       query_latency_(metrics_.GetHistogram("serving.query.latency_us",
                                            LatencyBucketsUs())),
       batch_latency_(metrics_.GetHistogram("serving.batch.latency_us",
                                            LatencyBucketsUs())),
+      retrieval_metrics_(&metrics_),
       recorder_(static_cast<size_t>(
           std::max<int64_t>(1, options.flight_recorder_capacity))),
       queue_(std::max(1, options.num_threads), options.max_queue_depth,
@@ -93,21 +101,19 @@ ShardedModelServer::ShardedModelServer(
   governor_->Start();
 }
 
-ShardedModelServer::~ShardedModelServer() {
+ModelServer::~ModelServer() {
   governor_->Stop();
   queue_.Wait();
 }
 
-void ShardedModelServer::RecordShardEvent(int32_t shard,
-                                          FlightEventKind kind,
-                                          const std::string& detail,
-                                          int64_t a, int64_t b, double x) {
+void ModelServer::RecordShardEvent(int32_t shard, FlightEventKind kind,
+                                   const std::string& detail, int64_t a,
+                                   int64_t b, double x) {
   recorder_.Record(kind, detail, a, b, x);
   shard_recorders_[static_cast<size_t>(shard)]->Record(kind, detail, a, b, x);
 }
 
-Result<FactorModel> ShardedModelServer::ResolveCandidate(
-    PublishRequest* request) {
+Result<FactorModel> ModelServer::ResolveCandidate(PublishRequest* request) {
   if (request->model.has_value() && !request->path.empty()) {
     return Status::InvalidArgument(
         "publish request carries both an in-memory model and a file path");
@@ -129,7 +135,7 @@ Result<FactorModel> ShardedModelServer::ResolveCandidate(
   return model;
 }
 
-Status ShardedModelServer::PublishModel(PublishRequest request) {
+Status ModelServer::PublishModel(PublishRequest request) {
   const int32_t target = request.shard;
   const std::string tenant = request.tenant;
   if (tenant.empty()) {
@@ -178,24 +184,9 @@ Status ShardedModelServer::PublishModel(PublishRequest request) {
 
   const bool canary = options_.canary.enabled;
   if (canary && target == kAllShards) {
-    // Full-catalog gate, once: integrity scan + (optional) sampled-AUC
-    // probe on the exact model. The packed kernels are vetted per shard
-    // below via the agreement check, so what serves is still what was
-    // vetted.
+    // Whole-candidate integrity scan (finite values + wire-format/CRC
+    // round-trip), once, before any slicing.
     Status whole = VerifyModelIntegrity(candidate, context);
-    if (whole.ok() && options_.canary.min_auc > 0.0 &&
-        probe_test_.num_interactions() > 0) {
-      SampledEvaluator eval(&probe_train_, &probe_test_,
-                            options_.canary.probe_negatives,
-                            options_.canary.seed);
-      FactorModelRanker ranker(&candidate);
-      const double auc = eval.Evaluate(ranker, {5}).auc;
-      if (auc < options_.canary.min_auc) {
-        whole = Status::FailedPrecondition(
-            context + " failed canary: sampled AUC " + std::to_string(auc) +
-            " below floor " + std::to_string(options_.canary.min_auc));
-      }
-    }
     if (!whole.ok()) {
       stats_.RecordCanaryReject();
       recorder_.Record(FlightEventKind::kCanaryReject, whole.message());
@@ -210,11 +201,11 @@ Status ShardedModelServer::PublishModel(PublishRequest request) {
   // publish is all-or-nothing, and a failed one-shard publish leaves that
   // shard's prior slice serving.
   const bool ann_enabled = options_.packed && options_.ann;
-  ShardAnnOptions ann;
+  IvfGateOptions ann;
   std::vector<std::shared_ptr<const ShardSlice>> prev_slices(targets.size());
   if (ann_enabled) {
     ann.ivf = options_.ivf;
-    ann.canary = canary;
+    ann.verify = canary;
     ann.recall_floor = options_.canary.ann_recall_floor;
     ann.recall_users = options_.canary.ann_recall_users;
     ann.recall_k = options_.canary.ann_recall_k;
@@ -233,37 +224,18 @@ Status ShardedModelServer::PublishModel(PublishRequest request) {
   std::vector<std::shared_ptr<ShardSlice>> built(targets.size());
   for (size_t i = 0; i < targets.size(); ++i) {
     const int32_t s = targets[i];
-    int64_t ann_reassigned = -1;
-    auto slice = shards_[static_cast<size_t>(s)].BuildSlice(
-        candidate, options_.packed,
+    const ModelShard& shard = shards_[static_cast<size_t>(s)];
+    // A shard covering the whole catalog adopts the candidate itself, so
+    // the one-shard server holds a single copy of the model.
+    auto slice = shard.BuildSlice(
+        shard.num_local_items() == candidate.num_items()
+            ? std::move(candidate)
+            : candidate.SliceItems(shard.begin(), shard.end()),
+        options_.packed,
         /*verify_integrity=*/canary && target != kAllShards,
         canary ? options_.canary.packed_agreement_users : 0,
         context + " (shard " + std::to_string(s) + ")",
-        ann_enabled ? &ann : nullptr, prev_slices[i].get(),
-        &ann_reassigned);
-    if (ann_enabled) {
-      // Every ivf gate message carries the "ivf" tag, which distinguishes
-      // "the index was built but refused" from "the slice failed before the
-      // ANN stage ran" (integrity/agreement) where no index counters apply.
-      const bool ivf_failure =
-          !slice.ok() &&
-          slice.status().message().find("ivf") != std::string::npos;
-      if (slice.ok() || ivf_failure) {
-        if (ann_reassigned >= 0) {
-          metrics_.GetCounter("ann.index_rebuilds_incremental_total")->Inc();
-          metrics_.GetCounter("ann.index_items_reassigned_total")
-              ->Inc(ann_reassigned);
-        } else {
-          metrics_.GetCounter("ann.index_builds_total")->Inc();
-        }
-        if (canary) {
-          metrics_
-              .GetCounter(slice.ok() ? "ann.recall_gate_pass_total"
-                                     : "ann.recall_gate_fail_total")
-              ->Inc();
-        }
-      }
-    }
+        ann_enabled ? &ann : nullptr, prev_slices[i].get(), &metrics_);
     if (!slice.ok()) {
       stats_.RecordCanaryReject();
       shard_stats_[static_cast<size_t>(s)]->RecordCanaryReject();
@@ -276,6 +248,28 @@ Status ShardedModelServer::PublishModel(PublishRequest request) {
       return slice.status();
     }
     built[i] = *std::move(slice);
+  }
+
+  if (canary && target == kAllShards && options_.canary.min_auc > 0.0 &&
+      probe_test_.num_interactions() > 0) {
+    // Sampled-AUC probe through the built slices: a healthy model (trained
+    // on data containing the probe) ranks it far above sampled negatives,
+    // while a corrupt or mistrained candidate scores ~0.5.
+    SampledEvaluator eval(&probe_train_, &probe_test_,
+                          options_.canary.probe_negatives,
+                          options_.canary.seed);
+    const double auc = eval.Evaluate(SliceRanker(shard_map_, built), {5}).auc;
+    if (auc < options_.canary.min_auc) {
+      Status low = Status::FailedPrecondition(
+          context + " failed canary: sampled AUC " + std::to_string(auc) +
+          " below floor " + std::to_string(options_.canary.min_auc));
+      stats_.RecordCanaryReject();
+      recorder_.Record(FlightEventKind::kCanaryReject, low.message());
+      CLAPF_LOG(Warning) << "canary gate rejected candidate, prior slices "
+                            "keep serving: "
+                         << low.ToString();
+      return low;
+    }
   }
 
   int64_t published_version = 0;
@@ -320,7 +314,7 @@ Status ShardedModelServer::PublishModel(PublishRequest request) {
 }
 
 std::vector<std::shared_ptr<const ShardSlice>>
-ShardedModelServer::AcquireCut(const std::string& tenant) const {
+ModelServer::AcquireCut(const std::string& tenant) const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   auto it = tenants_.find(tenant);
   if (it == tenants_.end() || it->second.chains.empty()) return {};
@@ -332,7 +326,7 @@ ShardedModelServer::AcquireCut(const std::string& tenant) const {
   return cut;
 }
 
-Result<std::vector<ScoredItem>> ShardedModelServer::ServeDegraded(
+Result<std::vector<ScoredItem>> ModelServer::ServeDegraded(
     UserId u, size_t k, const QueryOptions& options) const {
   if (u < 0 || u >= history_.num_users()) {
     return Status::OutOfRange("unknown user id " + std::to_string(u));
@@ -354,7 +348,7 @@ Result<std::vector<ScoredItem>> ShardedModelServer::ServeDegraded(
   return top;
 }
 
-Result<std::vector<ScoredItem>> ShardedModelServer::ServeUser(
+Result<std::vector<ScoredItem>> ModelServer::ServeUser(
     UserId u, size_t k, const QueryOptions& options,
     const std::optional<Clock::time_point>& deadline,
     const std::vector<std::shared_ptr<const ShardSlice>>& cut,
@@ -367,94 +361,80 @@ Result<std::vector<ScoredItem>> ShardedModelServer::ServeUser(
   if (cold) {
     // Cold-start is a GLOBAL decision made here at the gather side: per-
     // shard history slices would make a globally-warm user look cold in
-    // every shard where they happen to own no interactions, and a sharded
-    // server must answer exactly like a monolithic one.
+    // every shard where they happen to own no interactions, and every shard
+    // count must answer alike.
     if (!options.cold_start_fallback) return std::vector<ScoredItem>{};
-    std::vector<bool> excluded(static_cast<size_t>(history_.num_items()),
-                               false);
-    for (ItemId i : options.exclude) {
-      if (i >= 0 && i < history_.num_items()) {
-        excluded[static_cast<size_t>(i)] = true;
-      }
-    }
-    top = SelectTopK(popularity_, excluded, k);
-    ApplyMinScore(options.min_score, &top);
+    top = *ServeDegraded(u, k, options);  // `u` is valid: cannot fail
   } else {
-    std::vector<int32_t> routed;
-    router_->Route(u, shard_map_, &routed);
-    // Sanitize the router's answer: in-range, ascending, unique; an empty
-    // route falls back to broadcast (the exact policy).
-    routed.erase(std::remove_if(routed.begin(), routed.end(),
-                                [this](int32_t s) {
-                                  return s < 0 || s >= num_shards();
-                                }),
-                 routed.end());
-    std::sort(routed.begin(), routed.end());
-    routed.erase(std::unique(routed.begin(), routed.end()), routed.end());
-    if (routed.empty()) {
-      routed.resize(static_cast<size_t>(num_shards()));
-      std::iota(routed.begin(), routed.end(), 0);
-    }
-    attr->consulted = routed;
-
-    const size_t n = routed.size();
+    // Scatter: every shard is consulted (the exact top-k needs them all).
+    const size_t n = shards_.size();
+    attr->consulted.resize(n);
+    std::iota(attr->consulted.begin(), attr->consulted.end(), 0);
     std::vector<std::vector<ScoredItem>> lists(n);
     std::vector<Status> statuses(n, Status::OK());
+    std::vector<RetrievalPath> paths(n, RetrievalPath::kNone);
     ThresholdBroadcast broadcast;
 
-    auto score_one = [&](size_t i) {
-      const int32_t s = routed[i];
-      const ShardSlice* slice = cut[static_cast<size_t>(s)].get();
+    auto score_one = [&](size_t s) {
+      const ShardSlice* slice = cut[s].get();
       if (slice == nullptr) {
         // This shard's chain has no valid slice (breaker degraded it or it
         // was never published): it answers from its popularity slice while
         // the healthy shards keep serving the model — availability per
         // failure domain instead of a server-wide fallback.
-        shard_stats_[static_cast<size_t>(s)]->RecordDegraded();
-        lists[i] = shards_[static_cast<size_t>(s)].PopularityTopK(u, k,
-                                                                  options);
+        shard_stats_[s]->RecordDegraded();
+        lists[s] = shards_[s].PopularityTopK(u, k, options);
         return;
       }
-      auto got = shards_[static_cast<size_t>(s)].ScoreTopK(
-          *slice, u, k, options, deadline, &broadcast);
+      auto got = shards_[s].ScoreTopK(*slice, u, k, options, deadline,
+                                      &broadcast, &retrieval_metrics_,
+                                      &paths[s]);
       if (got.ok()) {
-        lists[i] = *std::move(got);
+        lists[s] = *std::move(got);
       } else {
-        statuses[i] = got.status();
+        statuses[s] = got.status();
       }
     };
 
-    if (n == 1 || scatter_pool_ == nullptr) {
-      for (size_t i = 0; i < n; ++i) score_one(i);
+    if (n == 1) {
+      score_one(0);
     } else {
       // Scatter over the dedicated pool and wait on a latch. The scatter
       // tasks never block on anything, so the admitted worker parked here
       // cannot deadlock against the admission pool.
       std::latch done(static_cast<std::ptrdiff_t>(n));
-      for (size_t i = 0; i < n; ++i) {
-        scatter_pool_->Submit([&score_one, &done, i] {
-          score_one(i);
+      for (size_t s = 0; s < n; ++s) {
+        scatter_pool_->Submit([&score_one, &done, s] {
+          score_one(s);
           done.count_down();
         });
       }
       done.wait();
     }
+    // The ANN query counters count the user query once, by the most
+    // specialized scan any shard ran.
+    retrieval_metrics_.CountQuery(
+        options, *std::max_element(paths.begin(), paths.end()));
 
-    for (size_t i = 0; i < n; ++i) {
-      if (!statuses[i].ok()) {
-        attr->blame = routed[i];
-        return statuses[i];
+    for (size_t s = 0; s < n; ++s) {
+      if (!statuses[s].ok()) {
+        attr->blame = static_cast<int32_t>(s);
+        return statuses[s];
       }
     }
 
     // Gather: every per-shard heap feeds one global accumulator. Its total
     // order (score desc, item id asc) is insertion-order independent, so
-    // the merge is deterministic and bit-identical to a monolithic scan.
-    TopKAccumulator acc(k);
-    for (const std::vector<ScoredItem>& list : lists) {
-      for (const ScoredItem& item : list) acc.Push(item.item, item.score);
+    // the merge is deterministic and bit-identical for every shard count.
+    if (n == 1) {
+      top = std::move(lists[0]);
+    } else {
+      TopKAccumulator acc(k);
+      for (const std::vector<ScoredItem>& list : lists) {
+        for (const ScoredItem& item : list) acc.Push(item.item, item.score);
+      }
+      top = acc.Take();
     }
-    top = acc.Take();
     ApplyMinScore(options.min_score, &top);
   }
 
@@ -481,29 +461,38 @@ Result<std::vector<ScoredItem>> ShardedModelServer::ServeUser(
   return top;
 }
 
-Result<std::vector<ScoredItem>> ShardedModelServer::ServeOne(
+bool ModelServer::AllDark(
+    const std::vector<std::shared_ptr<const ShardSlice>>& cut,
+    QueryAttribution* attr) const {
+  if (std::any_of(cut.begin(), cut.end(),
+                  [](const std::shared_ptr<const ShardSlice>& s) {
+                    return s != nullptr;
+                  })) {
+    return false;
+  }
+  // Every shard of a published tenant tripped dark: the shards still count
+  // the popularity-served query, so their cooldowns advance toward the
+  // half-open probe.
+  attr->consulted.resize(cut.size());
+  std::iota(attr->consulted.begin(), attr->consulted.end(), 0);
+  return true;
+}
+
+Result<std::vector<ScoredItem>> ModelServer::ServeOne(
     UserId u, size_t k, const QueryOptions& options,
     const std::string& tenant, QueryAttribution* attr) {
   if (u < 0 || u >= history_.num_users()) {
     return Status::OutOfRange("unknown user id " + std::to_string(u));
   }
   auto cut = AcquireCut(tenant);
-  const bool any_live =
-      std::any_of(cut.begin(), cut.end(),
-                  [](const std::shared_ptr<const ShardSlice>& s) {
-                    return s != nullptr;
-                  });
-  if (!any_live) {
-    // Never-published (or unknown) tenant, or every shard tripped dark:
-    // the whole answer comes from popularity, exactly like the monolithic
-    // degraded path.
+  if (AllDark(cut, attr)) {
     stats_.RecordDegraded();
     return ServeDegraded(u, k, options);
   }
   return ServeUser(u, k, options, DeadlineFrom(options), cut, attr);
 }
 
-Result<BatchReply> ShardedModelServer::ServeBatch(
+Result<BatchReply> ModelServer::ServeBatch(
     std::span<const UserId> users, size_t k, const QueryOptions& options,
     const std::string& tenant, QueryAttribution* attr) {
   for (UserId u : users) {
@@ -517,12 +506,7 @@ Result<BatchReply> ShardedModelServer::ServeBatch(
   if (users.empty()) return reply;
 
   auto cut = AcquireCut(tenant);
-  const bool any_live =
-      std::any_of(cut.begin(), cut.end(),
-                  [](const std::shared_ptr<const ShardSlice>& s) {
-                    return s != nullptr;
-                  });
-  if (!any_live) {
+  if (AllDark(cut, attr)) {
     for (size_t i = 0; i < users.size(); ++i) {
       stats_.RecordDegraded();
       auto one = ServeDegraded(users[i], k, options);
@@ -552,7 +536,7 @@ Result<BatchReply> ShardedModelServer::ServeBatch(
   return reply;
 }
 
-Result<std::vector<ScoredItem>> ShardedModelServer::RecommendOne(
+Result<std::vector<ScoredItem>> ModelServer::Recommend(
     UserId u, size_t k, const QueryOptions& options,
     const std::string& tenant) {
   stats_.RecordQuery();
@@ -588,7 +572,7 @@ Result<std::vector<ScoredItem>> ShardedModelServer::RecommendOne(
   return out;
 }
 
-Result<BatchReply> ShardedModelServer::RecommendBatch(
+Result<BatchReply> ModelServer::RecommendBatch(
     std::span<const UserId> users, size_t k, const QueryOptions& options,
     const std::string& tenant) {
   stats_.RecordQuery();
@@ -629,9 +613,9 @@ Result<BatchReply> ShardedModelServer::RecommendBatch(
   return out;
 }
 
-void ShardedModelServer::RecordOutcome(const Status& status,
-                                       const std::string& tenant,
-                                       const QueryAttribution& attr) {
+void ModelServer::RecordOutcome(const Status& status,
+                                const std::string& tenant,
+                                const QueryAttribution& attr) {
   bool breaker_error = false;
   switch (status.code()) {
     case StatusCode::kOk:
@@ -758,8 +742,7 @@ void ShardedModelServer::RecordOutcome(const Status& status,
   }
 }
 
-bool ShardedModelServer::TripShardBreaker(const std::string& tenant,
-                                          int32_t shard) {
+bool ModelServer::TripShardBreaker(const std::string& tenant, int32_t shard) {
   bool have_probe_candidate = false;
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
@@ -835,8 +818,7 @@ bool ShardedModelServer::TripShardBreaker(const std::string& tenant,
   return have_probe_candidate;
 }
 
-bool ShardedModelServer::BeginShardProbe(const std::string& tenant,
-                                         int32_t shard) {
+bool ModelServer::BeginShardProbe(const std::string& tenant, int32_t shard) {
   bool started = false;
   int64_t probe_version = 0;
   {
@@ -875,9 +857,9 @@ bool ShardedModelServer::BeginShardProbe(const std::string& tenant,
   return true;
 }
 
-void ShardedModelServer::ResolveShardProbe(const std::string& tenant,
-                                           int32_t shard, bool recovered,
-                                           double error_rate) {
+void ModelServer::ResolveShardProbe(const std::string& tenant,
+                                    int32_t shard, bool recovered,
+                                    double error_rate) {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   auto it = tenants_.find(tenant);
   if (it == tenants_.end() || it->second.chains.empty()) return;
@@ -920,7 +902,7 @@ void ShardedModelServer::ResolveShardProbe(const std::string& tenant,
   chain.probe_fallback.reset();
 }
 
-std::vector<std::string> ShardedModelServer::tenants() const {
+std::vector<std::string> ModelServer::tenants() const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   std::vector<std::string> names;
   names.reserve(tenants_.size());
@@ -928,7 +910,7 @@ std::vector<std::string> ShardedModelServer::tenants() const {
   return names;  // std::map iteration is already sorted
 }
 
-std::vector<int64_t> ShardedModelServer::shard_versions(
+std::vector<int64_t> ModelServer::shard_versions(
     const std::string& tenant) const {
   std::vector<int64_t> versions(static_cast<size_t>(num_shards()), 0);
   std::lock_guard<std::mutex> lock(snapshot_mu_);
@@ -941,7 +923,12 @@ std::vector<int64_t> ShardedModelServer::shard_versions(
   return versions;
 }
 
-bool ShardedModelServer::degraded(const std::string& tenant) const {
+int64_t ModelServer::version(const std::string& tenant) const {
+  const std::vector<int64_t> versions = shard_versions(tenant);
+  return *std::min_element(versions.begin(), versions.end());
+}
+
+bool ModelServer::degraded(const std::string& tenant) const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   auto it = tenants_.find(tenant);
   if (it == tenants_.end() || it->second.chains.empty()) return true;
@@ -951,19 +938,18 @@ bool ShardedModelServer::degraded(const std::string& tenant) const {
   return false;
 }
 
-ShardedStatsSnapshot ShardedModelServer::stats() const {
-  ShardedStatsSnapshot snapshot;
-  snapshot.total = stats_.Snapshot();
-  snapshot.shards.reserve(shard_stats_.size());
+ServingStatsSnapshot ModelServer::stats() const { return stats_.Snapshot(); }
+
+std::vector<ShardStatsSnapshot> ModelServer::shard_stats() const {
   // Ascending shard id by construction — NOT registry iteration order —
   // so two snapshots of the same counters always render identically.
-  for (const auto& stats : shard_stats_) {
-    snapshot.shards.push_back(stats->Snapshot());
-  }
-  return snapshot;
+  std::vector<ShardStatsSnapshot> shards;
+  shards.reserve(shard_stats_.size());
+  for (const auto& stats : shard_stats_) shards.push_back(stats->Snapshot());
+  return shards;
 }
 
-Status ShardedModelServer::DumpFlightRecorder(
+Status ModelServer::DumpFlightRecorder(
     const std::string& path, const FlightDumpOptions& options) const {
   return recorder_.DumpJsonFile(path, options);
 }

@@ -13,12 +13,12 @@
 
 #include "clapf/data/dataset.h"
 #include "clapf/model/factor_model.h"
+#include "clapf/model/ivf_index.h"
 #include "clapf/obs/metrics.h"
 #include "clapf/recommender.h"
 #include "clapf/serving/admission_queue.h"
 #include "clapf/serving/flight_recorder.h"
 #include "clapf/serving/governor.h"
-#include "clapf/serving/model_server.h"
 #include "clapf/serving/model_shard.h"
 #include "clapf/serving/publish_request.h"
 #include "clapf/serving/serving_stats.h"
@@ -28,76 +28,221 @@
 
 namespace clapf {
 
-/// Sharded, multi-tenant serving front end: the catalog is partitioned into
-/// ServerOptions::num_shards contiguous item ranges (ShardMap), each shard
-/// holding its own packed SIMD slice, canary gate, circuit breaker, flight
-/// recorder, and counters, behind the same unified PublishModel /
-/// RecommendOne / RecommendBatch surface as the monolithic ModelServer.
+/// Validation gate a candidate model must clear before a hot swap.
+struct CanaryOptions {
+  /// Master switch; disabling skips every pre-publish check except the
+  /// dimension match (which is a hard invariant of the serving history).
+  bool enabled = true;
+  /// Sampled-AUC floor on the held-out probe set; <= 0 skips the probe.
+  /// A structurally broken model (corrupt factors, wrong training run)
+  /// scores ~0.5 here while any healthy model clears 0.6 comfortably.
+  double min_auc = 0.0;
+  /// Negatives sampled per probe case (SampledEvaluator protocol).
+  int32_t probe_negatives = 20;
+  /// Fraction of the serving history re-held-out as the probe set.
+  double probe_fraction = 0.1;
+  /// Seed for the probe split and negative sampling (deterministic gate).
+  uint64_t seed = 1;
+  /// Users sampled by the packed-vs-exact agreement check when a packed
+  /// snapshot is published (ServerOptions::packed): every item of every
+  /// sampled user must agree within PackedScoreBound(). <= 0 skips the
+  /// check.
+  int32_t packed_agreement_users = 64;
+
+  // ANN half of the gate, only exercised when ServerOptions::ann builds an
+  // IVF index per publish. The binding + structural checks (VerifyIvfBinding:
+  // the index was built from exactly this candidate's item parameters and
+  // its permutation is coherent) always run; the measured check re-ranks
+  // `ann_recall_users` sampled users at the index's default nprobe and
+  // refuses the publish when recall@`ann_recall_k` vs the exact fused scan
+  // falls below `ann_recall_floor`. This is the PackedScoreBound discipline
+  // extended into the approximate regime: the contract is measured at the
+  // gate, not hoped for.
+  /// Measured-recall floor; <= 0 skips the measured check.
+  double ann_recall_floor = 0.95;
+  /// Users sampled by the recall probe (evenly spaced).
+  int32_t ann_recall_users = 16;
+  /// The k of the recall@k contract.
+  int32_t ann_recall_k = 10;
+};
+
+/// Post-publish error-rate circuit breaker. Queries are grouped into
+/// tumbling windows; when a full-enough window's internal-error rate
+/// crosses the threshold, the server rolls back to the previous snapshot
+/// (or degrades to the popularity fallback when none exists).
+struct BreakerOptions {
+  bool enabled = true;
+  /// Queries per evaluation window.
+  int64_t window = 64;
+  /// Smallest window the breaker will judge — avoids tripping on one
+  /// unlucky error at low traffic.
+  int64_t min_samples = 16;
+  /// Internal-error fraction at which the breaker trips.
+  double error_threshold = 0.5;
+
+  // Half-open recovery. After a trip the rolled-back-from snapshot is kept
+  // aside; once `cooldown_queries` further queries have been answered by the
+  // fallback, it is re-admitted for a `probe_window`-query probe. A probe
+  // whose internal-error rate stays below `error_threshold` reinstates the
+  // snapshot (no republish needed); a failed probe reverts to the fallback
+  // and discards the snapshot for good. Every transition lands in the
+  // flight recorder.
+  /// Master switch for half-open recovery.
+  bool half_open = true;
+  /// Queries served by the fallback before a probe window opens.
+  int64_t cooldown_queries = 64;
+  /// Queries the probe window admits against the tripped snapshot.
+  int64_t probe_window = 16;
+};
+
+/// ModelServer construction knobs.
+struct ServerOptions {
+  /// Query worker threads.
+  int num_threads = 2;
+  /// Admission bound: requests past this many pending-or-running tasks are
+  /// shed with Unavailable.
+  int64_t max_queue_depth = 64;
+  /// Build a packed SIMD snapshot of each published slice and serve queries
+  /// through the fused score+top-k fast path. The canary gate then also
+  /// verifies packed-vs-exact agreement (CanaryOptions::
+  /// packed_agreement_users) and runs its AUC probe through the packed
+  /// slices, so what is vetted is what serves. Disable to serve the exact
+  /// double path only.
+  bool packed = true;
+  /// Build an IVF approximate-MIPS index over each published packed slice
+  /// (requires `packed`) and canary-verify it (binding + measured recall@k,
+  /// CanaryOptions::ann_recall_*) before adoption, so queries opting in with
+  /// QueryOptions::ann take the sub-linear probe + re-rank path. When the
+  /// shard's previous slice carries a compatible index the publish rebuilds
+  /// incrementally: frozen centroids, only items whose parameters changed
+  /// are reassigned (the online incremental-publish path). Off by default:
+  /// index builds cost a k-means pass per publish.
+  bool ann = false;
+  /// Index build knobs when `ann` is set. With `ivf.pq` on, each publish
+  /// additionally trains/refreshes the per-lane int8 code book next to the
+  /// repack and the canary gate measures the *composed* quantized+re-rank
+  /// recall instead of the probe-only recall (same floor) — queries opt in
+  /// per request with QueryOptions::pq.
+  IvfOptions ivf;
+  CanaryOptions canary;
+  BreakerOptions breaker;
+  /// Adaptive knob control (policy, bounds, tick cadence); the default
+  /// `performance` policy reproduces the static pre-governor behavior.
+  GovernorOptions governor;
+  /// Events retained by the incident flight recorder (rounded up to a power
+  /// of two).
+  int64_t flight_recorder_capacity = 256;
+  /// When non-empty, the flight recorder is dumped (JSON, atomic write) to
+  /// this path every time the circuit breaker trips — the post-incident
+  /// black box is on disk before anyone asks for it.
+  std::string flight_dump_path;
+  /// Queries served slower than this many microseconds are recorded in the
+  /// flight recorder as slow-query events; 0 disables.
+  int64_t slow_query_us = 0;
+
+  /// Contiguous catalog shards, each with its own slice, packed snapshot,
+  /// breaker, and flight recorder. Clamped to [1, ceil(num_items / 8)]; the
+  /// default single shard is the monolithic server.
+  int32_t num_shards = 1;
+  /// Scatter worker threads fanning one query across shards; 0 picks
+  /// min(num_shards, 4). Irrelevant when num_shards == 1 (inline scoring).
+  int scatter_threads = 0;
+  /// Per-tenant in-flight admission budget; <= 0 disables tenant quotas
+  /// (the global max_queue_depth bound always applies).
+  int64_t per_tenant_quota = 0;
+};
+
+/// The serving front end: owns the interaction history, a worker pool
+/// behind a bounded admission queue, and RCU-style snapshots of the served
+/// model that training can hot-swap while queries run. The catalog is
+/// partitioned into ServerOptions::num_shards contiguous item ranges
+/// (ShardMap); one shard — the default — is the monolithic server, and
+/// every shard count runs the same code.
 ///
 /// Query path (scatter-gather): one admission decision at the front (global
 /// bound plus the per-tenant quota), then the admitted worker takes a
 /// consistent cut of every shard's current slice under one mutex
-/// acquisition and fans the routed shards out over a dedicated scatter pool.
-/// Each shard runs the fused score+top-k kernel over its local items,
+/// acquisition and fans the shards out over a dedicated scatter pool (one
+/// shard scores inline). Each shard runs Retrieve over its local items,
 /// raising a shared ThresholdBroadcast bar so shards early-reject against
 /// each other's k-th-best; the gathered per-shard heaps merge through one
 /// TopKAccumulator whose (score desc, item asc) total order makes the result
-/// BIT-IDENTICAL to a monolithic scan of the same model — same scores, same
-/// order, same smaller-id tie-break (see tests/resilience's determinism
-/// drill). Cold-start and min_score are decided once at the gather side, so
-/// a user who is warm globally is never mistaken for cold in a shard where
-/// they happen to have no history.
+/// BIT-IDENTICAL for every shard count — same scores, same order, same
+/// smaller-id tie-break. Cold-start and min_score are decided once at the
+/// gather side, so a user who is warm globally is never mistaken for cold in
+/// a shard where they happen to have no history.
 ///
-/// Publish path: a PublishRequest targets one shard or all of them, always
-/// with a full-catalog candidate. Each target shard slices the candidate
-/// (FactorModel::SliceItems — bit-identical doubles by construction),
-/// repacks it, and runs its own canary gate (integrity + packed agreement;
-/// the sampled-AUC probe runs once per all-shard publish on the exact
-/// model). All built slices swap in under one mutex acquisition, so readers
-/// never observe a half-published model; a one-shard publish reloads that
-/// shard while the others keep serving untouched — incremental hot reload.
+/// Publish path: Publish(candidate) → canary gate → atomic swap. A
+/// PublishRequest targets one shard or all of them, always with a
+/// full-catalog candidate. Each target shard slices the candidate
+/// (FactorModel::SliceItems — bit-identical doubles; a shard covering the
+/// whole catalog adopts the candidate itself), repacks it, builds its IVF
+/// index when ServerOptions::ann is set, and runs its own gate (integrity on
+/// one-shard publishes, packed agreement, the ANN binding + recall gate). An
+/// all-shard publish first scans the whole candidate's integrity and, after
+/// the slices are built, runs the sampled-AUC probe through them — the
+/// packed kernels that will serve. All built slices swap in under one mutex
+/// acquisition, so readers never observe a half-published model; a
+/// one-shard publish reloads that shard while the others keep serving —
+/// incremental hot reload. A failed gate leaves the prior slices serving.
 ///
 /// Tenancy: serving chains are keyed by tenant name, created on first
 /// publish. Tenants share the catalog, history, and worker pools but have
 /// independent slices, breaker windows, and (when
 /// ServerOptions::per_tenant_quota is set) admission budgets.
 ///
-/// Failure domains: the serve-time integrity check attributes a non-finite
-/// score to the shard owning the item, and only that (tenant, shard)
-/// breaker window is charged; a tripped shard rolls back to its previous
-/// slice or degrades to its popularity slice alone while the other shards
-/// keep serving the model. Each (tenant, shard) breaker then runs the same
-/// half-open recovery as the monolithic server — cooldown, probe window,
-/// reinstate-or-revert (BreakerOptions::half_open et al.) — scoped to its
-/// own failure domain: only queries that consulted the shard advance its
-/// cooldown and probe, and a probe verdict swaps that shard's slice alone.
-/// The governor is deliberately global: its levers (admission depth,
+/// Failure domains: after a publish, a serve-time integrity check turns a
+/// non-finite score into Internal, charged to the shard owning the item;
+/// only that (tenant, shard) breaker window eats the error. A tripped shard
+/// rolls back to its previous slice, or degrades to its popularity slice
+/// when it has none, while the other shards keep serving the model. Each
+/// (tenant, shard) breaker then runs half-open recovery — cooldown, probe
+/// window, reinstate-or-revert (BreakerOptions::half_open et al.) — scoped
+/// to its own failure domain: only queries that consulted the shard advance
+/// its cooldown and probe, and a probe verdict swaps that shard's slice
+/// alone. The governor is deliberately global: its levers (admission depth,
 /// deadline budget, packed forcing) are shared resources, so per-shard
 /// governors would fight over one knob.
-class ShardedModelServer {
+///
+/// Readers copy shared_ptrs under a mutex held for nanoseconds, then score
+/// lock-free on their private cut; publishes swap the pointers under the
+/// same mutex, so an in-flight query keeps its slices alive until it
+/// finishes (grace period by refcount — the RCU pattern).
+///
+/// Thread-safe: queries, publishes, and stats reads may run concurrently.
+class ModelServer {
  public:
-  /// Serves `history` (copied) across ServerOptions::num_shards shards.
-  /// `router` chooses scatter breadth per query (null = BroadcastRouter,
-  /// the exact policy). No model is published yet, so every tenant starts
-  /// degraded to popularity.
-  ShardedModelServer(Dataset history, const ServerOptions& options,
-                     std::shared_ptr<const ShardRouter> router = nullptr);
+  /// Serves `history` (copied) across ServerOptions::num_shards shards. No
+  /// model is published yet, so every tenant starts degraded to popularity.
+  ModelServer(Dataset history, const ServerOptions& options);
 
   /// Stops the governor ticker and drains in-flight queries.
-  ~ShardedModelServer();
+  ~ModelServer();
 
-  /// The unified publish entry point: gates and swaps `request` (in-memory
-  /// model or CRC-verified file; one shard or all; any tenant). On any gate
-  /// failure nothing swaps and the prior slices keep serving.
+  /// The unified publish entry point: resolves `request` (an in-memory
+  /// candidate or a CRC-verified model file — the implicit PublishRequest
+  /// conversions make `PublishModel(model)` and `PublishModel(path)` read
+  /// naturally; one shard or all; any tenant), gates it, and swaps it in.
+  /// On any gate failure (InvalidArgument / Corruption / FailedPrecondition)
+  /// nothing swaps and the prior slices keep serving.
   Status PublishModel(PublishRequest request);
 
-  /// Scatter-gather top-k for one user of `tenant`. Outcomes match the
-  /// monolithic server: the ranked list, DeadlineExceeded, Unavailable
-  /// (global bound or tenant quota), OutOfRange, or Internal (shard-
-  /// attributed integrity failure — that shard's breaker food).
-  Result<std::vector<ScoredItem>> RecommendOne(
+  /// Scatter-gather top-k for one user of `tenant`, through admission
+  /// control on the serving pool. Outcomes: the ranked list,
+  /// DeadlineExceeded (options.deadline expired), Unavailable (shed by the
+  /// global bound or tenant quota), OutOfRange (bad id), or Internal
+  /// (shard-attributed integrity failure — that shard's breaker food).
+  Result<std::vector<ScoredItem>> Recommend(
       UserId u, size_t k, const QueryOptions& options = {},
       const std::string& tenant = kDefaultTenant);
+
+  /// Alias of Recommend, kept so code written against the sharded server's
+  /// method name still compiles.
+  Result<std::vector<ScoredItem>> RecommendOne(
+      UserId u, size_t k, const QueryOptions& options = {},
+      const std::string& tenant = kDefaultTenant) {
+    return Recommend(u, k, options, tenant);
+  }
 
   /// Batched scatter-gather as one admitted unit of work; an expired
   /// deadline returns the completed prefix with the rest flagged.
@@ -117,19 +262,36 @@ class ShardedModelServer {
   std::vector<int64_t> shard_versions(
       const std::string& tenant = kDefaultTenant) const;
 
+  /// The oldest slice version serving any shard of `tenant` — with one
+  /// shard, the version of the snapshot serving; 0 while degraded().
+  int64_t version(const std::string& tenant = kDefaultTenant) const;
+
   /// True while ANY shard of `tenant` answers from the popularity fallback
   /// (no valid slice) — including the never-published and unknown-tenant
   /// cases.
   bool degraded(const std::string& tenant = kDefaultTenant) const;
 
-  /// Global counters plus the per-shard breakdown, shards in ascending id
-  /// order (deterministic aggregation).
-  ShardedStatsSnapshot stats() const;
+  /// Point-in-time copy of the server-wide counters.
+  ServingStatsSnapshot stats() const;
 
+  /// Per-shard counters, shards in ascending id order regardless of which
+  /// thread, tenant, or registry iteration produced them (deterministic
+  /// aggregation).
+  std::vector<ShardStatsSnapshot> shard_stats() const;
+
+  /// The server's metrics registry: every serving counter, the
+  /// serving.query.latency_us / serving.batch.latency_us histograms, the
+  /// admission and ANN instrumentation, and the per-shard
+  /// serving.shard.<id>.* counters. Snapshot or export it to scrape the
+  /// server (see ExportPrometheusText / WriteMetricsJsonFile).
   const MetricsRegistry& metrics() const { return metrics_; }
   MetricsRegistry* mutable_metrics() { return &metrics_; }
 
-  /// The server-wide flight recorder (every event, all shards).
+  /// The server-wide incident flight recorder: every degradation decision
+  /// (governor adjustments, sheds, deadline misses, breaker trips, probes)
+  /// of every shard lands here and can be dumped at any time —
+  /// automatically on a breaker trip when ServerOptions::flight_dump_path is
+  /// set.
   const FlightRecorder& flight_recorder() const { return recorder_; }
 
   /// Shard-scoped stream: only shard `s`'s lifecycle and failures, so a
@@ -142,6 +304,8 @@ class ShardedModelServer {
   Status DumpFlightRecorder(const std::string& path,
                             const FlightDumpOptions& options = {}) const;
 
+  /// The serving governor (never null). Its knobs() are the live values; in
+  /// drills, drive the control loop deterministically with TickGovernor().
   const ServingGovernor& governor() const { return *governor_; }
   void TickGovernor() { governor_->Tick(); }
 
@@ -194,6 +358,12 @@ class ShardedModelServer {
   std::vector<std::shared_ptr<const ShardSlice>> AcquireCut(
       const std::string& tenant) const;
 
+  /// True when no shard of `cut` has a slice (never-published or unknown
+  /// tenant, or every shard tripped dark): the whole answer then comes from
+  /// popularity. For a published tenant every shard is marked consulted.
+  bool AllDark(const std::vector<std::shared_ptr<const ShardSlice>>& cut,
+               QueryAttribution* attr) const;
+
   /// Pool-worker entries.
   Result<std::vector<ScoredItem>> ServeOne(UserId u, size_t k,
                                            const QueryOptions& options,
@@ -211,8 +381,9 @@ class ShardedModelServer {
       const std::vector<std::shared_ptr<const ShardSlice>>& cut,
       QueryAttribution* attr);
 
-  /// Global popularity fallback (identical to the monolithic degraded
-  /// path).
+  /// Popularity ranking over the whole catalog with history/option
+  /// exclusions — the answer for a cold user, and while no shard of the
+  /// tenant has a slice.
   Result<std::vector<ScoredItem>> ServeDegraded(
       UserId u, size_t k, const QueryOptions& options) const;
 
@@ -227,8 +398,7 @@ class ShardedModelServer {
   bool TripShardBreaker(const std::string& tenant, int32_t shard);
 
   /// Half-open transitions for one (tenant, shard); called off breaker_mu_
-  /// (they take snapshot_mu_), exactly like the monolithic server's
-  /// BeginProbe/ResolveProbe. BeginShardProbe returns false when a publish
+  /// (they take snapshot_mu_). BeginShardProbe returns false when a publish
   /// superseded the stashed slice and there is nothing to probe.
   bool BeginShardProbe(const std::string& tenant, int32_t shard);
   void ResolveShardProbe(const std::string& tenant, int32_t shard,
@@ -246,7 +416,6 @@ class ShardedModelServer {
   Dataset probe_train_;  // canary probe split (all-shard publishes)
   Dataset probe_test_;
   ShardMap shard_map_;
-  std::shared_ptr<const ShardRouter> router_;
   std::vector<ModelShard> shards_;
 
   mutable std::mutex snapshot_mu_;
@@ -256,12 +425,13 @@ class ShardedModelServer {
   std::mutex breaker_mu_;
   std::map<std::pair<std::string, int32_t>, BreakerWindow> breaker_windows_;
 
-  // Declaration order mirrors ModelServer: the registry precedes every view
-  // into it, the recorders precede the pools whose workers write them, and
-  // the governor comes last so its ticker never outlives what it observes.
+  // Declaration order matters: the registry precedes every view into it,
+  // the recorders precede the pools whose workers write them, and the
+  // governor comes last so its ticker never outlives what it observes.
   MetricsRegistry metrics_;
   Histogram* query_latency_;  // serving.query.latency_us
   Histogram* batch_latency_;  // serving.batch.latency_us
+  RetrievalMetrics retrieval_metrics_;  // ann.* query telemetry
   FlightRecorder recorder_;
   std::vector<std::unique_ptr<FlightRecorder>> shard_recorders_;
   AdmissionQueue queue_;
@@ -270,6 +440,10 @@ class ShardedModelServer {
   std::vector<std::unique_ptr<ShardServingStats>> shard_stats_;
   std::unique_ptr<ServingGovernor> governor_;
 };
+
+/// Alias kept so code written against the sharded server's class name still
+/// compiles.
+using ShardedModelServer = ModelServer;
 
 }  // namespace clapf
 

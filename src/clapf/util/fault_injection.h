@@ -30,8 +30,9 @@ enum class FaultPoint : int {
   /// One ranker scoring block in the serving path stalls (sleeps), so a
   /// per-query deadline deterministically expires mid-scan.
   kServeSlowBlock,
-  /// A candidate model handed to ModelServer::Publish is poisoned (one factor
-  /// becomes NaN) before the canary gate runs — the gate must reject it.
+  /// A candidate model handed to ModelServer::PublishModel is poisoned (one
+  /// factor becomes NaN) before the canary gate runs — the gate must reject
+  /// it.
   kServeCorruptCandidate,
   /// One served top-k score is rewritten to NaN after ranking, so the
   /// post-publish serve-time integrity check fails and feeds the breaker.

@@ -111,6 +111,9 @@ class Result {
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  // Without this overload `*std::move(result)` binds the const& one and
+  // copies the value out instead of moving it.
+  T&& operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 

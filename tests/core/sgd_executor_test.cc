@@ -164,6 +164,25 @@ TEST(SgdExecutorParallel, ClapfTwoThreadsTrainsAndReportsLoss) {
   EXPECT_TRUE(std::isfinite(t.last_average_loss()));
 }
 
+// CLAPF+ draws through the DSS sampler, whose rank-list refresh sorts item
+// factors that the other HogWild workers are writing. The refresh sorts a
+// copied key column, so four workers train to completion (under the tsan
+// rung: without a data race) and still learn.
+TEST(SgdExecutorParallel, ClapfPlusFourThreadsTrainsWithDss) {
+  Dataset data = GoldenData();
+  TrainTestSplit split = SplitRandom(data, 0.5, 13);
+  ClapfOptions o;
+  o.sgd = GoldenSgd();
+  o.sgd.num_threads = 4;
+  o.sampler = ClapfSamplerKind::kDss;
+  o.dss_refresh_interval = 64;  // many refreshes while the workers write
+  ClapfTrainer t(o);
+  ASSERT_TRUE(t.Train(split.train).ok());
+  EXPECT_TRUE(std::isfinite(t.last_average_loss()));
+  Evaluator eval(&split.train, &split.test);
+  EXPECT_GT(eval.Evaluate(*t.model(), {5}).auc, 0.55);
+}
+
 TEST(SgdExecutorParallel, InvalidThreadCountIsRejected) {
   Dataset data = GoldenData();
   BprOptions o;

@@ -46,6 +46,8 @@
 #include "clapf/model/factor_model.h"     // NOLINT
 #include "clapf/model/model_io.h"         // NOLINT
 #include "clapf/model/packed_snapshot.h"  // NOLINT
+#include "clapf/model/retrieval.h"        // NOLINT
+#include "clapf/model/retrieval.h"        // NOLINT
 #include "clapf/model/score_kernel.h"     // NOLINT
 #include "clapf/recommender.h"            // NOLINT
 #include "clapf/sampling/abs_sampler.h"   // NOLINT

@@ -11,7 +11,6 @@
 
 #include "clapf/model/ivf_index.h"
 #include "clapf/recommender.h"
-#include "clapf/serving/model_server.h"
 #include "clapf/serving/sharded_server.h"
 #include "clapf/util/random.h"
 #include "testing/test_util.h"
@@ -105,7 +104,7 @@ TEST(AnnConcurrencyTest, ShardedQueriesRacePerShardIndexReloads) {
   options.ivf.num_clusters = 6;
   options.ivf.default_nprobe = 3;
   options.canary.ann_recall_floor = 0.0;
-  ShardedModelServer server(history, options);
+  ModelServer server(history, options);
   auto model = MakeRandomModel(16, 480, 8, 103);
   ASSERT_TRUE(server.PublishModel(model).ok());
 
@@ -118,7 +117,7 @@ TEST(AnnConcurrencyTest, ShardedQueriesRacePerShardIndexReloads) {
       ann.ann = true;
       UserId u = static_cast<UserId>(t);
       while (!stop.load(std::memory_order_relaxed)) {
-        auto got = server.RecommendOne(u, 8, ann);
+        auto got = server.Recommend(u, 8, ann);
         if (got.ok()) {
           answered.fetch_add(1, std::memory_order_relaxed);
         } else {

@@ -13,7 +13,6 @@
 #include "clapf/model/ivf_index.h"
 #include "clapf/obs/metrics.h"
 #include "clapf/recommender.h"
-#include "clapf/serving/model_server.h"
 #include "clapf/serving/publish_request.h"
 #include "clapf/serving/sharded_server.h"
 #include "clapf/util/fault_injection.h"
@@ -37,12 +36,20 @@ FactorModel MakeServableModel(int32_t num_users, int32_t num_items,
                                          num_centers, /*noise=*/0.05, seed);
 }
 
-ServerOptions AnnOptions() {
+// The counter drills run on the one-shard server and on three shards:
+// index builds, gate verdicts, probes and the shortlist histogram count per
+// shard index, the query counters once per user query.
+constexpr int32_t kShardCounts[] = {1, 3};
+
+ServerOptions AnnOptions(int32_t num_shards = 1) {
   ServerOptions options;
   options.num_threads = 1;
+  options.num_shards = num_shards;
   options.ann = true;
-  options.ivf.num_clusters = 8;
-  options.ivf.default_nprobe = 4;
+  // Each index covers one shard's catalog; on ~133-item shards the library
+  // defaults (sqrt(n) clusters, 8 probes) keep the recall contract.
+  options.ivf.num_clusters = num_shards == 1 ? 8 : 0;
+  options.ivf.default_nprobe = num_shards == 1 ? 4 : 8;
   options.canary.ann_recall_users = 16;
   return options;
 }
@@ -64,29 +71,34 @@ bool HasCanaryRejectEvent(const FlightRecorder& recorder) {
 }
 
 TEST_F(AnnServingTest, PublishBuildsGatesAndServesAnn) {
-  const auto history = testing::MakeLearnableDataset(20, 400, 8, 61);
-  ModelServer server(history, AnnOptions());
-  ASSERT_TRUE(server.PublishModel(MakeServableModel(20, 400, 16, 8, 61)).ok());
+  for (int32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto history = testing::MakeLearnableDataset(20, 400, 8, 61);
+    ModelServer server(history, AnnOptions(shards));
+    ASSERT_TRUE(
+        server.PublishModel(MakeServableModel(20, 400, 16, 8, 61)).ok());
 
-  MetricsRegistry* metrics = server.mutable_metrics();
-  EXPECT_EQ(CounterValue(metrics, "ann.index_builds_total"), 1);
-  EXPECT_EQ(CounterValue(metrics, "ann.recall_gate_pass_total"), 1);
-  EXPECT_EQ(CounterValue(metrics, "ann.recall_gate_fail_total"), 0);
+    MetricsRegistry* metrics = server.mutable_metrics();
+    EXPECT_EQ(CounterValue(metrics, "ann.index_builds_total"), shards);
+    EXPECT_EQ(CounterValue(metrics, "ann.recall_gate_pass_total"), shards);
+    EXPECT_EQ(CounterValue(metrics, "ann.recall_gate_fail_total"), 0);
 
-  QueryOptions ann;
-  ann.ann = true;
-  auto got = server.Recommend(0, 10, ann);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->size(), 10u);
-  EXPECT_EQ(CounterValue(metrics, "ann.queries_total"), 1);
-  EXPECT_GT(CounterValue(metrics, "ann.probes_total"), 0);
-  // The shortlist depth lands in the histogram: one recording, and its sum
-  // (total shortlisted items) is a strict subset of the catalog at the
-  // default nprobe.
-  const HistogramSnapshot shortlist = HistValue(metrics, "ann.shortlist_size");
-  EXPECT_EQ(shortlist.count, 1);
-  EXPECT_GT(shortlist.sum, 0.0);
-  EXPECT_LT(shortlist.sum, 400.0);
+    QueryOptions ann;
+    ann.ann = true;
+    auto got = server.Recommend(0, 10, ann);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->size(), 10u);
+    EXPECT_EQ(CounterValue(metrics, "ann.queries_total"), 1);
+    EXPECT_GT(CounterValue(metrics, "ann.probes_total"), 0);
+    // The shortlist depth lands in the histogram: one recording per shard
+    // index, and its sum (total shortlisted items) is a strict subset of the
+    // catalog at the default nprobe.
+    const HistogramSnapshot shortlist =
+        HistValue(metrics, "ann.shortlist_size");
+    EXPECT_EQ(shortlist.count, shards);
+    EXPECT_GT(shortlist.sum, 0.0);
+    EXPECT_LT(shortlist.sum, 400.0);
+  }
 }
 
 TEST_F(AnnServingTest, FullProbeAnnServesExactAnswers) {
@@ -112,79 +124,91 @@ TEST_F(AnnServingTest, FullProbeAnnServesExactAnswers) {
 }
 
 TEST_F(AnnServingTest, CanaryRefusesDesyncedIndexAndKeepsPriorSnapshot) {
-  const auto history = testing::MakeLearnableDataset(20, 400, 8, 71);
-  ModelServer server(history, AnnOptions());
-  ASSERT_TRUE(server.PublishModel(MakeServableModel(20, 400, 16, 8, 71)).ok());
-  ASSERT_EQ(server.version(), 1);
+  for (int32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto history = testing::MakeLearnableDataset(20, 400, 8, 71);
+    ModelServer server(history, AnnOptions(shards));
+    ASSERT_TRUE(
+        server.PublishModel(MakeServableModel(20, 400, 16, 8, 71)).ok());
+    ASSERT_EQ(server.version(), 1);
 
-  // The second publish's index is desynced in flight; the measured recall
-  // gate must refuse it with a typed FailedPrecondition, record the reject
-  // in the flight recorder, and keep version 1 serving.
-  FaultInjector::Instance().Arm(FaultPoint::kAnnCorruptIndex, {});
-  const Status rejected =
-      server.PublishModel(MakeServableModel(20, 400, 16, 8, 72));
-  EXPECT_EQ(rejected.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(rejected.message().find("recall"), std::string::npos);
-  EXPECT_EQ(server.version(), 1);
-  EXPECT_FALSE(server.degraded());
-  EXPECT_EQ(server.stats().canary_rejects, 1);
-  EXPECT_TRUE(HasCanaryRejectEvent(server.flight_recorder()));
-  EXPECT_EQ(CounterValue(server.mutable_metrics(),
-                         "ann.recall_gate_fail_total"),
-            1);
+    // The second publish's index is desynced in flight; the measured recall
+    // gate must refuse it with a typed FailedPrecondition, record the reject
+    // in the flight recorder, and keep version 1 serving.
+    FaultInjector::Instance().Arm(FaultPoint::kAnnCorruptIndex, {});
+    const Status rejected =
+        server.PublishModel(MakeServableModel(20, 400, 16, 8, 72));
+    EXPECT_EQ(rejected.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(rejected.message().find("recall"), std::string::npos);
+    EXPECT_EQ(server.version(), 1);
+    EXPECT_FALSE(server.degraded());
+    EXPECT_EQ(server.stats().canary_rejects, 1);
+    EXPECT_TRUE(HasCanaryRejectEvent(server.flight_recorder()));
+    EXPECT_EQ(CounterValue(server.mutable_metrics(),
+                           "ann.recall_gate_fail_total"),
+              1);
 
-  // Queries keep working against the retained snapshot.
-  QueryOptions ann;
-  ann.ann = true;
-  EXPECT_TRUE(server.Recommend(0, 10, ann).ok());
+    // Queries keep working against the retained snapshot.
+    QueryOptions ann;
+    ann.ann = true;
+    EXPECT_TRUE(server.Recommend(0, 10, ann).ok());
+  }
 }
 
 TEST_F(AnnServingTest, RepublishRebuildsIncrementallyReassigningDirtyItems) {
-  const auto history = testing::MakeLearnableDataset(20, 400, 8, 73);
-  ModelServer server(history, AnnOptions());
-  auto model = MakeServableModel(20, 400, 16, 8, 73);
-  ASSERT_TRUE(server.PublishModel(model).ok());
+  for (int32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto history = testing::MakeLearnableDataset(20, 400, 8, 73);
+    ModelServer server(history, AnnOptions(shards));
+    auto model = MakeServableModel(20, 400, 16, 8, 73);
+    ASSERT_TRUE(server.PublishModel(model).ok());
 
-  // Perturb 5 items and republish: the online path, where full k-means per
-  // publish would be unaffordable. Only the dirty items go back through
-  // assignment.
-  for (ItemId i : {ItemId{3}, ItemId{90}, ItemId{180}, ItemId{270},
-                   ItemId{399}}) {
-    model.ItemFactors(i)[0] += 1e-3;
+    // Perturb 5 items and republish: the online path, where full k-means per
+    // publish would be unaffordable. Only the dirty items go back through
+    // assignment.
+    for (ItemId i : {ItemId{3}, ItemId{90}, ItemId{180}, ItemId{270},
+                     ItemId{399}}) {
+      model.ItemFactors(i)[0] += 1e-3;
+    }
+    ASSERT_TRUE(server.PublishModel(model).ok());
+    EXPECT_EQ(server.version(), 2);
+
+    MetricsRegistry* metrics = server.mutable_metrics();
+    EXPECT_EQ(CounterValue(metrics, "ann.index_builds_total"), shards);
+    EXPECT_EQ(CounterValue(metrics, "ann.index_rebuilds_incremental_total"),
+              shards);
+    EXPECT_EQ(CounterValue(metrics, "ann.index_items_reassigned_total"), 5);
+    EXPECT_EQ(CounterValue(metrics, "ann.recall_gate_pass_total"),
+              2 * shards);
   }
-  ASSERT_TRUE(server.PublishModel(model).ok());
-  EXPECT_EQ(server.version(), 2);
-
-  MetricsRegistry* metrics = server.mutable_metrics();
-  EXPECT_EQ(CounterValue(metrics, "ann.index_builds_total"), 1);
-  EXPECT_EQ(CounterValue(metrics, "ann.index_rebuilds_incremental_total"),
-            1);
-  EXPECT_EQ(CounterValue(metrics, "ann.index_items_reassigned_total"), 5);
-  EXPECT_EQ(CounterValue(metrics, "ann.recall_gate_pass_total"), 2);
 }
 
 TEST_F(AnnServingTest, AnnQueryWithoutIndexFallsBackToFullScan) {
-  const auto history = testing::MakeLearnableDataset(10, 200, 6, 79);
-  ServerOptions options;
-  options.num_threads = 1;
-  ASSERT_FALSE(options.ann);  // ANN serving off: no index is built
-  ModelServer server(history, options);
-  ASSERT_TRUE(server.PublishModel(MakeServableModel(10, 200, 8, 8, 79)).ok());
+  for (int32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto history = testing::MakeLearnableDataset(10, 200, 6, 79);
+    ServerOptions options;
+    options.num_threads = 1;
+    options.num_shards = shards;
+    ASSERT_FALSE(options.ann);  // ANN serving off: no index is built
+    ModelServer server(history, options);
+    ASSERT_TRUE(server.PublishModel(MakeServableModel(10, 200, 8, 8, 79)).ok());
 
-  QueryOptions exact;
-  QueryOptions ann;
-  ann.ann = true;  // requested but unservable: silent full-scan fallback
-  auto want = server.Recommend(0, 10, exact);
-  auto got = server.Recommend(0, 10, ann);
-  ASSERT_TRUE(want.ok());
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ(want->size(), got->size());
-  for (size_t x = 0; x < want->size(); ++x) {
-    EXPECT_EQ((*want)[x].item, (*got)[x].item);
-    EXPECT_EQ((*want)[x].score, (*got)[x].score);
+    QueryOptions exact;
+    QueryOptions ann;
+    ann.ann = true;  // requested but unservable: silent full-scan fallback
+    auto want = server.Recommend(0, 10, exact);
+    auto got = server.Recommend(0, 10, ann);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(want->size(), got->size());
+    for (size_t x = 0; x < want->size(); ++x) {
+      EXPECT_EQ((*want)[x].item, (*got)[x].item);
+      EXPECT_EQ((*want)[x].score, (*got)[x].score);
+    }
+    EXPECT_EQ(CounterValue(server.mutable_metrics(), "ann.fallback_total"), 1);
+    EXPECT_EQ(CounterValue(server.mutable_metrics(), "ann.queries_total"), 0);
   }
-  EXPECT_EQ(CounterValue(server.mutable_metrics(), "ann.fallback_total"), 1);
-  EXPECT_EQ(CounterValue(server.mutable_metrics(), "ann.queries_total"), 0);
 }
 
 TEST_F(AnnServingTest, ShardedPublishGatesEachShardIndexIndependently) {
@@ -193,7 +217,7 @@ TEST_F(AnnServingTest, ShardedPublishGatesEachShardIndexIndependently) {
   options.num_shards = 4;
   options.ivf.num_clusters = 4;  // per-shard catalogs are 100 items
   options.ivf.default_nprobe = 2;
-  ShardedModelServer server(history, options);
+  ModelServer server(history, options);
   auto model = MakeServableModel(20, 400, 16, 4, 83);
   ASSERT_TRUE(server.PublishModel(model).ok());
   EXPECT_EQ(server.shard_versions(),
@@ -243,7 +267,7 @@ TEST_F(AnnServingTest, ShardedFullProbeAnnMatchesMonolithicExactScan) {
   ServerOptions sharded_options = AnnOptions();
   sharded_options.num_shards = 4;
   sharded_options.ivf.num_clusters = 5;
-  ShardedModelServer sharded(history, sharded_options);
+  ModelServer sharded(history, sharded_options);
   ASSERT_TRUE(sharded.PublishModel(model).ok());
 
   QueryOptions exact;
@@ -252,7 +276,7 @@ TEST_F(AnnServingTest, ShardedFullProbeAnnMatchesMonolithicExactScan) {
   ann.ann_nprobe = 1 << 20;  // clamps to every cluster in every shard
   for (UserId u = 0; u < 16; ++u) {
     auto want = mono.Recommend(u, 12, exact);
-    auto got = sharded.RecommendOne(u, 12, ann);
+    auto got = sharded.Recommend(u, 12, ann);
     ASSERT_TRUE(want.ok());
     ASSERT_TRUE(got.ok());
     ASSERT_EQ(want->size(), got->size());

@@ -175,7 +175,7 @@ TEST_F(IvfIndexTest, MeasuredRecallClearsContractAtDefaultNprobe) {
                            /*nprobe=*/0);
       EXPECT_GE(recall, 0.95) << "d=" << d << " k=" << k;
     }
-    EXPECT_TRUE(VerifyIvfRecall(exact, index, 32, 10, 0, 0.95, "test").ok());
+    EXPECT_TRUE(VerifyAnnRecall(exact, index, 32, 10, 0, 0, 0.95, "test").ok());
   }
 }
 
@@ -361,11 +361,11 @@ TEST_F(IvfIndexTest, DesyncedIndexPassesStructureButFailsRecallGate) {
   opts.num_clusters = 16;
   opts.default_nprobe = 8;
   IvfIndex index = IvfIndex::Build(model, opts);
-  ASSERT_TRUE(VerifyIvfRecall(exact, index, 16, 10, 0, 0.95, "test").ok());
+  ASSERT_TRUE(VerifyAnnRecall(exact, index, 16, 10, 0, 0, 0.95, "test").ok());
 
   index.DesyncForTesting();
   EXPECT_TRUE(index.VerifyStructure("test").ok());  // still a bijection
-  const Status gate = VerifyIvfRecall(exact, index, 16, 10, 0, 0.95, "test");
+  const Status gate = VerifyAnnRecall(exact, index, 16, 10, 0, 0, 0.95, "test");
   EXPECT_EQ(gate.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(gate.message().find("recall"), std::string::npos);
 }

@@ -13,7 +13,7 @@
 #include "clapf/model/packed_snapshot.h"
 #include "clapf/model/score_kernel.h"
 #include "clapf/recommender.h"
-#include "clapf/serving/model_server.h"
+#include "clapf/serving/sharded_server.h"
 #include "clapf/util/random.h"
 #include "testing/test_util.h"
 

@@ -17,7 +17,7 @@
 #include "clapf/model/packed_snapshot.h"
 #include "clapf/obs/metrics.h"
 #include "clapf/recommender.h"
-#include "clapf/serving/model_server.h"
+#include "clapf/serving/sharded_server.h"
 #include "clapf/util/random.h"
 #include "testing/test_util.h"
 

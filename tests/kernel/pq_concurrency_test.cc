@@ -12,7 +12,6 @@
 
 #include "clapf/model/ivf_index.h"
 #include "clapf/recommender.h"
-#include "clapf/serving/model_server.h"
 #include "clapf/serving/publish_request.h"
 #include "clapf/serving/sharded_server.h"
 #include "clapf/util/random.h"
@@ -112,7 +111,7 @@ TEST(PqConcurrencyTest, ShardedQueriesRacePerShardCodeBookReloads) {
   options.ivf.default_nprobe = 3;
   options.ivf.pq = true;
   options.canary.ann_recall_floor = 0.0;
-  ShardedModelServer server(history, options);
+  ModelServer server(history, options);
   auto model = MakeRandomModel(16, 480, 8, 223);
   ASSERT_TRUE(server.PublishModel(model).ok());
 
@@ -126,7 +125,7 @@ TEST(PqConcurrencyTest, ShardedQueriesRacePerShardCodeBookReloads) {
       pq.pq = true;
       UserId u = static_cast<UserId>(t);
       while (!stop.load(std::memory_order_relaxed)) {
-        auto got = server.RecommendOne(u, 8, pq);
+        auto got = server.Recommend(u, 8, pq);
         if (got.ok()) {
           answered.fetch_add(1, std::memory_order_relaxed);
         } else {

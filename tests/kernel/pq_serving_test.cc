@@ -16,7 +16,6 @@
 #include "clapf/model/packed_snapshot.h"
 #include "clapf/obs/metrics.h"
 #include "clapf/recommender.h"
-#include "clapf/serving/model_server.h"
 #include "clapf/serving/publish_request.h"
 #include "clapf/serving/sharded_server.h"
 #include "clapf/util/fault_injection.h"
@@ -38,12 +37,20 @@ FactorModel MakeServableModel(int32_t num_users, int32_t num_items,
                                          num_centers, /*noise=*/0.05, seed);
 }
 
-ServerOptions PqOptions() {
+// The counter drills run on the one-shard server and on three shards:
+// gate verdicts and the histograms count per shard index, the query
+// counters once per user query.
+constexpr int32_t kShardCounts[] = {1, 3};
+
+ServerOptions PqOptions(int32_t num_shards = 1) {
   ServerOptions options;
   options.num_threads = 1;
+  options.num_shards = num_shards;
   options.ann = true;
-  options.ivf.num_clusters = 8;
-  options.ivf.default_nprobe = 4;
+  // Each index covers one shard's catalog; on ~133-item shards the library
+  // defaults (sqrt(n) clusters, 8 probes) keep the recall contract.
+  options.ivf.num_clusters = num_shards == 1 ? 8 : 0;
+  options.ivf.default_nprobe = num_shards == 1 ? 4 : 8;
   options.ivf.pq = true;
   options.canary.ann_recall_users = 16;
   return options;
@@ -61,34 +68,37 @@ bool HasCanaryRejectEvent(const FlightRecorder& recorder) {
 }
 
 TEST_F(PqServingTest, PublishGatesComposedPathAndServesPqWithMetrics) {
-  const auto history = testing::MakeLearnableDataset(20, 400, 8, 121);
-  ModelServer server(history, PqOptions());
-  ASSERT_TRUE(
-      server.PublishModel(MakeServableModel(20, 400, 16, 8, 121)).ok());
+  for (int32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto history = testing::MakeLearnableDataset(20, 400, 8, 121);
+    ModelServer server(history, PqOptions(shards));
+    ASSERT_TRUE(
+        server.PublishModel(MakeServableModel(20, 400, 16, 8, 121)).ok());
 
-  MetricsRegistry* metrics = server.mutable_metrics();
-  EXPECT_EQ(CounterValue(metrics, "ann.recall_gate_pass_total"), 1);
+    MetricsRegistry* metrics = server.mutable_metrics();
+    EXPECT_EQ(CounterValue(metrics, "ann.recall_gate_pass_total"), shards);
 
-  QueryOptions pq;
-  pq.ann = true;
-  pq.pq = true;
-  auto got = server.Recommend(0, 10, pq);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->size(), 10u);
-  EXPECT_EQ(CounterValue(metrics, "ann.queries_total"), 1);
-  EXPECT_EQ(CounterValue(metrics, "ann.pq_queries_total"), 1);
-  EXPECT_EQ(CounterValue(metrics, "ann.pq_fallback_total"), 0);
-  const HistogramSnapshot survivors =
-      metrics->GetHistogram("ann.rerank_survivors", DrawDepthBuckets())
-          ->Snapshot();
-  EXPECT_EQ(survivors.count, 1);
-  EXPECT_GT(survivors.sum, 0.0);
-  // Survivors never exceed the shortlist the first pass scanned.
-  const HistogramSnapshot shortlist =
-      metrics->GetHistogram("ann.shortlist_size", DrawDepthBuckets())
-          ->Snapshot();
-  EXPECT_EQ(shortlist.count, 1);
-  EXPECT_LE(survivors.sum, shortlist.sum);
+    QueryOptions pq;
+    pq.ann = true;
+    pq.pq = true;
+    auto got = server.Recommend(0, 10, pq);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->size(), 10u);
+    EXPECT_EQ(CounterValue(metrics, "ann.queries_total"), 1);
+    EXPECT_EQ(CounterValue(metrics, "ann.pq_queries_total"), 1);
+    EXPECT_EQ(CounterValue(metrics, "ann.pq_fallback_total"), 0);
+    const HistogramSnapshot survivors =
+        metrics->GetHistogram("ann.rerank_survivors", DrawDepthBuckets())
+            ->Snapshot();
+    EXPECT_EQ(survivors.count, shards);
+    EXPECT_GT(survivors.sum, 0.0);
+    // Survivors never exceed the shortlist the first pass scanned.
+    const HistogramSnapshot shortlist =
+        metrics->GetHistogram("ann.shortlist_size", DrawDepthBuckets())
+            ->Snapshot();
+    EXPECT_EQ(shortlist.count, shards);
+    EXPECT_LE(survivors.sum, shortlist.sum);
+  }
 }
 
 TEST_F(PqServingTest, FullBudgetPqBitIdenticalToPlainAnn) {
@@ -258,7 +268,7 @@ TEST_F(PqServingTest, ShardedPublishGatesEachShardCodeBookIndependently) {
   // scrambled code book actually degrades the composed path the gate
   // measures (survivors re-rank as whole blocks).
   options.ivf.default_rerank_budget = 16;
-  ShardedModelServer server(history, options);
+  ModelServer server(history, options);
   auto model = MakeServableModel(20, 800, 16, 4, 151);
   ASSERT_TRUE(server.PublishModel(model).ok());
   EXPECT_EQ(server.shard_versions(), (std::vector<int64_t>{1, 1, 1, 1}));
@@ -300,7 +310,7 @@ TEST_F(PqServingTest, ShardedFullProbeFullBudgetPqMatchesMonolithicExact) {
   ServerOptions sharded_options = PqOptions();
   sharded_options.num_shards = 4;
   sharded_options.ivf.num_clusters = 5;
-  ShardedModelServer sharded(history, sharded_options);
+  ModelServer sharded(history, sharded_options);
   ASSERT_TRUE(sharded.PublishModel(model).ok());
 
   QueryOptions exact;
@@ -311,7 +321,7 @@ TEST_F(PqServingTest, ShardedFullProbeFullBudgetPqMatchesMonolithicExact) {
   pq.rerank_budget = 1 << 20;  // every shortlisted block survives
   for (UserId u = 0; u < 16; ++u) {
     auto want = mono.Recommend(u, 12, exact);
-    auto got = sharded.RecommendOne(u, 12, pq);
+    auto got = sharded.Recommend(u, 12, pq);
     ASSERT_TRUE(want.ok());
     ASSERT_TRUE(got.ok());
     ASSERT_EQ(want->size(), got->size());
@@ -370,7 +380,7 @@ TEST_F(PqServingTest, RebuildDirtyFreezesBookAndReencodesOnlyDirtyItems) {
 
   // The rebuilt index still clears the composed gate against its model.
   const PackedSnapshot exact = PackedSnapshot::Build(model);
-  EXPECT_TRUE(VerifyPqRecall(exact, *rebuilt, 8, 10, 0, 0, 0.95, "rebuild")
+  EXPECT_TRUE(VerifyAnnRecall(exact, *rebuilt, 8, 10, 0, 0, 0.95, "rebuild")
                   .ok());
 }
 

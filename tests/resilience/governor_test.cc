@@ -21,7 +21,7 @@
 #include "clapf/obs/metrics.h"
 #include "clapf/serving/flight_recorder.h"
 #include "clapf/serving/governor.h"
-#include "clapf/serving/model_server.h"
+#include "clapf/serving/sharded_server.h"
 #include "clapf/util/logging.h"
 #include "clapf/util/random.h"
 #include "testing/fault_schedule.h"
@@ -419,8 +419,13 @@ TEST(ModelServerGovernorTest, OndemandKeepsMissRateBelowStaticBaseline) {
 
 // --- Breaker trips, dumps, and half-open recovery -------------------------
 
-ServerOptions BreakerDrillOptions() {
+// The breaker drills run on the one-shard (monolithic) server and on three
+// shards, where the trip, rollback and probe act on the blamed shard alone.
+constexpr int32_t kShardCounts[] = {1, 3};
+
+ServerOptions BreakerDrillOptions(int32_t num_shards) {
   ServerOptions options;
+  options.num_shards = num_shards;
   options.num_threads = 2;
   options.max_queue_depth = 8;
   options.breaker.min_samples = 4;
@@ -432,10 +437,11 @@ ServerOptions BreakerDrillOptions() {
 }
 
 // Runs `n` queries that the armed kServeScoreNan fault turns into Internal
-// errors (breaker food).
+// errors (breaker food). All for one user, so at any shard count the same
+// shard owns the poisoned top item and takes the blame.
 void RunPoisonedQueries(ModelServer* server, int n) {
   for (int i = 0; i < n; ++i) {
-    auto got = server->Recommend(i % kUsers, 5);
+    auto got = server->Recommend(0, 5);
     EXPECT_EQ(got.status().code(), StatusCode::kInternal)
         << got.status().ToString();
   }
@@ -449,146 +455,158 @@ void RunHealthyQueries(ModelServer* server, int n) {
 }
 
 TEST(ModelServerGovernorTest, BreakerTripAutoDumpsFlightRecorder) {
-  const std::string dump_path =
-      ::testing::TempDir() + "governor_trip_dump.json";
-  std::remove(dump_path.c_str());
+  for (int32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const std::string dump_path =
+        ::testing::TempDir() + "governor_trip_dump.json";
+    std::remove(dump_path.c_str());
 
-  ServerOptions options = BreakerDrillOptions();
-  options.flight_dump_path = dump_path;
-  ModelServer server(History(), options);
-  ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
-  ASSERT_TRUE(server.PublishModel(RandomModel(2)).ok());
+    ServerOptions options = BreakerDrillOptions(shards);
+    options.flight_dump_path = dump_path;
+    ModelServer server(History(), options);
+    ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
+    ASSERT_TRUE(server.PublishModel(RandomModel(2)).ok());
 
-  {
-    ScopedFaultSchedule faults({{FaultPoint::kServeScoreNan,
-                                 {.trigger_at_hit = 1, .max_fires = -1}}});
-    RunPoisonedQueries(&server, 4);
+    {
+      ScopedFaultSchedule faults({{FaultPoint::kServeScoreNan,
+                                   {.trigger_at_hit = 1, .max_fires = -1}}});
+      RunPoisonedQueries(&server, 4);
+    }
+    EXPECT_EQ(server.stats().breaker_trips, 1);
+    EXPECT_EQ(server.version(), 1);  // rolled back
+
+    // The incident black box was written by the trip itself, and it tells the
+    // whole story in order: errors, the trip, and the rollback.
+    const std::string dump = ReadFile(dump_path);
+    ASSERT_FALSE(dump.empty());
+    EXPECT_EQ(CountOccurrences(dump, "\"kind\":\"internal-error\""), 4);
+    EXPECT_EQ(CountOccurrences(dump, "\"kind\":\"breaker-trip\""), 1);
+    EXPECT_EQ(CountOccurrences(dump, "\"kind\":\"rollback\""), 1);
+    EXPECT_LT(dump.find("\"kind\":\"breaker-trip\""),
+              dump.find("\"kind\":\"rollback\""));
+
+    // Replayable: two timestamp-free dumps of the same recorder state are
+    // byte-identical.
+    const std::string stable_a = ::testing::TempDir() + "governor_dump_a.json";
+    const std::string stable_b = ::testing::TempDir() + "governor_dump_b.json";
+    FlightDumpOptions stable;
+    stable.include_timestamps = false;
+    ASSERT_TRUE(server.DumpFlightRecorder(stable_a, stable).ok());
+    ASSERT_TRUE(server.DumpFlightRecorder(stable_b, stable).ok());
+    EXPECT_EQ(ReadFile(stable_a), ReadFile(stable_b));
+    EXPECT_NE(ReadFile(stable_a), dump);  // timestamps were zeroed
   }
-  EXPECT_EQ(server.stats().breaker_trips, 1);
-  EXPECT_EQ(server.version(), 1);  // rolled back
-
-  // The incident black box was written by the trip itself, and it tells the
-  // whole story in order: errors, the trip, and the rollback.
-  const std::string dump = ReadFile(dump_path);
-  ASSERT_FALSE(dump.empty());
-  EXPECT_EQ(CountOccurrences(dump, "\"kind\":\"internal-error\""), 4);
-  EXPECT_EQ(CountOccurrences(dump, "\"kind\":\"breaker-trip\""), 1);
-  EXPECT_EQ(CountOccurrences(dump, "\"kind\":\"rollback\""), 1);
-  EXPECT_LT(dump.find("\"kind\":\"breaker-trip\""),
-            dump.find("\"kind\":\"rollback\""));
-
-  // Replayable: two timestamp-free dumps of the same recorder state are
-  // byte-identical.
-  const std::string stable_a = ::testing::TempDir() + "governor_dump_a.json";
-  const std::string stable_b = ::testing::TempDir() + "governor_dump_b.json";
-  FlightDumpOptions stable;
-  stable.include_timestamps = false;
-  ASSERT_TRUE(server.DumpFlightRecorder(stable_a, stable).ok());
-  ASSERT_TRUE(server.DumpFlightRecorder(stable_b, stable).ok());
-  EXPECT_EQ(ReadFile(stable_a), ReadFile(stable_b));
-  EXPECT_NE(ReadFile(stable_a), dump);  // timestamps were zeroed
 }
 
 TEST(ModelServerGovernorTest, HalfOpenProbeReinstatesRecoveredSnapshot) {
-  ModelServer server(History(), BreakerDrillOptions());
-  ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
-  ASSERT_TRUE(server.PublishModel(RandomModel(2)).ok());
-  ASSERT_EQ(server.version(), 2);
+  for (int32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ModelServer server(History(), BreakerDrillOptions(shards));
+    ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
+    ASSERT_TRUE(server.PublishModel(RandomModel(2)).ok());
+    ASSERT_EQ(server.version(), 2);
 
-  {
-    // Four poisoned queries trip the breaker; the fault then disarms, so
-    // the "bad" snapshot is healthy again by probe time (a transient
-    // incident, the case half-open recovery exists for).
-    ScopedFaultSchedule faults({{FaultPoint::kServeScoreNan,
-                                 {.trigger_at_hit = 1, .max_fires = -1}}});
-    RunPoisonedQueries(&server, 4);
+    {
+      // Four poisoned queries trip the breaker; the fault then disarms, so
+      // the "bad" snapshot is healthy again by probe time (a transient
+      // incident, the case half-open recovery exists for).
+      ScopedFaultSchedule faults({{FaultPoint::kServeScoreNan,
+                                   {.trigger_at_hit = 1, .max_fires = -1}}});
+      RunPoisonedQueries(&server, 4);
+    }
+    EXPECT_EQ(server.stats().breaker_trips, 1);
+    EXPECT_EQ(server.version(), 1);
+
+    // Cooldown: four fallback-served queries, the last of which opens the
+    // probe and re-admits v2.
+    RunHealthyQueries(&server, 4);
+    EXPECT_EQ(server.stats().probes, 1);
+    EXPECT_EQ(server.version(), 2);
+
+    // Probe window: four clean queries reinstate the snapshot for good.
+    RunHealthyQueries(&server, 4);
+    EXPECT_EQ(server.stats().probe_recoveries, 1);
+    EXPECT_EQ(server.stats().probe_failures, 0);
+    EXPECT_EQ(server.version(), 2);
+
+    // Recovery also restored the rollback chain: a fresh trip rolls back to
+    // v1 again instead of degrading dark.
+    {
+      ScopedFaultSchedule faults({{FaultPoint::kServeScoreNan,
+                                   {.trigger_at_hit = 1, .max_fires = -1}}});
+      RunPoisonedQueries(&server, 4);
+    }
+    EXPECT_EQ(server.stats().breaker_trips, 2);
+    EXPECT_EQ(server.version(), 1);
+    EXPECT_FALSE(server.degraded());
   }
-  EXPECT_EQ(server.stats().breaker_trips, 1);
-  EXPECT_EQ(server.version(), 1);
-
-  // Cooldown: four fallback-served queries, the last of which opens the
-  // probe and re-admits v2.
-  RunHealthyQueries(&server, 4);
-  EXPECT_EQ(server.stats().probes, 1);
-  EXPECT_EQ(server.version(), 2);
-
-  // Probe window: four clean queries reinstate the snapshot for good.
-  RunHealthyQueries(&server, 4);
-  EXPECT_EQ(server.stats().probe_recoveries, 1);
-  EXPECT_EQ(server.stats().probe_failures, 0);
-  EXPECT_EQ(server.version(), 2);
-
-  // Recovery also restored the rollback chain: a fresh trip rolls back to
-  // v1 again instead of degrading dark.
-  {
-    ScopedFaultSchedule faults({{FaultPoint::kServeScoreNan,
-                                 {.trigger_at_hit = 1, .max_fires = -1}}});
-    RunPoisonedQueries(&server, 4);
-  }
-  EXPECT_EQ(server.stats().breaker_trips, 2);
-  EXPECT_EQ(server.version(), 1);
-  EXPECT_FALSE(server.degraded());
 }
 
 TEST(ModelServerGovernorTest, HalfOpenProbeFailureRevertsToFallback) {
-  ModelServer server(History(), BreakerDrillOptions());
-  ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
-  ASSERT_TRUE(server.PublishModel(RandomModel(2)).ok());
+  for (int32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ModelServer server(History(), BreakerDrillOptions(shards));
+    ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
+    ASSERT_TRUE(server.PublishModel(RandomModel(2)).ok());
 
-  ScopedFaultSchedule faults({{FaultPoint::kServeScoreNan,
-                               {.trigger_at_hit = 1, .max_fires = -1}}});
-  RunPoisonedQueries(&server, 4);  // trip, roll back to v1
-  EXPECT_EQ(server.version(), 1);
-  faults.Disarm(FaultPoint::kServeScoreNan);
+    ScopedFaultSchedule faults({{FaultPoint::kServeScoreNan,
+                                 {.trigger_at_hit = 1, .max_fires = -1}}});
+    RunPoisonedQueries(&server, 4);  // trip, roll back to v1
+    EXPECT_EQ(server.version(), 1);
+    faults.Disarm(FaultPoint::kServeScoreNan);
 
-  RunHealthyQueries(&server, 4);  // cooldown; probe opens on v2
-  EXPECT_EQ(server.stats().probes, 1);
-  EXPECT_EQ(server.version(), 2);
+    RunHealthyQueries(&server, 4);  // cooldown; probe opens on v2
+    EXPECT_EQ(server.stats().probes, 1);
+    EXPECT_EQ(server.version(), 2);
 
-  // Still poisoned at probe time: the probe window fails and the server
-  // reverts to the rollback target without counting a second trip.
-  faults.Arm(FaultPoint::kServeScoreNan,
-             {.trigger_at_hit = 1, .max_fires = -1});
-  RunPoisonedQueries(&server, 4);
-  EXPECT_EQ(server.stats().probe_failures, 1);
-  EXPECT_EQ(server.stats().probe_recoveries, 0);
-  EXPECT_EQ(server.stats().breaker_trips, 1);
-  EXPECT_EQ(server.version(), 1);
-  faults.Disarm(FaultPoint::kServeScoreNan);
+    // Still poisoned at probe time: the probe window fails and the server
+    // reverts to the rollback target without counting a second trip.
+    faults.Arm(FaultPoint::kServeScoreNan,
+               {.trigger_at_hit = 1, .max_fires = -1});
+    RunPoisonedQueries(&server, 4);
+    EXPECT_EQ(server.stats().probe_failures, 1);
+    EXPECT_EQ(server.stats().probe_recoveries, 0);
+    EXPECT_EQ(server.stats().breaker_trips, 1);
+    EXPECT_EQ(server.version(), 1);
+    faults.Disarm(FaultPoint::kServeScoreNan);
 
-  // The discarded snapshot is gone for good: healthy traffic does not
-  // reopen a probe.
-  RunHealthyQueries(&server, 12);
-  EXPECT_EQ(server.stats().probes, 1);
-  EXPECT_EQ(server.version(), 1);
+    // The discarded snapshot is gone for good: healthy traffic does not
+    // reopen a probe.
+    RunHealthyQueries(&server, 12);
+    EXPECT_EQ(server.stats().probes, 1);
+    EXPECT_EQ(server.version(), 1);
 
-  // The narrative is in the recorder: probe-start then probe-failed.
-  FlightDumpOptions stable;
-  stable.include_timestamps = false;
-  const std::string dump = server.flight_recorder().DumpJson(stable);
-  EXPECT_EQ(CountOccurrences(dump, "\"kind\":\"probe-start\""), 1);
-  EXPECT_EQ(CountOccurrences(dump, "\"kind\":\"probe-failed\""), 1);
-  EXPECT_EQ(CountOccurrences(dump, "\"kind\":\"probe-recovered\""), 0);
+    // The narrative is in the recorder: probe-start then probe-failed.
+    FlightDumpOptions stable;
+    stable.include_timestamps = false;
+    const std::string dump = server.flight_recorder().DumpJson(stable);
+    EXPECT_EQ(CountOccurrences(dump, "\"kind\":\"probe-start\""), 1);
+    EXPECT_EQ(CountOccurrences(dump, "\"kind\":\"probe-failed\""), 1);
+    EXPECT_EQ(CountOccurrences(dump, "\"kind\":\"probe-recovered\""), 0);
+  }
 }
 
 TEST(ModelServerGovernorTest, PublishCancelsPendingProbe) {
-  ModelServer server(History(), BreakerDrillOptions());
-  ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
-  ASSERT_TRUE(server.PublishModel(RandomModel(2)).ok());
-  {
-    ScopedFaultSchedule faults({{FaultPoint::kServeScoreNan,
-                                 {.trigger_at_hit = 1, .max_fires = -1}}});
-    RunPoisonedQueries(&server, 4);
-  }
-  EXPECT_EQ(server.version(), 1);
+  for (int32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ModelServer server(History(), BreakerDrillOptions(shards));
+    ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
+    ASSERT_TRUE(server.PublishModel(RandomModel(2)).ok());
+    {
+      ScopedFaultSchedule faults({{FaultPoint::kServeScoreNan,
+                                   {.trigger_at_hit = 1, .max_fires = -1}}});
+      RunPoisonedQueries(&server, 4);
+    }
+    EXPECT_EQ(server.version(), 1);
 
-  // The operator ships a fix mid-cooldown: the stashed v2 is superseded and
-  // no probe ever opens for it.
-  ASSERT_TRUE(server.PublishModel(RandomModel(3)).ok());
-  EXPECT_EQ(server.version(), 3);
-  RunHealthyQueries(&server, 16);
-  EXPECT_EQ(server.stats().probes, 0);
-  EXPECT_EQ(server.version(), 3);
+    // The operator ships a fix mid-cooldown: the stashed v2 is superseded and
+    // no probe ever opens for it.
+    ASSERT_TRUE(server.PublishModel(RandomModel(3)).ok());
+    EXPECT_EQ(server.version(), 3);
+    RunHealthyQueries(&server, 16);
+    EXPECT_EQ(server.stats().probes, 0);
+    EXPECT_EQ(server.version(), 3);
+  }
 }
 
 // --- Concurrency (the Tsan gate for the governor ticker) ------------------

@@ -29,7 +29,7 @@
 #include "clapf/online/continuous_deployer.h"
 #include "clapf/online/online_trainer.h"
 #include "clapf/online/wal.h"
-#include "clapf/serving/model_server.h"
+#include "clapf/serving/sharded_server.h"
 #include "clapf/util/logging.h"
 #include "clapf/util/status.h"
 #include "testing/fault_schedule.h"
@@ -62,12 +62,16 @@ Dirs FreshDirs(const std::string& name) {
   return dirs;
 }
 
-ServerOptions Serving(double min_auc = 0.0) {
+ServerOptions Serving(double min_auc = 0.0, int32_t num_shards = 1) {
   ServerOptions options;
   options.num_threads = 2;
   options.canary.min_auc = min_auc;
+  options.num_shards = num_shards;
   return options;
 }
+
+// Shard counts the crash-resume drill publishes to.
+constexpr int32_t kShardCounts[] = {1, 3};
 
 DeployerOptions Deploying(const Dirs& dirs,
                           MetricsRegistry* metrics = nullptr) {
@@ -399,67 +403,70 @@ TEST(DeployerTest, DivergentIncrementRollsBackAndStillAdvances) {
 // resumed from its WAL + checkpoint must converge to the SAME bits as one
 // that ran the day uninterrupted — same arrivals, same cycle boundaries.
 TEST(DeployerTest, CrashResumeIsBitConsistentWithAnUninterruptedRun) {
-  Dataset envelope = Envelope();
-  TrainTestSplit split = SplitRandom(envelope, 0.5, 1);
-  constexpr int64_t kArrivals = 24;
-  constexpr int64_t kCrashAt = 15;  // mid-increment: after cycles at 6, 12
+  for (int32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Dataset envelope = Envelope();
+    TrainTestSplit split = SplitRandom(envelope, 0.5, 1);
+    constexpr int64_t kArrivals = 24;
+    constexpr int64_t kCrashAt = 15;  // mid-increment: after cycles at 6, 12
 
-  // Reference run: the whole day, no interruptions.
-  Dirs dirs_a = FreshDirs("resume_a");
-  ModelServer server_a(envelope, Serving());
-  ContinuousDeployer uninterrupted(&server_a, split.train,
-                                   Deploying(dirs_a));
-  ASSERT_TRUE(uninterrupted.Start().ok());
-  for (int64_t p = 0; p < kArrivals; ++p) {
-    auto [u, i] = ArrivalAt(p);
-    ASSERT_TRUE(uninterrupted.Ingest(u, i).ok());
-    ASSERT_TRUE(uninterrupted.RunCycle().ok());
-  }
-
-  // Crashing run: same dirs across both incarnations.
-  Dirs dirs_b = FreshDirs("resume_b");
-  {
-    ModelServer server(envelope, Serving());
-    ContinuousDeployer deployer(&server, split.train, Deploying(dirs_b));
-    ASSERT_TRUE(deployer.Start().ok());
-    for (int64_t p = 0; p < kCrashAt; ++p) {
+    // Reference run: the whole day, no interruptions.
+    Dirs dirs_a = FreshDirs("resume_a" + std::to_string(shards));
+    ModelServer server_a(envelope, Serving(0.0, shards));
+    ContinuousDeployer uninterrupted(&server_a, split.train,
+                                     Deploying(dirs_a));
+    ASSERT_TRUE(uninterrupted.Start().ok());
+    for (int64_t p = 0; p < kArrivals; ++p) {
       auto [u, i] = ArrivalAt(p);
-      ASSERT_TRUE(deployer.Ingest(u, i).ok());
-      ASSERT_TRUE(deployer.RunCycle().ok());
+      ASSERT_TRUE(uninterrupted.Ingest(u, i).ok());
+      ASSERT_TRUE(uninterrupted.RunCycle().ok());
     }
-    // The kill lands mid-append: arrival kCrashAt tears its WAL frame and
-    // the writer dies. The record was never logged, so it was never
-    // ingested either — the resumed run must re-send it.
-    ScopedFaultSchedule faults(
-        {{FaultPoint::kWalAppendTorn, {.trigger_at_hit = 1}}});
-    auto [u, i] = ArrivalAt(kCrashAt);
-    EXPECT_EQ(deployer.Ingest(u, i).code(), StatusCode::kIoError);
-  }  // the process is gone
 
-  ModelServer server_b(envelope, Serving());
-  ContinuousDeployer resumed(&server_b, split.train, Deploying(dirs_b));
-  ASSERT_TRUE(resumed.Start().ok());
-  // Recovery: torn tail truncated, checkpoint at position 12 restored, the
-  // untrained suffix [12, 15) replayed into the tail, and the recovered
-  // model republished through the gate.
-  EXPECT_EQ(resumed.wal_position(), kCrashAt);
-  EXPECT_EQ(resumed.trained_position(), 12);
-  EXPECT_EQ(resumed.trainer().tail_size(), kCrashAt - 12);
-  EXPECT_EQ(server_b.version(), 1);
-  EXPECT_EQ(resumed.published_version(), 1);
-  EXPECT_FALSE(server_b.degraded());
-  EXPECT_EQ(CountEvents(resumed.flight_recorder(),
-                        FlightEventKind::kWalRecovery),
-            1);
+    // Crashing run: same dirs across both incarnations.
+    Dirs dirs_b = FreshDirs("resume_b" + std::to_string(shards));
+    {
+      ModelServer server(envelope, Serving(0.0, shards));
+      ContinuousDeployer deployer(&server, split.train, Deploying(dirs_b));
+      ASSERT_TRUE(deployer.Start().ok());
+      for (int64_t p = 0; p < kCrashAt; ++p) {
+        auto [u, i] = ArrivalAt(p);
+        ASSERT_TRUE(deployer.Ingest(u, i).ok());
+        ASSERT_TRUE(deployer.RunCycle().ok());
+      }
+      // The kill lands mid-append: arrival kCrashAt tears its WAL frame and
+      // the writer dies. The record was never logged, so it was never
+      // ingested either — the resumed run must re-send it.
+      ScopedFaultSchedule faults(
+          {{FaultPoint::kWalAppendTorn, {.trigger_at_hit = 1}}});
+      auto [u, i] = ArrivalAt(kCrashAt);
+      EXPECT_EQ(deployer.Ingest(u, i).code(), StatusCode::kIoError);
+    }  // the process is gone
 
-  for (int64_t p = kCrashAt; p < kArrivals; ++p) {
-    auto [u, i] = ArrivalAt(p);
-    ASSERT_TRUE(resumed.Ingest(u, i).ok());
-    ASSERT_TRUE(resumed.RunCycle().ok());
+    ModelServer server_b(envelope, Serving(0.0, shards));
+    ContinuousDeployer resumed(&server_b, split.train, Deploying(dirs_b));
+    ASSERT_TRUE(resumed.Start().ok());
+    // Recovery: torn tail truncated, checkpoint at position 12 restored, the
+    // untrained suffix [12, 15) replayed into the tail, and the recovered
+    // model republished through the gate.
+    EXPECT_EQ(resumed.wal_position(), kCrashAt);
+    EXPECT_EQ(resumed.trained_position(), 12);
+    EXPECT_EQ(resumed.trainer().tail_size(), kCrashAt - 12);
+    EXPECT_EQ(server_b.version(), 1);
+    EXPECT_EQ(resumed.published_version(), 1);
+    EXPECT_FALSE(server_b.degraded());
+    EXPECT_EQ(CountEvents(resumed.flight_recorder(),
+                          FlightEventKind::kWalRecovery),
+              1);
+
+    for (int64_t p = kCrashAt; p < kArrivals; ++p) {
+      auto [u, i] = ArrivalAt(p);
+      ASSERT_TRUE(resumed.Ingest(u, i).ok());
+      ASSERT_TRUE(resumed.RunCycle().ok());
+    }
+    EXPECT_EQ(resumed.trained_position(), kArrivals);
+    ExpectSameBits(resumed.trainer().model(), uninterrupted.trainer().model(),
+                   "crash-resumed vs uninterrupted");
   }
-  EXPECT_EQ(resumed.trained_position(), kArrivals);
-  ExpectSameBits(resumed.trainer().model(), uninterrupted.trainer().model(),
-                 "crash-resumed vs uninterrupted");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 // Sharded scatter-gather serving drills. The load-bearing property is
-// BIT-IDENTITY: a ShardedModelServer must answer every query exactly like
-// the monolithic path — same scores, same order, same smaller-id tie-break
-// — for any shard count, on both the packed and the exact kernels. On top
-// of that, the per-shard failure domains: targeted hot reload, per-shard
-// canary gates, shard-attributed breaker trips and rollbacks, tenant
-// isolation and quotas, and deterministic stats aggregation.
+// BIT-IDENTITY: the server must answer every query exactly like a plain
+// reference that shares no server or retrieval code — same scores, same
+// order, same smaller-id tie-break — for any shard count, on both the
+// packed and the exact kernels. On top of that, the per-shard failure
+// domains: targeted hot reload, per-shard canary gates, shard-attributed
+// breaker trips and rollbacks, tenant isolation and quotas, and
+// deterministic stats aggregation.
 //
 // This suite is the Tsan acceptance gate for the sharded serving layer: the
 // hot-reload-under-load drill publishes into single shards while query
@@ -19,7 +20,8 @@
 #include <thread>
 #include <vector>
 
-#include "clapf/serving/model_server.h"
+#include "clapf/model/packed_snapshot.h"
+#include "clapf/model/score_kernel.h"
 #include "clapf/serving/sharded_server.h"
 #include "clapf/serving/shard_map.h"
 #include "clapf/util/logging.h"
@@ -73,6 +75,45 @@ ServerOptions DrillOptions(int32_t num_shards) {
   return options;
 }
 
+// The reference answer, sharing no server or retrieval code: history and
+// options.exclude excluded, a cold user ranked by popularity, then the
+// exact path's plain double scan + SelectTopK or the packed path's one
+// ScoreBlocksTopK pass over the full-catalog PackedSnapshot, then the
+// min_score cut.
+std::vector<ScoredItem> Reference(const FactorModel& model,
+                                  const Dataset& history, UserId u, size_t k,
+                                  const QueryOptions& options, bool packed) {
+  std::vector<bool> excluded(static_cast<size_t>(model.num_items()), false);
+  for (ItemId i : history.ItemsOf(u)) excluded[static_cast<size_t>(i)] = true;
+  for (ItemId i : options.exclude) {
+    if (i >= 0 && i < model.num_items()) {
+      excluded[static_cast<size_t>(i)] = true;
+    }
+  }
+  k = std::min(k, static_cast<size_t>(model.num_items()));
+  std::vector<ScoredItem> top;
+  if (history.NumItemsOf(u) == 0) {
+    const std::vector<int64_t> counts = history.ItemPopularity();
+    top = SelectTopK(std::vector<double>(counts.begin(), counts.end()),
+                     excluded, k);
+  } else if (packed) {
+    TopKAccumulator acc(k);
+    ScoreBlocksTopK(PackedSnapshot::Build(model), u, 0, model.num_items(),
+                    &excluded, &acc);
+    top = acc.Take();
+  } else {
+    std::vector<double> scores;
+    model.ScoreAllItems(u, &scores);
+    top = SelectTopK(scores, excluded, k);
+  }
+  if (options.min_score) {
+    while (!top.empty() && top.back().score < *options.min_score) {
+      top.pop_back();
+    }
+  }
+  return top;
+}
+
 void ExpectSameRanking(const std::vector<ScoredItem>& got,
                        const std::vector<ScoredItem>& want,
                        const std::string& context) {
@@ -121,7 +162,7 @@ TEST(ShardMapTest, ClampsShardCountToBlockCount) {
 // Unified publish API
 
 TEST(ShardedServerTest, PublishRequestRoutingIsValidated) {
-  ShardedModelServer server(History(), DrillOptions(3));
+  ModelServer server(History(), DrillOptions(3));
   EXPECT_EQ(server
                 .PublishModel(PublishRequest(RandomModel(1)).WithShard(7))
                 .code(),
@@ -139,39 +180,21 @@ TEST(ShardedServerTest, PublishRequestRoutingIsValidated) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(ShardedServerTest, MonolithicServerRefusesShardAndTenantRouting) {
-  ModelServer server(History(), DrillOptions(1));
-  EXPECT_EQ(server
-                .PublishModel(PublishRequest(RandomModel(1)).WithShard(1))
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(server
-                .PublishModel(
-                    PublishRequest(RandomModel(1)).WithTenant("alpha"))
-                .code(),
-            StatusCode::kInvalidArgument);
-  // The default routing is the classic publish.
-  EXPECT_TRUE(server.PublishModel(RandomModel(1)).ok());
-  EXPECT_EQ(server.version(), 1);
-}
-
 // ---------------------------------------------------------------------------
-// Cross-shard merge determinism: the drill ISSUE calls for. Sharded answers
-// must be bit-identical to the monolithic server for every user, shard
-// count, and kernel, including the smaller-id tie-break.
+// Cross-shard merge determinism: every shard count must answer bit-for-bit
+// like the plain reference, on both kernels, including the smaller-id
+// tie-break.
 
 TEST(ShardedDeterminismTest, PackedShardedMatchesMonolithicBitForBit) {
   Dataset history = History();
+  const FactorModel model = RandomModel(3);
   for (int32_t shards : {1, 2, 3, 5}) {
-    ModelServer mono(history, DrillOptions(1));
-    ASSERT_TRUE(mono.PublishModel(RandomModel(3)).ok());
-    ShardedModelServer sharded(history, DrillOptions(shards));
-    ASSERT_TRUE(sharded.PublishModel(RandomModel(3)).ok());
+    ModelServer server(history, DrillOptions(shards));
+    ASSERT_TRUE(server.PublishModel(model).ok());
     for (UserId u = 0; u < kUsers; ++u) {
-      auto want = mono.Recommend(u, 10);
-      auto got = sharded.RecommendOne(u, 10);
-      ASSERT_TRUE(want.ok() && got.ok());
-      ExpectSameRanking(*got, *want,
+      auto got = server.Recommend(u, 10);
+      ASSERT_TRUE(got.ok());
+      ExpectSameRanking(*got, Reference(model, history, u, 10, {}, true),
                         "packed shards=" + std::to_string(shards) +
                             " user=" + std::to_string(u));
     }
@@ -180,20 +203,16 @@ TEST(ShardedDeterminismTest, PackedShardedMatchesMonolithicBitForBit) {
 
 TEST(ShardedDeterminismTest, ExactShardedMatchesMonolithicBitForBit) {
   Dataset history = History();
-  for (int32_t shards : {2, 3, 5}) {
+  const FactorModel model = RandomModel(5);
+  for (int32_t shards : {1, 2, 3, 5}) {
     ServerOptions exact = DrillOptions(shards);
     exact.packed = false;
-    ServerOptions mono_exact = DrillOptions(1);
-    mono_exact.packed = false;
-    ModelServer mono(history, mono_exact);
-    ASSERT_TRUE(mono.PublishModel(RandomModel(5)).ok());
-    ShardedModelServer sharded(history, exact);
-    ASSERT_TRUE(sharded.PublishModel(RandomModel(5)).ok());
+    ModelServer server(history, exact);
+    ASSERT_TRUE(server.PublishModel(model).ok());
     for (UserId u = 0; u < kUsers; ++u) {
-      auto want = mono.Recommend(u, 12);
-      auto got = sharded.RecommendOne(u, 12);
-      ASSERT_TRUE(want.ok() && got.ok());
-      ExpectSameRanking(*got, *want,
+      auto got = server.Recommend(u, 12);
+      ASSERT_TRUE(got.ok());
+      ExpectSameRanking(*got, Reference(model, history, u, 12, {}, false),
                         "exact shards=" + std::to_string(shards) +
                             " user=" + std::to_string(u));
     }
@@ -202,16 +221,14 @@ TEST(ShardedDeterminismTest, ExactShardedMatchesMonolithicBitForBit) {
 
 TEST(ShardedDeterminismTest, TieBreakIsSmallerIdAcrossShardBoundaries) {
   Dataset history = History();
-  for (int32_t shards : {3, 5}) {
-    ModelServer mono(history, DrillOptions(1));
-    ASSERT_TRUE(mono.PublishModel(TieModel()).ok());
-    ShardedModelServer sharded(history, DrillOptions(shards));
-    ASSERT_TRUE(sharded.PublishModel(TieModel()).ok());
+  const FactorModel model = TieModel();
+  for (int32_t shards : {1, 3, 5}) {
+    ModelServer server(history, DrillOptions(shards));
+    ASSERT_TRUE(server.PublishModel(model).ok());
     for (UserId u = 0; u < kUsers; ++u) {
-      auto want = mono.Recommend(u, kItems);
-      auto got = sharded.RecommendOne(u, kItems);
-      ASSERT_TRUE(want.ok() && got.ok());
-      ExpectSameRanking(*got, *want,
+      auto got = server.Recommend(u, kItems);
+      ASSERT_TRUE(got.ok());
+      ExpectSameRanking(*got, Reference(model, history, u, kItems, {}, true),
                         "ties shards=" + std::to_string(shards) +
                             " user=" + std::to_string(u));
       // The merged ranking itself must break ties by ascending item id even
@@ -227,35 +244,34 @@ TEST(ShardedDeterminismTest, TieBreakIsSmallerIdAcrossShardBoundaries) {
 
 TEST(ShardedDeterminismTest, ExclusionsMinScoreAndColdStartMatchMonolithic) {
   Dataset history = History();
-  ModelServer mono(history, DrillOptions(1));
-  ASSERT_TRUE(mono.PublishModel(RandomModel(7)).ok());
-  ShardedModelServer sharded(history, DrillOptions(3));
-  ASSERT_TRUE(sharded.PublishModel(RandomModel(7)).ok());
+  const FactorModel model = RandomModel(7);
+  ModelServer server(history, DrillOptions(3));
+  ASSERT_TRUE(server.PublishModel(model).ok());
 
   QueryOptions options;
   options.exclude = {0, 9, 23, 55, 999, -4};  // spans shards; bad ids ignored
   options.min_score = 0.0;
   for (UserId u = 0; u < kUsers; ++u) {
-    auto want = mono.Recommend(u, 10, options);
-    auto got = sharded.RecommendOne(u, 10, options);
-    ASSERT_TRUE(want.ok() && got.ok());
-    ExpectSameRanking(*got, *want, "filtered user=" + std::to_string(u));
+    auto got = server.Recommend(u, 10, options);
+    ASSERT_TRUE(got.ok());
+    ExpectSameRanking(*got, Reference(model, history, u, 10, options, true),
+                      "filtered user=" + std::to_string(u));
   }
 
   // Batch surface, same contract.
   std::vector<UserId> users = {0, 3, 7, 12};
-  auto want_batch = mono.RecommendBatch(users, 8);
-  auto got_batch = sharded.RecommendBatch(users, 8);
-  ASSERT_TRUE(want_batch.ok() && got_batch.ok());
+  auto got_batch = server.RecommendBatch(users, 8);
+  ASSERT_TRUE(got_batch.ok());
   ASSERT_EQ(got_batch->num_complete, users.size());
   for (size_t i = 0; i < users.size(); ++i) {
-    ExpectSameRanking(got_batch->results[i], want_batch->results[i],
+    ExpectSameRanking(got_batch->results[i],
+                      Reference(model, history, users[i], 8, {}, true),
                       "batch user=" + std::to_string(users[i]));
   }
 }
 
 TEST(ShardedDeterminismTest, ColdStartIsAGlobalDecision) {
-  // User kUsers-1 owns no interactions: globally cold, so it must get the
+  // User 2 owns no interactions: globally cold, so it must get the
   // popularity ranking — not a per-shard mix where warm shards answer from
   // the model. Every warm user must be served by the model in EVERY shard
   // even where that user has no local history.
@@ -263,18 +279,16 @@ TEST(ShardedDeterminismTest, ColdStartIsAGlobalDecision) {
   for (ItemId i = 0; i < 8; ++i) pairs.push_back({0, i});  // shard 0 only
   for (ItemId i = 1; i < 6; ++i) pairs.push_back({1, i});  // shard 0 only
   Dataset history = testing::MakeDataset(3, kItems, pairs);
-  ModelServer mono(history, DrillOptions(1));
-  ShardedModelServer sharded(history, DrillOptions(3));
+  ModelServer server(history, DrillOptions(3));
   FactorModel model(3, kItems, 4);
   Rng rng(9);
   model.InitGaussian(rng);
-  ASSERT_TRUE(mono.PublishModel(model).ok());
-  ASSERT_TRUE(sharded.PublishModel(model).ok());
+  ASSERT_TRUE(server.PublishModel(model).ok());
   for (UserId u = 0; u < 3; ++u) {
-    auto want = mono.Recommend(u, 10);
-    auto got = sharded.RecommendOne(u, 10);
-    ASSERT_TRUE(want.ok() && got.ok());
-    ExpectSameRanking(*got, *want, "cold drill user=" + std::to_string(u));
+    auto got = server.Recommend(u, 10);
+    ASSERT_TRUE(got.ok());
+    ExpectSameRanking(*got, Reference(model, history, u, 10, {}, true),
+                      "cold drill user=" + std::to_string(u));
   }
 }
 
@@ -282,7 +296,7 @@ TEST(ShardedDeterminismTest, ColdStartIsAGlobalDecision) {
 // Deadlines
 
 TEST(ShardedServerTest, BatchDeadlineReturnsCompletedPrefix) {
-  ShardedModelServer server(History(), DrillOptions(3));
+  ModelServer server(History(), DrillOptions(3));
   ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
   // Every scoring block stalls 2ms; with a 1ms budget the batch cannot
   // finish, and the reply must carry the completed prefix, not an error.
@@ -301,10 +315,12 @@ TEST(ShardedServerTest, BatchDeadlineReturnsCompletedPrefix) {
     }
   }
   auto stats = server.stats();
-  EXPECT_EQ(stats.total.deadline_exceeded, 1);
+  EXPECT_EQ(stats.deadline_exceeded, 1);
   // The expiry is attributed to the shard whose scan hit the wall.
   int64_t attributed = 0;
-  for (const auto& shard : stats.shards) attributed += shard.deadline_exceeded;
+  for (const auto& shard : server.shard_stats()) {
+    attributed += shard.deadline_exceeded;
+  }
   EXPECT_EQ(attributed, 1);
 }
 
@@ -315,7 +331,7 @@ TEST(ShardedServerTest, TargetedPublishReloadsOnlyThatShard) {
   Dataset history = History();
   ServerOptions options = DrillOptions(3);
   options.packed = false;  // exact doubles make the hybrid check trivial
-  ShardedModelServer server(history, options);
+  ModelServer server(history, options);
   FactorModel a = RandomModel(21);
   FactorModel b = RandomModel(22);
   ASSERT_TRUE(server.PublishModel(a).ok());
@@ -342,19 +358,18 @@ TEST(ShardedServerTest, TargetedPublishReloadsOnlyThatShard) {
                        return lhs.item < rhs.item;
                      });
     expected.resize(std::min<size_t>(expected.size(), 10));
-    auto got = server.RecommendOne(u, 10);
+    auto got = server.Recommend(u, 10);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ExpectSameRanking(*got, expected, "stitched user=" + std::to_string(u));
   }
 
-  auto stats = server.stats();
-  EXPECT_EQ(stats.shards[0].publishes, 1);
-  EXPECT_EQ(stats.shards[1].publishes, 2);
-  EXPECT_EQ(stats.shards[2].publishes, 1);
+  EXPECT_EQ(server.shard_stats()[0].publishes, 1);
+  EXPECT_EQ(server.shard_stats()[1].publishes, 2);
+  EXPECT_EQ(server.shard_stats()[2].publishes, 1);
 }
 
 TEST(ShardedServerTest, PerShardCanaryRejectsOnlyTheCorruptSlice) {
-  ShardedModelServer server(History(), DrillOptions(3));
+  ModelServer server(History(), DrillOptions(3));
   ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
 
   // Poison one item factor owned by shard 1: shard 1's gate must refuse the
@@ -374,9 +389,9 @@ TEST(ShardedServerTest, PerShardCanaryRejectsOnlyTheCorruptSlice) {
   EXPECT_EQ(server.shard_versions(), (std::vector<int64_t>{2, 1, 1}));
 
   auto stats = server.stats();
-  EXPECT_EQ(stats.total.canary_rejects, 1);
-  EXPECT_EQ(stats.shards[1].canary_rejects, 1);
-  EXPECT_EQ(stats.shards[0].canary_rejects, 0);
+  EXPECT_EQ(stats.canary_rejects, 1);
+  EXPECT_EQ(server.shard_stats()[1].canary_rejects, 1);
+  EXPECT_EQ(server.shard_stats()[0].canary_rejects, 0);
   // The reject is visible in shard 1's scoped flight stream, not shard 2's.
   bool shard1_saw_reject = false;
   for (const FlightEvent& e : server.shard_flight_recorder(1).Snapshot()) {
@@ -391,7 +406,7 @@ TEST(ShardedServerTest, PerShardCanaryRejectsOnlyTheCorruptSlice) {
 TEST(ShardedServerTest, PartiallyPublishedTenantServesHealthyShardsFromModel) {
   // A fresh tenant published into shard 0 only: shard 0 answers from the
   // model, shards 1-2 from their popularity slices — degraded but alive.
-  ShardedModelServer server(History(), DrillOptions(3));
+  ModelServer server(History(), DrillOptions(3));
   ASSERT_TRUE(server
                   .PublishModel(PublishRequest(RandomModel(1))
                                     .WithShard(0)
@@ -400,19 +415,19 @@ TEST(ShardedServerTest, PartiallyPublishedTenantServesHealthyShardsFromModel) {
   EXPECT_TRUE(server.degraded("canary-tenant"));
   EXPECT_EQ(server.shard_versions("canary-tenant"),
             (std::vector<int64_t>{1, 0, 0}));
-  auto got = server.RecommendOne(0, 10, {}, "canary-tenant");
+  auto got = server.Recommend(0, 10, {}, "canary-tenant");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->size(), 10u);
-  auto stats = server.stats();
-  EXPECT_GT(stats.shards[1].degraded + stats.shards[2].degraded, 0);
-  EXPECT_EQ(stats.shards[0].degraded, 0);
+  const std::vector<ShardStatsSnapshot> shards = server.shard_stats();
+  EXPECT_GT(shards[1].degraded + shards[2].degraded, 0);
+  EXPECT_EQ(shards[0].degraded, 0);
 }
 
 // ---------------------------------------------------------------------------
 // Shard-attributed breaker
 
 TEST(ShardedServerTest, BreakerTripsAndRollsBackOnlyTheBlamedShard) {
-  ShardedModelServer server(History(), DrillOptions(3));
+  ModelServer server(History(), DrillOptions(3));
   ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());  // v1
   ASSERT_TRUE(server.PublishModel(RandomModel(2)).ok());  // v2, rollback to v1
 
@@ -422,16 +437,16 @@ TEST(ShardedServerTest, BreakerTripsAndRollsBackOnlyTheBlamedShard) {
       {{FaultPoint::kServeScoreNan, {.trigger_at_hit = 1, .max_fires = -1}}});
   int32_t blamed = -1;
   for (int i = 0; i < 4; ++i) {
-    auto got = server.RecommendOne(0, 5);
+    auto got = server.Recommend(0, 5);
     ASSERT_EQ(got.status().code(), StatusCode::kInternal);
   }
   faults.Disarm(FaultPoint::kServeScoreNan);
 
   auto stats = server.stats();
-  EXPECT_EQ(stats.total.internal_errors, 4);
-  EXPECT_EQ(stats.total.breaker_trips, 1);
-  EXPECT_EQ(stats.total.rollbacks, 1);
-  for (const auto& shard : stats.shards) {
+  EXPECT_EQ(stats.internal_errors, 4);
+  EXPECT_EQ(stats.breaker_trips, 1);
+  EXPECT_EQ(stats.rollbacks, 1);
+  for (const auto& shard : server.shard_stats()) {
     if (shard.breaker_trips > 0) {
       ASSERT_EQ(blamed, -1) << "two shards tripped";
       blamed = shard.shard;
@@ -451,28 +466,28 @@ TEST(ShardedServerTest, BreakerTripsAndRollsBackOnlyTheBlamedShard) {
   }
   EXPECT_FALSE(server.degraded());
   // And with the fault gone the server answers cleanly again.
-  auto recovered = server.RecommendOne(0, 5);
+  auto recovered = server.Recommend(0, 5);
   EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
 }
 
 TEST(ShardedServerTest, BreakerDegradesShardWithoutRollbackTarget) {
-  ShardedModelServer server(History(), DrillOptions(2));
+  ModelServer server(History(), DrillOptions(2));
   ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());  // v1, no previous
   ScopedFaultSchedule faults(
       {{FaultPoint::kServeScoreNan, {.trigger_at_hit = 1, .max_fires = -1}}});
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(server.RecommendOne(0, 5).status().code(),
+    EXPECT_EQ(server.Recommend(0, 5).status().code(),
               StatusCode::kInternal);
   }
   faults.Disarm(FaultPoint::kServeScoreNan);
   // One shard went dark (no previous slice → popularity); the tenant is
   // degraded but queries still answer, with the healthy shard on the model.
   EXPECT_TRUE(server.degraded());
-  auto got = server.RecommendOne(0, 5);
+  auto got = server.Recommend(0, 5);
   EXPECT_TRUE(got.ok()) << got.status().ToString();
   auto stats = server.stats();
-  EXPECT_EQ(stats.total.breaker_trips, 1);
-  EXPECT_EQ(stats.total.rollbacks, 0);
+  EXPECT_EQ(stats.breaker_trips, 1);
+  EXPECT_EQ(stats.rollbacks, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -480,7 +495,7 @@ TEST(ShardedServerTest, BreakerDegradesShardWithoutRollbackTarget) {
 
 TEST(ShardedServerTest, TenantsServeIndependentModels) {
   Dataset history = History();
-  ShardedModelServer server(history, DrillOptions(3));
+  ModelServer server(history, DrillOptions(3));
   FactorModel alpha = RandomModel(31);
   FactorModel beta = RandomModel(32);
   ASSERT_TRUE(
@@ -489,33 +504,29 @@ TEST(ShardedServerTest, TenantsServeIndependentModels) {
       server.PublishModel(PublishRequest(beta).WithTenant("beta")).ok());
   EXPECT_EQ(server.tenants(), (std::vector<std::string>{"alpha", "beta"}));
 
-  // Each tenant's answers match a monolithic server of its own model.
-  ModelServer mono_alpha(history, DrillOptions(1));
-  ModelServer mono_beta(history, DrillOptions(1));
-  ASSERT_TRUE(mono_alpha.PublishModel(alpha).ok());
-  ASSERT_TRUE(mono_beta.PublishModel(beta).ok());
+  // Each tenant's answers match the reference of its own model.
   for (UserId u : {0, 5, 11}) {
-    auto got_a = server.RecommendOne(u, 8, {}, "alpha");
-    auto got_b = server.RecommendOne(u, 8, {}, "beta");
-    auto want_a = mono_alpha.Recommend(u, 8);
-    auto want_b = mono_beta.Recommend(u, 8);
-    ASSERT_TRUE(got_a.ok() && got_b.ok() && want_a.ok() && want_b.ok());
-    ExpectSameRanking(*got_a, *want_a, "tenant alpha");
-    ExpectSameRanking(*got_b, *want_b, "tenant beta");
+    auto got_a = server.Recommend(u, 8, {}, "alpha");
+    auto got_b = server.Recommend(u, 8, {}, "beta");
+    ASSERT_TRUE(got_a.ok() && got_b.ok());
+    ExpectSameRanking(*got_a, Reference(alpha, history, u, 8, {}, true),
+                      "tenant alpha");
+    ExpectSameRanking(*got_b, Reference(beta, history, u, 8, {}, true),
+                      "tenant beta");
   }
 
   // An unknown tenant is degraded (popularity), never an error.
   EXPECT_TRUE(server.degraded("ghost"));
-  auto ghost = server.RecommendOne(0, 5, {}, "ghost");
+  auto ghost = server.Recommend(0, 5, {}, "ghost");
   ASSERT_TRUE(ghost.ok());
-  EXPECT_GT(server.stats().total.degraded, 0);
+  EXPECT_GT(server.stats().degraded, 0);
 }
 
 TEST(ShardedServerTest, TenantQuotaShedsTheNoisyTenantOnly) {
   ServerOptions options = DrillOptions(2);
   options.num_threads = 1;
   options.per_tenant_quota = 1;
-  ShardedModelServer server(History(), options);
+  ModelServer server(History(), options);
   ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
 
   // Park the single worker 20ms per admitted task so tenant "noisy"'s first
@@ -523,18 +534,18 @@ TEST(ShardedServerTest, TenantQuotaShedsTheNoisyTenantOnly) {
   ScopedFaultSchedule faults(
       {{FaultPoint::kServeQueueStall, {.trigger_at_hit = 1, .max_fires = -1}}});
   std::thread first([&server] {
-    auto got = server.RecommendOne(0, 5, {}, "noisy");
+    auto got = server.Recommend(0, 5, {}, "noisy");
     EXPECT_TRUE(got.ok()) << got.status().ToString();
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(8));
-  auto second = server.RecommendOne(1, 5, {}, "noisy");
+  auto second = server.Recommend(1, 5, {}, "noisy");
   EXPECT_EQ(second.status().code(), StatusCode::kUnavailable);
   first.join();
-  EXPECT_EQ(server.stats().total.shed, 1);
+  EXPECT_EQ(server.stats().shed, 1);
 
   // A quiet tenant is admitted even while the noisy one is over quota.
   faults.Disarm(FaultPoint::kServeQueueStall);
-  auto quiet = server.RecommendOne(0, 5, {}, "quiet");
+  auto quiet = server.Recommend(0, 5, {}, "quiet");
   EXPECT_TRUE(quiet.ok()) << quiet.status().ToString();
 }
 
@@ -542,24 +553,25 @@ TEST(ShardedServerTest, TenantQuotaShedsTheNoisyTenantOnly) {
 // Deterministic stats aggregation
 
 TEST(ShardedServerTest, StatsSnapshotRendersDeterministically) {
-  ShardedModelServer server(History(), DrillOptions(3));
+  ModelServer server(History(), DrillOptions(3));
   ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
   for (UserId u = 0; u < 6; ++u) {
-    ASSERT_TRUE(server.RecommendOne(u, 5).ok());
+    ASSERT_TRUE(server.Recommend(u, 5).ok());
   }
-  ShardedStatsSnapshot a = server.stats();
-  ShardedStatsSnapshot b = server.stats();
-  EXPECT_EQ(a.ToString(), b.ToString());
-  ASSERT_EQ(a.shards.size(), 3u);
-  for (size_t s = 0; s < a.shards.size(); ++s) {
-    EXPECT_EQ(a.shards[s].shard, static_cast<int32_t>(s));  // ascending ids
-    EXPECT_EQ(a.shards[s].queries, 6);  // broadcast: every shard consulted
+  std::vector<ShardStatsSnapshot> a = server.shard_stats();
+  std::vector<ShardStatsSnapshot> b = server.shard_stats();
+  EXPECT_EQ(server.stats().ToString(), server.stats().ToString());
+  ASSERT_EQ(a.size(), 3u);
+  ASSERT_EQ(b.size(), 3u);
+  for (size_t s = 0; s < a.size(); ++s) {
+    EXPECT_EQ(a[s].ToString(), b[s].ToString());
+    EXPECT_EQ(a[s].shard, static_cast<int32_t>(s));  // ascending ids
+    EXPECT_EQ(a[s].queries, 6);  // broadcast: every shard consulted
   }
-  // The rendering carries the total line plus one line per shard.
-  const std::string text = a.ToString();
-  EXPECT_NE(text.find("queries=6"), std::string::npos);
-  EXPECT_NE(text.find("shard=0"), std::string::npos);
-  EXPECT_NE(text.find("shard=2"), std::string::npos);
+  // Each shard renders one line led by its id.
+  EXPECT_NE(server.stats().ToString().find("queries=6"), std::string::npos);
+  EXPECT_EQ(a[0].ToString().rfind("shard=0", 0), 0u);
+  EXPECT_EQ(a[2].ToString().rfind("shard=2", 0), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -572,7 +584,7 @@ TEST(ShardedServerTest, StatsSnapshotRendersDeterministically) {
 TEST(ShardedServerTest, PerShardHotReloadUnderLoadStaysConsistent) {
   ServerOptions options = DrillOptions(3);
   options.max_queue_depth = 32;
-  ShardedModelServer server(History(), options);
+  ModelServer server(History(), options);
   ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
 
   std::atomic<bool> stop{false};
@@ -582,7 +594,7 @@ TEST(ShardedServerTest, PerShardHotReloadUnderLoadStaysConsistent) {
     clients.emplace_back([&server, &stop, &ok, &shed, &unexpected, c] {
       UserId u = c;
       while (!stop.load(std::memory_order_relaxed)) {
-        auto got = server.RecommendOne(u, 5);
+        auto got = server.Recommend(u, 5);
         if (got.ok()) {
           ok.fetch_add(1);
           // A consistent cut never serves a half-published catalog: scores
@@ -621,7 +633,7 @@ TEST(ShardedServerTest, PerShardHotReloadUnderLoadStaysConsistent) {
   EXPECT_EQ(unexpected.load(), 0);
   EXPECT_FALSE(server.degraded());
   // 1 all-shard + 30 targeted publishes all cleared their gates.
-  EXPECT_EQ(server.stats().total.publishes, 31);
+  EXPECT_EQ(server.stats().publishes, 31);
   std::vector<int64_t> versions = server.shard_versions();
   for (int64_t v : versions) EXPECT_GT(v, 0);
 }
@@ -639,7 +651,7 @@ ServerOptions HalfOpenOptions() {
 }
 
 // Trips one shard, then counts events by kind in its flight recorder.
-int CountShardEvents(const ShardedModelServer& server, int32_t shard,
+int CountShardEvents(const ModelServer& server, int32_t shard,
                      FlightEventKind kind) {
   int n = 0;
   for (const FlightEvent& e :
@@ -651,16 +663,16 @@ int CountShardEvents(const ShardedModelServer& server, int32_t shard,
 
 // Drives the breaker to a trip on whatever shard the NaN fault blames;
 // returns that shard. On exit the blamed shard serves v1, the rest v2.
-int32_t TripOneShard(ShardedModelServer* server) {
+int32_t TripOneShard(ModelServer* server) {
   ScopedFaultSchedule faults(
       {{FaultPoint::kServeScoreNan, {.trigger_at_hit = 1, .max_fires = -1}}});
   for (int i = 0; i < 4; ++i) {
-    auto got = server->RecommendOne(0, 5);
+    auto got = server->Recommend(0, 5);
     EXPECT_EQ(got.status().code(), StatusCode::kInternal);
   }
   faults.Disarm(FaultPoint::kServeScoreNan);
   int32_t blamed = -1;
-  for (const auto& shard : server->stats().shards) {
+  for (const auto& shard : server->shard_stats()) {
     if (shard.breaker_trips > 0) blamed = shard.shard;
   }
   EXPECT_NE(blamed, -1) << "no shard tripped";
@@ -668,7 +680,7 @@ int32_t TripOneShard(ShardedModelServer* server) {
 }
 
 TEST(ShardedHalfOpenTest, CooldownProbeReinstatesTheHealthySlice) {
-  ShardedModelServer server(History(), HalfOpenOptions());
+  ModelServer server(History(), HalfOpenOptions());
   ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());  // v1
   ASSERT_TRUE(server.PublishModel(RandomModel(2)).ok());  // v2
   const int32_t blamed = TripOneShard(&server);
@@ -679,17 +691,17 @@ TEST(ShardedHalfOpenTest, CooldownProbeReinstatesTheHealthySlice) {
   // gone (it was a transient), so the probe passes and v2 is reinstated —
   // with no republish, and without touching the other shards.
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(server.RecommendOne(0, 5).ok()) << "clean query " << i;
+    ASSERT_TRUE(server.Recommend(0, 5).ok()) << "clean query " << i;
   }
   std::vector<int64_t> versions = server.shard_versions();
   for (int32_t s = 0; s < server.num_shards(); ++s) {
     EXPECT_EQ(versions[static_cast<size_t>(s)], 2) << "shard " << s;
   }
   auto stats = server.stats();
-  EXPECT_EQ(stats.total.probes, 1);
-  EXPECT_EQ(stats.total.probe_recoveries, 1);
-  EXPECT_EQ(stats.total.probe_failures, 0);
-  for (const auto& shard : stats.shards) {
+  EXPECT_EQ(stats.probes, 1);
+  EXPECT_EQ(stats.probe_recoveries, 1);
+  EXPECT_EQ(stats.probe_failures, 0);
+  for (const auto& shard : server.shard_stats()) {
     if (shard.shard == blamed) {
       EXPECT_EQ(shard.probes, 1);
       EXPECT_EQ(shard.probe_recoveries, 1);
@@ -711,14 +723,14 @@ TEST(ShardedHalfOpenTest, CooldownProbeReinstatesTheHealthySlice) {
 }
 
 TEST(ShardedHalfOpenTest, FailedProbeRevertsAndDiscardsTheSlice) {
-  ShardedModelServer server(History(), HalfOpenOptions());
+  ModelServer server(History(), HalfOpenOptions());
   ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());  // v1
   ASSERT_TRUE(server.PublishModel(RandomModel(2)).ok());  // v2
   const int32_t blamed = TripOneShard(&server);
 
   // Cooldown on the fallback is clean...
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(server.RecommendOne(0, 5).ok());
+    ASSERT_TRUE(server.Recommend(0, 5).ok());
   }
   // ...but the probed slice is still broken: every probe query errors, so
   // the window fails and the shard reverts to its fallback for good.
@@ -727,27 +739,27 @@ TEST(ShardedHalfOpenTest, FailedProbeRevertsAndDiscardsTheSlice) {
         {{FaultPoint::kServeScoreNan,
           {.trigger_at_hit = 1, .max_fires = -1}}});
     for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ(server.RecommendOne(0, 5).status().code(),
+      EXPECT_EQ(server.Recommend(0, 5).status().code(),
                 StatusCode::kInternal);
     }
   }
   EXPECT_EQ(server.shard_versions()[static_cast<size_t>(blamed)], 1);
   auto stats = server.stats();
-  EXPECT_EQ(stats.total.probes, 1);
-  EXPECT_EQ(stats.total.probe_recoveries, 0);
-  EXPECT_EQ(stats.total.probe_failures, 1);
+  EXPECT_EQ(stats.probes, 1);
+  EXPECT_EQ(stats.probe_recoveries, 0);
+  EXPECT_EQ(stats.probe_failures, 1);
   EXPECT_EQ(CountShardEvents(server, blamed, FlightEventKind::kProbeFailed),
             1);
   // The discarded slice stays gone: clean traffic does not re-open a probe.
   for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(server.RecommendOne(0, 5).ok());
+    ASSERT_TRUE(server.Recommend(0, 5).ok());
   }
-  EXPECT_EQ(server.stats().total.probes, 1);
+  EXPECT_EQ(server.stats().probes, 1);
   EXPECT_EQ(server.shard_versions()[static_cast<size_t>(blamed)], 1);
 }
 
 TEST(ShardedHalfOpenTest, PublishSupersedesAPendingProbe) {
-  ShardedModelServer server(History(), HalfOpenOptions());
+  ModelServer server(History(), HalfOpenOptions());
   ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());  // v1
   ASSERT_TRUE(server.PublishModel(RandomModel(2)).ok());  // v2
   const int32_t blamed = TripOneShard(&server);
@@ -756,12 +768,12 @@ TEST(ShardedHalfOpenTest, PublishSupersedesAPendingProbe) {
   // superseded and no probe should ever run against it.
   ASSERT_TRUE(server.PublishModel(RandomModel(3)).ok());  // v3, all shards
   for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(server.RecommendOne(0, 5).ok());
+    ASSERT_TRUE(server.Recommend(0, 5).ok());
   }
   auto stats = server.stats();
-  EXPECT_EQ(stats.total.probes, 0);
-  EXPECT_EQ(stats.total.probe_recoveries, 0);
-  EXPECT_EQ(stats.total.probe_failures, 0);
+  EXPECT_EQ(stats.probes, 0);
+  EXPECT_EQ(stats.probe_recoveries, 0);
+  EXPECT_EQ(stats.probe_failures, 0);
   EXPECT_EQ(CountShardEvents(server, blamed, FlightEventKind::kProbeStart),
             0);
   std::vector<int64_t> versions = server.shard_versions();

@@ -415,14 +415,14 @@ int RunServe(int argc, char** argv) {
                   "dump the incident flight recorder (JSON) to this path at "
                   "exit and on every breaker trip");
   flags.AddInt("shards", &shards,
-               "catalog shards for scatter-gather serving (1 = monolithic "
-               "server; answers are bit-identical either way)");
+               "catalog shards for scatter-gather serving (default 1, the "
+               "monolithic case; answers are bit-identical for any count)");
   flags.AddString("tenant", &tenant,
                   "tenant whose serving chain receives the publish and "
-                  "answers the queries (implies the sharded server)");
+                  "answers the queries");
   flags.AddInt("per-tenant-quota", &per_tenant_quota,
                "per-tenant in-flight admission budget (0 = global "
-               "--queue-depth bound only; implies the sharded server)");
+               "--queue-depth bound only)");
   if (Status s = flags.Parse(argc, argv); !s.ok()) {
     return s.code() == StatusCode::kFailedPrecondition ? 0 : Fail(s);
   }
@@ -475,54 +475,11 @@ int RunServe(int argc, char** argv) {
   query_options.pq = pq;
   query_options.rerank_budget = static_cast<int32_t>(rerank_budget);
 
-  // Sharded scatter-gather front end: same publish gate, same answers
-  // (bit-identical to the monolithic path), plus per-shard hot reload,
-  // tenant chains, and admission quotas.
-  if (shards > 1 || tenant != kDefaultTenant || per_tenant_quota > 0) {
-    ShardedModelServer server(*std::move(data), server_options);
+  ModelServer server(*std::move(data), server_options);
+  if (server.num_shards() > 1 || tenant != kDefaultTenant) {
     std::printf("sharded serving: %s tenant \"%s\"\n",
                 server.shard_map().ToString().c_str(), tenant.c_str());
-    if (Status s = server.PublishModel(
-            PublishRequest(model_path).WithTenant(tenant));
-        !s.ok()) {
-      std::printf("publish rejected (%s); serving popularity fallback\n",
-                  s.ToString().c_str());
-    } else {
-      std::printf("published model to %d shard(s) of tenant \"%s\"\n",
-                  server.num_shards(), tenant.c_str());
-    }
-    for (int64_t round = 0; round < repeat; ++round) {
-      for (UserId u : user_ids) {
-        auto got = server.RecommendOne(u, static_cast<size_t>(k),
-                                       query_options, tenant);
-        if (!got.ok()) {
-          std::printf("user %d: %s\n", u, got.status().ToString().c_str());
-          continue;
-        }
-        std::printf("top-%lld for user %d:\n", static_cast<long long>(k), u);
-        for (const ScoredItem& item : *got) {
-          std::printf("  item %-8d score %.4f\n", item.item, item.score);
-        }
-      }
-      if (metrics_every > 0 && (round + 1) % metrics_every == 0) {
-        MaybeDumpMetrics(server.metrics(), metrics_out);
-      }
-    }
-    PrintScoringPath(server.mutable_metrics(), packed);
-    std::printf("serving stats:\n%s\n", server.stats().ToString().c_str());
-    if (!flight_dump.empty()) {
-      if (Status s = server.DumpFlightRecorder(flight_dump); !s.ok()) {
-        std::printf("flight-recorder dump failed: %s\n",
-                    s.ToString().c_str());
-      } else {
-        std::printf("flight recorder dumped to %s\n", flight_dump.c_str());
-      }
-    }
-    MaybeDumpMetrics(server.metrics(), metrics_out);
-    return 0;
   }
-
-  ModelServer server(*std::move(data), server_options);
   if (*policy != GovernorPolicy::kPerformance) {
     std::printf("governor %s active (tick every %lld ms)\n",
                 GovernorPolicyName(*policy),
@@ -531,17 +488,21 @@ int RunServe(int argc, char** argv) {
 
   // The candidate goes through the full canary gate; a rejection leaves the
   // server in degraded (popularity) mode rather than exiting.
-  if (Status s = server.PublishModel(model_path); !s.ok()) {
+  if (Status s = server.PublishModel(
+          PublishRequest(model_path).WithTenant(tenant));
+      !s.ok()) {
     std::printf("publish rejected (%s); serving popularity fallback\n",
                 s.ToString().c_str());
   } else {
-    std::printf("published model v%lld\n",
-                static_cast<long long>(server.version()));
+    std::printf("published model v%lld to %d shard(s)\n",
+                static_cast<long long>(server.version(tenant)),
+                server.num_shards());
   }
 
   for (int64_t round = 0; round < repeat; ++round) {
     for (UserId u : user_ids) {
-      auto got = server.Recommend(u, static_cast<size_t>(k), query_options);
+      auto got = server.Recommend(u, static_cast<size_t>(k), query_options,
+                                  tenant);
       if (!got.ok()) {
         std::printf("user %d: %s\n", u, got.status().ToString().c_str());
         continue;
@@ -559,6 +520,11 @@ int RunServe(int argc, char** argv) {
   }
   PrintScoringPath(server.mutable_metrics(), packed);
   std::printf("serving stats: %s\n", server.stats().ToString().c_str());
+  if (server.num_shards() > 1) {
+    for (const ShardStatsSnapshot& shard : server.shard_stats()) {
+      std::printf("  %s\n", shard.ToString().c_str());
+    }
+  }
   if (*policy != GovernorPolicy::kPerformance) {
     const GovernorKnobs knobs = server.governor().knobs();
     std::printf("governor: policy=%s ticks=%lld adjustments=%lld "

@@ -2,10 +2,8 @@
 # Full verification ladder for the repo, from cheapest to most expensive:
 #
 #   1. default preset  — build everything, run the whole ctest suite
-#   2. sanitize preset — ASan+UBSan on the fault-injection + serving + obs
-#                        drills
-#   3. tsan preset     — ThreadSanitizer on the parallel + serving + obs
-#                        drills
+#   2. sanitize preset — ASan+UBSan on the labels in SANITIZE_LABELS
+#   3. tsan preset     — ThreadSanitizer on the labels in TSAN_LABELS
 #
 # Usage:
 #   tools/run_checks.sh            # the full ladder
@@ -14,13 +12,15 @@
 #   tools/run_checks.sh tsan
 #
 # Exits non-zero on the first failing rung. Each rung configures its own
-# build directory (build/, build-sanitize/, build-tsan/) via CMake presets,
-# so rungs never contaminate each other.
+# build directory (build/, build-sanitize/, build-tsan/) via the CMake
+# configure/build presets, so rungs never contaminate each other, and picks
+# its suites with a ctest label regex. One suite alone runs the same way,
+# e.g. `ctest --test-dir build-sanitize -L '^serving$'`.
 #
 # Before any rung runs, the script cross-checks the ctest labels declared in
-# tests/CMakeLists.txt against the list the ladder knows to run, and fails if
-# a label exists that no rung would exercise — so a new test suite cannot be
-# added and silently skipped by CI.
+# tests/CMakeLists.txt against the sanitizer rungs' label lists, and fails if
+# a label exists that neither rung would exercise — so a new test suite
+# cannot be added and silently skipped by CI.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -28,17 +28,24 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 STAGE="${1:-all}"
 
-# Every ctest label the ladder exercises. The default rung runs the entire
-# unfiltered suite; the sanitizer rungs run the labels listed in their
-# functions below. Add a new suite's label here AND to the right rung(s).
-COVERED_LABELS="faultinjection parallel serving obs kernel governor shard online ann pq"
+# The ctest labels each sanitizer rung runs (the default rung runs the
+# entire unfiltered suite). Add a new suite's label to the right rung(s).
+SANITIZE_LABELS="faultinjection serving obs kernel governor shard online ann pq"
+TSAN_LABELS="parallel serving obs kernel governor shard online ann pq"
+
+# "a b c" -> "^(a|b|c)$", the regex ctest -L matches labels against.
+label_regex() {
+  local joined
+  joined="$(echo "$1" | tr ' ' '|')"
+  echo "^(${joined})\$"
+}
 
 check_label_coverage() {
   local declared missing=""
   declared="$(sed -n 's/.*LABELS \([a-zA-Z0-9_-]*\).*/\1/p' \
       tests/CMakeLists.txt | sort -u)"
   for label in ${declared}; do
-    case " ${COVERED_LABELS} " in
+    case " ${SANITIZE_LABELS} ${TSAN_LABELS} " in
       *" ${label} "*) ;;
       *) missing="${missing} ${label}" ;;
     esac
@@ -46,7 +53,7 @@ check_label_coverage() {
   if [[ -n "${missing}" ]]; then
     echo "error: ctest label(s) declared in tests/CMakeLists.txt but not" >&2
     echo "covered by the run_checks.sh ladder:${missing}" >&2
-    echo "add them to COVERED_LABELS and to the appropriate rung(s)" >&2
+    echo "add them to SANITIZE_LABELS and/or TSAN_LABELS" >&2
     exit 1
   fi
 }
@@ -55,37 +62,23 @@ run_default() {
   echo "=== [1/3] default preset: full build + full test suite ==="
   cmake --preset default >/dev/null
   cmake --build --preset default -j "${JOBS}"
-  ctest --preset default
+  ctest --test-dir build --output-on-failure
 }
 
 run_sanitize() {
-  echo "=== [2/3] sanitize preset: ASan+UBSan fault-injection + serving + obs + kernel + governor + shard + online + ann + pq ==="
+  echo "=== [2/3] sanitize preset: ASan+UBSan on ${SANITIZE_LABELS} ==="
   cmake --preset sanitize >/dev/null
   cmake --build --preset sanitize -j "${JOBS}"
-  ctest --preset sanitize-faultinjection
-  ctest --preset sanitize-serving
-  ctest --preset sanitize-obs
-  ctest --preset sanitize-kernel
-  ctest --preset sanitize-governor
-  ctest --preset sanitize-shard
-  ctest --preset sanitize-online
-  ctest --preset sanitize-ann
-  ctest --preset sanitize-pq
+  ctest --test-dir build-sanitize --output-on-failure \
+      -L "$(label_regex "${SANITIZE_LABELS}")"
 }
 
 run_tsan() {
-  echo "=== [3/3] tsan preset: ThreadSanitizer parallel + serving + obs + kernel + governor + shard + online + ann + pq ==="
+  echo "=== [3/3] tsan preset: ThreadSanitizer on ${TSAN_LABELS} ==="
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j "${JOBS}"
-  ctest --preset tsan-parallel
-  ctest --preset tsan-serving
-  ctest --preset tsan-obs
-  ctest --preset tsan-kernel
-  ctest --preset tsan-governor
-  ctest --preset tsan-shard
-  ctest --preset tsan-online
-  ctest --preset tsan-ann
-  ctest --preset tsan-pq
+  ctest --test-dir build-tsan --output-on-failure \
+      -L "$(label_regex "${TSAN_LABELS}")"
 }
 
 check_label_coverage
