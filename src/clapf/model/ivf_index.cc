@@ -1,10 +1,10 @@
 #include "clapf/model/ivf_index.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <utility>
 
@@ -12,6 +12,7 @@
 
 #include "clapf/model/retrieval.h"
 #include "clapf/model/score_kernel.h"
+#include "clapf/obs/trace_span.h"
 #include "clapf/util/crc32.h"
 #include "clapf/util/fault_injection.h"
 #include "clapf/util/logging.h"
@@ -97,18 +98,6 @@ std::vector<double> CentroidHalfNorms(const std::vector<float>& centroids,
     half[static_cast<size_t>(c)] = 0.5 * n2;
   }
   return half;
-}
-
-// Runs fn(i) for i in [0, n), across `threads` workers when > 1. fn must be
-// order-independent with disjoint writes.
-void ForEachItem(int64_t n, int threads,
-                 const std::function<void(int64_t)>& fn) {
-  if (threads > 1 && n > 1) {
-    ThreadPool pool(threads);
-    pool.ParallelFor(0, n, fn);
-  } else {
-    for (int64_t i = 0; i < n; ++i) fn(i);
-  }
 }
 
 // The k-th largest of keys[0..n) (1 <= k <= n), by MSB-first radix
@@ -197,7 +186,7 @@ IvfIndex IvfIndex::Build(const FactorModel& model, const IvfOptions& options) {
   for (ItemId i = 0; i < n; ++i) m2 = std::max(m2, ItemNorm2(model, i));
   idx.aug_m2_ = m2;
   std::vector<double> aug(static_cast<size_t>(n) * ad);
-  ForEachItem(n, options.build_threads, [&](int64_t i) {
+  ParallelForEach(n, options.build_threads, [&](int64_t i) {
     AugmentItem(model, static_cast<ItemId>(i), m2,
                 aug.data() + static_cast<size_t>(i) * ad);
   });
@@ -237,14 +226,14 @@ IvfIndex IvfIndex::Build(const FactorModel& model, const IvfOptions& options) {
       centroids_f[x] = static_cast<float>(centroids[x]);
     }
     const std::vector<double> half = CentroidHalfNorms(centroids_f, k, ad);
-    ForEachItem(static_cast<int64_t>(sample.size()), options.build_threads,
-                [&](int64_t s) {
-                  sample_assign[static_cast<size_t>(s)] = NearestCentroid(
-                      aug.data() +
-                          static_cast<size_t>(sample[static_cast<size_t>(s)]) *
-                              ad,
-                      centroids_f, half, k, ad);
-                });
+    ParallelForEach(
+        static_cast<int64_t>(sample.size()), options.build_threads,
+        [&](int64_t s) {
+          sample_assign[static_cast<size_t>(s)] = NearestCentroid(
+              aug.data() +
+                  static_cast<size_t>(sample[static_cast<size_t>(s)]) * ad,
+              centroids_f, half, k, ad);
+        });
     std::fill(sums.begin(), sums.end(), 0.0);
     std::fill(counts.begin(), counts.end(), 0);
     for (size_t s = 0; s < sample.size(); ++s) {
@@ -273,14 +262,14 @@ IvfIndex IvfIndex::Build(const FactorModel& model, const IvfOptions& options) {
 
   idx.assignment_.resize(static_cast<size_t>(n));
   const std::vector<double> half = CentroidHalfNorms(idx.centroids_, k, ad);
-  ForEachItem(n, options.build_threads, [&](int64_t i) {
+  ParallelForEach(n, options.build_threads, [&](int64_t i) {
     idx.assignment_[static_cast<size_t>(i)] =
         NearestCentroid(aug.data() + static_cast<size_t>(i) * ad,
                         idx.centroids_, half, k, ad);
   });
 
   idx.item_crc_.resize(static_cast<size_t>(n));
-  ForEachItem(n, options.build_threads, [&](int64_t i) {
+  ParallelForEach(n, options.build_threads, [&](int64_t i) {
     idx.item_crc_[static_cast<size_t>(i)] =
         ItemCrc(model, static_cast<ItemId>(i));
   });
@@ -320,7 +309,8 @@ void IvfIndex::FinishLayout(const FactorModel& model) {
     local_to_global_[static_cast<size_t>(local)] = i;
     global_to_local_[static_cast<size_t>(i)] = local;
   }
-  packed_ = PackedSnapshot::Build(model, local_to_global_.data());
+  packed_ = PackedSnapshot::Build(model, local_to_global_.data(),
+                                  options_.build_threads);
 }
 
 Result<IvfIndex> IvfIndex::RebuildDirty(const IvfIndex& previous,
@@ -370,7 +360,7 @@ Result<IvfIndex> IvfIndex::RebuildDirty(const IvfIndex& previous,
   const std::vector<double> half =
       CentroidHalfNorms(idx.centroids_, idx.num_clusters_, ad);
   std::vector<uint8_t> dirty(static_cast<size_t>(n), 0);
-  ForEachItem(n, options.build_threads, [&](int64_t i) {
+  ParallelForEach(n, options.build_threads, [&](int64_t i) {
     const uint32_t crc = ItemCrc(model, static_cast<ItemId>(i));
     idx.item_crc_[static_cast<size_t>(i)] = crc;
     if (i < previous.num_items_ &&
@@ -401,7 +391,7 @@ Result<IvfIndex> IvfIndex::RebuildDirty(const IvfIndex& previous,
   if (options.pq) {
     if (previous.has_pq()) {
       idx.pq_ = PqCodes::Allocate(idx.packed_, previous.pq_.book());
-      ForEachItem(n, options.build_threads, [&](int64_t local) {
+      ParallelForEach(n, options.build_threads, [&](int64_t local) {
         const ItemId g = idx.local_to_global_[static_cast<size_t>(local)];
         if (g < previous.num_items_ && dirty[static_cast<size_t>(g)] == 0) {
           idx.pq_.CopyItemFrom(
@@ -937,24 +927,86 @@ Status VerifyIvfBinding(const FactorModel& model, const IvfIndex& index,
   }
   Status structure = index.VerifyStructure(context);
   if (!structure.ok()) return structure;
-  for (ItemId i = 0; i < model.num_items(); ++i) {
-    if (ItemCrc(model, i) != index.item_crcs()[static_cast<size_t>(i)]) {
-      return Status::FailedPrecondition(
-          context + ": ivf index is stale — item " + std::to_string(i) +
-          "'s parameters changed since the index was built");
+  // Chunks are checked in parallel; each reports its first stale item and
+  // the smallest one is named, as a serial scan would. A chunk starting
+  // past an already-found stale item is skipped.
+  constexpr ItemId kChunk = 4096;
+  const ItemId n = model.num_items();
+  std::atomic<ItemId> first_stale{n};
+  auto check_chunk = [&](int64_t c) {
+    const ItemId begin = static_cast<ItemId>(c) * kChunk;
+    const ItemId end = std::min<ItemId>(n, begin + kChunk);
+    for (ItemId i = begin;
+         i < end && i < first_stale.load(std::memory_order_relaxed); ++i) {
+      if (ItemCrc(model, i) != index.item_crcs()[static_cast<size_t>(i)]) {
+        AtomicMin(&first_stale, i);
+        return;
+      }
     }
+  };
+  ParallelForEach((n + kChunk - 1) / kChunk, index.options().build_threads,
+                  check_chunk);
+  if (first_stale.load() < n) {
+    return Status::FailedPrecondition(
+        context + ": ivf index is stale — item " +
+        std::to_string(first_stale.load()) +
+        "'s parameters changed since the index was built");
   }
   return Status::OK();
+}
+
+std::vector<std::vector<ScoredItem>> ExactTopKForUsers(
+    const PackedSnapshot& exact, const std::vector<UserId>& users, size_t k,
+    int threads) {
+  std::vector<std::vector<ScoredItem>> lists(users.size());
+  const int32_t n = exact.num_items();
+  if (users.empty() || n == 0 || k == 0) return lists;
+  // Tiles of the catalog a core's L2 holds (270 KiB at d = 32) while every
+  // user scans them. Each worker takes a contiguous stripe of tiles with
+  // its own accumulators; the stripes' lists then merge per user. The top-k
+  // under (score desc, id asc) is a function of the scored set alone, so
+  // the merged lists equal one full scan per user for any thread count.
+  constexpr ItemId kTileItems = 2048;
+  const int64_t num_tiles = (n + kTileItems - 1) / kTileItems;
+  const int64_t stripes =
+      std::max<int64_t>(1, std::min<int64_t>(threads, num_tiles));
+  std::vector<std::vector<std::vector<ScoredItem>>> partial(
+      static_cast<size_t>(stripes));
+  ParallelForEach(stripes, static_cast<int>(stripes), [&](int64_t s) {
+    std::vector<TopKAccumulator> accs(users.size(), TopKAccumulator(k));
+    for (int64_t t = num_tiles * s / stripes;
+         t < num_tiles * (s + 1) / stripes; ++t) {
+      const ItemId begin = static_cast<ItemId>(t) * kTileItems;
+      const ItemId end = std::min<ItemId>(n, begin + kTileItems);
+      for (size_t x = 0; x < users.size(); ++x) {
+        ScoreBlocksTopK(exact, users[x], begin, end, nullptr, &accs[x]);
+      }
+    }
+    auto& out = partial[static_cast<size_t>(s)];
+    for (TopKAccumulator& acc : accs) out.push_back(acc.Take());
+  });
+  for (size_t x = 0; x < users.size(); ++x) {
+    TopKAccumulator merged(k);
+    for (const auto& stripe : partial) {
+      for (const ScoredItem& it : stripe[x]) merged.Push(it.item, it.score);
+    }
+    lists[x] = merged.Take();
+  }
+  return lists;
 }
 
 namespace {
 
 // Recall@k of the path `index` serves — Retrieve through its probes at
 // `nprobe`, through the quantized first pass at `rerank_budget` when `pq` —
-// against Retrieve's full fused scan of `exact` (the base-order snapshot of
-// the same model: an independent ground truth, so a desynced permutation or
-// code book scores low instead of agreeing with itself). Averages
-// |retrieved ∩ exact| / k over up to `sample_users` evenly spaced users.
+// against the exact top-k over `exact` (the base-order snapshot of the same
+// model: an independent ground truth, so a desynced permutation or code
+// book scores low instead of agreeing with itself). Averages
+// |retrieved ∩ exact| / k over the GateSampleUsers(num_users, sample_users)
+// users. The ground truth is one tiled pass (ExactTopKForUsers) and the ANN
+// queries run in parallel, both over the index's build_threads; the
+// per-user recalls are summed in user order, so the value is bit-identical
+// for any thread count.
 double MeasureRecall(const PackedSnapshot& exact, const IvfIndex& index,
                      int32_t sample_users, size_t k, int32_t nprobe, bool pq,
                      size_t rerank_budget) {
@@ -963,41 +1015,41 @@ double MeasureRecall(const PackedSnapshot& exact, const IvfIndex& index,
     return 0.0;
   }
   const int32_t n = exact.num_items();
-  const int32_t num_users = exact.num_users();
-  if (n == 0 || num_users == 0 || sample_users <= 0) return 1.0;
+  const std::vector<UserId> users =
+      GateSampleUsers(exact.num_users(), sample_users);
+  if (n == 0 || users.empty()) return 1.0;
   k = std::min(k, static_cast<size_t>(n));
   if (k == 0) return 1.0;
 
-  const QueryOptions scan;  // the packed full scan
+  const int threads = index.options().build_threads;
+  const std::vector<std::vector<ScoredItem>> truth =
+      ExactTopKForUsers(exact, users, k, threads);
   QueryOptions probe;
   probe.ann = true;
   probe.ann_nprobe = nprobe;
   probe.pq = pq;
   probe.rerank_budget = static_cast<int32_t>(rerank_budget);
-  const int32_t stride =
-      std::max(1, num_users / std::min(sample_users, num_users));
-  double recall_sum = 0.0;
-  int32_t users = 0;
-  for (UserId u = 0; u < num_users; u += stride) {
-    // No deadline is passed, so neither retrieval can fail.
-    auto truth = Retrieve({nullptr, &exact, nullptr}, u, k, nullptr, k, scan,
-                          std::nullopt, nullptr, nullptr, nullptr);
-    auto got = Retrieve({nullptr, nullptr, &index}, u, k, nullptr, k, probe,
-                        std::nullopt, nullptr, nullptr, nullptr);
-    CLAPF_CHECK(truth.ok() && got.ok());
+  std::vector<double> recall(users.size());
+  ParallelForEach(static_cast<int64_t>(users.size()), threads, [&](int64_t x) {
+    const size_t ux = static_cast<size_t>(x);
+    // No deadline is passed, so the retrieval cannot fail.
+    auto got = Retrieve({nullptr, nullptr, &index}, users[ux], k, nullptr, k,
+                        probe, std::nullopt, nullptr, nullptr, nullptr);
+    CLAPF_CHECK(got.ok());
     std::vector<int32_t> truth_ids, got_ids;
-    for (const ScoredItem& s : *truth) truth_ids.push_back(s.item);
+    for (const ScoredItem& s : truth[ux]) truth_ids.push_back(s.item);
     for (const ScoredItem& s : *got) got_ids.push_back(s.item);
     std::sort(truth_ids.begin(), truth_ids.end());
     std::sort(got_ids.begin(), got_ids.end());
     std::vector<int32_t> both;
     std::set_intersection(truth_ids.begin(), truth_ids.end(), got_ids.begin(),
                           got_ids.end(), std::back_inserter(both));
-    recall_sum += static_cast<double>(both.size()) /
-                  static_cast<double>(truth_ids.size());
-    ++users;
-  }
-  return users > 0 ? recall_sum / users : 1.0;
+    recall[ux] = static_cast<double>(both.size()) /
+                 static_cast<double>(truth_ids.size());
+  });
+  double recall_sum = 0.0;
+  for (double r : recall) recall_sum += r;
+  return recall_sum / static_cast<double>(users.size());
 }
 
 }  // namespace
@@ -1048,6 +1100,7 @@ Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
     const IvfGateOptions& options, const IvfIndex* previous,
     const std::string& context, MetricsRegistry* metrics) {
   std::shared_ptr<IvfIndex> ivf;  // mutable only for the drills below
+  TraceSpan build_span(options.build_us);
   if (previous != nullptr) {
     int64_t reassigned = 0;
     auto rebuilt =
@@ -1083,8 +1136,10 @@ Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
     // measured composed-recall gate below can catch it.
     ivf->CorruptPqForTesting();
   }
+  build_span.Stop();
   std::shared_ptr<const IvfIndex> built = std::move(ivf);
   if (!options.verify) return built;
+  TraceSpan gate_span(options.gate_us);
   // The index must be bound to exactly this model's item parameters, and
   // the measured recall@k of the path it serves (the composed quantized +
   // re-rank path when it carries codes: the strictly stronger check, and

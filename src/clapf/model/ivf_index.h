@@ -34,9 +34,11 @@ struct IvfOptions {
   uint64_t seed = 1;
   /// Probe-list width used when a query leaves QueryOptions::ann_nprobe at 0.
   int32_t default_nprobe = 8;
-  /// Threads for the assignment passes (1 = serial). Never changes the
-  /// result: assignments are computed independently per item and centroid
-  /// updates are accumulated serially in item order.
+  /// Threads for the assignment and per-item CRC passes (1 = serial), and
+  /// for the index's publish gate (VerifyIvfBinding, the recall
+  /// measurement). Never changes the result: assignments are computed
+  /// independently per item, centroid updates are accumulated serially in
+  /// item order, and the gate's verdicts are thread-count invariant.
   int build_threads = 1;
   /// Build the per-lane int8 code book + codes alongside the repack so
   /// queries can opt into the quantized first-pass path
@@ -264,17 +266,31 @@ class IvfIndex {
 /// Publish-time binding check: `index` must have been built from exactly
 /// `model`'s current item parameters (per-item CRCs and dimensions must all
 /// match) and pass VerifyStructure. FailedPrecondition naming the first
-/// divergent item on a stale/desynced index. This is the cheap, exact half
-/// of the ANN canary gate; `context` names the candidate in errors.
+/// (smallest) divergent item on a stale/desynced index. The per-item CRCs
+/// are recomputed in parallel over the index's build_threads; the verdict
+/// does not depend on the count. This is the cheap, exact half of the ANN
+/// canary gate; `context` names the candidate in errors.
 Status VerifyIvfBinding(const FactorModel& model, const IvfIndex& index,
                         const std::string& context);
 
+/// The exact top-k (score desc, id asc) of every user in `users` over the
+/// whole of `exact`, from one tiled pass of ScoreBlocksTopK over the
+/// catalog spread over `threads` workers: each list equals a full fused scan
+/// for that user, for any thread count. This is the recall gate's ground
+/// truth. Empty lists when the catalog or k is empty.
+std::vector<std::vector<ScoredItem>> ExactTopKForUsers(
+    const PackedSnapshot& exact, const std::vector<UserId>& users, size_t k,
+    int threads);
+
 /// Measured recall@k of the plain ANN path at `nprobe` — Retrieve through
-/// the index, exactly as queries run it — against the exact fused full scan
-/// over `exact` (the *base-order* snapshot of the same model — an
-/// independent ground truth, so a desynced permutation scores low instead of
-/// agreeing with itself). Averages |ann ∩ exact| / k over up to
-/// `sample_users` evenly spaced users. Returns 1.0 for an empty catalog.
+/// the index, exactly as queries run it — against the exact top-k over
+/// `exact` (ExactTopKForUsers on the *base-order* snapshot of the same
+/// model — an independent ground truth, so a desynced permutation scores
+/// low instead of agreeing with itself). Averages |ann ∩ exact| / k over the
+/// GateSampleUsers(num_users, sample_users) users, summed in user order;
+/// the ground truth and the ANN queries run over the index's build_threads
+/// and the value is bit-identical for any count. Returns 1.0 for an empty
+/// catalog.
 double MeasureIvfRecall(const PackedSnapshot& exact, const IvfIndex& index,
                         int32_t sample_users, size_t k, int32_t nprobe);
 
@@ -307,9 +323,14 @@ struct IvfGateOptions {
   /// the exact packed scan; <= 0 skips the measured check (binding and
   /// structure still run when `verify` is set).
   double recall_floor = 0.95;
-  /// Users sampled by the recall probe (evenly spaced).
+  /// Recall probe sample: the GateSampleUsers(num_users, recall_users)
+  /// users (evenly spaced; can be a few more than recall_users).
   int32_t recall_users = 16;
   int32_t recall_k = 10;
+  /// Where BuildGatedIvf records the wall time (us) of the index build and
+  /// of the gate (binding + recall); null records nothing.
+  Histogram* build_us = nullptr;
+  Histogram* gate_us = nullptr;
 };
 
 /// The one ANN build-and-gate routine, shared by serving publishes (one call

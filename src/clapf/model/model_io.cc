@@ -4,8 +4,10 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <sstream>
+#include <streambuf>
 #include <vector>
 
 #include "clapf/util/crc32.h"
@@ -42,14 +44,36 @@ void WriteDoubles(std::ostream& out, const std::vector<double>& v,
   *crc = Crc32Update(*crc, v.data(), nbytes);
 }
 
-bool ReadDoubles(std::istream& in, size_t count, double* dst, uint32_t* crc) {
-  const size_t nbytes = count * sizeof(double);
-  in.read(reinterpret_cast<char*>(dst),
+// Fills `v` (already sized) from the stream and folds its bytes into the
+// running CRC state.
+bool ReadDoubles(std::istream& in, std::vector<double>* v, uint32_t* crc) {
+  const size_t nbytes = v->size() * sizeof(double);
+  in.read(reinterpret_cast<char*>(v->data()),
           static_cast<std::streamsize>(nbytes));
   if (!in) return false;
-  *crc = Crc32Update(*crc, dst, nbytes);
+  *crc = Crc32Update(*crc, v->data(), nbytes);
   return true;
 }
+
+// Bytes SaveModelToStream writes for `model`: magic, version, three int32
+// dimensions and the bias flag, the three parameter arrays, the CRC.
+size_t SerializedModelBytes(const FactorModel& model) {
+  return sizeof(kMagic) + sizeof(kVersion) + 3 * sizeof(int32_t) +
+         sizeof(uint8_t) +
+         (model.user_factor_data().size() + model.item_factor_data().size() +
+          model.item_bias_data().size()) *
+             sizeof(double) +
+         sizeof(uint32_t);
+}
+
+// A stream buffer over one caller-sized array: writes fill it from the
+// start and fail (never reallocate) once it is full; reads then replay what
+// was written.
+class FixedImageBuf final : public std::streambuf {
+ public:
+  FixedImageBuf(char* data, size_t size) { setp(data, data + size); }
+  void Rewind() { setg(pbase(), pbase(), pptr()); }
+};
 
 // Serializes to a string so payload-level fault injection (short write, bit
 // flip) can mutate the image before it reaches disk.
@@ -103,33 +127,18 @@ Result<FactorModel> LoadModelFromStream(std::istream& in,
     return Status::Corruption("invalid dimensions in " + context);
   }
 
+  // Each array is read straight into the model's contiguous storage.
   FactorModel model(num_users, num_items, num_factors, bias != 0);
-  const size_t uf = static_cast<size_t>(num_users) * num_factors;
-  const size_t vf = static_cast<size_t>(num_items) * num_factors;
   uint32_t crc = Crc32Init();
-  std::vector<double> buf(uf);
-  if (!ReadDoubles(in, uf, buf.data(), &crc)) {
+  if (!ReadDoubles(in, &model.mutable_user_factor_data(), &crc)) {
     return Status::Corruption("truncated user factors in " + context);
   }
-  for (int32_t u = 0; u < num_users; ++u) {
-    auto dst = model.UserFactors(u);
-    std::memcpy(dst.data(), &buf[static_cast<size_t>(u) * num_factors],
-                sizeof(double) * static_cast<size_t>(num_factors));
-  }
-  buf.resize(vf);
-  if (!ReadDoubles(in, vf, buf.data(), &crc)) {
+  if (!ReadDoubles(in, &model.mutable_item_factor_data(), &crc)) {
     return Status::Corruption("truncated item factors in " + context);
   }
-  for (int32_t i = 0; i < num_items; ++i) {
-    auto dst = model.ItemFactors(i);
-    std::memcpy(dst.data(), &buf[static_cast<size_t>(i) * num_factors],
-                sizeof(double) * static_cast<size_t>(num_factors));
-  }
-  buf.resize(static_cast<size_t>(num_items));
-  if (!ReadDoubles(in, static_cast<size_t>(num_items), buf.data(), &crc)) {
+  if (!ReadDoubles(in, &model.mutable_item_bias_data(), &crc)) {
     return Status::Corruption("truncated item biases in " + context);
   }
-  for (int32_t i = 0; i < num_items; ++i) model.ItemBias(i) = buf[i];
 
   if (version >= kVersion) {
     uint32_t stored = 0;
@@ -167,10 +176,17 @@ Status VerifyModelIntegrity(const FactorModel& model,
     return Status::Corruption("non-finite parameter in " + context);
   }
   // Deliberately bypasses SerializeModel: fault injection targets the disk
-  // path, not the gate that is supposed to catch its damage.
-  std::stringstream image(std::ios::in | std::ios::out | std::ios::binary);
-  CLAPF_RETURN_IF_ERROR(SaveModelToStream(model, image));
-  auto reloaded = LoadModelFromStream(image, context);
+  // path, not the gate that is supposed to catch its damage. The image
+  // lives in one buffer of exactly its serialized size, written once and
+  // read back once.
+  const size_t bytes = SerializedModelBytes(model);
+  auto storage = std::make_unique_for_overwrite<char[]>(bytes);
+  FixedImageBuf buf(storage.get(), bytes);
+  std::ostream out(&buf);
+  CLAPF_RETURN_IF_ERROR(SaveModelToStream(model, out));
+  buf.Rewind();
+  std::istream in(&buf);
+  auto reloaded = LoadModelFromStream(in, context);
   if (!reloaded.ok()) return reloaded.status();
   if (reloaded->num_users() != model.num_users() ||
       reloaded->num_items() != model.num_items() ||

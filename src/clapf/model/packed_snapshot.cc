@@ -1,11 +1,15 @@
 #include "clapf/model/packed_snapshot.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <optional>
 
 #include "clapf/model/score_kernel.h"
 #include "clapf/util/logging.h"
+#include "clapf/util/thread_pool.h"
 
 namespace clapf {
 
@@ -17,12 +21,8 @@ PackedSnapshot::AlignedFloats PackedSnapshot::AllocAligned(std::size_t n) {
       ::operator new[](bytes, std::align_val_t(kPackedAlignment))));
 }
 
-PackedSnapshot PackedSnapshot::Build(const FactorModel& model) {
-  return Build(model, nullptr);
-}
-
 PackedSnapshot PackedSnapshot::Build(const FactorModel& model,
-                                     const int32_t* item_perm) {
+                                     const int32_t* item_perm, int threads) {
   PackedSnapshot snap;
   snap.num_users_ = model.num_users();
   snap.num_items_ = model.num_items();
@@ -38,28 +38,37 @@ PackedSnapshot PackedSnapshot::Build(const FactorModel& model,
   snap.users_ = AllocAligned(static_cast<std::size_t>(snap.num_users_) *
                              snap.num_factors_);
 
-  // Zero everything first so tail-block pad lanes score exactly 0.0 and the
-  // bias lane is correct when the model has biases disabled.
-  std::memset(snap.blocks_.get(), 0,
-              static_cast<std::size_t>(snap.num_blocks_) * snap.block_stride_ *
-                  sizeof(float));
-
+  // Runs of blocks, each zeroed first so tail-block pad lanes score exactly
+  // 0.0 and the bias lane is correct when the model has biases disabled.
+  constexpr int32_t kRunBlocks = 1024;
   const int32_t d = snap.num_factors_;
-  for (ItemId i = 0; i < snap.num_items_; ++i) {
-    const ItemId src = item_perm != nullptr ? item_perm[i] : i;
-    const int32_t block = i / kPackedBlockItems;
-    const int32_t lane = i % kPackedBlockItems;
-    float* blk = snap.blocks_.get() +
-                 static_cast<std::size_t>(block) * snap.block_stride_;
-    if (snap.use_item_bias_) {
-      blk[lane] = static_cast<float>(model.ItemBias(src));
+  const int64_t runs = (snap.num_blocks_ + kRunBlocks - 1) / kRunBlocks;
+  ParallelForEach(runs, threads, [&](int64_t r) {
+    const int32_t first = static_cast<int32_t>(r) * kRunBlocks;
+    const int32_t last = std::min(snap.num_blocks_, first + kRunBlocks);
+    std::memset(snap.blocks_.get() +
+                    static_cast<std::size_t>(first) * snap.block_stride_,
+                0,
+                static_cast<std::size_t>(last - first) * snap.block_stride_ *
+                    sizeof(float));
+    const ItemId end = static_cast<ItemId>(std::min<int64_t>(
+        snap.num_items_, int64_t{last} * kPackedBlockItems));
+    for (ItemId i = first * kPackedBlockItems; i < end; ++i) {
+      const ItemId src = item_perm != nullptr ? item_perm[i] : i;
+      const int32_t lane = i % kPackedBlockItems;
+      float* blk = snap.blocks_.get() +
+                   static_cast<std::size_t>(i / kPackedBlockItems) *
+                       snap.block_stride_;
+      if (snap.use_item_bias_) {
+        blk[lane] = static_cast<float>(model.ItemBias(src));
+      }
+      auto vf = model.ItemFactors(src);
+      for (int32_t f = 0; f < d; ++f) {
+        blk[static_cast<std::size_t>(f + 1) * kPackedBlockItems + lane] =
+            static_cast<float>(vf[static_cast<std::size_t>(f)]);
+      }
     }
-    auto vf = model.ItemFactors(src);
-    for (int32_t f = 0; f < d; ++f) {
-      blk[static_cast<std::size_t>(f + 1) * kPackedBlockItems + lane] =
-          static_cast<float>(vf[static_cast<std::size_t>(f)]);
-    }
-  }
+  });
 
   const std::vector<double>& uf = model.user_factor_data();
   float* users = snap.users_.get();
@@ -97,53 +106,208 @@ void PackedSnapshot::ScoreItemRange(UserId u, ItemId begin, ItemId end,
   }
 }
 
+std::vector<UserId> GateSampleUsers(int32_t num_users, int32_t sample_users) {
+  std::vector<UserId> users;
+  if (num_users <= 0 || sample_users <= 0) return users;
+  const int32_t stride =
+      std::max(1, num_users / std::min(sample_users, num_users));
+  for (UserId u = 0; u < num_users; u += stride) users.push_back(u);
+  return users;
+}
+
+namespace {
+
+// Items per agreement tile, a multiple of kPackedBlockItems. At d = 32 the
+// tile's double copy is 256 KiB and its packed blocks 132 KiB: both stay in
+// a core's L2 while every sampled user is checked against them.
+constexpr int32_t kAgreementTileItems = 1024;
+
+// One (user, item) pair outside PackedScoreBound.
+struct AgreementViolation {
+  size_t user_index = 0;  // into the sampled users
+  ItemId item = 0;
+  double delta = 0.0;
+  double bound = 0.0;
+};
+
+// Two double lanes as one GCC/Clang vector: element-wise IEEE arithmetic
+// in one SSE2/NEON register. A packed block's 8 lanes are four of them.
+using Double2 = double __attribute__((vector_size(2 * sizeof(double))));
+using Mask2 = int64_t __attribute__((vector_size(2 * sizeof(int64_t))));
+
+Double2 Load2(const double* p) {
+  Double2 v = {};
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+// |v| per lane by clearing the sign bit: std::abs, bit for bit.
+Double2 Abs2(Double2 v) {
+  const Mask2 no_sign = {std::numeric_limits<int64_t>::max(),
+                         std::numeric_limits<int64_t>::max()};
+  return reinterpret_cast<Double2>(reinterpret_cast<Mask2>(v) & no_sign);
+}
+
+// Checks items [begin, end) (begin block-aligned) against every sampled
+// user with index below `*first_bad_user`, and returns the tile's first
+// violation in (user, item) order. The tile's item factors are copied once
+// into 8-item double blocks (factor-major inside a block, like the packed
+// layout), so each user's exact scores and L1 masses run over contiguous
+// strips, 8 items per vector: per item the score starts at the bias (0.0
+// without biases) and adds u_f·v_f in factor order — FactorModel::
+// ScoreItemRange's arithmetic, bit for bit — and the L1 mass starts at |b_i|
+// and adds |u_f·v_f|. A branch-free screen flags the user when any lane is
+// off by more than half its bound; only a flagged user's tile is then
+// walked lane by lane against PackedScoreBound itself.
+std::optional<AgreementViolation> CheckAgreementTile(
+    const FactorModel& model, const PackedSnapshot& packed,
+    const std::vector<UserId>& users, ItemId begin, ItemId end,
+    std::atomic<size_t>* first_bad_user) {
+  constexpr int32_t kLanes = kPackedBlockItems;
+  const int32_t d = model.num_factors();
+  const int32_t num_blocks = (end - begin + kLanes - 1) / kLanes;
+  const size_t block_doubles = static_cast<size_t>(d) * kLanes;
+  const bool bias = model.use_item_bias();
+
+  // Pad lanes of a tail block are zero, as in the packed snapshot: they
+  // score 0.0 on both sides and are never compared.
+  thread_local std::vector<double> factors, bias0, l1_0;
+  thread_local std::vector<float> approx;
+  factors.resize(static_cast<size_t>(num_blocks) * block_doubles);
+  bias0.resize(static_cast<size_t>(num_blocks) * kLanes);
+  l1_0.resize(static_cast<size_t>(num_blocks) * kLanes);
+  approx.resize(static_cast<size_t>(num_blocks) * kLanes);
+  for (size_t j = 0; j < bias0.size(); ++j) {
+    const size_t b = j / kLanes;
+    const size_t lane = j % kLanes;
+    const double* vf = nullptr;
+    bias0[j] = 0.0;
+    if (j < static_cast<size_t>(end - begin)) {
+      const ItemId i = begin + static_cast<ItemId>(j);
+      vf = model.ItemFactors(i).data();
+      if (bias) bias0[j] = model.ItemBias(i);
+    }
+    for (int32_t f = 0; f < d; ++f) {
+      factors[b * block_doubles + static_cast<size_t>(f) * kLanes + lane] =
+          vf != nullptr ? vf[f] : 0.0;
+    }
+    l1_0[j] = std::abs(bias0[j]);
+  }
+
+  // half_bound_scale · (l1 + 1) is exactly half of PackedScoreBound(d, l1)
+  // (a power-of-two scale of the same product), so the screen flags every
+  // lane the bound refuses.
+  const double half_bound_scale = 0.5 * PackedScoreBound(d, 0.0);
+  for (size_t ui = 0; ui < users.size(); ++ui) {
+    // A smaller user already failed elsewhere: nothing here can come first.
+    if (ui > first_bad_user->load(std::memory_order_relaxed)) break;
+    const UserId u = users[ui];
+    const double* uf = model.UserFactors(u).data();
+    ScoreBlocks(packed, u, begin / kLanes, num_blocks, approx.data());
+    // Block b's |exact − packed| gaps and L1 masses, 8 lanes as 4 pairs
+    // kept in registers across the factor loop.
+    auto block = [&](int32_t b, Double2 delta[4], Double2 l1[4]) {
+      const size_t at = static_cast<size_t>(b) * kLanes;
+      const double* strip =
+          factors.data() + static_cast<size_t>(b) * block_doubles;
+      Double2 s0 = Load2(&bias0[at]), s1 = Load2(&bias0[at + 2]),
+              s2 = Load2(&bias0[at + 4]), s3 = Load2(&bias0[at + 6]);
+      Double2 m0 = Load2(&l1_0[at]), m1 = Load2(&l1_0[at + 2]),
+              m2 = Load2(&l1_0[at + 4]), m3 = Load2(&l1_0[at + 6]);
+      for (int32_t f = 0; f < d; ++f, strip += kLanes) {
+        const Double2 w = {uf[f], uf[f]};
+        const Double2 p0 = w * Load2(strip), p1 = w * Load2(strip + 2),
+                      p2 = w * Load2(strip + 4), p3 = w * Load2(strip + 6);
+        s0 += p0;
+        s1 += p1;
+        s2 += p2;
+        s3 += p3;
+        m0 += Abs2(p0);
+        m1 += Abs2(p1);
+        m2 += Abs2(p2);
+        m3 += Abs2(p3);
+      }
+      const Double2 score[4] = {s0, s1, s2, s3};
+      for (int h = 0; h < 4; ++h) {
+        const float* fast = &approx[at + 2 * static_cast<size_t>(h)];
+        const Double2 packed_score = {static_cast<double>(fast[0]),
+                                      static_cast<double>(fast[1])};
+        delta[h] = Abs2(score[h] - packed_score);
+      }
+      l1[0] = m0;
+      l1[1] = m1;
+      l1[2] = m2;
+      l1[3] = m3;
+    };
+    Mask2 flagged = {0, 0};
+    for (int32_t b = 0; b < num_blocks; ++b) {
+      Double2 delta[4], l1[4];
+      block(b, delta, l1);
+      for (int h = 0; h < 4; ++h) {
+        flagged |= delta[h] > half_bound_scale * (l1[h] + 1.0);
+      }
+    }
+    if ((flagged[0] | flagged[1]) == 0) continue;
+    for (int32_t b = 0; b < num_blocks; ++b) {
+      Double2 delta[4], l1[4];
+      block(b, delta, l1);
+      const int32_t lanes = std::min(kLanes, end - begin - b * kLanes);
+      for (int l = 0; l < lanes; ++l) {
+        const double bound = PackedScoreBound(d, l1[l / 2][l % 2]);
+        if (delta[l / 2][l % 2] > bound) {
+          AtomicMin(first_bad_user, ui);
+          return AgreementViolation{ui, begin + b * kLanes + l,
+                                    delta[l / 2][l % 2], bound};
+        }
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 Status VerifyPackedAgreement(const FactorModel& model,
                              const PackedSnapshot& packed,
-                             int32_t sample_users,
-                             const std::string& context) {
+                             int32_t sample_users, const std::string& context,
+                             int threads) {
   if (model.num_users() != packed.num_users() ||
       model.num_items() != packed.num_items() ||
       model.num_factors() != packed.num_factors()) {
     return Status::FailedPrecondition(
         context + ": packed snapshot dimensions disagree with the model");
   }
-  if (model.num_users() == 0 || model.num_items() == 0 || sample_users <= 0) {
-    return Status::OK();
-  }
+  const std::vector<UserId> users =
+      GateSampleUsers(model.num_users(), sample_users);
+  if (users.empty() || model.num_items() == 0) return Status::OK();
 
-  const int32_t d = model.num_factors();
-  const int32_t stride =
-      std::max(1, model.num_users() / std::min(sample_users,
-                                               model.num_users()));
-  std::vector<double> exact(static_cast<std::size_t>(model.num_items()));
-  std::vector<double> approx(static_cast<std::size_t>(model.num_items()));
-  for (UserId u = 0; u < model.num_users(); u += stride) {
-    model.ScoreAllItems(u, &exact);
-    packed.ScoreItemRange(u, 0, model.num_items(), &approx);
-    auto uf = model.UserFactors(u);
-    for (ItemId i = 0; i < model.num_items(); ++i) {
-      const double delta =
-          std::abs(exact[static_cast<std::size_t>(i)] -
-                   approx[static_cast<std::size_t>(i)]);
-      // The bound needs the L1 term mass, one extra pass over the factors;
-      // only pay it for scores that look suspicious at all.
-      if (delta == 0.0) continue;
-      auto vf = model.ItemFactors(i);
-      double l1 = model.use_item_bias() ? std::abs(model.ItemBias(i)) : 0.0;
-      for (int32_t f = 0; f < d; ++f) {
-        l1 += std::abs(uf[static_cast<std::size_t>(f)] *
-                       vf[static_cast<std::size_t>(f)]);
-      }
-      if (delta > PackedScoreBound(d, l1)) {
-        return Status::FailedPrecondition(
-            context + ": packed score for user " + std::to_string(u) +
-            " item " + std::to_string(i) + " off by " +
-            std::to_string(delta) + " (bound " +
-            std::to_string(PackedScoreBound(d, l1)) + ")");
-      }
+  // Every tile reports its own first violation; the smallest (user, item)
+  // over the tiles is the serial scan's first violation.
+  const int64_t num_tiles =
+      (model.num_items() + kAgreementTileItems - 1) / kAgreementTileItems;
+  std::vector<std::optional<AgreementViolation>> found(
+      static_cast<size_t>(num_tiles));
+  std::atomic<size_t> first_bad_user{users.size()};
+  ParallelForEach(num_tiles, threads, [&](int64_t t) {
+    const ItemId begin = static_cast<ItemId>(t) * kAgreementTileItems;
+    const ItemId end =
+        std::min<ItemId>(model.num_items(), begin + kAgreementTileItems);
+    found[static_cast<size_t>(t)] = CheckAgreementTile(
+        model, packed, users, begin, end, &first_bad_user);
+  });
+  const AgreementViolation* first = nullptr;
+  for (const auto& v : found) {
+    if (v && (first == nullptr || v->user_index < first->user_index)) {
+      first = &*v;  // tiles ascend in item order: ties keep the earlier
     }
   }
-  return Status::OK();
+  if (first == nullptr) return Status::OK();
+  return Status::FailedPrecondition(
+      context + ": packed score for user " +
+      std::to_string(users[first->user_index]) + " item " +
+      std::to_string(first->item) + " off by " +
+      std::to_string(first->delta) + " (bound " +
+      std::to_string(first->bound) + ")");
 }
 
 }  // namespace clapf

@@ -57,16 +57,16 @@ inline double PackedScoreBound(int32_t num_factors, double l1_terms) {
 class PackedSnapshot {
  public:
   /// Repacks `model` (one full pass over its parameters, no allocation on
-  /// any later query).
-  static PackedSnapshot Build(const FactorModel& model);
-
-  /// As above, but lane `local` of the item block array holds the parameters
-  /// of global item `item_perm[local]`: a reordered repack straight from the
-  /// double model, without materializing a permuted copy of it. `item_perm`
-  /// must be a permutation of [0, num_items); nullptr means identity.
-  /// IvfIndex uses this to lay the catalog out in cluster order.
+  /// any later query). With `item_perm`, lane `local` of the item block
+  /// array holds the parameters of global item `item_perm[local]`: a
+  /// reordered repack straight from the double model, without
+  /// materializing a permuted copy of it. `item_perm` must be a permutation
+  /// of [0, num_items); nullptr means identity. IvfIndex uses this to lay
+  /// the catalog out in cluster order. Blocks are filled over `threads`
+  /// workers; the bytes do not depend on the count.
   static PackedSnapshot Build(const FactorModel& model,
-                              const int32_t* item_perm);
+                              const int32_t* item_perm = nullptr,
+                              int threads = 1);
 
   int32_t num_users() const { return num_users_; }
   int32_t num_items() const { return num_items_; }
@@ -132,15 +132,29 @@ class PackedSnapshot {
   AlignedFloats users_;
 };
 
-/// Verifies the packed repack against the exact double model on up to
-/// `sample_users` evenly spaced users (every item, every sampled user):
-/// each |Δscore| must stay within PackedScoreBound(). Returns
-/// FailedPrecondition naming the worst (user, item) on violation. This is
-/// the packed half of the serving canary gate; `context` names the
-/// candidate in errors.
+/// The users a publish gate samples out of `num_users`: 0, s, 2s, ... below
+/// num_users with stride s = max(1, num_users / min(sample_users,
+/// num_users)). That is ceil(num_users / s) users, which can exceed
+/// `sample_users` (by up to sample_users - 1): 20000 users at 64 samples
+/// visit 65. Empty when either count is <= 0.
+std::vector<UserId> GateSampleUsers(int32_t num_users, int32_t sample_users);
+
+/// Verifies the packed repack against the exact double model for the
+/// GateSampleUsers(num_users, sample_users) users and every item: each
+/// |Δscore| must stay within PackedScoreBound(). Returns FailedPrecondition
+/// naming the first violating (user, item), users ascending then items
+/// ascending. This is the packed half of the serving canary gate; `context`
+/// names the candidate in errors.
+///
+/// One pass over the catalog: items are cut into cache-sized tiles, and
+/// each tile is checked against every sampled user while it is in cache,
+/// the exact score and its L1 mass accumulated in one loop with the same
+/// arithmetic as FactorModel::ScoreItemRange. Tiles are spread over
+/// `threads` workers; the verdict and message do not depend on the count.
 Status VerifyPackedAgreement(const FactorModel& model,
                              const PackedSnapshot& packed,
-                             int32_t sample_users, const std::string& context);
+                             int32_t sample_users, const std::string& context,
+                             int threads = 1);
 
 }  // namespace clapf
 

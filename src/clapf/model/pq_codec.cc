@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <limits>
 
 #include "clapf/util/logging.h"
@@ -11,18 +10,6 @@
 
 namespace clapf {
 namespace {
-
-// Runs fn(i) for i in [0, n) across `threads` workers when > 1. fn must be
-// order-independent with disjoint writes (same contract as IvfIndex's
-// builder loops).
-void ForEach(int64_t n, int threads, const std::function<void(int64_t)>& fn) {
-  if (threads > 1 && n > 1) {
-    ThreadPool pool(threads);
-    pool.ParallelFor(0, n, fn);
-  } else {
-    for (int64_t i = 0; i < n; ++i) fn(i);
-  }
-}
 
 int8_t EncodeValue(float x, float scale, float offset) {
   if (scale == 0.0f) return 0;
@@ -46,7 +33,7 @@ PqCodeBook PqCodes::TrainBook(const PackedSnapshot& packed, int threads) {
   // ordering effects and the book is bit-identical for any thread count.
   const float* blocks = packed.block_data();
   const std::size_t stride = packed.block_stride();
-  ForEach(lanes, threads, [&](int64_t lane) {
+  ParallelForEach(lanes, threads, [&](int64_t lane) {
     float lo = std::numeric_limits<float>::infinity();
     float hi = -std::numeric_limits<float>::infinity();
     for (int32_t b = 0; b < packed.num_blocks(); ++b) {
@@ -97,7 +84,7 @@ PqCodes PqCodes::Allocate(const PackedSnapshot& packed, PqCodeBook book) {
 PqCodes PqCodes::Encode(const PackedSnapshot& packed, PqCodeBook book,
                         int threads) {
   PqCodes codes = Allocate(packed, std::move(book));
-  ForEach(codes.num_items_, threads, [&](int64_t local) {
+  ParallelForEach(codes.num_items_, threads, [&](int64_t local) {
     codes.EncodeItem(packed, static_cast<ItemId>(local));
   });
   codes.RecomputeBlockBounds(threads);
@@ -106,7 +93,7 @@ PqCodes PqCodes::Encode(const PackedSnapshot& packed, PqCodeBook book,
 
 void PqCodes::RecomputeBlockBounds(int threads) {
   const int32_t lanes = num_factors_ + 1;
-  ForEach(num_bound_superblocks(), threads, [&](int64_t sb) {
+  ParallelForEach(num_bound_superblocks(), threads, [&](int64_t sb) {
     int8_t* mins = bound_lane_min_.data() +
                    static_cast<std::size_t>(sb) * block_stride_;
     int8_t* maxs = bound_lane_max_.data() +

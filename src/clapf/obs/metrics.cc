@@ -51,6 +51,13 @@ std::span<const double> LatencyBucketsUs() {
   return kBounds;
 }
 
+std::span<const double> PublishStageBucketsUs() {
+  static const double kBounds[] = {10,  20,  50,  100, 200, 500, 1e3, 2e3,
+                                   5e3, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5, 1e6,
+                                   2e6, 5e6, 1e7, 2e7, 3e7, 6e7};
+  return kBounds;
+}
+
 std::span<const double> DrawDepthBuckets() {
   static const double kBounds[] = {1,    2,    4,     8,     16,   32,
                                    64,   128,  256,   512,   1024, 2048,

@@ -140,6 +140,11 @@ std::span<const double> LatencyBucketsUs();
 /// distributions.
 std::span<const double> DrawDepthBuckets();
 
+/// Bucket bounds in microseconds for the stages of a model publish: 10us ..
+/// 20s at 1-2-5 per decade, then 30s and 60s, so a 1M-item index build
+/// still lands in a bucket instead of the overflow.
+std::span<const double> PublishStageBucketsUs();
+
 /// What one registry entry is.
 enum class MetricKind { kCounter, kGauge, kHistogram };
 

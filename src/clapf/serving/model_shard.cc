@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "clapf/model/model_io.h"
+#include "clapf/obs/trace_span.h"
 #include "clapf/util/logging.h"
 
 namespace clapf {
@@ -19,6 +20,21 @@ std::vector<bool>& LocalExcluded() {
 }
 
 }  // namespace
+
+PublishStageMetrics::PublishStageMetrics(MetricsRegistry* registry) {
+  auto stage = [&](const char* name) {
+    return registry->GetHistogram(
+        std::string("serving.publish.stage.") + name + "_us",
+        PublishStageBucketsUs());
+  };
+  integrity = stage("integrity");
+  pack = stage("pack");
+  agreement = stage("agreement");
+  ann_build = stage("ann_build");
+  ann_gate = stage("ann_gate");
+  auc_probe = stage("auc_probe");
+  swap = stage("swap");
+}
 
 ModelShard::ModelShard(int32_t id, ItemId begin, ItemId end,
                        const Dataset& full_history,
@@ -36,7 +52,10 @@ Result<std::shared_ptr<ShardSlice>> ModelShard::BuildSlice(
     FactorModel candidate, bool packed, bool verify_integrity,
     int32_t packed_agreement_users, const std::string& context,
     const IvfGateOptions* ann, const ShardSlice* previous,
-    MetricsRegistry* metrics) const {
+    MetricsRegistry* metrics, int threads,
+    const PublishStageMetrics* stages) const {
+  static const PublishStageMetrics kUntimed;
+  const PublishStageMetrics& timed = stages != nullptr ? *stages : kUntimed;
   auto slice = std::make_shared<ShardSlice>(
       candidate.num_items() == num_local_items()
           ? std::move(candidate)
@@ -46,22 +65,29 @@ Result<std::shared_ptr<ShardSlice>> ModelShard::BuildSlice(
     // the finite scan + CRC round-trip covers exactly the parameters this
     // shard will serve — a corrupt user factor is caught by every shard's
     // gate, a corrupt item factor by its owner's.
+    TraceSpan span(timed.integrity);
     CLAPF_RETURN_IF_ERROR(VerifyModelIntegrity(slice->model, context));
   }
   if (packed) {
-    auto snap =
-        std::make_shared<PackedSnapshot>(PackedSnapshot::Build(slice->model));
+    TraceSpan pack_span(timed.pack);
+    auto snap = std::make_shared<PackedSnapshot>(
+        PackedSnapshot::Build(slice->model, nullptr, threads));
+    pack_span.Stop();
     if (packed_agreement_users > 0) {
+      TraceSpan span(timed.agreement);
       CLAPF_RETURN_IF_ERROR(VerifyPackedAgreement(
-          slice->model, *snap, packed_agreement_users, context));
+          slice->model, *snap, packed_agreement_users, context, threads));
     }
     slice->packed = std::move(snap);
   }
   if (packed && ann != nullptr) {
     // Each shard's index covers its own slice and is gated on its own: a
     // corrupt or low-recall index refuses only this shard's slice.
+    IvfGateOptions gate = *ann;
+    gate.build_us = timed.ann_build;
+    gate.gate_us = timed.ann_gate;
     auto ivf = BuildGatedIvf(
-        slice->model, *slice->packed, *ann,
+        slice->model, *slice->packed, gate,
         previous != nullptr ? previous->ivf.get() : nullptr, context,
         metrics);
     if (!ivf.ok()) return ivf.status();

@@ -33,6 +33,27 @@ struct ShardSlice {
   std::shared_ptr<const IvfIndex> ivf;           // null when ANN is off
 };
 
+/// The serving.publish.stage.<stage>_us histograms (PublishStageBucketsUs,
+/// up to 60 s) that time a publish stage by stage: integrity (finite scan +
+/// wire-format/CRC round trip), pack (the SIMD repack), agreement
+/// (packed-vs-exact), ann_build and ann_gate (index build; binding +
+/// measured recall), auc_probe (sampled-AUC floor) and swap (the snapshot
+/// swap). A publish records one sample per stage it runs, one per built
+/// slice for the slice stages, also when that stage refuses the candidate.
+/// Default-constructed handles are null and time nothing.
+struct PublishStageMetrics {
+  PublishStageMetrics() = default;
+  explicit PublishStageMetrics(MetricsRegistry* registry);
+
+  Histogram* integrity = nullptr;
+  Histogram* pack = nullptr;
+  Histogram* agreement = nullptr;
+  Histogram* ann_build = nullptr;
+  Histogram* ann_gate = nullptr;
+  Histogram* auc_probe = nullptr;
+  Histogram* swap = nullptr;
+};
+
 /// Immutable identity of one catalog shard — its item range, the serving
 /// history and popularity table restricted to it — plus the two operations
 /// the server fans out: building a gated slice of a candidate model and
@@ -71,14 +92,17 @@ class ModelShard {
   /// PackedScoreBound. When `ann` is non-null (requires `packed`) an
   /// IvfIndex is built over the sliced catalog and gated by BuildGatedIvf,
   /// incrementally from `previous`'s index when it has one; `metrics` (may
-  /// be null) receives the build and gate counters. Gate failures leave
-  /// nothing published.
+  /// be null) receives the build and gate counters. The repack and the
+  /// agreement check run over `threads` workers (the index passes use
+  /// ann->ivf's build_threads); `stages` (may be null) times each stage.
+  /// Gate failures leave nothing published.
   Result<std::shared_ptr<ShardSlice>> BuildSlice(
       FactorModel candidate, bool packed, bool verify_integrity,
       int32_t packed_agreement_users, const std::string& context,
       const IvfGateOptions* ann = nullptr,
       const ShardSlice* previous = nullptr,
-      MetricsRegistry* metrics = nullptr) const;
+      MetricsRegistry* metrics = nullptr, int threads = 1,
+      const PublishStageMetrics* stages = nullptr) const;
 
   /// Scatter kernel: Retrieve over this shard's slice for user `u` — the
   /// IVF shortlist when `options.ann` is set and the slice carries an index,

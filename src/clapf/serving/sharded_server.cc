@@ -65,6 +65,7 @@ ModelServer::ModelServer(Dataset history, const ServerOptions& options)
       batch_latency_(metrics_.GetHistogram("serving.batch.latency_us",
                                            LatencyBucketsUs())),
       retrieval_metrics_(&metrics_),
+      publish_stages_(&metrics_),
       recorder_(static_cast<size_t>(
           std::max<int64_t>(1, options.flight_recorder_capacity))),
       queue_(std::max(1, options.num_threads), options.max_queue_depth,
@@ -186,7 +187,9 @@ Status ModelServer::PublishModel(PublishRequest request) {
   if (canary && target == kAllShards) {
     // Whole-candidate integrity scan (finite values + wire-format/CRC
     // round-trip), once, before any slicing.
+    TraceSpan span(publish_stages_.integrity);
     Status whole = VerifyModelIntegrity(candidate, context);
+    span.Stop();
     if (!whole.ok()) {
       stats_.RecordCanaryReject();
       recorder_.Record(FlightEventKind::kCanaryReject, whole.message());
@@ -235,7 +238,8 @@ Status ModelServer::PublishModel(PublishRequest request) {
         /*verify_integrity=*/canary && target != kAllShards,
         canary ? options_.canary.packed_agreement_users : 0,
         context + " (shard " + std::to_string(s) + ")",
-        ann_enabled ? &ann : nullptr, prev_slices[i].get(), &metrics_);
+        ann_enabled ? &ann : nullptr, prev_slices[i].get(), &metrics_,
+        options_.ivf.build_threads, &publish_stages_);
     if (!slice.ok()) {
       stats_.RecordCanaryReject();
       shard_stats_[static_cast<size_t>(s)]->RecordCanaryReject();
@@ -255,10 +259,12 @@ Status ModelServer::PublishModel(PublishRequest request) {
     // Sampled-AUC probe through the built slices: a healthy model (trained
     // on data containing the probe) ranks it far above sampled negatives,
     // while a corrupt or mistrained candidate scores ~0.5.
+    TraceSpan span(publish_stages_.auc_probe);
     SampledEvaluator eval(&probe_train_, &probe_test_,
                           options_.canary.probe_negatives,
                           options_.canary.seed);
     const double auc = eval.Evaluate(SliceRanker(shard_map_, built), {5}).auc;
+    span.Stop();
     if (auc < options_.canary.min_auc) {
       Status low = Status::FailedPrecondition(
           context + " failed canary: sampled AUC " + std::to_string(auc) +
@@ -276,6 +282,7 @@ Status ModelServer::PublishModel(PublishRequest request) {
   {
     // One mutex hold swaps every target: readers cut either the old model
     // or the new one, never a mix of the two from one publish.
+    TraceSpan span(publish_stages_.swap);
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     published_version = next_version_++;
     TenantState& state = tenants_[tenant];

@@ -43,10 +43,12 @@ struct CanaryOptions {
   double probe_fraction = 0.1;
   /// Seed for the probe split and negative sampling (deterministic gate).
   uint64_t seed = 1;
-  /// Users sampled by the packed-vs-exact agreement check when a packed
-  /// snapshot is published (ServerOptions::packed): every item of every
-  /// sampled user must agree within PackedScoreBound(). <= 0 skips the
-  /// check.
+  /// Sample size of the packed-vs-exact agreement check when a packed
+  /// snapshot is published (ServerOptions::packed): every item of each of
+  /// the GateSampleUsers(num_users, packed_agreement_users) users must agree
+  /// within PackedScoreBound(). The sample is evenly spaced and can hold a
+  /// few more users than this count (20000 users at 64 visit 65). <= 0
+  /// skips the check.
   int32_t packed_agreement_users = 64;
 
   // ANN half of the gate, only exercised when ServerOptions::ann builds an
@@ -60,7 +62,9 @@ struct CanaryOptions {
   // gate, not hoped for.
   /// Measured-recall floor; <= 0 skips the measured check.
   double ann_recall_floor = 0.95;
-  /// Users sampled by the recall probe (evenly spaced).
+  /// Sample size of the recall probe: the GateSampleUsers(num_users,
+  /// ann_recall_users) users, evenly spaced (a few more than this count
+  /// when it does not divide the user count).
   int32_t ann_recall_users = 16;
   /// The k of the recall@k contract.
   int32_t ann_recall_k = 10;
@@ -122,7 +126,10 @@ struct ServerOptions {
   /// additionally trains/refreshes the per-lane int8 code book next to the
   /// repack and the canary gate measures the *composed* quantized+re-rank
   /// recall instead of the probe-only recall (same floor) — queries opt in
-  /// per request with QueryOptions::pq.
+  /// per request with QueryOptions::pq. `ivf.build_threads` is the thread
+  /// budget of every publish, with or without `ann`: the packed repack and
+  /// agreement check, the index build and the index gate all spread their
+  /// passes over it.
   IvfOptions ivf;
   CanaryOptions canary;
   BreakerOptions breaker;
@@ -432,6 +439,7 @@ class ModelServer {
   Histogram* query_latency_;  // serving.query.latency_us
   Histogram* batch_latency_;  // serving.batch.latency_us
   RetrievalMetrics retrieval_metrics_;  // ann.* query telemetry
+  PublishStageMetrics publish_stages_;  // serving.publish.stage.*_us
   FlightRecorder recorder_;
   std::vector<std::unique_ptr<FlightRecorder>> shard_recorders_;
   AdmissionQueue queue_;

@@ -95,4 +95,14 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end,
   Wait();
 }
 
+void ParallelForEach(int64_t n, int threads,
+                     const std::function<void(int64_t)>& fn) {
+  if (threads > 1 && n > 1) {
+    ThreadPool pool(threads);
+    pool.ParallelFor(0, n, fn);
+  } else {
+    for (int64_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
 }  // namespace clapf

@@ -1,6 +1,7 @@
 #ifndef CLAPF_UTIL_THREAD_POOL_H_
 #define CLAPF_UTIL_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -58,6 +59,26 @@ class ThreadPool {
   int64_t in_flight_ = 0;
   bool shutting_down_ = false;
 };
+
+/// Lowers `*target` to `value` when `value` is smaller: the monotone
+/// minimum a parallel search publishes its first failing index through, so
+/// other workers can stop scanning past it. Relaxed; the search's join
+/// orders the final read.
+template <typename T>
+void AtomicMin(std::atomic<T>* target, T value) {
+  T seen = target->load(std::memory_order_relaxed);
+  while (value < seen && !target->compare_exchange_weak(
+                             seen, value, std::memory_order_relaxed)) {
+  }
+}
+
+/// Runs fn(i) for every i in [0, n): inline on the calling thread when
+/// `threads` <= 1, else through ParallelFor on a pool of `threads` workers
+/// that lives for the call. fn must be safe to run concurrently for
+/// distinct indexes. The build-time passes (IVF, code book, publish gate)
+/// use it with their build-thread budget.
+void ParallelForEach(int64_t n, int threads,
+                     const std::function<void(int64_t)>& fn);
 
 }  // namespace clapf
 

@@ -1,0 +1,213 @@
+// Thread-count invariance of the ANN publish gate. The recall gate's ground
+// truth is one tiled pass over the catalog split into per-thread stripes,
+// and its ANN queries and the binding check run in parallel; none of that
+// may move a verdict. On a tie-heavy catalog whose duplicate top items
+// straddle the tile and stripe boundaries, and with k beyond the catalog,
+// the ground-truth lists must equal a full scan per user, the measured
+// recalls must be bit-identical at build_threads 1, 2 and 4 (and to a
+// plain per-user reference), and VerifyIvfBinding must name the same,
+// smallest, stale item at every thread count. Part of the `ann` label.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "clapf/model/ivf_index.h"
+#include "clapf/model/packed_snapshot.h"
+#include "clapf/model/retrieval.h"
+#include "clapf/model/score_kernel.h"
+#include "clapf/util/random.h"
+#include "testing/test_util.h"
+
+namespace clapf {
+namespace {
+
+constexpr int kThreadCounts[] = {1, 2, 4};
+
+// Items draw their factors from four prototypes and their bias from {0, 1},
+// so most scores tie. Items [2040, 2056) and [4090, 4102) share one
+// prototype with a bias far above every other score: for every user they
+// are the top 28, all tied, and they sit across the 2048- and 4096-item
+// boundaries where the ground truth's tiles and stripes meet.
+FactorModel TieHeavyCatalog(int32_t users, int32_t items, int32_t d,
+                            uint64_t seed) {
+  FactorModel model(users, items, d, /*use_item_bias=*/true);
+  Rng rng(seed);
+  std::vector<std::vector<double>> prototypes(4, std::vector<double>(d));
+  for (auto& p : prototypes) {
+    for (double& x : p) x = std::floor(rng.NextDouble() * 3.0) - 1.0;
+  }
+  for (UserId u = 0; u < users; ++u) {
+    for (double& x : model.UserFactors(u)) {
+      x = std::floor(rng.NextDouble() * 3.0) - 1.0;
+    }
+  }
+  for (ItemId i = 0; i < items; ++i) {
+    const bool top = (i >= 2040 && i < 2056) || (i >= 4090 && i < 4102);
+    const auto& p = prototypes[top ? 0 : rng.Uniform(prototypes.size())];
+    std::copy(p.begin(), p.end(), model.ItemFactors(i).begin());
+    model.ItemBias(i) = top ? 1000.0 : std::floor(rng.NextDouble() * 2.0);
+  }
+  return model;
+}
+
+std::vector<ScoredItem> FullScan(const PackedSnapshot& exact, UserId u,
+                                 size_t k) {
+  TopKAccumulator acc(k);
+  ScoreBlocksTopK(exact, u, 0, exact.num_items(), nullptr, &acc);
+  return acc.Take();
+}
+
+void ExpectSameLists(const std::vector<ScoredItem>& want,
+                     const std::vector<ScoredItem>& got,
+                     const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(want[r].item, got[r].item) << what << " rank " << r;
+    EXPECT_EQ(want[r].score, got[r].score) << what << " rank " << r;
+  }
+}
+
+// The recall measurement done plainly: per sampled user, one full scan and
+// one Retrieve through the index, recalls summed in user order.
+double ReferenceRecall(const PackedSnapshot& exact, const IvfIndex& index,
+                       int32_t sample_users, size_t k, int32_t nprobe,
+                       bool pq, int32_t rerank_budget) {
+  k = std::min(k, static_cast<size_t>(exact.num_items()));
+  QueryOptions probe;
+  probe.ann = true;
+  probe.ann_nprobe = nprobe;
+  probe.pq = pq;
+  probe.rerank_budget = rerank_budget;
+  const int32_t stride = std::max(
+      1, exact.num_users() / std::min(sample_users, exact.num_users()));
+  double sum = 0.0;
+  int32_t users = 0;
+  for (UserId u = 0; u < exact.num_users(); u += stride) {
+    auto got = Retrieve({nullptr, nullptr, &index}, u, k, nullptr, k, probe,
+                        std::nullopt, nullptr, nullptr, nullptr);
+    EXPECT_TRUE(got.ok());
+    std::vector<int32_t> truth_ids, got_ids, both;
+    for (const ScoredItem& s : FullScan(exact, u, k)) {
+      truth_ids.push_back(s.item);
+    }
+    for (const ScoredItem& s : *got) got_ids.push_back(s.item);
+    std::sort(truth_ids.begin(), truth_ids.end());
+    std::sort(got_ids.begin(), got_ids.end());
+    std::set_intersection(truth_ids.begin(), truth_ids.end(), got_ids.begin(),
+                          got_ids.end(), std::back_inserter(both));
+    sum += static_cast<double>(both.size()) /
+           static_cast<double>(truth_ids.size());
+    ++users;
+  }
+  return sum / users;
+}
+
+TEST(AnnGateThreadsTest, GroundTruthEqualsFullScanAcrossTileBoundaries) {
+  const FactorModel model = TieHeavyCatalog(12, 5000, 6, 3);
+  const PackedSnapshot exact = PackedSnapshot::Build(model);
+  std::vector<UserId> users(12);
+  for (UserId u = 0; u < 12; ++u) users[static_cast<size_t>(u)] = u;
+  for (size_t k : {1u, 10u, 20u, 50u}) {
+    for (int threads : {1, 2, 3, 4}) {
+      const auto lists = ExactTopKForUsers(exact, users, k, threads);
+      ASSERT_EQ(lists.size(), users.size());
+      for (UserId u : users) {
+        ExpectSameLists(FullScan(exact, u, k),
+                        lists[static_cast<size_t>(u)],
+                        "k " + std::to_string(k) + " threads " +
+                            std::to_string(threads) + " user " +
+                            std::to_string(u));
+      }
+    }
+  }
+  // The tied block decides the head of every list by item id alone.
+  const auto lists = ExactTopKForUsers(exact, {0}, 20, 4);
+  EXPECT_EQ(lists[0].front().item, 2040);
+  EXPECT_EQ(lists[0][8].item, 2048);
+  EXPECT_EQ(lists[0].back().item, 4093);
+}
+
+TEST(AnnGateThreadsTest, KBeyondTheCatalogReturnsEveryItem) {
+  const FactorModel model = TieHeavyCatalog(6, 37, 4, 5);
+  const PackedSnapshot exact = PackedSnapshot::Build(model);
+  for (int threads : kThreadCounts) {
+    const auto lists = ExactTopKForUsers(exact, {0, 3, 5}, 50, threads);
+    ASSERT_EQ(lists.size(), 3u);
+    ExpectSameLists(FullScan(exact, 3, 50), lists[1],
+                    "threads " + std::to_string(threads));
+    EXPECT_EQ(lists[1].size(), 37u);
+  }
+  std::vector<double> recalls;
+  for (int threads : kThreadCounts) {
+    IvfOptions options;
+    options.num_clusters = 4;
+    options.pq = true;
+    options.build_threads = threads;
+    const IvfIndex index = IvfIndex::Build(model, options);
+    recalls.push_back(MeasureIvfRecall(exact, index, 64, 50, 1));
+    recalls.push_back(MeasurePqRecall(exact, index, 64, 50, 1, 8));
+  }
+  for (double r : recalls) EXPECT_EQ(r, 1.0);
+}
+
+TEST(AnnGateThreadsTest, MeasuredRecallIsBitIdenticalAtEveryThreadCount) {
+  // k = 40 on the tie-heavy catalog reaches past the 28 tied top items
+  // into the ties below them; narrow probes keep both recalls below 1.
+  const FactorModel tie_heavy = TieHeavyCatalog(70, 5000, 6, 7);
+  const FactorModel clustered =
+      testing::MakeClusteredItemModel(70, 5000, 8, 12, 0.3, 11);
+  const std::pair<const FactorModel*, size_t> kCases[] = {{&tie_heavy, 40},
+                                                          {&clustered, 10}};
+  for (const auto& [model, k] : kCases) {
+    const PackedSnapshot exact = PackedSnapshot::Build(*model);
+    IvfOptions options;
+    options.num_clusters = 24;
+    options.pq = true;
+    options.build_threads = 1;
+    const IvfIndex serial = IvfIndex::Build(*model, options);
+    const double want_ivf = ReferenceRecall(exact, serial, 64, k, 1, false, 0);
+    const double want_pq = ReferenceRecall(exact, serial, 64, k, 1, true, 48);
+    EXPECT_LT(want_ivf, 1.0);
+    EXPECT_LT(want_pq, 1.0);
+    for (int threads : kThreadCounts) {
+      options.build_threads = threads;
+      const IvfIndex index = IvfIndex::Build(*model, options);
+      EXPECT_EQ(MeasureIvfRecall(exact, index, 64, k, 1), want_ivf)
+          << "k " << k << " threads " << threads;
+      EXPECT_EQ(MeasurePqRecall(exact, index, 64, k, 1, 48), want_pq)
+          << "k " << k << " threads " << threads;
+    }
+  }
+}
+
+TEST(AnnGateThreadsTest, BindingNamesTheSmallestStaleItemAtEveryThreadCount) {
+  const FactorModel model =
+      testing::MakeClusteredItemModel(8, 10000, 8, 16, 0.2, 13);
+  FactorModel stale = model;
+  for (ItemId i : {9000, 5000, 4100}) stale.ItemFactors(i)[3] += 0.5;
+  FactorModel one_stale = model;
+  one_stale.ItemBias(9999) += 0.25;
+  for (int threads : kThreadCounts) {
+    IvfOptions options;
+    options.build_threads = threads;
+    const IvfIndex index = IvfIndex::Build(model, options);
+    EXPECT_TRUE(VerifyIvfBinding(model, index, "gate").ok());
+    const Status three = VerifyIvfBinding(stale, index, "gate");
+    EXPECT_EQ(three.code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(three.message(),
+              "gate: ivf index is stale — item 4100's parameters changed "
+              "since the index was built")
+        << "threads " << threads;
+    const Status last = VerifyIvfBinding(one_stale, index, "gate");
+    EXPECT_NE(last.message().find("item 9999's"), std::string::npos)
+        << "threads " << threads << ": " << last.message();
+  }
+}
+
+}  // namespace
+}  // namespace clapf

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "clapf/model/ivf_index.h"
@@ -98,6 +99,34 @@ TEST_F(AnnServingTest, PublishBuildsGatesAndServesAnn) {
     EXPECT_EQ(shortlist.count, shards);
     EXPECT_GT(shortlist.sum, 0.0);
     EXPECT_LT(shortlist.sum, 400.0);
+  }
+}
+
+TEST_F(AnnServingTest, PublishTimesEachStageInTheServerRegistry) {
+  for (int32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto history = testing::MakeLearnableDataset(20, 400, 8, 61);
+    ServerOptions options = AnnOptions(shards);
+    options.canary.min_auc = 1e-9;  // runs the probe; any model clears it
+    ModelServer server(history, options);
+    ASSERT_TRUE(
+        server.PublishModel(MakeServableModel(20, 400, 16, 8, 61)).ok());
+    // Whole-candidate stages once per publish, slice stages once per shard.
+    const std::pair<const char*, int64_t> kStages[] = {
+        {"integrity", 1}, {"pack", shards},     {"agreement", shards},
+        {"ann_build", shards}, {"ann_gate", shards}, {"auc_probe", 1},
+        {"swap", 1}};
+    for (const auto& [stage, samples] : kStages) {
+      const HistogramSnapshot hist =
+          server.mutable_metrics()
+              ->GetHistogram(std::string("serving.publish.stage.") + stage +
+                                 "_us",
+                             PublishStageBucketsUs())
+              ->Snapshot();
+      EXPECT_EQ(hist.count, samples) << stage;
+      EXPECT_GT(hist.sum, 0.0) << stage;
+      EXPECT_GE(hist.bounds.back(), 60e6) << stage;
+    }
   }
 }
 

@@ -394,8 +394,9 @@ int RunServe(int argc, char** argv) {
                "survivors the quantized pass hands to the exact re-rank "
                "(0 = the index default; requires --pq)");
   flags.AddInt("build-threads", &build_threads,
-               "worker threads for each publish's IVF/code-book build "
-               "(0 = the index default of 1; requires --ann)");
+               "worker threads for each publish: the packed repack, the "
+               "canary gate's catalog passes and, with --ann, the "
+               "IVF/code-book build (0 = 1)");
   flags.AddInt("repeat", &repeat, "times to replay the query set");
   flags.AddString("metrics-out", &metrics_out,
                   "dump serving metrics (latency histograms, outcome "
@@ -434,9 +435,6 @@ int RunServe(int argc, char** argv) {
   }
   if (rerank_budget != 0 && !pq) {
     return Fail(Status::InvalidArgument("--rerank-budget requires --pq"));
-  }
-  if (build_threads != 0 && !ann) {
-    return Fail(Status::InvalidArgument("--build-threads requires --ann"));
   }
 
   auto data = LoadAnyDataset(dataset_path, format, has_header);
