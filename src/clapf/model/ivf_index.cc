@@ -4,12 +4,12 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <utility>
 
 #include <thread>
 
+#include "clapf/model/centroid_panel.h"
 #include "clapf/model/retrieval.h"
 #include "clapf/model/score_kernel.h"
 #include "clapf/obs/trace_span.h"
@@ -17,6 +17,7 @@
 #include "clapf/util/fault_injection.h"
 #include "clapf/util/logging.h"
 #include "clapf/util/random.h"
+#include "clapf/util/stopwatch.h"
 #include "clapf/util/thread_pool.h"
 #include "clapf/util/top_k.h"
 
@@ -62,42 +63,59 @@ void AugmentItem(const FactorModel& model, ItemId i, double m2, double* out) {
   out[d + 1] = std::sqrt(std::max(0.0, m2 - n2));
 }
 
-// argmin_c ‖x − c‖² over float centroids, computed as
-// argmin_c (‖c‖²/2 − x·c) with precomputed half-norms; ties break to the
-// smaller cluster id. Purely a function of (x, centroids) — thread-safe and
-// order-independent, which is what keeps parallel assignment deterministic.
-int32_t NearestCentroid(const double* x, const std::vector<float>& centroids,
-                        const std::vector<double>& half_norms, int32_t k,
-                        int32_t ad) {
-  int32_t best = 0;
-  double best_v = std::numeric_limits<double>::infinity();
-  for (int32_t c = 0; c < k; ++c) {
-    const float* cen = centroids.data() + static_cast<size_t>(c) * ad;
-    double dot = 0.0;
-    for (int32_t f = 0; f < ad; ++f) {
-      dot += x[f] * static_cast<double>(cen[f]);
-    }
-    const double v = half_norms[static_cast<size_t>(c)] - dot;
-    if (v < best_v) {
-      best_v = v;
-      best = c;
-    }
-  }
-  return best;
+// M² = the largest b_i² + ‖v_i‖² over the catalog, as per-chunk maxima
+// reduced in chunk order. The maximum of a set is exact and order-free, and
+// std::max skips NaN norms in every grouping, so any thread count returns
+// the serial scan's value.
+double MaxItemNorm2(const FactorModel& model, int threads) {
+  constexpr ItemId kChunk = 4096;
+  const ItemId n = model.num_items();
+  const int64_t chunks = (n + kChunk - 1) / kChunk;
+  std::vector<double> chunk_max(static_cast<size_t>(chunks), 0.0);
+  ParallelForEach(chunks, threads, [&](int64_t c) {
+    const ItemId begin = static_cast<ItemId>(c) * kChunk;
+    const ItemId end = std::min<ItemId>(n, begin + kChunk);
+    double m = 0.0;
+    for (ItemId i = begin; i < end; ++i) m = std::max(m, ItemNorm2(model, i));
+    chunk_max[static_cast<size_t>(c)] = m;
+  });
+  double m2 = 0.0;
+  for (double m : chunk_max) m2 = std::max(m2, m);
+  return m2;
 }
 
-std::vector<double> CentroidHalfNorms(const std::vector<float>& centroids,
-                                      int32_t k, int32_t ad) {
-  std::vector<double> half(static_cast<size_t>(k), 0.0);
-  for (int32_t c = 0; c < k; ++c) {
-    const float* cen = centroids.data() + static_cast<size_t>(c) * ad;
-    double n2 = 0.0;
-    for (int32_t f = 0; f < ad; ++f) {
-      n2 += static_cast<double>(cen[f]) * static_cast<double>(cen[f]);
+// Rows per parallel assignment task: 136 KiB of augmented rows at d = 32,
+// beside the 272 KiB panel of 1000 centroids, stays in a core's L2.
+constexpr int64_t kAssignChunk = 512;
+
+// assignment[i] = the nearest panel centroid of item i's augmented vector,
+// for the `count` items ids[0..count) (items 0..count when `ids` is null).
+// Items are lifted into the augmented space one cache-sized chunk at a
+// time, so the catalog's augmented copy never exists in full. Each item's
+// id depends only on its own vector and the panel, so any thread count
+// assigns the same ids.
+void AssignItems(const FactorModel& model, const ItemId* ids, int64_t count,
+                 double m2, const CentroidPanel& panel, int threads,
+                 int32_t* assignment) {
+  const int32_t ad = panel.dims();
+  const int64_t chunks = (count + kAssignChunk - 1) / kAssignChunk;
+  ParallelForEach(chunks, threads, [&](int64_t c) {
+    const int64_t begin = c * kAssignChunk;
+    const int64_t rows = std::min(kAssignChunk, count - begin);
+    std::vector<double> lifted(static_cast<size_t>(rows) * ad);
+    int32_t nearest[kAssignChunk];
+    for (int64_t r = 0; r < rows; ++r) {
+      const ItemId i = ids != nullptr ? ids[begin + r]
+                                      : static_cast<ItemId>(begin + r);
+      AugmentItem(model, i, m2, lifted.data() + static_cast<size_t>(r) * ad);
     }
-    half[static_cast<size_t>(c)] = 0.5 * n2;
-  }
-  return half;
+    panel.Assign(lifted.data(), rows, nearest);
+    for (int64_t r = 0; r < rows; ++r) {
+      const ItemId i = ids != nullptr ? ids[begin + r]
+                                      : static_cast<ItemId>(begin + r);
+      assignment[static_cast<size_t>(i)] = nearest[r];
+    }
+  });
 }
 
 // The k-th largest of keys[0..n) (1 <= k <= n), by MSB-first radix
@@ -152,7 +170,8 @@ uint64_t PqRadixSelect(const uint64_t* keys, size_t n, size_t k) {
 
 }  // namespace
 
-IvfIndex IvfIndex::Build(const FactorModel& model, const IvfOptions& options) {
+IvfIndex IvfIndex::Build(const FactorModel& model, const IvfOptions& options,
+                         IvfBuildPhases* phases) {
   IvfIndex idx;
   idx.options_ = options;
   idx.num_items_ = model.num_items();
@@ -162,15 +181,22 @@ IvfIndex IvfIndex::Build(const FactorModel& model, const IvfOptions& options) {
   const int32_t n = idx.num_items_;
   const int32_t d = idx.num_factors_;
   const int32_t ad = d + 2;
+  const int threads = options.build_threads;
+  IvfBuildPhases times;
+  Stopwatch phase;
 
   if (n == 0) {
     idx.num_clusters_ = 0;
     idx.cluster_begin_.assign(1, 0);
     idx.packed_ = PackedSnapshot::Build(model);
+    times.repack_us = phase.ElapsedMicros();
     if (options.pq) {
+      phase.Reset();
       idx.pq_ = PqCodes::Encode(idx.packed_,
                                 PqCodes::TrainBook(idx.packed_, 1), 1);
+      times.encode_us = phase.ElapsedMicros();
     }
+    if (phases != nullptr) *phases = times;
     return idx;
   }
 
@@ -181,22 +207,23 @@ IvfIndex IvfIndex::Build(const FactorModel& model, const IvfOptions& options) {
   k = std::max(1, std::min(k, n));
   idx.num_clusters_ = k;
 
-  // Lift the catalog into the augmented space once.
-  double m2 = 0.0;
-  for (ItemId i = 0; i < n; ++i) m2 = std::max(m2, ItemNorm2(model, i));
+  const double m2 = MaxItemNorm2(model, threads);
   idx.aug_m2_ = m2;
-  std::vector<double> aug(static_cast<size_t>(n) * ad);
-  ParallelForEach(n, options.build_threads, [&](int64_t i) {
-    AugmentItem(model, static_cast<ItemId>(i), m2,
-                aug.data() + static_cast<size_t>(i) * ad);
-  });
 
-  // Deterministic strided training sample.
+  // Deterministic strided training sample, lifted into the augmented space
+  // once; the rest of the catalog is lifted chunk by chunk in the final
+  // assignment pass.
   const int32_t max_train = std::max(1, options.max_train_points);
   const int32_t stride = std::max(1, n / std::min(max_train, n));
   std::vector<int32_t> sample;
   sample.reserve(static_cast<size_t>(n / stride) + 1);
   for (ItemId i = 0; i < n; i += stride) sample.push_back(i);
+  std::vector<double> train(sample.size() * static_cast<size_t>(ad));
+  ParallelForEach(static_cast<int64_t>(sample.size()), threads,
+                  [&](int64_t s) {
+                    AugmentItem(model, sample[static_cast<size_t>(s)], m2,
+                                train.data() + static_cast<size_t>(s) * ad);
+                  });
 
   // Seeded init: k distinct sample points in shuffled order (cycled when the
   // sample is smaller than k — the duplicates converge apart or end up as
@@ -206,39 +233,37 @@ IvfIndex IvfIndex::Build(const FactorModel& model, const IvfOptions& options) {
   rng.Shuffle(init);
   std::vector<double> centroids(static_cast<size_t>(k) * ad);
   for (int32_t c = 0; c < k; ++c) {
-    const int32_t src = init[static_cast<size_t>(c) % init.size()];
-    std::memcpy(centroids.data() + static_cast<size_t>(c) * ad,
-                aug.data() + static_cast<size_t>(src) * ad,
-                sizeof(double) * static_cast<size_t>(ad));
+    AugmentItem(model, init[static_cast<size_t>(c) % init.size()], m2,
+                centroids.data() + static_cast<size_t>(c) * ad);
   }
 
   // Lloyd iterations over the sample. Assignment is parallel (disjoint
-  // writes, shared read-only centroids); the centroid update accumulates
-  // serially in sample order — so the result is bit-identical for any
-  // build_threads.
+  // writes, a shared read-only panel of the float centroids); the centroid
+  // update accumulates serially in sample order — so the result is
+  // bit-identical for any build_threads.
   std::vector<float> centroids_f(static_cast<size_t>(k) * ad);
   std::vector<int32_t> sample_assign(sample.size());
   std::vector<double> sums(static_cast<size_t>(k) * ad);
   std::vector<int64_t> counts(static_cast<size_t>(k));
+  const int64_t num_train = static_cast<int64_t>(sample.size());
+  const int64_t train_chunks = (num_train + kAssignChunk - 1) / kAssignChunk;
   for (int32_t iter = 0; iter < std::max(0, options.kmeans_iterations);
        ++iter) {
     for (size_t x = 0; x < centroids.size(); ++x) {
       centroids_f[x] = static_cast<float>(centroids[x]);
     }
-    const std::vector<double> half = CentroidHalfNorms(centroids_f, k, ad);
-    ParallelForEach(
-        static_cast<int64_t>(sample.size()), options.build_threads,
-        [&](int64_t s) {
-          sample_assign[static_cast<size_t>(s)] = NearestCentroid(
-              aug.data() +
-                  static_cast<size_t>(sample[static_cast<size_t>(s)]) * ad,
-              centroids_f, half, k, ad);
-        });
+    const CentroidPanel panel(centroids_f.data(), k, ad);
+    ParallelForEach(train_chunks, threads, [&](int64_t c) {
+      const int64_t begin = c * kAssignChunk;
+      panel.Assign(train.data() + static_cast<size_t>(begin) * ad,
+                   std::min(kAssignChunk, num_train - begin),
+                   sample_assign.data() + begin);
+    });
     std::fill(sums.begin(), sums.end(), 0.0);
     std::fill(counts.begin(), counts.end(), 0);
     for (size_t s = 0; s < sample.size(); ++s) {
       const int32_t c = sample_assign[s];
-      const double* x = aug.data() + static_cast<size_t>(sample[s]) * ad;
+      const double* x = train.data() + s * ad;
       double* dst = sums.data() + static_cast<size_t>(c) * ad;
       for (int32_t f = 0; f < ad; ++f) dst[f] += x[f];
       ++counts[static_cast<size_t>(c)];
@@ -251,6 +276,7 @@ IvfIndex IvfIndex::Build(const FactorModel& model, const IvfOptions& options) {
       for (int32_t f = 0; f < ad; ++f) dst[f] = src[f] * inv;
     }
   }
+  train = {};  // the sample's augmented copy is done
 
   // Freeze centroids as float32 *before* the final full assignment, so a
   // later RebuildDirty — which only has the float centroids — assigns dirty
@@ -259,30 +285,34 @@ IvfIndex IvfIndex::Build(const FactorModel& model, const IvfOptions& options) {
     centroids_f[x] = static_cast<float>(centroids[x]);
   }
   idx.centroids_ = centroids_f;
+  times.kmeans_us = phase.ElapsedMicros();
 
+  phase.Reset();
   idx.assignment_.resize(static_cast<size_t>(n));
-  const std::vector<double> half = CentroidHalfNorms(idx.centroids_, k, ad);
-  ParallelForEach(n, options.build_threads, [&](int64_t i) {
-    idx.assignment_[static_cast<size_t>(i)] =
-        NearestCentroid(aug.data() + static_cast<size_t>(i) * ad,
-                        idx.centroids_, half, k, ad);
-  });
-
+  AssignItems(model, nullptr, n, m2,
+              CentroidPanel(idx.centroids_.data(), k, ad), threads,
+              idx.assignment_.data());
   idx.item_crc_.resize(static_cast<size_t>(n));
-  ParallelForEach(n, options.build_threads, [&](int64_t i) {
+  ParallelForEach(n, threads, [&](int64_t i) {
     idx.item_crc_[static_cast<size_t>(i)] =
         ItemCrc(model, static_cast<ItemId>(i));
   });
+  times.assign_us = phase.ElapsedMicros();
 
+  phase.Reset();
   idx.FinishLayout(model);
+  times.repack_us = phase.ElapsedMicros();
   // Full build trains a fresh code book from the permuted floats and
   // encodes every item. Deterministic for any build_threads (min/max
   // reductions + disjoint per-item encodes), like the rest of the build.
   if (options.pq) {
-    idx.pq_ = PqCodes::Encode(
-        idx.packed_, PqCodes::TrainBook(idx.packed_, options.build_threads),
-        options.build_threads);
+    phase.Reset();
+    idx.pq_ = PqCodes::Encode(idx.packed_,
+                              PqCodes::TrainBook(idx.packed_, threads),
+                              threads);
+    times.encode_us = phase.ElapsedMicros();
   }
+  if (phases != nullptr) *phases = times;
   return idx;
 }
 
@@ -316,7 +346,8 @@ void IvfIndex::FinishLayout(const FactorModel& model) {
 Result<IvfIndex> IvfIndex::RebuildDirty(const IvfIndex& previous,
                                         const FactorModel& model,
                                         const IvfOptions& options,
-                                        int64_t* items_reassigned) {
+                                        int64_t* items_reassigned,
+                                        IvfBuildPhases* phases) {
   if (!options.CompatibleWith(previous.options_)) {
     return Status::InvalidArgument(
         "ivf rebuild: options incompatible with the previous build");
@@ -352,13 +383,13 @@ Result<IvfIndex> IvfIndex::RebuildDirty(const IvfIndex& previous,
   const int32_t ad = idx.num_factors_ + 2;
   idx.assignment_.resize(static_cast<size_t>(n));
   idx.item_crc_.resize(static_cast<size_t>(n));
+  IvfBuildPhases times;
+  Stopwatch phase;
 
-  // Dirty detection + reassignment in one parallel pass: an item whose
-  // parameter bytes are unchanged keeps its previous cluster untouched; a
-  // changed (or newly grown) item is re-routed to its nearest frozen
-  // centroid. No k-means re-training — that is the entire saving.
-  const std::vector<double> half =
-      CentroidHalfNorms(idx.centroids_, idx.num_clusters_, ad);
+  // Dirty detection in one parallel pass: an item whose parameter bytes are
+  // unchanged keeps its previous cluster untouched; a changed (or newly
+  // grown) item is queued for its nearest frozen centroid. No k-means
+  // re-training — that is the entire saving.
   std::vector<uint8_t> dirty(static_cast<size_t>(n), 0);
   ParallelForEach(n, options.build_threads, [&](int64_t i) {
     const uint32_t crc = ItemCrc(model, static_cast<ItemId>(i));
@@ -367,20 +398,26 @@ Result<IvfIndex> IvfIndex::RebuildDirty(const IvfIndex& previous,
         crc == previous.item_crc_[static_cast<size_t>(i)]) {
       idx.assignment_[static_cast<size_t>(i)] =
           previous.assignment_[static_cast<size_t>(i)];
-      return;
+    } else {
+      dirty[static_cast<size_t>(i)] = 1;
     }
-    dirty[static_cast<size_t>(i)] = 1;
-    std::vector<double> x(static_cast<size_t>(ad));
-    AugmentItem(model, static_cast<ItemId>(i), idx.aug_m2_, x.data());
-    idx.assignment_[static_cast<size_t>(i)] =
-        NearestCentroid(x.data(), idx.centroids_, half, idx.num_clusters_, ad);
   });
-  if (items_reassigned != nullptr) {
-    *items_reassigned = static_cast<int64_t>(
-        std::count(dirty.begin(), dirty.end(), uint8_t{1}));
+  std::vector<ItemId> dirty_items;
+  for (ItemId i = 0; i < n; ++i) {
+    if (dirty[static_cast<size_t>(i)] != 0) dirty_items.push_back(i);
   }
+  AssignItems(model, dirty_items.data(),
+              static_cast<int64_t>(dirty_items.size()), idx.aug_m2_,
+              CentroidPanel(idx.centroids_.data(), idx.num_clusters_, ad),
+              options.build_threads, idx.assignment_.data());
+  if (items_reassigned != nullptr) {
+    *items_reassigned = static_cast<int64_t>(dirty_items.size());
+  }
+  times.assign_us = phase.ElapsedMicros();
 
+  phase.Reset();
   idx.FinishLayout(model);
+  times.repack_us = phase.ElapsedMicros();
   // Incremental code refresh against the FROZEN book: clean items' codes are
   // copied byte-for-byte from the previous index (through both permutations)
   // and only dirty items run the quantizer. The book never retrains here —
@@ -389,6 +426,7 @@ Result<IvfIndex> IvfIndex::RebuildDirty(const IvfIndex& previous,
   // New items can land outside the frozen book's range and clamp; the
   // measured composed-recall gate is the backstop for that drift.
   if (options.pq) {
+    phase.Reset();
     if (previous.has_pq()) {
       idx.pq_ = PqCodes::Allocate(idx.packed_, previous.pq_.book());
       ParallelForEach(n, options.build_threads, [&](int64_t local) {
@@ -407,7 +445,9 @@ Result<IvfIndex> IvfIndex::RebuildDirty(const IvfIndex& previous,
           idx.packed_, PqCodes::TrainBook(idx.packed_, options.build_threads),
           options.build_threads);
     }
+    times.encode_us = phase.ElapsedMicros();
   }
+  if (phases != nullptr) *phases = times;
   return idx;
 }
 
@@ -1101,10 +1141,20 @@ Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
     const std::string& context, MetricsRegistry* metrics) {
   std::shared_ptr<IvfIndex> ivf;  // mutable only for the drills below
   TraceSpan build_span(options.build_us);
+  IvfBuildPhases phases;  // summed over the rebuild and the build that ran
+  const auto add_phases = [&phases](const IvfBuildPhases& p) {
+    phases.kmeans_us += p.kmeans_us;
+    phases.assign_us += p.assign_us;
+    phases.repack_us += p.repack_us;
+    phases.encode_us += p.encode_us;
+  };
+  bool trained = false;
   if (previous != nullptr) {
     int64_t reassigned = 0;
-    auto rebuilt =
-        IvfIndex::RebuildDirty(*previous, model, options.ivf, &reassigned);
+    IvfBuildPhases rebuild_phases;
+    auto rebuilt = IvfIndex::RebuildDirty(*previous, model, options.ivf,
+                                          &reassigned, &rebuild_phases);
+    add_phases(rebuild_phases);
     // A majority-dirty republish means the catalog's geometry moved out
     // from under the frozen centroids, and measured recall would pay for
     // the stale partition: retrain from scratch instead. Incremental
@@ -1119,11 +1169,22 @@ Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
     }
   }
   if (ivf == nullptr) {
-    ivf = std::make_shared<IvfIndex>(IvfIndex::Build(model, options.ivf));
+    IvfBuildPhases build_phases;
+    ivf = std::make_shared<IvfIndex>(
+        IvfIndex::Build(model, options.ivf, &build_phases));
+    add_phases(build_phases);
+    trained = true;
     if (metrics != nullptr) {
       metrics->GetCounter("ann.index_builds_total")->Inc();
     }
   }
+  const auto record = [](Histogram* sink, double us) {
+    if (sink != nullptr) sink->Record(us);
+  };
+  if (trained) record(options.kmeans_us, phases.kmeans_us);
+  record(options.assign_us, phases.assign_us);
+  record(options.repack_us, phases.repack_us);
+  if (options.ivf.pq) record(options.encode_us, phases.encode_us);
   FaultInjector& faults = FaultInjector::Instance();
   if (faults.armed() && faults.ShouldFire(FaultPoint::kAnnCorruptIndex)) {
     // Desync drill: the armed hit schedule picks which build (which shard's

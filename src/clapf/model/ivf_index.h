@@ -27,8 +27,10 @@ struct IvfOptions {
   /// Lloyd iterations over the training sample.
   int32_t kmeans_iterations = 8;
   /// k-means trains on at most this many evenly strided items; the final
-  /// assignment pass still visits every item. Keeps a 1M-item build seconds,
-  /// not minutes, at no measurable recall cost.
+  /// assignment pass still visits every item. At the default, the 8 Lloyd
+  /// iterations cost about half of that one full pass: a 1M-item, d = 32
+  /// build (1000 clusters) takes ~3 s on 4 threads, at no measurable
+  /// recall cost.
   int32_t max_train_points = 65536;
   /// Seed for centroid initialization.
   uint64_t seed = 1;
@@ -62,6 +64,22 @@ struct IvfOptions {
            max_train_points == other.max_train_points && seed == other.seed &&
            pq == other.pq;
   }
+};
+
+/// Wall time (us) of each phase of one IvfIndex::Build or RebuildDirty.
+/// A phase that does not run reads 0: kmeans in RebuildDirty, which keeps
+/// the previous centroids, and encode without IvfOptions::pq.
+struct IvfBuildPhases {
+  /// Max-norm pass, training-sample lift and the Lloyd iterations.
+  double kmeans_us = 0.0;
+  /// Per-item CRCs and the nearest-centroid pass (every item in Build, the
+  /// dirty items in RebuildDirty).
+  double assign_us = 0.0;
+  /// Cluster-ordered permutation and the PackedSnapshot repack.
+  double repack_us = 0.0;
+  /// Code book training and code encoding (a frozen-book refresh in
+  /// RebuildDirty).
+  double encode_us = 0.0;
 };
 
 /// A contiguous, block-aligned-begin span of *local* item ids inside
@@ -98,9 +116,13 @@ struct IvfProbeRange {
 /// Immutable after Build and safe to share read-only across query threads.
 class IvfIndex {
  public:
-  /// Full build: k-means + cluster-ordered repack. One pass of O(n·k·d/8)
-  /// training work plus an O(n·d) repack; queries never allocate.
-  static IvfIndex Build(const FactorModel& model, const IvfOptions& options);
+  /// Full build: k-means + cluster-ordered repack. Every assignment (Lloyd
+  /// over the training sample, then one pass over all n items) runs through
+  /// the blocked CentroidPanel kernel, O(k·d) per item; the repack is
+  /// O(n·d). `phases` (optional) receives each phase's wall time. Queries
+  /// never allocate.
+  static IvfIndex Build(const FactorModel& model, const IvfOptions& options,
+                        IvfBuildPhases* phases = nullptr);
 
   /// Incremental rebuild for online publishes: keeps `previous`'s centroids,
   /// reassigns only the items whose parameter bytes changed (detected via
@@ -108,13 +130,14 @@ class IvfIndex {
   /// re-packs. `options` must be CompatibleWith the previous build's (query
   /// knobs like default_nprobe may differ and take effect immediately).
   /// `items_reassigned` (optional) reports how many items moved through the
-  /// assignment step. Returns InvalidArgument on incompatible options, a
-  /// different factor count / bias mode, or a shrunken catalog — callers
-  /// fall back to a full Build.
+  /// assignment step, `phases` (optional) each phase's wall time. Returns
+  /// InvalidArgument on incompatible options, a different factor count /
+  /// bias mode, or a shrunken catalog — callers fall back to a full Build.
   static Result<IvfIndex> RebuildDirty(const IvfIndex& previous,
                                        const FactorModel& model,
                                        const IvfOptions& options,
-                                       int64_t* items_reassigned);
+                                       int64_t* items_reassigned,
+                                       IvfBuildPhases* phases = nullptr);
 
   int32_t num_items() const { return num_items_; }
   int32_t num_factors() const { return num_factors_; }
@@ -331,6 +354,15 @@ struct IvfGateOptions {
   /// of the gate (binding + recall); null records nothing.
   Histogram* build_us = nullptr;
   Histogram* gate_us = nullptr;
+  /// Where BuildGatedIvf records the build's IvfBuildPhases, one sample per
+  /// phase that ran (kmeans only when the index was trained from scratch,
+  /// encode only with IvfOptions::pq); null records nothing. A refused
+  /// incremental rebuild's phases add into the full build's samples, so the
+  /// phases sum to about build_us.
+  Histogram* kmeans_us = nullptr;
+  Histogram* assign_us = nullptr;
+  Histogram* repack_us = nullptr;
+  Histogram* encode_us = nullptr;
 };
 
 /// The one ANN build-and-gate routine, shared by serving publishes (one call

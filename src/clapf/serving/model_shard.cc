@@ -31,6 +31,10 @@ PublishStageMetrics::PublishStageMetrics(MetricsRegistry* registry) {
   pack = stage("pack");
   agreement = stage("agreement");
   ann_build = stage("ann_build");
+  ann_kmeans = stage("ann_kmeans");
+  ann_assign = stage("ann_assign");
+  ann_repack = stage("ann_repack");
+  ann_encode = stage("ann_encode");
   ann_gate = stage("ann_gate");
   auc_probe = stage("auc_probe");
   swap = stage("swap");
@@ -85,6 +89,10 @@ Result<std::shared_ptr<ShardSlice>> ModelShard::BuildSlice(
     // corrupt or low-recall index refuses only this shard's slice.
     IvfGateOptions gate = *ann;
     gate.build_us = timed.ann_build;
+    gate.kmeans_us = timed.ann_kmeans;
+    gate.assign_us = timed.ann_assign;
+    gate.repack_us = timed.ann_repack;
+    gate.encode_us = timed.ann_encode;
     gate.gate_us = timed.ann_gate;
     auto ivf = BuildGatedIvf(
         slice->model, *slice->packed, gate,

@@ -38,7 +38,9 @@ struct ShardSlice {
 /// wire-format/CRC round trip), pack (the SIMD repack), agreement
 /// (packed-vs-exact), ann_build and ann_gate (index build; binding +
 /// measured recall), auc_probe (sampled-AUC floor) and swap (the snapshot
-/// swap). A publish records one sample per stage it runs, one per built
+/// swap). ann_build splits into the IvfBuildPhases ann_kmeans (centroid
+/// training, full builds only), ann_assign, ann_repack and ann_encode (pq
+/// only). A publish records one sample per stage it runs, one per built
 /// slice for the slice stages, also when that stage refuses the candidate.
 /// Default-constructed handles are null and time nothing.
 struct PublishStageMetrics {
@@ -49,6 +51,10 @@ struct PublishStageMetrics {
   Histogram* pack = nullptr;
   Histogram* agreement = nullptr;
   Histogram* ann_build = nullptr;
+  Histogram* ann_kmeans = nullptr;
+  Histogram* ann_assign = nullptr;
+  Histogram* ann_repack = nullptr;
+  Histogram* ann_encode = nullptr;
   Histogram* ann_gate = nullptr;
   Histogram* auc_probe = nullptr;
   Histogram* swap = nullptr;

@@ -107,25 +107,49 @@ TEST_F(AnnServingTest, PublishTimesEachStageInTheServerRegistry) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     const auto history = testing::MakeLearnableDataset(20, 400, 8, 61);
     ServerOptions options = AnnOptions(shards);
+    options.ivf.pq = true;          // the encode phase runs too
     options.canary.min_auc = 1e-9;  // runs the probe; any model clears it
     ModelServer server(history, options);
-    ASSERT_TRUE(
-        server.PublishModel(MakeServableModel(20, 400, 16, 8, 61)).ok());
-    // Whole-candidate stages once per publish, slice stages once per shard.
+    const auto stage_hist = [&](const std::string& stage) {
+      return server.mutable_metrics()
+          ->GetHistogram("serving.publish.stage." + stage + "_us",
+                         PublishStageBucketsUs())
+          ->Snapshot();
+    };
+    auto model = MakeServableModel(20, 400, 16, 8, 61);
+    ASSERT_TRUE(server.PublishModel(model).ok());
+    // Whole-candidate stages once per publish, slice stages once per shard;
+    // the ann_build phases once per shard index.
     const std::pair<const char*, int64_t> kStages[] = {
-        {"integrity", 1}, {"pack", shards},     {"agreement", shards},
-        {"ann_build", shards}, {"ann_gate", shards}, {"auc_probe", 1},
-        {"swap", 1}};
+        {"integrity", 1},       {"pack", shards},       {"agreement", shards},
+        {"ann_build", shards},  {"ann_kmeans", shards}, {"ann_assign", shards},
+        {"ann_repack", shards}, {"ann_encode", shards}, {"ann_gate", shards},
+        {"auc_probe", 1},       {"swap", 1}};
     for (const auto& [stage, samples] : kStages) {
-      const HistogramSnapshot hist =
-          server.mutable_metrics()
-              ->GetHistogram(std::string("serving.publish.stage.") + stage +
-                                 "_us",
-                             PublishStageBucketsUs())
-              ->Snapshot();
+      const HistogramSnapshot hist = stage_hist(stage);
       EXPECT_EQ(hist.count, samples) << stage;
       EXPECT_GT(hist.sum, 0.0) << stage;
       EXPECT_GE(hist.bounds.back(), 60e6) << stage;
+    }
+    // The phases split the build: together they fit inside it.
+    double phase_sum = 0.0;
+    for (const char* phase :
+         {"ann_kmeans", "ann_assign", "ann_repack", "ann_encode"}) {
+      phase_sum += stage_hist(phase).sum;
+    }
+    EXPECT_LE(phase_sum, stage_hist("ann_build").sum);
+
+    // An update that moves one item rebuilds each index incrementally:
+    // every phase but kmeans records a second sample.
+    model.ItemFactors(7)[0] += 0.5;
+    ASSERT_TRUE(server.PublishModel(model).ok());
+    EXPECT_EQ(CounterValue(server.mutable_metrics(),
+                           "ann.index_rebuilds_incremental_total"),
+              shards);
+    EXPECT_EQ(stage_hist("ann_kmeans").count, shards);
+    for (const char* phase : {"ann_build", "ann_assign", "ann_repack",
+                              "ann_encode"}) {
+      EXPECT_EQ(stage_hist(phase).count, 2 * shards) << phase;
     }
   }
 }

@@ -486,6 +486,81 @@ TEST_F(IvfIndexTest, BatchPartialPrefixUnderAnnMatchesUnboundedAnswers) {
   }
 }
 
+// FNV-1a, 64-bit, continued from `h` over `bytes` bytes at `p`.
+uint64_t Fnv1a(uint64_t h, const void* p, size_t bytes) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  for (size_t x = 0; x < bytes; ++x) {
+    h ^= b[x];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// One hash of everything a build decides: each item's cluster, the
+// cluster-ordered permutation, the repacked float lanes, and (with pq on)
+// the code book and every code byte.
+uint64_t IndexHash(const IvfIndex& index) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (ItemId i = 0; i < index.num_items(); ++i) {
+    const int32_t cluster = index.ClusterOf(i);
+    const int32_t global = index.ToGlobal(i);
+    h = Fnv1a(h, &cluster, sizeof(cluster));
+    h = Fnv1a(h, &global, sizeof(global));
+  }
+  const PackedSnapshot& packed = index.packed();
+  h = Fnv1a(h, packed.block_data(),
+            static_cast<size_t>(packed.num_blocks()) * packed.block_stride() *
+                sizeof(float));
+  if (index.has_pq()) {
+    const PqCodes& pq = index.pq_codes();
+    h = Fnv1a(h, pq.book().scale.data(),
+              pq.book().scale.size() * sizeof(float));
+    h = Fnv1a(h, pq.book().offset.data(),
+              pq.book().offset.size() * sizeof(float));
+    h = Fnv1a(h, pq.block_codes(),
+              static_cast<size_t>(pq.num_blocks()) * pq.block_stride());
+  }
+  return h;
+}
+
+TEST_F(IvfIndexTest, BuildMatchesTheScalarAssignmentGoldens) {
+  // Hashes recorded from the build whose every assignment ran the scalar
+  // one-centroid-at-a-time argmin. The blocked assignment kernel must
+  // reproduce them bit for bit on both kernels: the same clusters, the same
+  // permutation and repack, and the same code book and codes.
+  const auto clustered = testing::MakeClusteredItemModel(
+      8, 20000, 32, /*num_centers=*/16, /*noise=*/0.05, 2023);
+  IvfOptions opts;  // default clusters: ceil(sqrt(20000)) = 142
+  opts.pq = true;
+  opts.build_threads = 4;
+  const auto ties = MakeTieHeavyModel(4, 900, 4, 2024);
+  IvfOptions tie_opts;
+  tie_opts.num_clusters = 9;
+  tie_opts.pq = true;
+  // 1% of the clustered catalog moves: 200 items go through RebuildDirty.
+  FactorModel moved = clustered;
+  for (ItemId i = 0; i < moved.num_items(); i += 100) {
+    moved.ItemFactors(i)[static_cast<size_t>(i % 32)] += 0.75;
+    moved.ItemBias(i) -= 0.25;
+  }
+
+  for (ScoreKernel kernel : {ScoreKernel::kPortable, ScoreKernel::kAvx2}) {
+    if (!ScoreKernelSupported(kernel)) continue;
+    ForceScoreKernel(kernel);
+    SCOPED_TRACE(ScoreKernelName(kernel));
+    const IvfIndex index = IvfIndex::Build(clustered, opts);
+    EXPECT_EQ(index.num_clusters(), 142);
+    EXPECT_EQ(IndexHash(index), 0x3eff5f50b488a444ull);
+    EXPECT_EQ(IndexHash(IvfIndex::Build(ties, tie_opts)),
+              0xe328f293ce9fb521ull);
+    int64_t reassigned = 0;
+    auto rebuilt = IvfIndex::RebuildDirty(index, moved, opts, &reassigned);
+    ASSERT_TRUE(rebuilt.ok());
+    EXPECT_EQ(reassigned, 200);
+    EXPECT_EQ(IndexHash(*rebuilt), 0xce2d92ece175fae2ull);
+  }
+}
+
 TEST_F(IvfIndexTest, EmptyCatalogBuildsAnEmptyIndex) {
   FactorModel model(3, 0, 4);
   const IvfIndex index = IvfIndex::Build(model, {});
