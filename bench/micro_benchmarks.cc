@@ -28,6 +28,7 @@
 #include "clapf/online/wal.h"
 #include "clapf/recommender.h"
 #include "clapf/sampling/dss_sampler.h"
+#include "clapf/sampling/rank_list.h"
 #include "clapf/sampling/uniform_sampler.h"
 #include "clapf/serving/sharded_server.h"
 #include "clapf/util/fault_injection.h"
@@ -87,6 +88,25 @@ void BM_DssTripleSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DssTripleSample);
+
+// One rank-list refresh: all d = 20 factor columns of an m-item Gaussian
+// catalog ranked. m = 3952 is the train_clapf (ML1M-sim) catalog.
+void BM_FactorRankListRefresh(benchmark::State& state) {
+  const int32_t m = static_cast<int32_t>(state.range(0));
+  FactorModel model(1, m, 20);
+  Rng rng(11);
+  model.InitGaussian(rng, 0.1);
+  FactorRankList list(&model);
+  for (auto _ : state) {
+    list.Refresh();
+    benchmark::DoNotOptimize(list.ItemAt(0, 0, false));
+  }
+  state.SetItemsProcessed(state.iterations() * m * 20);
+}
+BENCHMARK(BM_FactorRankListRefresh)
+    ->Arg(3952)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond);
 
 // One CLAPF SGD iteration end-to-end (sample + gradient), the unit of the
 // O(T·d) analysis, as a function of latent dimension d.

@@ -135,9 +135,8 @@ Status BprTrainer::Train(const Dataset& train) {
   auto factory = [&](int w, int n) -> std::unique_ptr<SgdWorker> {
     // Per-worker sampler instance with an independent stream. The adaptive
     // samplers (DNS/AoBPR) additionally read the evolving model on every
-    // draw; in parallel mode those reads are plain loads racing the HogWild
-    // stores — benign for sampling quality, but not TSan-clean, so the tsan
-    // preset exercises the uniform sampler.
+    // draw, through relaxed atomic loads that may race the HogWild stores
+    // without a data race (the tsan rung trains both on four threads).
     auto sampler = MakeSampler(train, WorkerSeed(base_seed, w));
     if (n == 1) {
       return std::make_unique<BprWorker<PlainAccess>>(model_.get(),

@@ -54,7 +54,7 @@ PairSample AobprPairSampler::Sample() {
   const int32_t q = static_cast<int32_t>(
       rng_.Uniform(static_cast<uint64_t>(model_->num_factors())));
   const bool reversed =
-      model_->UserFactors(p.u)[static_cast<size_t>(q)] < 0.0;
+      LoadRelaxed(model_->UserFactors(p.u)[static_cast<size_t>(q)]) < 0.0;
   const size_t m = static_cast<size_t>(dataset_->num_items());
   for (int attempt = 0; attempt < 64; ++attempt) {
     size_t pos = geometric_.Sample(m, rng_);

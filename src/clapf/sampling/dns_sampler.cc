@@ -1,9 +1,29 @@
 #include "clapf/sampling/dns_sampler.h"
 
+#include "clapf/sampling/rank_list.h"
 #include "clapf/sampling/uniform_sampler.h"
 #include "clapf/util/logging.h"
 
 namespace clapf {
+
+namespace {
+
+// f_uj through relaxed loads, since HogWild workers write the factors while
+// this reads them. Sums in FactorModel::Score's order (bias first, then the
+// factors ascending), so a one-thread stream equals one scored by Score.
+double ScoreRelaxed(const FactorModel& model, UserId u, ItemId j) {
+  auto uf = model.UserFactors(u);
+  auto vf = model.ItemFactors(j);
+  double s = model.use_item_bias()
+                 ? LoadRelaxed(model.item_bias_data()[static_cast<size_t>(j)])
+                 : 0.0;
+  for (size_t f = 0; f < uf.size(); ++f) {
+    s += LoadRelaxed(uf[f]) * LoadRelaxed(vf[f]);
+  }
+  return s;
+}
+
+}  // namespace
 
 DnsPairSampler::DnsPairSampler(const Dataset* dataset,
                                const FactorModel* model, int32_t candidates,
@@ -25,10 +45,10 @@ PairSample DnsPairSampler::Sample() {
   p.i = items[rng_.Uniform(items.size())];
 
   ItemId best = SampleUnobservedUniform(*dataset_, p.u, rng_);
-  double best_score = model_->Score(p.u, best);
+  double best_score = ScoreRelaxed(*model_, p.u, best);
   for (int32_t c = 1; c < candidates_; ++c) {
     ItemId j = SampleUnobservedUniform(*dataset_, p.u, rng_);
-    double s = model_->Score(p.u, j);
+    double s = ScoreRelaxed(*model_, p.u, j);
     if (s > best_score) {
       best = j;
       best_score = s;

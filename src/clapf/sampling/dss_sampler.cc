@@ -1,12 +1,113 @@
 #include "clapf/sampling/dss_sampler.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "clapf/sampling/uniform_sampler.h"
 #include "clapf/util/logging.h"
 
 namespace clapf {
+
+namespace {
+
+// 1 if x < y, else 0: the borrow out of x − y, taken from a 128-bit
+// subtraction so that it compiles to sub/sbb. Written as a plain compare,
+// GCC turns the partition below back into a branch on it, and that branch
+// mispredicts on about half the keys.
+inline size_t LessBit(uint64_t x, uint64_t y) {
+  using U128 = unsigned __int128;
+  return static_cast<size_t>((static_cast<U128>(x) - y) >> 64) & 1;
+}
+
+// The key at smallest-first rank `nth` of keys[0, n); sets *less to the
+// number of keys below it. A three-way quickselect: each round writes every
+// key to both ends of the destination and advances the cursor its compare
+// selects (no data-dependent branch), so the keys below the median-of-three
+// pivot gather at the front and those above it at the back, ping-ponging
+// between the two halves of `scratch`. After 2·bit_width(n) rounds the
+// remaining range goes to std::nth_element, so no input makes it quadratic.
+uint64_t SelectKey(const uint64_t* keys, size_t n, size_t nth, size_t* less,
+                   std::vector<uint64_t>* scratch) {
+  // Grow only: resizing down and up again would zero-fill on every draw.
+  if (scratch->size() < 2 * n) scratch->resize(2 * n);
+  uint64_t* const halves[2] = {scratch->data(), scratch->data() + n};
+  const uint64_t* src = keys;
+  size_t len = n;
+  size_t k = nth;
+  size_t below = 0;
+  for (int round = 0;; ++round) {
+    uint64_t* dst = halves[round & 1];
+    if (round == 2 * static_cast<int>(std::bit_width(n))) {
+      std::copy(src, src + len, dst);
+      std::nth_element(dst, dst + k, dst + len);
+      const uint64_t kth = dst[k];
+      for (size_t x = 0; x < k; ++x) below += dst[x] < kth ? 1 : 0;
+      *less = below;
+      return kth;
+    }
+    const uint64_t a = src[0];
+    const uint64_t b = src[len / 2];
+    const uint64_t c = src[len - 1];
+    const uint64_t pivot =
+        std::max(std::min(a, b), std::min(std::max(a, b), c));
+    size_t lo = 0;
+    size_t hi = 0;
+    for (size_t x = 0; x < len; ++x) {
+      const uint64_t v = src[x];
+      const size_t is_less = LessBit(v, pivot);
+      const size_t is_greater = LessBit(pivot, v);
+      dst[lo] = v;
+      dst[len - 1 - hi] = v;
+      lo += is_less;
+      hi += is_greater;
+    }
+    if (k < lo) {
+      src = dst;
+      len = lo;
+    } else if (k < len - hi) {
+      *less = below + lo;
+      return pivot;
+    } else {
+      below += len - hi;
+      k -= len - hi;
+      src = dst + (len - hi);
+      len = hi;
+    }
+  }
+}
+
+}  // namespace
+
+ItemId ObservedItemAtRank(const FactorModel& model,
+                          std::span<const ItemId> items, int32_t q,
+                          bool reversed, size_t nth,
+                          std::vector<uint64_t>* keys,
+                          std::vector<uint64_t>* scratch) {
+  const size_t n = items.size();
+  CLAPF_DCHECK(nth < n);
+  const size_t d = static_cast<size_t>(model.num_factors());
+  const double* column =
+      model.item_factor_data().data() + static_cast<size_t>(q);
+  const uint64_t flip = reversed ? ~uint64_t{0} : 0;
+  if (keys->size() < n) keys->resize(n);
+  uint64_t* key = keys->data();
+  for (size_t x = 0; x < n; ++x) {
+    key[x] = DescendingKey(
+                 LoadRelaxed(column[static_cast<size_t>(items[x]) * d])) ^
+             flip;
+  }
+  size_t less = 0;
+  const uint64_t kth = SelectKey(key, n, nth, &less, scratch);
+  // Ranks [0, less) hold the keys below K; the items keyed K follow them in
+  // id order, which is the order of the row.
+  size_t ties = nth - less;
+  for (size_t x = 0; x < n; ++x) {
+    if (key[x] == kth && ties-- == 0) return items[x];
+  }
+  CLAPF_CHECK(false) << "rank " << nth << " not found among " << n << " keys";
+  return items[0];
+}
 
 DssSampler::DssSampler(const Dataset* dataset, const FactorModel* model,
                        const DssOptions& options, uint64_t seed)
@@ -15,11 +116,11 @@ DssSampler::DssSampler(const Dataset* dataset, const FactorModel* model,
       options_(options),
       rng_(seed),
       active_users_(TrainableUsers(*dataset)),
-      rank_list_(model),
       geometric_(options.tail_fraction) {
   CLAPF_CHECK(dataset != nullptr && model != nullptr);
   CLAPF_CHECK(dataset->num_items() == model->num_items());
   CLAPF_CHECK(!active_users_.empty());
+  if (options_.adaptive_negative) rank_list_.emplace(model);
   if (options_.refresh_interval > 0) {
     refresh_interval_ = options_.refresh_interval;
   } else {
@@ -46,8 +147,9 @@ const char* DssSampler::name() const {
 }
 
 void DssSampler::MaybeRefresh() {
+  if (!rank_list_) return;
   if (++draws_since_refresh_ >= refresh_interval_) {
-    rank_list_.Refresh();
+    rank_list_->Refresh();
     draws_since_refresh_ = 0;
     if (rebuilds_metric_ != nullptr) rebuilds_metric_->Inc();
   }
@@ -57,23 +159,11 @@ ItemId DssSampler::SampleObservedAdaptive(UserId u, int32_t q, bool reversed,
                                           bool from_top) {
   auto items = dataset_->ItemsOf(u);
   if (items.size() == 1) return items[0];
-  scratch_.clear();
-  scratch_.reserve(items.size());
-  for (ItemId i : items) {
-    const double v =
-        LoadRelaxed(model_->ItemFactors(i)[static_cast<size_t>(q)]);
-    scratch_.emplace_back(reversed ? -v : v, i);
-  }
-  size_t pos = geometric_.Sample(scratch_.size(), rng_);
+  const size_t pos = geometric_.Sample(items.size(), rng_);
   // from_top: pos-th largest value; otherwise pos-th smallest.
-  size_t nth = from_top ? pos : scratch_.size() - 1 - pos;
-  std::nth_element(
-      scratch_.begin(), scratch_.begin() + static_cast<ptrdiff_t>(nth),
-      scratch_.end(), [](const auto& a, const auto& b) {
-        if (a.first != b.first) return a.first > b.first;
-        return a.second < b.second;
-      });
-  return scratch_[nth].second;
+  const size_t nth = from_top ? pos : items.size() - 1 - pos;
+  return ObservedItemAtRank(*model_, items, q, reversed, nth, &keys_,
+                            &select_scratch_);
 }
 
 ItemId DssSampler::SampleUnobservedAdaptive(UserId u, int32_t q,
@@ -82,7 +172,7 @@ ItemId DssSampler::SampleUnobservedAdaptive(UserId u, int32_t q,
   // Geometric draws concentrate near the head; observed hits are rejected.
   for (int attempt = 0; attempt < 64; ++attempt) {
     size_t pos = geometric_.Sample(m, rng_);
-    ItemId j = rank_list_.ItemAt(q, pos, reversed);
+    ItemId j = rank_list_->ItemAt(q, pos, reversed);
     if (!dataset_->IsObserved(u, j)) {
       if (depth_metric_ != nullptr) {
         depth_metric_->Record(static_cast<double>(pos + 1));

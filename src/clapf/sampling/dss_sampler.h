@@ -2,6 +2,8 @@
 #define CLAPF_SAMPLING_DSS_SAMPLER_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "clapf/data/dataset.h"
@@ -29,8 +31,11 @@ struct DssOptions {
   bool adaptive_negative = true;
   /// Geometric head mass; smaller = more aggressive oversampling.
   double tail_fraction = 0.2;
-  /// Draws between rank-list rebuilds; 0 = auto (m * ceil(log2(m)) / 8,
-  /// echoing the paper's log(m)-scaled reset rule at single-draw granularity).
+  /// Draws between rank-list rebuilds; 0 = auto (max(256, m * ceil(log2(m))
+  /// / 8), echoing the paper's log(m)-scaled reset rule at single-draw
+  /// granularity, with a floor of 256 draws for small catalogs). Only the
+  /// adaptive negative reads the rank lists: with `adaptive_negative` off
+  /// the sampler never builds or refreshes them.
   int64_t refresh_interval = 0;
   /// Telemetry sink; null disables sampler metrics. When set, the sampler
   /// emits sampler.dss.draws_total, sampler.dss.rebuilds_total,
@@ -50,6 +55,9 @@ struct DssOptions {
 ///  - CLAPF-MRR: both k and j geometric from the *top*.
 /// Disabling one of the adaptive halves yields the paper's "Positive
 /// Sampling" / "Negative Sampling" ablations (Fig. 4).
+///
+/// The companion k is re-ranked at the model's current values on every draw:
+/// see ObservedItemAtRank.
 class DssSampler : public TripleSampler {
  public:
   /// `dataset` and `model` must outlive the sampler; the model is read on
@@ -60,8 +68,11 @@ class DssSampler : public TripleSampler {
   Triple Sample() override;
   const char* name() const override;
 
-  /// Number of rank-list rebuilds so far (tests/diagnostics).
-  int64_t refresh_count() const { return rank_list_.refresh_count(); }
+  /// Number of rank-list rebuilds so far (tests/diagnostics); always 0 with
+  /// `adaptive_negative` off.
+  int64_t refresh_count() const {
+    return rank_list_ ? rank_list_->refresh_count() : 0;
+  }
 
  private:
   // Draws k from the user's observed items: geometric rank over their
@@ -78,7 +89,8 @@ class DssSampler : public TripleSampler {
   DssOptions options_;
   Rng rng_;
   std::vector<UserId> active_users_;
-  FactorRankList rank_list_;
+  // Built only when the adaptive negative reads it.
+  std::optional<FactorRankList> rank_list_;
   GeometricRankSampler geometric_;
   int64_t draws_since_refresh_ = 0;
   int64_t refresh_interval_ = 0;
@@ -87,9 +99,25 @@ class DssSampler : public TripleSampler {
   Counter* rebuilds_metric_ = nullptr;
   Counter* fallbacks_metric_ = nullptr;
   Histogram* depth_metric_ = nullptr;
-  // Scratch for per-user observed-item selection.
-  std::vector<std::pair<double, ItemId>> scratch_;
+  // Scratch for ObservedItemAtRank.
+  std::vector<uint64_t> keys_;
+  std::vector<uint64_t> select_scratch_;
 };
+
+/// The DSS positive pick: the item at 0-based rank `nth` of `items` (a
+/// user's observed items, in ascending id order as Dataset::ItemsOf gives
+/// them) ordered by factor-q value V_{i,q} descending, or ascending when
+/// `reversed`, with ties broken by ascending id. This is the element
+/// `std::nth_element` finds over (±V_{i,q}, id) pairs under that comparator,
+/// found instead by selecting the nth DescendingKey K with a branchless
+/// three-way quickselect (depth-limited, falling back to std::nth_element)
+/// and returning the (nth − #{key < K})-th item whose key is K. Values are
+/// read with relaxed loads. `keys` and `scratch` are reusable buffers.
+ItemId ObservedItemAtRank(const FactorModel& model,
+                          std::span<const ItemId> items, int32_t q,
+                          bool reversed, size_t nth,
+                          std::vector<uint64_t>* keys,
+                          std::vector<uint64_t>* scratch);
 
 }  // namespace clapf
 
