@@ -390,6 +390,36 @@ void BM_ShardPublish(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardPublish)->Arg(0)->Arg(1);
 
+// An online update as the publish gate sees it: one shard, 200k items,
+// d = 32, packed on, ann off. Two prepared candidates differ in every
+// 100th item (1% of the catalog), and the iterations alternate them, so
+// each publish replaces the serving slice with a 1% delta: the integrity
+// scan, the repack and the packed agreement against the slice it replaces.
+void BM_PublishDriftUpdate(benchmark::State& state) {
+  constexpr int32_t kUsers = 2000;
+  constexpr int32_t kItems = 200000;
+  static Dataset data = BenchData(kUsers, kItems, 100000);
+  ServerOptions options;
+  options.num_threads = 2;
+  options.ivf.build_threads = 4;  // the publish's thread budget
+  ModelServer server(data, options);
+  FactorModel a(kUsers, kItems, 32);
+  Rng rng(23);
+  a.InitGaussian(rng, 0.1);
+  FactorModel b = a;
+  for (ItemId i = 0; i < kItems; i += 100) {
+    for (double& x : b.ItemFactors(i)) x += 0.01 * rng.NextGaussian();
+  }
+  CLAPF_CHECK_OK(server.PublishModel(a));
+  bool next_is_b = true;
+  for (auto _ : state) {
+    CLAPF_CHECK_OK(server.PublishModel(next_is_b ? b : a));
+    next_is_b = !next_is_b;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PublishDriftUpdate)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // Cost of one governor control step (read metric deltas + p99 estimate +
 // policy decision). This is what the ticker thread pays every interval_us —
 // it must be microseconds, i.e. invisible next to a single query. Arg is

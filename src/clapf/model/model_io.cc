@@ -1,18 +1,21 @@
 #include "clapf/model/model_io.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <memory>
+#include <optional>
 #include <ostream>
 #include <sstream>
-#include <streambuf>
+#include <utility>
 #include <vector>
 
 #include "clapf/util/crc32.h"
 #include "clapf/util/fault_injection.h"
 #include "clapf/util/fs.h"
+#include "clapf/util/thread_pool.h"
 
 namespace clapf {
 
@@ -55,25 +58,52 @@ bool ReadDoubles(std::istream& in, std::vector<double>* v, uint32_t* crc) {
   return true;
 }
 
-// Bytes SaveModelToStream writes for `model`: magic, version, three int32
-// dimensions and the bias flag, the three parameter arrays, the CRC.
-size_t SerializedModelBytes(const FactorModel& model) {
-  return sizeof(kMagic) + sizeof(kVersion) + 3 * sizeof(int32_t) +
-         sizeof(uint8_t) +
-         (model.user_factor_data().size() + model.item_factor_data().size() +
-          model.item_bias_data().size()) *
-             sizeof(double) +
-         sizeof(uint32_t);
+// Bytes of the three parameter arrays a header with these dimensions
+// announces, or nullopt when the count overflows 64 bits.
+std::optional<uint64_t> PayloadBytes(int32_t num_users, int32_t num_items,
+                                     int32_t num_factors) {
+  const uint64_t d = static_cast<uint64_t>(num_factors);
+  uint64_t user_doubles = 0, item_doubles = 0, doubles = 0, bytes = 0;
+  if (__builtin_mul_overflow(static_cast<uint64_t>(num_users), d,
+                             &user_doubles) ||
+      __builtin_mul_overflow(static_cast<uint64_t>(num_items), d + 1,
+                             &item_doubles) ||
+      __builtin_add_overflow(user_doubles, item_doubles, &doubles) ||
+      __builtin_mul_overflow(doubles, sizeof(double), &bytes)) {
+    return std::nullopt;
+  }
+  return bytes;
 }
 
-// A stream buffer over one caller-sized array: writes fill it from the
-// start and fail (never reallocate) once it is full; reads then replay what
-// was written.
-class FixedImageBuf final : public std::streambuf {
- public:
-  FixedImageBuf(char* data, size_t size) { setp(data, data + size); }
-  void Rewind() { setg(pbase(), pbase(), pptr()); }
-};
+// Bytes between the read position of `in` and its end, or nullopt when the
+// stream cannot seek. The read position is left where it was.
+std::optional<uint64_t> RemainingBytes(std::istream& in) {
+  const std::streamoff here = in.tellg();
+  if (here < 0) return std::nullopt;
+  in.seekg(0, std::ios::end);
+  const std::streamoff end = in.tellg();  // -1 when the seek failed
+  in.clear();
+  in.seekg(here);
+  if (end < here) return std::nullopt;
+  return static_cast<uint64_t>(end - here);
+}
+
+// Doubles per finite-scan tile: 512 KiB, well inside a core's L2.
+constexpr size_t kFiniteTileDoubles = size_t{1} << 16;
+
+// True when any of p[0, n) is NaN or ±inf, i.e. has an all-ones exponent.
+// The flags are OR-ed as integers, so the loop has no branch per value and
+// vectorizes.
+bool AnyNonFinite(const double* p, size_t n) {
+  constexpr uint64_t kExponent = 0x7FF0000000000000ULL;
+  uint64_t bad = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, p + i, sizeof(bits));
+    bad |= static_cast<uint64_t>((bits & kExponent) == kExponent);
+  }
+  return bad != 0;
+}
 
 // Serializes to a string so payload-level fault injection (short write, bit
 // flip) can mutate the image before it reaches disk.
@@ -126,6 +156,23 @@ Result<FactorModel> LoadModelFromStream(std::istream& in,
   if (num_users < 0 || num_items < 0 || num_factors <= 0) {
     return Status::Corruption("invalid dimensions in " + context);
   }
+  // The header alone sizes the model's arrays, so it is checked against
+  // the bytes the stream still holds before anything is allocated: a
+  // smashed dimension reads as Corruption, not as a length_error, a
+  // bad_alloc or gigabytes zero-filled before the truncation shows. A
+  // stream that cannot seek skips the size check.
+  const std::optional<uint64_t> payload =
+      PayloadBytes(num_users, num_items, num_factors);
+  if (!payload) {
+    return Status::Corruption("model dimensions overflow in " + context);
+  }
+  if (const std::optional<uint64_t> left = RemainingBytes(in);
+      left && *payload > *left) {
+    return Status::Corruption(
+        "truncated parameters in " + context + ": header needs " +
+        std::to_string(*payload) + " bytes, " + std::to_string(*left) +
+        " remain");
+  }
 
   // Each array is read straight into the model's contiguous storage.
   FactorModel model(num_users, num_items, num_factors, bias != 0);
@@ -171,27 +218,37 @@ Result<FactorModel> LoadModel(const std::string& path) {
 }
 
 Status VerifyModelIntegrity(const FactorModel& model,
-                            const std::string& context) {
-  if (!model.AllFinite()) {
-    return Status::Corruption("non-finite parameter in " + context);
+                            const std::string& context, int threads) {
+  const size_t d = static_cast<size_t>(model.num_factors());
+  const std::vector<double>* arrays[] = {&model.user_factor_data(),
+                                         &model.item_factor_data(),
+                                         &model.item_bias_data()};
+  const size_t sizes[] = {static_cast<size_t>(model.num_users()) * d,
+                          static_cast<size_t>(model.num_items()) * d,
+                          static_cast<size_t>(model.num_items())};
+  for (size_t a = 0; a < 3; ++a) {
+    if (arrays[a]->size() != sizes[a]) {
+      return Status::Corruption(
+          "parameter arrays disagree with the dimensions in " + context);
+    }
   }
-  // Deliberately bypasses SerializeModel: fault injection targets the disk
-  // path, not the gate that is supposed to catch its damage. The image
-  // lives in one buffer of exactly its serialized size, written once and
-  // read back once.
-  const size_t bytes = SerializedModelBytes(model);
-  auto storage = std::make_unique_for_overwrite<char[]>(bytes);
-  FixedImageBuf buf(storage.get(), bytes);
-  std::ostream out(&buf);
-  CLAPF_RETURN_IF_ERROR(SaveModelToStream(model, out));
-  buf.Rewind();
-  std::istream in(&buf);
-  auto reloaded = LoadModelFromStream(in, context);
-  if (!reloaded.ok()) return reloaded.status();
-  if (reloaded->num_users() != model.num_users() ||
-      reloaded->num_items() != model.num_items() ||
-      reloaded->num_factors() != model.num_factors()) {
-    return Status::Corruption("round-trip dimension mismatch in " + context);
+  std::vector<std::pair<const double*, size_t>> tiles;
+  for (const std::vector<double>* v : arrays) {
+    for (size_t at = 0; at < v->size(); at += kFiniteTileDoubles) {
+      tiles.emplace_back(v->data() + at,
+                         std::min(kFiniteTileDoubles, v->size() - at));
+    }
+  }
+  std::atomic<bool> non_finite{false};
+  ParallelForEach(static_cast<int64_t>(tiles.size()), threads, [&](int64_t t) {
+    if (non_finite.load(std::memory_order_relaxed)) return;
+    const auto& [data, n] = tiles[static_cast<size_t>(t)];
+    if (AnyNonFinite(data, n)) {
+      non_finite.store(true, std::memory_order_relaxed);
+    }
+  });
+  if (non_finite.load()) {
+    return Status::Corruption("non-finite parameter in " + context);
   }
   return Status::OK();
 }

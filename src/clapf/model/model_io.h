@@ -18,8 +18,10 @@ namespace clapf {
 Status SaveModelToStream(const FactorModel& model, std::ostream& out);
 
 /// Deserializes a model from `in`. `context` names the source (e.g. a file
-/// path) for error messages. Returns Corruption on bad magic/version, a
-/// truncated stream, or a CRC mismatch.
+/// path) for error messages. Returns Corruption on bad magic/version,
+/// dimensions whose parameter bytes overflow or exceed what a seekable
+/// stream still holds (checked before anything is allocated), a truncated
+/// stream, or a CRC mismatch.
 Result<FactorModel> LoadModelFromStream(std::istream& in,
                                         const std::string& context);
 
@@ -36,12 +38,16 @@ Status SaveModelAtomic(const FactorModel& model, const std::string& path);
 Result<FactorModel> LoadModel(const std::string& path);
 
 /// Integrity check for an in-memory candidate model, used by the serving
-/// canary gate before a hot swap: rejects non-finite parameters
-/// (Corruption), then round-trips the model through the v2 wire format —
-/// serialize, reparse, CRC verify — so the exact bytes a publish would pin
-/// are proven readable. `context` names the candidate for error messages.
+/// canary gate before a hot swap: a shape check (each parameter array has
+/// the size the dimensions give), then a finite scan. Either refusal is
+/// Corruption. A well-shaped in-memory model always survives a save ->
+/// load round trip through the v2 format, so the gate makes none: the
+/// `format` tests hold the serializer to that contract, and file
+/// candidates go through LoadModel's CRC. The scan runs in tiles over
+/// `threads` workers; the verdict and message do not depend on the count.
+/// `context` names the candidate for error messages.
 Status VerifyModelIntegrity(const FactorModel& model,
-                            const std::string& context);
+                            const std::string& context, int threads = 1);
 
 }  // namespace clapf
 

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <optional>
+#include <span>
 
 #include "clapf/model/score_kernel.h"
 #include "clapf/util/logging.h"
@@ -148,26 +150,125 @@ Double2 Abs2(Double2 v) {
   return reinterpret_cast<Double2>(reinterpret_cast<Mask2>(v) & no_sign);
 }
 
+// Which (sampled user, block) pairs a check compares. Without a baseline
+// every user is dirty: checked on every block. With one, `user_dirty` flags
+// the users whose double row or packed floats differ from it; every other
+// user is checked on the blocks whose inputs differ (BlockDiffers), which
+// each tile finds for itself.
+struct AgreementPlan {
+  const FactorModel* base_model = nullptr;  // null: no baseline
+  const PackedSnapshot* base_packed = nullptr;
+  std::vector<uint8_t> user_dirty;  // per sampled user
+  bool any_user_dirty = true;
+};
+
+// True when the baseline can stand in for pairs whose inputs it shares: it
+// passed under the kernel active now with the same sample, its model has
+// the candidate's dimensions and bias flag, and its repack the candidate
+// repack's dimensions (which size every memcmp).
+bool BaselineApplies(const FactorModel& model, const PackedSnapshot& packed,
+                     int32_t sample_users, ScoreKernel kernel,
+                     const AgreementBaseline* base) {
+  if (base == nullptr || base->model == nullptr || base->packed == nullptr) {
+    return false;
+  }
+  const FactorModel& m = *base->model;
+  const PackedSnapshot& p = *base->packed;
+  return base->stamp.kernel == kernel &&
+         base->stamp.sample_users == sample_users &&
+         m.num_users() == model.num_users() &&
+         m.num_items() == model.num_items() &&
+         m.num_factors() == model.num_factors() &&
+         m.use_item_bias() == model.use_item_bias() &&
+         p.num_users() == packed.num_users() &&
+         p.num_items() == packed.num_items() &&
+         p.num_factors() == packed.num_factors();
+}
+
+// True when user u's double row or packed floats differ from the baseline.
+bool UserDiffers(const FactorModel& model, const PackedSnapshot& packed,
+                 const AgreementPlan& plan, UserId u) {
+  const size_t d = static_cast<size_t>(model.num_factors());
+  return std::memcmp(model.UserFactors(u).data(),
+                     plan.base_model->UserFactors(u).data(),
+                     d * sizeof(double)) != 0 ||
+         std::memcmp(packed.user_factors(u), plan.base_packed->user_factors(u),
+                     d * sizeof(float)) != 0;
+}
+
+// True when block b's item doubles, biases or packed floats (pad lanes
+// included) differ from the baseline.
+bool BlockDiffers(const FactorModel& model, const PackedSnapshot& packed,
+                  const AgreementPlan& plan, int32_t b) {
+  const ItemId first = b * kPackedBlockItems;
+  const size_t items = static_cast<size_t>(
+      std::min(kPackedBlockItems, model.num_items() - first));
+  const size_t d = static_cast<size_t>(model.num_factors());
+  const size_t at = static_cast<size_t>(first);
+  const size_t stride = packed.block_stride();
+  return std::memcmp(model.item_factor_data().data() + at * d,
+                     plan.base_model->item_factor_data().data() + at * d,
+                     items * d * sizeof(double)) != 0 ||
+         std::memcmp(model.item_bias_data().data() + at,
+                     plan.base_model->item_bias_data().data() + at,
+                     items * sizeof(double)) != 0 ||
+         std::memcmp(packed.block_data() + static_cast<size_t>(b) * stride,
+                     plan.base_packed->block_data() +
+                         static_cast<size_t>(b) * stride,
+                     stride * sizeof(float)) != 0;
+}
+
+// Consecutive tile-local blocks [first, first + count).
+struct BlockRun {
+  int32_t first = 0;
+  int32_t count = 0;
+};
+
 // Checks items [begin, end) (begin block-aligned) against every sampled
 // user with index below `*first_bad_user`, and returns the tile's first
-// violation in (user, item) order. The tile's item factors are copied once
-// into 8-item double blocks (factor-major inside a block, like the packed
-// layout), so each user's exact scores and L1 masses run over contiguous
-// strips, 8 items per vector: per item the score starts at the bias (0.0
-// without biases) and adds u_f·v_f in factor order — FactorModel::
-// ScoreItemRange's arithmetic, bit for bit — and the L1 mass starts at |b_i|
-// and adds |u_f·v_f|. A branch-free screen flags the user when any lane is
-// off by more than half its bound; only a flagged user's tile is then
-// walked lane by lane against PackedScoreBound itself.
+// violation in (user, item) order. Per `plan`, a dirty user is checked on
+// every block of the tile and any other user on its changed blocks, whose
+// count goes to `*changed_blocks`. The blocks some user needs are copied
+// once into 8-item double blocks (factor-major inside a block, like the
+// packed layout), so each user's exact scores and L1 masses run over
+// contiguous strips, 8 items per vector: per item the score starts at the
+// bias (0.0 without biases) and adds u_f·v_f in factor order —
+// FactorModel::ScoreItemRange's arithmetic, bit for bit — and the L1 mass
+// starts at |b_i| and adds |u_f·v_f|. A branch-free screen flags the user
+// when any lane is off by more than half its bound; only a flagged user's
+// blocks are then walked lane by lane against PackedScoreBound itself.
 std::optional<AgreementViolation> CheckAgreementTile(
     const FactorModel& model, const PackedSnapshot& packed,
-    const std::vector<UserId>& users, ItemId begin, ItemId end,
-    std::atomic<size_t>* first_bad_user) {
+    const std::vector<UserId>& users, const AgreementPlan& plan,
+    ItemId begin, ItemId end, std::atomic<size_t>* first_bad_user,
+    int32_t* changed_blocks) {
   constexpr int32_t kLanes = kPackedBlockItems;
   const int32_t d = model.num_factors();
+  const int32_t first_block = begin / kLanes;
   const int32_t num_blocks = (end - begin + kLanes - 1) / kLanes;
   const size_t block_doubles = static_cast<size_t>(d) * kLanes;
   const bool bias = model.use_item_bias();
+
+  thread_local std::vector<BlockRun> changed_runs;
+  changed_runs.clear();
+  *changed_blocks = 0;
+  if (plan.base_model != nullptr) {
+    for (int32_t b = 0; b < num_blocks; ++b) {
+      if (!BlockDiffers(model, packed, plan, first_block + b)) continue;
+      ++*changed_blocks;
+      if (!changed_runs.empty() &&
+          changed_runs.back().first + changed_runs.back().count == b) {
+        ++changed_runs.back().count;
+      } else {
+        changed_runs.push_back({b, 1});
+      }
+    }
+  }
+  const BlockRun whole_tile[] = {{0, num_blocks}};
+  const std::span<const BlockRun> every(whole_tile), changed(changed_runs);
+  const std::span<const BlockRun> copied =
+      plan.any_user_dirty ? every : changed;
+  if (copied.empty()) return std::nullopt;
 
   // Pad lanes of a tail block are zero, as in the packed snapshot: they
   // score 0.0 on both sides and are never compared.
@@ -177,21 +278,26 @@ std::optional<AgreementViolation> CheckAgreementTile(
   bias0.resize(static_cast<size_t>(num_blocks) * kLanes);
   l1_0.resize(static_cast<size_t>(num_blocks) * kLanes);
   approx.resize(static_cast<size_t>(num_blocks) * kLanes);
-  for (size_t j = 0; j < bias0.size(); ++j) {
-    const size_t b = j / kLanes;
-    const size_t lane = j % kLanes;
-    const double* vf = nullptr;
-    bias0[j] = 0.0;
-    if (j < static_cast<size_t>(end - begin)) {
-      const ItemId i = begin + static_cast<ItemId>(j);
-      vf = model.ItemFactors(i).data();
-      if (bias) bias0[j] = model.ItemBias(i);
+  for (const BlockRun& run : copied) {
+    for (int32_t b = run.first; b < run.first + run.count; ++b) {
+      for (int32_t lane = 0; lane < kLanes; ++lane) {
+        const size_t j = static_cast<size_t>(b) * kLanes +
+                         static_cast<size_t>(lane);
+        const double* vf = nullptr;
+        bias0[j] = 0.0;
+        if (j < static_cast<size_t>(end - begin)) {
+          const ItemId i = begin + static_cast<ItemId>(j);
+          vf = model.ItemFactors(i).data();
+          if (bias) bias0[j] = model.ItemBias(i);
+        }
+        for (int32_t f = 0; f < d; ++f) {
+          factors[static_cast<size_t>(b) * block_doubles +
+                  static_cast<size_t>(f) * kLanes +
+                  static_cast<size_t>(lane)] = vf != nullptr ? vf[f] : 0.0;
+        }
+        l1_0[j] = std::abs(bias0[j]);
+      }
     }
-    for (int32_t f = 0; f < d; ++f) {
-      factors[b * block_doubles + static_cast<size_t>(f) * kLanes + lane] =
-          vf != nullptr ? vf[f] : 0.0;
-    }
-    l1_0[j] = std::abs(bias0[j]);
   }
 
   // half_bound_scale · (l1 + 1) is exactly half of PackedScoreBound(d, l1)
@@ -201,9 +307,15 @@ std::optional<AgreementViolation> CheckAgreementTile(
   for (size_t ui = 0; ui < users.size(); ++ui) {
     // A smaller user already failed elsewhere: nothing here can come first.
     if (ui > first_bad_user->load(std::memory_order_relaxed)) break;
+    const std::span<const BlockRun> runs =
+        plan.user_dirty[ui] != 0 ? every : changed;
+    if (runs.empty()) continue;
     const UserId u = users[ui];
     const double* uf = model.UserFactors(u).data();
-    ScoreBlocks(packed, u, begin / kLanes, num_blocks, approx.data());
+    for (const BlockRun& run : runs) {
+      ScoreBlocks(packed, u, first_block + run.first, run.count,
+                  approx.data() + static_cast<size_t>(run.first) * kLanes);
+    }
     // Block b's |exact − packed| gaps and L1 masses, 8 lanes as 4 pairs
     // kept in registers across the factor loop.
     auto block = [&](int32_t b, Double2 delta[4], Double2 l1[4]) {
@@ -240,24 +352,28 @@ std::optional<AgreementViolation> CheckAgreementTile(
       l1[3] = m3;
     };
     Mask2 flagged = {0, 0};
-    for (int32_t b = 0; b < num_blocks; ++b) {
-      Double2 delta[4], l1[4];
-      block(b, delta, l1);
-      for (int h = 0; h < 4; ++h) {
-        flagged |= delta[h] > half_bound_scale * (l1[h] + 1.0);
+    for (const BlockRun& run : runs) {
+      for (int32_t b = run.first; b < run.first + run.count; ++b) {
+        Double2 delta[4], l1[4];
+        block(b, delta, l1);
+        for (int h = 0; h < 4; ++h) {
+          flagged |= delta[h] > half_bound_scale * (l1[h] + 1.0);
+        }
       }
     }
     if ((flagged[0] | flagged[1]) == 0) continue;
-    for (int32_t b = 0; b < num_blocks; ++b) {
-      Double2 delta[4], l1[4];
-      block(b, delta, l1);
-      const int32_t lanes = std::min(kLanes, end - begin - b * kLanes);
-      for (int l = 0; l < lanes; ++l) {
-        const double bound = PackedScoreBound(d, l1[l / 2][l % 2]);
-        if (delta[l / 2][l % 2] > bound) {
-          AtomicMin(first_bad_user, ui);
-          return AgreementViolation{ui, begin + b * kLanes + l,
-                                    delta[l / 2][l % 2], bound};
+    for (const BlockRun& run : runs) {
+      for (int32_t b = run.first; b < run.first + run.count; ++b) {
+        Double2 delta[4], l1[4];
+        block(b, delta, l1);
+        const int32_t lanes = std::min(kLanes, end - begin - b * kLanes);
+        for (int l = 0; l < lanes; ++l) {
+          const double bound = PackedScoreBound(d, l1[l / 2][l % 2]);
+          if (delta[l / 2][l % 2] > bound) {
+            AtomicMin(first_bad_user, ui);
+            return AgreementViolation{ui, begin + b * kLanes + l,
+                                      delta[l / 2][l % 2], bound};
+          }
         }
       }
     }
@@ -270,7 +386,12 @@ std::optional<AgreementViolation> CheckAgreementTile(
 Status VerifyPackedAgreement(const FactorModel& model,
                              const PackedSnapshot& packed,
                              int32_t sample_users, const std::string& context,
-                             int threads) {
+                             int threads, const AgreementBaseline* baseline,
+                             AgreementStamp* stamp) {
+  AgreementStamp ran;
+  ran.kernel = ActiveScoreKernel();
+  ran.sample_users = sample_users;
+  if (stamp != nullptr) *stamp = ran;
   if (model.num_users() != packed.num_users() ||
       model.num_items() != packed.num_items() ||
       model.num_factors() != packed.num_factors()) {
@@ -281,20 +402,44 @@ Status VerifyPackedAgreement(const FactorModel& model,
       GateSampleUsers(model.num_users(), sample_users);
   if (users.empty() || model.num_items() == 0) return Status::OK();
 
+  AgreementPlan plan;
+  plan.user_dirty.assign(users.size(), 1);
+  if (BaselineApplies(model, packed, sample_users, ran.kernel, baseline)) {
+    plan.base_model = baseline->model;
+    plan.base_packed = baseline->packed;
+    plan.any_user_dirty = false;
+    for (size_t ui = 0; ui < users.size(); ++ui) {
+      plan.user_dirty[ui] = UserDiffers(model, packed, plan, users[ui]);
+      plan.any_user_dirty = plan.any_user_dirty || plan.user_dirty[ui] != 0;
+    }
+  }
+
   // Every tile reports its own first violation; the smallest (user, item)
   // over the tiles is the serial scan's first violation.
   const int64_t num_tiles =
       (model.num_items() + kAgreementTileItems - 1) / kAgreementTileItems;
   std::vector<std::optional<AgreementViolation>> found(
       static_cast<size_t>(num_tiles));
+  std::vector<int32_t> changed_blocks(static_cast<size_t>(num_tiles), 0);
   std::atomic<size_t> first_bad_user{users.size()};
   ParallelForEach(num_tiles, threads, [&](int64_t t) {
     const ItemId begin = static_cast<ItemId>(t) * kAgreementTileItems;
     const ItemId end =
         std::min<ItemId>(model.num_items(), begin + kAgreementTileItems);
-    found[static_cast<size_t>(t)] = CheckAgreementTile(
-        model, packed, users, begin, end, &first_bad_user);
+    found[static_cast<size_t>(t)] =
+        CheckAgreementTile(model, packed, users, plan, begin, end,
+                           &first_bad_user,
+                           &changed_blocks[static_cast<size_t>(t)]);
   });
+  if (stamp != nullptr) {
+    const int64_t changed = std::accumulate(changed_blocks.begin(),
+                                            changed_blocks.end(), int64_t{0});
+    stamp->pairs_total =
+        static_cast<int64_t>(users.size()) * packed.num_blocks();
+    for (uint8_t dirty : plan.user_dirty) {
+      stamp->pairs_checked += dirty != 0 ? packed.num_blocks() : changed;
+    }
+  }
   const AgreementViolation* first = nullptr;
   for (const auto& v : found) {
     if (v && (first == nullptr || v->user_index < first->user_index)) {

@@ -139,6 +139,26 @@ class PackedSnapshot {
 /// visit 65. Empty when either count is <= 0.
 std::vector<UserId> GateSampleUsers(int32_t num_users, int32_t sample_users);
 
+enum class ScoreKernel : int;  // clapf/model/score_kernel.h
+
+/// What one VerifyPackedAgreement call ran with and compared. A slice
+/// whose repack passed keeps its stamp, so that the next check can use it
+/// as a baseline.
+struct AgreementStamp {
+  ScoreKernel kernel{};       // scored the packed side
+  int32_t sample_users = 0;   // the sample size asked for
+  int64_t pairs_checked = 0;  // (sampled user, 8-item block) pairs compared
+  int64_t pairs_total = 0;    // sampled users x blocks: the full check's
+};
+
+/// A model and its repack that passed VerifyPackedAgreement as `stamp`
+/// records.
+struct AgreementBaseline {
+  const FactorModel* model = nullptr;
+  const PackedSnapshot* packed = nullptr;
+  AgreementStamp stamp;
+};
+
 /// Verifies the packed repack against the exact double model for the
 /// GateSampleUsers(num_users, sample_users) users and every item: each
 /// |Δscore| must stay within PackedScoreBound(). Returns FailedPrecondition
@@ -151,10 +171,24 @@ std::vector<UserId> GateSampleUsers(int32_t num_users, int32_t sample_users);
 /// the exact score and its L1 mass accumulated in one loop with the same
 /// arithmetic as FactorModel::ScoreItemRange. Tiles are spread over
 /// `threads` workers; the verdict and message do not depend on the count.
+///
+/// With a `baseline` the check covers only the (sampled user, block) pairs
+/// whose inputs differ from it, by memcmp: a user whose double row or
+/// packed floats differ is checked on every block, every other user on the
+/// blocks whose item doubles, biases or packed floats differ. Every other
+/// pair has exactly the inputs of a pair the baseline passed, so the
+/// verdict and the first-violation Status equal the full check's. The
+/// baseline is ignored — every pair is checked — unless its stamp names
+/// the kernel active now and the same `sample_users`, its model has this
+/// model's dimensions and bias flag, and its repack this repack's
+/// dimensions. `stamp` (may be
+/// null) receives what this call ran with and compared, also on refusal.
 Status VerifyPackedAgreement(const FactorModel& model,
                              const PackedSnapshot& packed,
                              int32_t sample_users, const std::string& context,
-                             int threads = 1);
+                             int threads = 1,
+                             const AgreementBaseline* baseline = nullptr,
+                             AgreementStamp* stamp = nullptr);
 
 }  // namespace clapf
 

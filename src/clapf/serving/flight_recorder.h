@@ -25,7 +25,8 @@ enum class FlightEventKind : uint8_t {
   kProbeStart,          ///< half-open probe began against snapshot a
   kProbeRecovered,      ///< probe passed; snapshot a reinstated (x=error rate)
   kProbeFailed,         ///< probe failed; reverted to snapshot b (x=error rate)
-  kPublish,             ///< candidate cleared the canary gate (a=version)
+  kPublish,             ///< candidate cleared the canary gate (a=version,
+                        ///< b=shard, x=share of agreement pairs checked)
   kCanaryReject,        ///< candidate refused pre-publish
   kShed,                ///< request refused at admission (a=queue depth)
   kDeadlineMiss,        ///< query expired mid-scan

@@ -38,6 +38,8 @@ PublishStageMetrics::PublishStageMetrics(MetricsRegistry* registry) {
   ann_gate = stage("ann_gate");
   auc_probe = stage("auc_probe");
   swap = stage("swap");
+  agreement_pairs_checked =
+      registry->GetCounter("serving.publish.agreement_pairs_checked_total");
 }
 
 ModelShard::ModelShard(int32_t id, ItemId begin, ItemId end,
@@ -66,11 +68,12 @@ Result<std::shared_ptr<ShardSlice>> ModelShard::BuildSlice(
           : candidate.SliceItems(begin_, end_));
   if (verify_integrity) {
     // The slice carries the full user matrix plus this shard's items, so
-    // the finite scan + CRC round-trip covers exactly the parameters this
+    // the shape check + finite scan covers exactly the parameters this
     // shard will serve — a corrupt user factor is caught by every shard's
     // gate, a corrupt item factor by its owner's.
     TraceSpan span(timed.integrity);
-    CLAPF_RETURN_IF_ERROR(VerifyModelIntegrity(slice->model, context));
+    CLAPF_RETURN_IF_ERROR(
+        VerifyModelIntegrity(slice->model, context, threads));
   }
   if (packed) {
     TraceSpan pack_span(timed.pack);
@@ -79,8 +82,21 @@ Result<std::shared_ptr<ShardSlice>> ModelShard::BuildSlice(
     pack_span.Stop();
     if (packed_agreement_users > 0) {
       TraceSpan span(timed.agreement);
-      CLAPF_RETURN_IF_ERROR(VerifyPackedAgreement(
-          slice->model, *snap, packed_agreement_users, context, threads));
+      AgreementBaseline baseline;  // empty: the full check
+      if (previous != nullptr && previous->agreement) {
+        baseline = {&previous->model, previous->packed.get(),
+                    *previous->agreement};
+      }
+      AgreementStamp stamp;
+      Status agree =
+          VerifyPackedAgreement(slice->model, *snap, packed_agreement_users,
+                                context, threads, &baseline, &stamp);
+      span.Stop();
+      if (timed.agreement_pairs_checked != nullptr) {
+        timed.agreement_pairs_checked->Inc(stamp.pairs_checked);
+      }
+      CLAPF_RETURN_IF_ERROR(agree);
+      slice->agreement = stamp;
     }
     slice->packed = std::move(snap);
   }

@@ -31,18 +31,24 @@ struct ShardSlice {
   FactorModel model;  // items renumbered to [0, shard size)
   std::shared_ptr<const PackedSnapshot> packed;  // null when packed is off
   std::shared_ptr<const IvfIndex> ivf;           // null when ANN is off
+  /// Set when `packed` passed VerifyPackedAgreement: the kernel and sample
+  /// it ran with, so the next publish can check only what changed.
+  std::optional<AgreementStamp> agreement;
 };
 
 /// The serving.publish.stage.<stage>_us histograms (PublishStageBucketsUs,
-/// up to 60 s) that time a publish stage by stage: integrity (finite scan +
-/// wire-format/CRC round trip), pack (the SIMD repack), agreement
-/// (packed-vs-exact), ann_build and ann_gate (index build; binding +
-/// measured recall), auc_probe (sampled-AUC floor) and swap (the snapshot
-/// swap). ann_build splits into the IvfBuildPhases ann_kmeans (centroid
-/// training, full builds only), ann_assign, ann_repack and ann_encode (pq
-/// only). A publish records one sample per stage it runs, one per built
-/// slice for the slice stages, also when that stage refuses the candidate.
-/// Default-constructed handles are null and time nothing.
+/// up to 60 s) that time a publish stage by stage: integrity (shape check +
+/// tiled finite scan), pack (the SIMD repack), agreement (packed-vs-exact,
+/// on the pairs that changed since the serving slice when that slice can be
+/// the baseline), ann_build and ann_gate (index build; binding + measured
+/// recall), auc_probe (sampled-AUC floor) and swap (the snapshot swap).
+/// ann_build splits into the IvfBuildPhases ann_kmeans (centroid training,
+/// full builds only), ann_assign, ann_repack and ann_encode (pq only). A
+/// publish records one sample per stage it runs, one per built slice for
+/// the slice stages, also when that stage refuses the candidate. The
+/// serving.publish.agreement_pairs_checked_total counter adds the
+/// (sampled user, block) pairs each agreement check compared. Default-
+/// constructed handles are null and time nothing.
 struct PublishStageMetrics {
   PublishStageMetrics() = default;
   explicit PublishStageMetrics(MetricsRegistry* registry);
@@ -58,6 +64,7 @@ struct PublishStageMetrics {
   Histogram* ann_gate = nullptr;
   Histogram* auc_probe = nullptr;
   Histogram* swap = nullptr;
+  Counter* agreement_pairs_checked = nullptr;
 };
 
 /// Immutable identity of one catalog shard — its item range, the serving
@@ -92,16 +99,20 @@ class ModelShard {
   /// exactly this shard's items, which the slice adopts as they are — so
   /// the one-shard server moves its candidate in and a publish holds one
   /// copy of the model. When `verify_integrity` is set the sliced model
-  /// must pass VerifyModelIntegrity (finite scan + wire-format/CRC
-  /// round-trip); when `packed` is set a PackedSnapshot is built and, if
+  /// must pass VerifyModelIntegrity (shape check + finite scan); when
+  /// `packed` is set a PackedSnapshot is built and, if
   /// `packed_agreement_users` > 0, verified against the slice within
-  /// PackedScoreBound. When `ann` is non-null (requires `packed`) an
-  /// IvfIndex is built over the sliced catalog and gated by BuildGatedIvf,
-  /// incrementally from `previous`'s index when it has one; `metrics` (may
-  /// be null) receives the build and gate counters. The repack and the
-  /// agreement check run over `threads` workers (the index passes use
-  /// ann->ivf's build_threads); `stages` (may be null) times each stage.
-  /// Gate failures leave nothing published.
+  /// PackedScoreBound and stamped. `previous` (may be null) is the slice
+  /// this one replaces: a stamped previous slice is the agreement's
+  /// baseline, so only the pairs whose bytes changed are checked (an
+  /// unusable stamp means the full check). When `ann` is non-null
+  /// (requires `packed`) an IvfIndex is built over the sliced catalog and
+  /// gated by BuildGatedIvf, incrementally from `previous`'s index when it
+  /// has one; `metrics` (may be null) receives the build and gate
+  /// counters. The integrity scan, the repack and the agreement check run
+  /// over `threads` workers (the index passes use ann->ivf's
+  /// build_threads); `stages` (may be null) times each stage. Gate
+  /// failures leave nothing published.
   Result<std::shared_ptr<ShardSlice>> BuildSlice(
       FactorModel candidate, bool packed, bool verify_integrity,
       int32_t packed_agreement_users, const std::string& context,

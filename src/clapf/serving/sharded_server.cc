@@ -185,10 +185,11 @@ Status ModelServer::PublishModel(PublishRequest request) {
 
   const bool canary = options_.canary.enabled;
   if (canary && target == kAllShards) {
-    // Whole-candidate integrity scan (finite values + wire-format/CRC
-    // round-trip), once, before any slicing.
+    // Whole-candidate integrity check (shape + tiled finite scan), once,
+    // before any slicing, on the publish's thread budget.
     TraceSpan span(publish_stages_.integrity);
-    Status whole = VerifyModelIntegrity(candidate, context);
+    Status whole =
+        VerifyModelIntegrity(candidate, context, options_.ivf.build_threads);
     span.Stop();
     if (!whole.ok()) {
       stats_.RecordCanaryReject();
@@ -205,16 +206,19 @@ Status ModelServer::PublishModel(PublishRequest request) {
   // shard's prior slice serving.
   const bool ann_enabled = options_.packed && options_.ann;
   IvfGateOptions ann;
-  std::vector<std::shared_ptr<const ShardSlice>> prev_slices(targets.size());
   if (ann_enabled) {
     ann.ivf = options_.ivf;
     ann.verify = canary;
     ann.recall_floor = options_.canary.ann_recall_floor;
     ann.recall_users = options_.canary.ann_recall_users;
     ann.recall_k = options_.canary.ann_recall_k;
-    // A compatible prior index per shard seeds the incremental rebuild;
-    // read the current chain cut once so every target shard's previous
-    // slice comes from the same publish generation.
+  }
+  std::vector<std::shared_ptr<const ShardSlice>> prev_slices(targets.size());
+  if (options_.packed) {
+    // Each shard's serving slice is the baseline of its packed agreement
+    // and, with ann, seeds its incremental index rebuild; read the current
+    // chain cut once so every target shard's previous slice comes from the
+    // same publish generation.
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     auto it = tenants_.find(tenant);
     if (it != tenants_.end() && !it->second.chains.empty()) {
@@ -252,6 +256,17 @@ Status ModelServer::PublishModel(PublishRequest request) {
       return slice.status();
     }
     built[i] = *std::move(slice);
+  }
+  // Share of each slice's (sampled user, block) pairs its agreement check
+  // compared, for the publish events: 1 for a full check, near the changed
+  // share on the delta, 0 when no check ran.
+  std::vector<double> checked_share(targets.size(), 0.0);
+  for (size_t i = 0; i < targets.size(); ++i) {
+    const auto& stamp = built[i]->agreement;
+    if (stamp && stamp->pairs_total > 0) {
+      checked_share[i] = static_cast<double>(stamp->pairs_checked) /
+                         static_cast<double>(stamp->pairs_total);
+    }
   }
 
   if (canary && target == kAllShards && options_.canary.min_auc > 0.0 &&
@@ -301,12 +316,13 @@ Status ModelServer::PublishModel(PublishRequest request) {
     }
   }
   stats_.RecordPublish();
-  for (int32_t s : targets) {
+  for (size_t i = 0; i < targets.size(); ++i) {
+    const int32_t s = targets[i];
     shard_stats_[static_cast<size_t>(s)]->RecordPublish();
     RecordShardEvent(s, FlightEventKind::kPublish,
                      "tenant \"" + tenant +
                          "\" slice cleared the canary gate",
-                     published_version, s);
+                     published_version, s, checked_share[i]);
   }
   {
     // The swapped shards get fresh breaker windows: errors charged to their

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "clapf/model/ivf_index.h"
+#include "clapf/model/score_kernel.h"
 #include "clapf/obs/metrics.h"
 #include "clapf/recommender.h"
 #include "clapf/serving/publish_request.h"
@@ -25,7 +26,10 @@ namespace {
 
 class AnnServingTest : public ::testing::Test {
  protected:
-  void TearDown() override { FaultInjector::Instance().Reset(); }
+  void TearDown() override {
+    FaultInjector::Instance().Reset();
+    ClearScoreKernelOverride();
+  }
 };
 
 // Catalogs with directional structure (what the recall contract is stated
@@ -151,6 +155,103 @@ TEST_F(AnnServingTest, PublishTimesEachStageInTheServerRegistry) {
                               "ann_encode"}) {
       EXPECT_EQ(stage_hist(phase).count, 2 * shards) << phase;
     }
+  }
+}
+
+// The publish events of the last publish, one per shard, oldest first.
+std::vector<FlightEvent> LastPublishEvents(const FlightRecorder& recorder,
+                                           int32_t shards) {
+  std::vector<FlightEvent> events;
+  for (const FlightEvent& event : recorder.Snapshot()) {
+    if (event.kind == FlightEventKind::kPublish) events.push_back(event);
+  }
+  if (events.size() > static_cast<size_t>(shards)) {
+    events.erase(events.begin(), events.end() - shards);
+  }
+  return events;
+}
+
+TEST_F(AnnServingTest, PublishAgreementChecksOnlyWhatChanged) {
+  for (int32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto history = testing::MakeLearnableDataset(20, 400, 8, 79);
+    ModelServer server(history, AnnOptions(shards));
+    const auto pairs = [&] {
+      return CounterValue(server.mutable_metrics(),
+                          "serving.publish.agreement_pairs_checked_total");
+    };
+    const auto expect_share = [&](double lo, double hi) {
+      for (const FlightEvent& event :
+           LastPublishEvents(server.flight_recorder(), shards)) {
+        EXPECT_GE(event.x, lo) << "shard " << event.b;
+        EXPECT_LE(event.x, hi) << "shard " << event.b;
+      }
+    };
+    // Every 100th item moves: 4 of the 400, as a 1% update moves them.
+    const auto drift = [](FactorModel model, double by) {
+      for (ItemId i = 7; i < model.num_items(); i += 100) {
+        model.ItemFactors(i)[0] += by;
+      }
+      return model;
+    };
+
+    // No serving slice yet: every (sampled user, block) pair is checked.
+    const FactorModel first = MakeServableModel(20, 400, 16, 8, 79);
+    ASSERT_TRUE(server.PublishModel(first).ok());
+    const int64_t full = pairs();
+    ASSERT_GT(full, 0);
+    expect_share(1.0, 1.0);
+
+    // A 1%-drift republish checks the moved items' blocks only. Each
+    // shard holds one or two of them (a small shard's share can pass 10%).
+    const FactorModel second = drift(first, 1e-3);
+    ASSERT_TRUE(server.PublishModel(second).ok());
+    const int64_t drifted = pairs() - full;
+    EXPECT_GT(drifted, 0);
+    EXPECT_LE(drifted * 10, full);
+    expect_share(1e-9, 0.2);
+
+    // A candidate refused after its agreement passed (a desynced index)
+    // never becomes the baseline: the retry is checked against the slice
+    // still serving, so it checks the same moved blocks again.
+    const FactorModel third = drift(second, 1e-3);
+    FaultInjector::Instance().Arm(FaultPoint::kAnnCorruptIndex, {});
+    ASSERT_FALSE(server.PublishModel(third).ok());
+    FaultInjector::Instance().Reset();
+    const int64_t before_retry = pairs();
+    EXPECT_GT(before_retry - full - drifted, 0);  // the refused agreement
+    ASSERT_TRUE(server.PublishModel(third).ok());
+    EXPECT_EQ(pairs() - before_retry, drifted);
+
+    // Another kernel scores the packed side differently: the serving
+    // slice's stamp no longer applies, so an unchanged candidate is
+    // checked on every pair.
+    const ScoreKernel other = ActiveScoreKernel() == ScoreKernel::kAvx2
+                                  ? ScoreKernel::kPortable
+                                  : ScoreKernel::kAvx2;
+    if (ScoreKernelSupported(other)) {
+      ForceScoreKernel(other);
+      const int64_t before_switch = pairs();
+      const Status switched = server.PublishModel(third);
+      ClearScoreKernelOverride();
+      ASSERT_TRUE(switched.ok()) << switched.ToString();
+      EXPECT_EQ(pairs() - before_switch, full);
+      expect_share(1.0, 1.0);
+    }
+
+    // Packed serving without an index takes the serving slice as its
+    // baseline too.
+    ServerOptions packed_only = AnnOptions(shards);
+    packed_only.ann = false;
+    ModelServer plain(history, packed_only);
+    const auto plain_pairs = [&] {
+      return CounterValue(plain.mutable_metrics(),
+                          "serving.publish.agreement_pairs_checked_total");
+    };
+    ASSERT_TRUE(plain.PublishModel(first).ok());
+    EXPECT_EQ(plain_pairs(), full);
+    ASSERT_TRUE(plain.PublishModel(second).ok());
+    EXPECT_EQ(plain_pairs() - full, drifted);
   }
 }
 

@@ -5,15 +5,20 @@
 // the gate's tile, fewer users than the sample size, and one corrupted
 // packed lane per case. At every thread count the returned Status must
 // equal the reference's — code and message, so the same (user, item), the
-// same delta and the same bound. Part of the `kernel` ctest label.
+// same delta and the same bound. The check on the delta against a verified
+// baseline must return the full check's Status under every mutation of the
+// candidate, and fall back to the full check when the baseline does not
+// fit. Part of the `kernel` ctest label.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "clapf/model/packed_snapshot.h"
+#include "clapf/model/score_kernel.h"
 #include "clapf/util/random.h"
 
 namespace clapf {
@@ -219,6 +224,324 @@ TEST(PackedAgreementDiffTest, NearBoundGapsAreDecidedByTheBoundItself) {
     EXPECT_EQ(VerifyPackedAgreement(model, packed, 64, what, 2).ok(),
               ratio < 1.0)
         << what;
+  }
+}
+
+// ---- agreement on the delta --------------------------------------------
+
+constexpr int32_t kDeltaSample = 64;
+
+// A candidate (model, repack) built from a verified baseline by one
+// mutation.
+struct Candidate {
+  FactorModel model;
+  PackedSnapshot packed;
+};
+
+float* PackedLane(PackedSnapshot* packed, ItemId item, size_t row) {
+  return packed->mutable_block_data() +
+         static_cast<size_t>(item / kPackedBlockItems) *
+             packed->block_stride() +
+         row * kPackedBlockItems + item % kPackedBlockItems;
+}
+
+// The delta check against `baseline` and the full check must both return
+// the serial reference's Status, code and message, at 1, 2 and 4 threads;
+// the reference must pass exactly when `want_ok`. Returns the delta's
+// stamp at 4 threads.
+AgreementStamp ExpectDeltaMatchesFull(const Candidate& c,
+                                      const AgreementBaseline& baseline,
+                                      const std::string& what, bool want_ok) {
+  const Status want = ReferenceAgreement(c.model, c.packed, kDeltaSample,
+                                         what);
+  EXPECT_EQ(want.ok(), want_ok) << what << ": " << want.message();
+  AgreementStamp stamp;
+  for (int threads : {1, 2, 4}) {
+    const Status full = VerifyPackedAgreement(c.model, c.packed, kDeltaSample,
+                                              what, threads);
+    const Status delta =
+        VerifyPackedAgreement(c.model, c.packed, kDeltaSample, what, threads,
+                              &baseline, &stamp);
+    EXPECT_EQ(full.code(), want.code()) << what << " threads " << threads;
+    EXPECT_EQ(full.message(), want.message())
+        << what << " threads " << threads;
+    EXPECT_EQ(delta.code(), want.code()) << what << " threads " << threads;
+    EXPECT_EQ(delta.message(), want.message())
+        << what << " threads " << threads;
+  }
+  return stamp;
+}
+
+TEST(PackedAgreementDiffTest, DeltaAgainstVerifiedBaselineMatchesFullCheck) {
+  // Items: two blocks, one tile plus a partial block, three tiles with a
+  // partial tail block. Users: fewer than the sample (all sampled), and
+  // 130 (stride 2: even users sampled, odd ones not).
+  const int32_t kItems[] = {13, 1025, 3001};
+  const int32_t kUsers[] = {5, 130};
+  uint64_t seed = 500;
+  for (int32_t items : kItems) {
+    for (int32_t users : kUsers) {
+      for (bool bias : {true, false}) {
+        ++seed;
+        Rng rng(seed * 104729);
+        const int32_t d = 1 + static_cast<int32_t>(rng.Uniform(24));
+        const FactorModel base_model =
+            RandomModel(users, items, d, bias, seed);
+        const PackedSnapshot base_packed = PackedSnapshot::Build(base_model);
+        AgreementStamp base_stamp;
+        ASSERT_TRUE(VerifyPackedAgreement(base_model, base_packed,
+                                          kDeltaSample, "baseline", 1,
+                                          nullptr, &base_stamp)
+                        .ok());
+        ASSERT_EQ(base_stamp.pairs_checked, base_stamp.pairs_total);
+        const AgreementBaseline baseline{&base_model, &base_packed,
+                                         base_stamp};
+        const std::vector<UserId> sampled =
+            GateSampleUsers(users, kDeltaSample);
+        const int64_t num_blocks = base_packed.num_blocks();
+
+        // Items i with i % 50 == 3 move, as a drifted update moves a
+        // share of the catalog; `clean` sits in a block none of them
+        // touches.
+        auto moved = [&](FactorModel* m) {
+          for (ItemId i = 3; i < items; i += 50) {
+            for (double& x : m->ItemFactors(i)) x += 0.02 * rng.NextGaussian();
+          }
+        };
+        ItemId clean = -1;
+        for (ItemId i = 0; i < items && clean < 0; ++i) {
+          const ItemId first = i - i % kPackedBlockItems;
+          bool touched = false;
+          for (ItemId j = first; j < first + kPackedBlockItems; ++j) {
+            touched = touched || (j < items && j % 50 == 3);
+          }
+          if (!touched) clean = i;
+        }
+        auto drifted = [&] {
+          FactorModel m = base_model;
+          moved(&m);
+          PackedSnapshot p = PackedSnapshot::Build(m);
+          return Candidate{std::move(m), std::move(p)};
+        };
+        const UserId victim = sampled.back();
+        auto with_user = [&](FactorModel m, UserId u) {
+          for (double& x : m.UserFactors(u)) x += 0.5;
+          return m;
+        };
+
+        const std::string what = "items=" + std::to_string(items) +
+                                 " users=" + std::to_string(users) +
+                                 " d=" + std::to_string(d) +
+                                 (bias ? " bias" : " no-bias");
+        {
+          const Candidate c = drifted();
+          const AgreementStamp got =
+              ExpectDeltaMatchesFull(c, baseline, what + " moved items", true);
+          EXPECT_LE(got.pairs_checked, got.pairs_total);
+          EXPECT_EQ(got.pairs_checked % static_cast<int64_t>(sampled.size()),
+                    0)
+              << "no user changed: every sampled user sees the same blocks";
+        }
+        {
+          const Candidate c{base_model, PackedSnapshot::Build(base_model)};
+          const AgreementStamp got =
+              ExpectDeltaMatchesFull(c, baseline, what + " unchanged", true);
+          EXPECT_EQ(got.pairs_checked, 0) << what;
+        }
+        if (clean >= 0) {
+          Candidate c = drifted();
+          c.model.ItemFactors(clean)[0] += 1.0;  // its repack is stale
+          ExpectDeltaMatchesFull(c, baseline,
+                                 what + " clean item double", false);
+        }
+        if (clean >= 0) {
+          // Without biases the exact score ignores it: both checks pass.
+          Candidate c = drifted();
+          c.model.ItemBias(clean) += 1.0;
+          ExpectDeltaMatchesFull(c, baseline, what + " clean item bias",
+                                 !bias);
+        }
+        if (clean >= 0) {
+          Candidate c = drifted();
+          *PackedLane(&c.packed, clean, 0) += 4.0f;
+          ExpectDeltaMatchesFull(c, baseline, what + " clean bias lane", false);
+        }
+        if (clean >= 0) {
+          Candidate c = drifted();
+          *PackedLane(&c.packed, clean,
+                      1 + static_cast<size_t>(d - 1)) += 4.0f;
+          ExpectDeltaMatchesFull(c, baseline,
+                                 what + " clean factor lane", false);
+        }
+        if (items % kPackedBlockItems != 0) {
+          Candidate c = drifted();
+          *PackedLane(&c.packed, items, 1) += 4.0f;  // a pad lane
+          const AgreementStamp got =
+              ExpectDeltaMatchesFull(c, baseline,
+                                     what + " tail pad lane", true);
+          EXPECT_GT(got.pairs_checked, 0) << what;
+        }
+        {
+          // The doubles move, the repack stays the baseline's.
+          Candidate c{with_user(base_model, victim),
+                      PackedSnapshot::Build(base_model)};
+          const AgreementStamp got =
+              ExpectDeltaMatchesFull(c, baseline,
+                                     what + " user doubles", false);
+          EXPECT_EQ(got.pairs_checked, num_blocks) << what;
+        }
+        {
+          // The repack moves, the doubles stay the baseline's.
+          Candidate c{base_model,
+                      PackedSnapshot::Build(with_user(base_model, victim))};
+          const AgreementStamp got = ExpectDeltaMatchesFull(
+              c, baseline, what + " user packed floats", false);
+          EXPECT_EQ(got.pairs_checked, num_blocks) << what;
+        }
+        if (clean >= 0) {
+          // A dirty user and a corrupt clean block at once: the first
+          // violation is ordered across both kinds of dirty pair.
+          Candidate c{with_user(base_model, victim),
+                      PackedSnapshot::Build(base_model)};
+          *PackedLane(&c.packed, clean, 0) += 4.0f;
+          ExpectDeltaMatchesFull(c, baseline, what + " user and block", false);
+        }
+        if (sampled.size() < static_cast<size_t>(users)) {
+          FactorModel m = with_user(base_model, 1);  // odd: not sampled
+          PackedSnapshot p = PackedSnapshot::Build(m);
+          const Candidate c{std::move(m), std::move(p)};
+          const AgreementStamp got =
+              ExpectDeltaMatchesFull(c, baseline,
+                                     what + " unsampled user", true);
+          EXPECT_EQ(got.pairs_checked, 0) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(PackedAgreementDiffTest, DeltaCoversOnlyChangedBlocksAndUsers) {
+  // 130 users (65 sampled), 4000 items (500 blocks). Two items in two
+  // blocks move: 65 x 2 pairs. Then one sampled user moves too: that user
+  // is checked on all 500 blocks, the other 64 on the 2.
+  const FactorModel base_model = RandomModel(130, 4000, 9, true, 31);
+  const PackedSnapshot base_packed = PackedSnapshot::Build(base_model);
+  AgreementStamp base_stamp;
+  ASSERT_TRUE(VerifyPackedAgreement(base_model, base_packed, kDeltaSample,
+                                    "baseline", 2, nullptr, &base_stamp)
+                  .ok());
+  EXPECT_EQ(base_stamp.pairs_total, 65 * 500);
+  EXPECT_EQ(base_stamp.pairs_checked, 65 * 500);
+  EXPECT_EQ(base_stamp.kernel, ActiveScoreKernel());
+  EXPECT_EQ(base_stamp.sample_users, kDeltaSample);
+  const AgreementBaseline baseline{&base_model, &base_packed, base_stamp};
+
+  FactorModel model = base_model;
+  model.ItemFactors(17)[3] += 0.1;    // block 2
+  model.ItemFactors(3999)[0] -= 0.1;  // block 499
+  const AgreementStamp items_only =
+      ExpectDeltaMatchesFull({model, PackedSnapshot::Build(model)}, baseline,
+                             "two items", true);
+  EXPECT_EQ(items_only.pairs_checked, 65 * 2);
+  EXPECT_EQ(items_only.pairs_total, 65 * 500);
+
+  for (double& x : model.UserFactors(64)) x *= 1.5;  // sampled (stride 2)
+  const AgreementStamp with_user = ExpectDeltaMatchesFull(
+      {model, PackedSnapshot::Build(model)}, baseline, "two items, a user",
+      true);
+  EXPECT_EQ(with_user.pairs_checked, 64 * 2 + 500);
+}
+
+TEST(PackedAgreementDiffTest, BaselineThatDoesNotFitTakesTheFullCheck) {
+  const FactorModel model = RandomModel(40, 300, 6, true, 77);
+  const PackedSnapshot packed = PackedSnapshot::Build(model);
+  AgreementStamp stamp;
+  ASSERT_TRUE(VerifyPackedAgreement(model, packed, kDeltaSample, "baseline",
+                                    1, nullptr, &stamp)
+                  .ok());
+  const int64_t full = stamp.pairs_total;
+
+  // Fallbacks are judged on an identical candidate with one corrupt lane:
+  // a usable baseline would check only that block.
+  PackedSnapshot candidate = PackedSnapshot::Build(model);
+  *PackedLane(&candidate, 123, 2) += 4.0f;
+  const Status want =
+      VerifyPackedAgreement(model, candidate, kDeltaSample, "candidate");
+  ASSERT_FALSE(want.ok());
+  auto delta = [&](const AgreementBaseline& base, int32_t sample) {
+    AgreementStamp got;
+    const Status st = VerifyPackedAgreement(model, candidate, sample,
+                                            "candidate", 2, &base, &got);
+    return std::make_pair(st, got);
+  };
+  {
+    const auto [st, got] = delta({&model, &packed, stamp}, kDeltaSample);
+    EXPECT_EQ(st.message(), want.message());
+    EXPECT_EQ(got.pairs_checked, 40);  // the fitting baseline: one block
+  }
+  const FactorModel more_items = RandomModel(40, 301, 6, true, 77);
+  const PackedSnapshot more_items_packed = PackedSnapshot::Build(more_items);
+  const FactorModel more_factors = RandomModel(40, 300, 7, true, 77);
+  const PackedSnapshot more_factors_packed =
+      PackedSnapshot::Build(more_factors);
+  const FactorModel no_bias = RandomModel(40, 300, 6, false, 77);
+  const PackedSnapshot no_bias_packed = PackedSnapshot::Build(no_bias);
+  AgreementStamp other_kernel = stamp;
+  other_kernel.kernel = ActiveScoreKernel() == ScoreKernel::kAvx2
+                            ? ScoreKernel::kPortable
+                            : ScoreKernel::kAvx2;
+  AgreementStamp other_sample = stamp;
+  other_sample.sample_users = kDeltaSample / 2;
+  const std::pair<std::string, AgreementBaseline> kUnfit[] = {
+      {"other item count", {&more_items, &more_items_packed, stamp}},
+      {"other factor count", {&more_factors, &more_factors_packed, stamp}},
+      {"other bias flag", {&no_bias, &no_bias_packed, stamp}},
+      {"other kernel", {&model, &packed, other_kernel}},
+      {"other sample", {&model, &packed, other_sample}},
+      {"repack of other dimensions", {&model, &more_items_packed, stamp}},
+      {"no model", {nullptr, &packed, stamp}},
+  };
+  for (const auto& [name, base] : kUnfit) {
+    const auto [st, got] = delta(base, kDeltaSample);
+    EXPECT_EQ(st.code(), want.code()) << name;
+    EXPECT_EQ(st.message(), want.message()) << name;
+    EXPECT_EQ(got.pairs_checked, full) << name;
+    EXPECT_EQ(got.pairs_total, full) << name;
+  }
+  // The sample the candidate asks for must be the one the baseline ran.
+  const auto [st, got] = delta({&model, &packed, stamp}, kDeltaSample / 2);
+  EXPECT_EQ(got.pairs_checked, got.pairs_total);
+  EXPECT_EQ(st.code(), want.code());
+}
+
+TEST(PackedAgreementDiffTest, BiasFlagMismatchTakesFullCheckOnEqualBytes) {
+  // The bias flag decides whether the bias bytes enter the exact score. A
+  // baseline without biases holds the candidate's exact bytes, and its
+  // repack (bias lanes zero) passed. Served with biases on, that repack
+  // misses every bias: the full check refuses, and so must the delta,
+  // although no byte differs.
+  const FactorModel model = RandomModel(40, 300, 6, true, 78);
+  FactorModel flagless(40, 300, 6, false);
+  flagless.mutable_user_factor_data() = model.user_factor_data();
+  flagless.mutable_item_factor_data() = model.item_factor_data();
+  flagless.mutable_item_bias_data() = model.item_bias_data();
+  const PackedSnapshot flagless_packed = PackedSnapshot::Build(flagless);
+  AgreementStamp stamp;
+  ASSERT_TRUE(VerifyPackedAgreement(flagless, flagless_packed, kDeltaSample,
+                                    "flagless", 1, nullptr, &stamp)
+                  .ok());
+  const Status full = VerifyPackedAgreement(model, flagless_packed,
+                                            kDeltaSample, "missing biases");
+  ASSERT_FALSE(full.ok());
+  const AgreementBaseline baseline{&flagless, &flagless_packed, stamp};
+  for (int threads : {1, 2, 4}) {
+    AgreementStamp got;
+    const Status delta =
+        VerifyPackedAgreement(model, flagless_packed, kDeltaSample,
+                              "missing biases", threads, &baseline, &got);
+    EXPECT_EQ(delta.code(), full.code()) << threads;
+    EXPECT_EQ(delta.message(), full.message()) << threads;
+    EXPECT_EQ(got.pairs_checked, got.pairs_total) << threads;
   }
 }
 
