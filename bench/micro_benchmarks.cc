@@ -4,11 +4,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "clapf/util/logging.h"
 
@@ -21,12 +24,12 @@
 #include "clapf/model/factor_model.h"
 #include "clapf/model/ivf_index.h"
 #include "clapf/model/packed_snapshot.h"
+#include "clapf/model/retrieval.h"
 #include "clapf/model/score_kernel.h"
 #include "clapf/obs/metrics.h"
 #include "clapf/obs/trace_span.h"
 #include "clapf/online/online_trainer.h"
 #include "clapf/online/wal.h"
-#include "clapf/recommender.h"
 #include "clapf/sampling/dss_sampler.h"
 #include "clapf/sampling/rank_list.h"
 #include "clapf/sampling/uniform_sampler.h"
@@ -207,14 +210,16 @@ BENCHMARK(BM_BprSgdIterationParallel)
     ->Arg(8)
     ->UseRealTime();
 
-// Batched top-k serving over a whole user cohort, sharded across a pool.
-// Second arg selects the scoring path: 0 = exact double scan, 1 = packed
-// float32 fused kernel (the serving default). The packed/exact gap at equal
-// thread count is the end-to-end speedup the packed snapshot buys
-// (recorded in results/BENCH_scoring.json; target >=2x).
+// Batched top-k serving over a whole user cohort through a server with T
+// query workers: the 500-user cohort is cut into T contiguous sub-batches,
+// which T client threads send concurrently as RecommendBatch requests (the
+// server runs each batch as one admitted request and parallelizes across
+// requests). Second arg selects the scoring path: 0 = exact double scan,
+// 1 = packed float32 fused kernel (the serving default). The packed/exact
+// gap at equal thread count is the end-to-end speedup the packed snapshot
+// buys (recorded in results/BENCH_scoring.json).
 void BM_RecommendBatch(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  const bool packed = state.range(1) != 0;
   static Dataset data = BenchData(500, 2000, 25000);
   static FactorModel model = [] {
     FactorModel m(500, 2000, 20);
@@ -222,20 +227,30 @@ void BM_RecommendBatch(benchmark::State& state) {
     m.InitGaussian(rng, 0.1);
     return m;
   }();
-  static Recommender rec = [] {
-    Recommender r = *Recommender::Create(model, data);
-    CLAPF_CHECK_OK(r.EnablePacked());
-    return r;
-  }();
+  ServerOptions server_options;
+  server_options.num_threads = threads;
+  ModelServer server(data, server_options);
+  CLAPF_CHECK_OK(server.PublishModel(model));
   std::vector<UserId> users;
   for (UserId u = 0; u < 500; ++u) users.push_back(u);
   QueryOptions options;
-  options.num_threads = threads;
-  options.use_packed = packed;
-  for (auto _ : state) {
-    auto got = rec.RecommendBatch(users, 10, options);
+  options.use_packed = state.range(1) != 0;
+  const size_t part = (users.size() + static_cast<size_t>(threads) - 1) /
+                      static_cast<size_t>(threads);
+  auto send = [&](int t) {
+    const size_t lo = static_cast<size_t>(t) * part;
+    const size_t hi = std::min(users.size(), lo + part);
+    auto got = server.RecommendBatch(
+        std::span<const UserId>(users).subspan(lo, hi - lo), 10, options);
     CLAPF_CHECK_OK(got.status());
-    benchmark::DoNotOptimize(got->data());
+    CLAPF_CHECK(got->num_complete == hi - lo);
+    benchmark::DoNotOptimize(got->results.data());
+  };
+  for (auto _ : state) {
+    std::vector<std::thread> clients;
+    for (int t = 1; t < threads; ++t) clients.emplace_back(send, t);
+    send(0);
+    for (std::thread& client : clients) client.join();
   }
   state.SetItemsProcessed(state.iterations() * 500);
 }
@@ -248,18 +263,21 @@ BENCHMARK(BM_RecommendBatch)
     ->Args({4, 1})
     ->UseRealTime();
 
-// Deadline-machinery overhead on the single-query path: Arg(0) serves with
+// Deadline-machinery overhead on the single-query path. Each query is what
+// a one-shard server scans for one user: the user's history into a reused
+// exclusion bitmap, then one Retrieve over the catalog. Arg(0) serves with
 // no deadline (one unbounded catalog scan), Arg(1) with a generous budget
-// that never fires but makes the scorer poll the clock every
+// that never fires but makes the scan poll the clock every
 // kRankerBlockItems items. The gap between the two rows is the price of
 // deadline enforcement — it should be a few percent at most.
 void BM_RecommendDeadline(benchmark::State& state) {
-  // Arg: 0 = no deadline, 1 = deadline armed, 2 = deadline armed + query
-  // telemetry (per-query counter, latency TraceSpan), 3 = deadline armed +
-  // packed fused kernel. The 1→2 gap is the observability cost on the
-  // serving path; the budget is <=2% (recorded in results/BENCH_obs.json).
-  // The 1→3 gap is the packed speedup on the deadline-polled single-query
-  // path (recorded in results/BENCH_scoring.json).
+  // Arg: 0 = no deadline, 1 = deadline armed, 2 = deadline armed + the
+  // per-query telemetry ModelServer::Recommend records (a counter
+  // increment, a latency TraceSpan), 3 = deadline armed + packed fused
+  // kernel. The 1→2 gap is the observability cost on the serving path; the
+  // budget is <=2% (recorded in results/BENCH_obs.json). The 1→3 gap is the
+  // packed speedup on the deadline-polled single-query path (recorded in
+  // results/BENCH_scoring.json).
   const int mode = static_cast<int>(state.range(0));
   static Dataset data = BenchData(500, 20000, 25000);
   static FactorModel model = [] {
@@ -268,25 +286,29 @@ void BM_RecommendDeadline(benchmark::State& state) {
     m.InitGaussian(rng, 0.1);
     return m;
   }();
-  static Recommender rec = *Recommender::Create(model, data);
+  static const PackedSnapshot packed = PackedSnapshot::Build(model);
   static MetricsRegistry obs_registry;
-  static Recommender obs_rec = [] {
-    Recommender r = *Recommender::Create(model, data);
-    r.SetMetrics(&obs_registry);
-    return r;
-  }();
-  static Recommender packed_rec = [] {
-    Recommender r = *Recommender::Create(model, data);
-    CLAPF_CHECK_OK(r.EnablePacked());
-    return r;
-  }();
-  Recommender& target =
-      mode == 3 ? packed_rec : (mode == 2 ? obs_rec : rec);
+  Counter* queries =
+      mode == 2 ? obs_registry.GetCounter("serving.queries_total") : nullptr;
+  Histogram* latency =
+      mode == 2 ? obs_registry.GetHistogram("serving.query.latency_us",
+                                            LatencyBucketsUs())
+                : nullptr;
+  const RetrievalLayers layers{&model, mode == 3 ? &packed : nullptr,
+                               nullptr};
   QueryOptions options;
   if (mode != 0) options.deadline = std::chrono::seconds(60);
+  std::vector<bool> excluded;
   UserId u = 0;
   for (auto _ : state) {
-    auto got = target.Recommend(u, 10, options);
+    if (queries != nullptr) queries->Inc();
+    TraceSpan span(latency);
+    excluded.assign(static_cast<size_t>(model.num_items()), false);
+    for (ItemId i : data.ItemsOf(u)) excluded[static_cast<size_t>(i)] = true;
+    auto got = Retrieve(layers, u, 10, &excluded,
+                        10 + data.ItemsOf(u).size(), options,
+                        DeadlineFrom(options), nullptr, nullptr, nullptr);
+    span.Stop();
     CLAPF_CHECK_OK(got.status());
     benchmark::DoNotOptimize(got->data());
     u = (u + 1) % 500;

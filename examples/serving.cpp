@@ -1,13 +1,13 @@
 // Serving workflow: tune CLAPF's hyper-parameters on validation data with
 // the model-selection API, train the winner (with crash-safe checkpoints),
-// package it behind the Recommender facade, persist it, and answer top-k
-// queries — including a cold-start user, an exclusion list, and a resilience
-// drill: when the served model file is corrupt, degrade to popularity
-// ranking, then restore full service from the newest valid checkpoint.
-// Finishes with the always-on serving layer: a ModelServer overload drill
-// (bounded admission queue shedding a burst) and a validated hot reload
-// (canary gate rejecting a corrupt candidate, then swapping in a good one
-// while queries run).
+// persist it, publish the file to a ModelServer, and answer top-k queries —
+// including a cold-start user, an exclusion list, a batch, and a resilience
+// drill: when the served model file is corrupt, the publish is refused and
+// the server answers from popularity, then full service comes back from the
+// newest valid checkpoint. Finishes with the rest of the serving layer: an
+// overload drill (bounded admission queue shedding a burst), a validated hot
+// reload (canary gate rejecting a corrupt candidate, then swapping in a good
+// one while queries run), and the same server over four shards.
 
 #include <atomic>
 #include <cstdio>
@@ -27,13 +27,19 @@ int main(int argc, char** argv) {
     return s.code() == StatusCode::kFailedPrecondition ? 0 : 1;
   }
 
-  // Catalog-sized implicit feedback; user num_users is a cold user we will
-  // serve via the popularity fallback (no history).
+  // Catalog-sized implicit feedback. User 0 has just signed up and has no
+  // history yet: the cold user the popularity fallback serves below.
   SyntheticConfig config = PresetConfig(DatasetPreset::kMl100k);
   config.num_users = 400;
   config.num_items = 800;
   config.num_interactions = 22000;
-  Dataset data = *GenerateSynthetic(config);
+  const Dataset generated = *GenerateSynthetic(config);
+  DatasetBuilder builder(generated.num_users(), generated.num_items());
+  for (UserId u = 1; u < generated.num_users(); ++u) {
+    for (ItemId i : generated.ItemsOf(u)) CLAPF_CHECK_OK(builder.Add(u, i));
+  }
+  Dataset data = builder.Build();
+  constexpr UserId kColdUser = 0;
   std::printf("catalog: %s\n", ComputeStats(data).ToString().c_str());
 
   // 1. Model selection, the paper's protocol: λ then T by validation NDCG@5.
@@ -74,14 +80,18 @@ int main(int argc, char** argv) {
   ClapfTrainer trainer(serve_options);
   CLAPF_CHECK_OK(trainer.Train(data));
 
-  // 3. Package and persist.
-  auto recommender = Recommender::Create(*trainer.model(), data);
-  CLAPF_CHECK_OK(recommender.status());
-  CLAPF_CHECK_OK(recommender->Save(model_path));
+  // 3. Persist the model atomically (a crash mid-save never leaves a torn
+  // file), and publish the file: the server loads it through the CRC check
+  // and the canary gate before it serves.
+  CLAPF_CHECK_OK(SaveModelAtomic(*trainer.model(), model_path));
   std::printf("model saved to %s\n", model_path.c_str());
+  ModelServer service(data, ServerOptions{});
+  CLAPF_CHECK_OK(service.PublishModel(model_path));
+  std::printf("published %s as v%lld\n", model_path.c_str(),
+              static_cast<long long>(service.version()));
 
   // 4. Serve queries through the QueryOptions surface.
-  auto warm = recommender->Recommend(/*u=*/3, 5, QueryOptions{});
+  auto warm = service.Recommend(/*u=*/3, 5);
   CLAPF_CHECK_OK(warm.status());
   std::printf("warm user 3:");
   for (const ScoredItem& item : *warm) {
@@ -92,7 +102,7 @@ int main(int argc, char** argv) {
   // Business rule: items 0-9 are out of stock.
   QueryOptions stock_filter;
   for (ItemId i = 0; i < 10; ++i) stock_filter.exclude.push_back(i);
-  auto filtered = recommender->Recommend(3, 5, stock_filter);
+  auto filtered = service.Recommend(3, 5, stock_filter);
   CLAPF_CHECK_OK(filtered.status());
   std::printf("warm user 3 (stock-filtered):");
   for (const ScoredItem& item : *filtered) std::printf(" %d", item.item);
@@ -100,43 +110,30 @@ int main(int argc, char** argv) {
 
   // A cold user (one with no training history) gets popularity — unless the
   // caller opts out via cold_start_fallback = false.
-  UserId cold_user = -1;
-  for (UserId u = 0; u < data.num_users(); ++u) {
-    if (data.NumItemsOf(u) == 0) {
-      cold_user = u;
-      break;
-    }
-  }
-  if (cold_user >= 0) {
-    auto cold = recommender->Recommend(cold_user, 5, QueryOptions{});
-    CLAPF_CHECK_OK(cold.status());
-    std::printf("cold user %d (popularity fallback):", cold_user);
-    for (const ScoredItem& item : *cold) std::printf(" %d", item.item);
-    std::printf("\n");
-  } else {
-    std::printf("no cold user in this draw; skipping fallback demo\n");
-  }
+  auto cold = service.Recommend(kColdUser, 5);
+  CLAPF_CHECK_OK(cold.status());
+  std::printf("cold user %d (popularity fallback):", kColdUser);
+  for (const ScoredItem& item : *cold) std::printf(" %d", item.item);
+  QueryOptions no_fallback;
+  no_fallback.cold_start_fallback = false;
+  auto opted_out = service.Recommend(kColdUser, 5, no_fallback);
+  CLAPF_CHECK_OK(opted_out.status());
+  std::printf(" (%zu items with the fallback off)\n", opted_out->size());
 
-  // Nightly-precompute shape: one batched call scores a whole cohort,
-  // sharded across a thread pool, with the same options applied to every
-  // user.
+  // Nightly-precompute shape: one batched request scores a whole cohort,
+  // with the same options applied to every user.
   std::vector<UserId> cohort;
   for (UserId u = 0; u < 32; ++u) cohort.push_back(u);
-  auto batch = recommender->RecommendBatch(cohort, 5, stock_filter);
+  auto batch = service.RecommendBatch(cohort, 5, stock_filter);
   CLAPF_CHECK_OK(batch.status());
   size_t served = 0;
-  for (const auto& list : *batch) served += list.size();
+  for (const auto& list : batch->results) served += list.size();
   std::printf("batch: served %zu items across %zu users\n", served,
-              batch->size());
+              batch->num_complete);
 
-  // 5. Reload from disk and confirm identical scoring.
-  auto reloaded = Recommender::Load(model_path, data);
-  CLAPF_CHECK_OK(reloaded.status());
-  std::printf("reload check: score(3, 5) %.6f == %.6f\n",
-              *recommender->Score(3, 5), *reloaded->Score(3, 5));
-
-  // 6. Resilience drill: bit rot corrupts the served model file. The CRC in
-  // the model format turns silent corruption into a loud load failure...
+  // 5. Resilience drill: bit rot corrupts the served model file, and a
+  // serving process restarts on it. The CRC in the model format turns
+  // silent corruption into a refused publish...
   {
     auto bytes = ReadFileToString(model_path);
     CLAPF_CHECK_OK(bytes.status());
@@ -144,24 +141,21 @@ int main(int argc, char** argv) {
     damaged[damaged.size() / 2] ^= 0x08;
     CLAPF_CHECK_OK(WriteStringToFile(model_path, damaged));
   }
-  auto broken = Recommender::Load(model_path, data);
-  std::printf("corrupted model load: %s\n", broken.status().ToString().c_str());
+  ModelServer restarted(data, ServerOptions{});
+  Status broken = restarted.PublishModel(model_path);
+  std::printf("corrupted model publish: %s\n", broken.ToString().c_str());
 
-  // ...so serving degrades to popularity ranking instead of silently
-  // returning garbage scores.
-  if (!broken.ok()) {
-    PopRankTrainer fallback;
-    CLAPF_CHECK_OK(fallback.Train(data));
-    std::vector<double> pop_scores;
-    fallback.ScoreItems(/*u=*/3, &pop_scores);
-    auto top = SelectTopK(pop_scores, /*exclude=*/{}, 5);
-    std::printf("degraded mode (PopRank) user 3:");
-    for (const ScoredItem& item : top) std::printf(" %d", item.item);
-    std::printf("\n");
-  }
+  // ...so the server answers from popularity instead of silently returning
+  // garbage scores.
+  auto degraded = restarted.Recommend(3, 5);
+  CLAPF_CHECK_OK(degraded.status());
+  std::printf("degraded=%d, popularity answer for user 3:",
+              restarted.degraded() ? 1 : 0);
+  for (const ScoredItem& item : *degraded) std::printf(" %d", item.item);
+  std::printf("\n");
 
-  // Full service comes back from the newest valid checkpoint: reload it,
-  // republish the model atomically, and serve factorization scores again.
+  // 6. Full service comes back from the newest valid checkpoint: reload it,
+  // rewrite the model file atomically, and republish it.
   CheckpointManager checkpoints(serve_options.checkpoint);
   CLAPF_CHECK_OK(checkpoints.Init());
   auto recovered = checkpoints.LoadLatest();
@@ -169,14 +163,15 @@ int main(int argc, char** argv) {
   std::printf("recovered checkpoint from iteration %lld\n",
               static_cast<long long>(recovered->state.iteration));
   CLAPF_CHECK_OK(SaveModelAtomic(recovered->model, model_path));
-  auto restored = Recommender::Load(model_path, data);
+  CLAPF_CHECK_OK(restarted.PublishModel(model_path));
+  auto restored = restarted.Recommend(3, 5);
   CLAPF_CHECK_OK(restored.status());
-  std::printf("restored service: score(3, 5) = %.6f\n",
-              *restored->Score(3, 5));
+  std::printf("restored service: v%lld, user 3 top item %d (%.6f)\n",
+              static_cast<long long>(restarted.version()),
+              (*restored)[0].item, (*restored)[0].score);
 
-  // 7. The always-on serving layer. A ModelServer owns the admission queue,
-  // the canary-gated hot swap, and the popularity fallback; everything above
-  // becomes "publish a candidate" + "answer queries".
+  // 7. Under load. A second server with a tiny admission queue publishes
+  // the trained model straight from memory, through the same canary gate.
   ServerOptions server_options;
   server_options.num_threads = 2;
   server_options.max_queue_depth = 2;  // tiny on purpose: we want shedding

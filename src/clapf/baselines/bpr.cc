@@ -70,6 +70,18 @@ class BprWorker final : public SgdWorker {
 
 }  // namespace
 
+std::unique_ptr<SgdWorker> MakeBprWorker(FactorModel* model,
+                                         const SgdOptions& sgd,
+                                         std::unique_ptr<PairSampler> sampler,
+                                         bool relaxed) {
+  if (relaxed) {
+    return std::make_unique<BprWorker<RelaxedAccess>>(model, sgd,
+                                                      std::move(sampler));
+  }
+  return std::make_unique<BprWorker<PlainAccess>>(model, sgd,
+                                                  std::move(sampler));
+}
+
 BprTrainer::BprTrainer(const BprOptions& options) : options_(options) {}
 
 std::string BprTrainer::name() const {
@@ -137,15 +149,8 @@ Status BprTrainer::Train(const Dataset& train) {
     // samplers (DNS/AoBPR) additionally read the evolving model on every
     // draw, through relaxed atomic loads that may race the HogWild stores
     // without a data race (the tsan rung trains both on four threads).
-    auto sampler = MakeSampler(train, WorkerSeed(base_seed, w));
-    if (n == 1) {
-      return std::make_unique<BprWorker<PlainAccess>>(model_.get(),
-                                                      options_.sgd,
-                                                      std::move(sampler));
-    }
-    return std::make_unique<BprWorker<RelaxedAccess>>(model_.get(),
-                                                      options_.sgd,
-                                                      std::move(sampler));
+    return MakeBprWorker(model_.get(), options_.sgd,
+                         MakeSampler(train, WorkerSeed(base_seed, w)), n > 1);
   };
 
   SgdExecutor::ProbeFn probe;

@@ -9,6 +9,8 @@
 
 namespace clapf {
 
+class SgdWorker;
+
 /// Negative sampler choices for BPR.
 enum class PairSamplerKind { kUniform, kDns, kAobpr };
 
@@ -20,6 +22,15 @@ struct BprOptions {
   /// Geometric head mass for AoBPR.
   double aobpr_tail_fraction = 0.2;
 };
+
+/// One BPR SGD step on `model` over the pairs `sampler` draws, for
+/// SgdExecutor: the exact-access kernel (bit-identical serial runs), or the
+/// HogWild kernel with relaxed atomic access when `relaxed`. BprTrainer and
+/// OnlineTrainer both train through it.
+std::unique_ptr<SgdWorker> MakeBprWorker(FactorModel* model,
+                                         const SgdOptions& sgd,
+                                         std::unique_ptr<PairSampler> sampler,
+                                         bool relaxed);
 
 /// Bayesian Personalized Ranking (Rendle et al., UAI 2009; paper Eq. 3):
 /// SGD on pairs (u, i, j), ascending ln σ(f_ui − f_uj) with L2

@@ -61,7 +61,6 @@
 #include "clapf/online/continuous_deployer.h"
 #include "clapf/online/online_trainer.h"
 #include "clapf/online/wal.h"
-#include "clapf/recommender.h"
 #include "clapf/sampling/abs_sampler.h"
 #include "clapf/sampling/alias.h"
 #include "clapf/sampling/aobpr_sampler.h"

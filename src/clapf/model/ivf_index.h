@@ -365,8 +365,8 @@ struct IvfGateOptions {
   Histogram* encode_us = nullptr;
 };
 
-/// The one ANN build-and-gate routine, shared by serving publishes (one call
-/// per shard slice) and Recommender::EnableIvf. Builds the index over
+/// The one ANN build-and-gate routine, run by every serving publish (one
+/// call per shard slice). Builds the index over
 /// `model` — incrementally from `previous` (may be null) when its options
 /// are compatible and at most half the items changed, else from scratch —
 /// fires the kAnnCorruptIndex / kAnnCorruptCodes drills, then, with

@@ -26,41 +26,39 @@ inline constexpr int32_t kRankerBlockItems = 1024;
 /// enough that a sub-millisecond test deadline deterministically expires.
 inline constexpr std::chrono::milliseconds kSlowBlockStall(2);
 
-/// Per-query knobs for Recommender::Recommend / RecommendBatch and the
-/// serving front end. The default constructed value reproduces the classic
-/// behaviour: exclude nothing beyond the user's history, fall back to
-/// popularity for cold users, no score floor, no deadline.
+/// Per-query knobs for ModelServer::Recommend / RecommendBatch. The default
+/// constructed value reproduces the classic behaviour: exclude nothing
+/// beyond the user's history, fall back to popularity for cold users, no
+/// score floor, no deadline.
 struct QueryOptions {
   /// Items to skip in addition to the user's history (out-of-range ids are
   /// ignored).
   std::vector<ItemId> exclude;
   /// When true (default), users without history are served the popularity
-  /// ranking. When false, cold users get an empty result instead — callers
-  /// that have their own cold-start strategy opt out here.
+  /// ranking. When false, cold users get an empty result instead, in every
+  /// serving state — callers that have their own cold-start strategy opt
+  /// out here.
   bool cold_start_fallback = true;
   /// Drop results scoring below this floor; the result may then hold fewer
   /// than k items.
   std::optional<double> min_score;
-  /// Worker threads for RecommendBatch. 0 (default) = hardware concurrency;
-  /// single-user Recommend ignores this.
-  int num_threads = 0;
   /// Wall-clock budget for the whole call (single query or entire batch).
   /// <= 0 (default) means unbounded. The scoring loop polls the clock every
   /// kRankerBlockItems items, so overrun is bounded by one chunk's cost;
   /// an expired budget yields Status DeadlineExceeded instead of running
-  /// unbounded — batches additionally hand back the completed prefix via
-  /// RecommendBatchPartial.
+  /// unbounded — a batch instead hands back the completed prefix, flagged
+  /// (BatchReply).
   std::chrono::microseconds deadline{0};
   /// Serve from the packed SIMD snapshot when one exists: the fused
   /// score+top-k kernel, approximate within PackedScoreBound(). Default
   /// true — but a snapshot exists only where one was built (ModelServer::
-  /// PublishModel does it at swap time; Recommender::EnablePacked opts in
-  /// manually), so training and offline-eval paths stay on the exact double
-  /// scan and their goldens stay bit-identical. Set false to force the exact
-  /// path even when a snapshot is present.
+  /// PublishModel builds one per slice with ServerOptions::packed), so
+  /// training and offline-eval paths stay on the exact double scan and
+  /// their goldens stay bit-identical. Set false to force the exact path
+  /// even when a snapshot is present.
   bool use_packed = true;
-  /// Serve through the IVF approximate index when one exists (EnableIvf, or
-  /// a publish with ServerOptions::ann): probe-list selection +
+  /// Serve through the IVF approximate index when one exists (a publish
+  /// with ServerOptions::ann builds one per slice): probe-list selection +
   /// exact fused re-rank of the shortlisted blocks, sub-linear in the
   /// catalog. Off by default — ANN is approximate *beyond* PackedScoreBound
   /// (it can miss items entirely), so callers opt in per query; without an
@@ -101,9 +99,10 @@ void ApplyMinScore(const std::optional<double>& floor,
 
 /// Cross-shard early-reject bar for one scatter-gather query. Each shard
 /// publishes its full-heap threshold after every scoring chunk; every shard
-/// reads the running maximum and skips scores strictly below it. Any one
-/// shard's k-th-best is a lower bound on the global k-th-best, and the
-/// rejection test is strict (ties still reach Push for the smaller-id
+/// reads the running maximum and skips scores strictly below it. The k-th
+/// best of any shard holding at least k items is a lower bound on the
+/// global k-th best (smaller shards stay off the bar), and the rejection
+/// test is strict (ties still reach Push for the smaller-id
 /// tie-break), so the broadcast can only skip items that cannot be in the
 /// global top-k — merged results stay bit-identical to a one-shard scan.
 ///
@@ -170,9 +169,8 @@ struct RetrievalLayers {
 };
 
 /// Top-k of user `u` over one catalog (local ids [0, layers.num_items())) —
-/// the one retrieval routine behind Recommender queries, each shard's
-/// scatter scan and the publish recall gate. The path, most specialized
-/// first:
+/// the one retrieval routine behind each shard's scatter scan and the
+/// publish recall gate. The path, most specialized first:
 ///
 ///   ann      (options.ann && use_packed, index over this catalog):
 ///            SelectProbes widened to cover `min_items` (k plus everything

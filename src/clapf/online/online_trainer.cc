@@ -3,70 +3,15 @@
 #include <algorithm>
 #include <memory>
 
+#include "clapf/baselines/bpr.h"
 #include "clapf/core/sgd_executor.h"
 #include "clapf/data/dataset_builder.h"
 #include "clapf/sampling/uniform_sampler.h"
 #include "clapf/util/logging.h"
-#include "clapf/util/math.h"
 
 namespace clapf {
 
 namespace {
-
-/// One warm-start BPR step under an access policy — the same pairwise
-/// sigmoid update as the batch BprWorker, re-stated here because increments
-/// build their own small Dataset per call rather than training one fixed
-/// corpus.
-template <typename Access>
-class OnlineWorker final : public SgdWorker {
- public:
-  OnlineWorker(FactorModel* model, const SgdOptions& sgd,
-               std::unique_ptr<PairSampler> sampler)
-      : model_(model),
-        sampler_(std::move(sampler)),
-        reg_u_(sgd.reg_user),
-        reg_v_(sgd.reg_item),
-        reg_b_(sgd.reg_bias),
-        d_(sgd.num_factors),
-        bias_(sgd.use_item_bias) {}
-
-  double PrepareStep() override {
-    p_ = sampler_->Sample();
-    return ScoreWith<Access>(*model_, p_.u, p_.i) -
-           ScoreWith<Access>(*model_, p_.u, p_.j);
-  }
-
-  void ApplyStep(double lr, double margin) override {
-    const double g = Sigmoid(-margin);
-    auto uu = model_->UserFactors(p_.u);
-    auto vi = model_->ItemFactors(p_.i);
-    auto vj = model_->ItemFactors(p_.j);
-    for (int32_t f = 0; f < d_; ++f) {
-      const double u_old = Access::Load(uu[f]);
-      const double vi_f = Access::Load(vi[f]);
-      const double vj_f = Access::Load(vj[f]);
-      Access::Store(uu[f], u_old + lr * (g * (vi_f - vj_f) - reg_u_ * u_old));
-      Access::Store(vi[f], vi_f + lr * (g * u_old - reg_v_ * vi_f));
-      Access::Store(vj[f], vj_f + lr * (-g * u_old - reg_v_ * vj_f));
-    }
-    if (bias_) {
-      double& bi = model_->ItemBias(p_.i);
-      double& bj = model_->ItemBias(p_.j);
-      const double bi_old = Access::Load(bi);
-      const double bj_old = Access::Load(bj);
-      Access::Store(bi, bi_old + lr * (g - reg_b_ * bi_old));
-      Access::Store(bj, bj_old + lr * (-g - reg_b_ * bj_old));
-    }
-  }
-
- private:
-  FactorModel* model_;
-  std::unique_ptr<PairSampler> sampler_;
-  const double reg_u_, reg_v_, reg_b_;
-  const int32_t d_;
-  const bool bias_;
-  PairSample p_;
-};
 
 constexpr uint64_t kReservoirSalt = 0x7265737672ULL;  // "resvr"
 constexpr uint64_t kGrowthSalt = 0x67726f77ULL;       // "grow"
@@ -208,15 +153,12 @@ Status OnlineTrainer::TrainIncrement(uint64_t increment_seed) {
   config.epoch_iterations =
       static_cast<int64_t>(increment.num_interactions());
 
+  // Warm-start BPR steps over the increment's own small Dataset.
   auto factory = [&](int w, int n) -> std::unique_ptr<SgdWorker> {
-    auto sampler = std::make_unique<UniformPairSampler>(
-        &increment, WorkerSeed(increment_seed, w));
-    if (n == 1) {
-      return std::make_unique<OnlineWorker<PlainAccess>>(
-          &model_, options_.sgd, std::move(sampler));
-    }
-    return std::make_unique<OnlineWorker<RelaxedAccess>>(
-        &model_, options_.sgd, std::move(sampler));
+    return MakeBprWorker(&model_, options_.sgd,
+                         std::make_unique<UniformPairSampler>(
+                             &increment, WorkerSeed(increment_seed, w)),
+                         n > 1);
   };
 
   Status run = SgdExecutor::Run(config, &model_, factory);

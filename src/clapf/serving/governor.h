@@ -8,8 +8,8 @@
 #include <string>
 #include <thread>
 
+#include "clapf/model/retrieval.h"
 #include "clapf/obs/metrics.h"
-#include "clapf/recommender.h"
 #include "clapf/serving/admission_queue.h"
 #include "clapf/serving/flight_recorder.h"
 #include "clapf/util/status.h"

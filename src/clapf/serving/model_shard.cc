@@ -145,9 +145,11 @@ Result<std::vector<ScoredItem>> ModelShard::ScoreTopK(
   std::vector<bool>* excluded = BuildExcluded(u, options);
   const size_t min_items =
       local_k + history_.ItemsOf(u).size() + options.exclude.size();
+  // A full heap bounds the global k-th best only when it holds k items: a
+  // shard smaller than k neither raises the bar nor reads it.
   auto top = Retrieve({&slice.model, slice.packed.get(), slice.ivf.get()}, u,
                       local_k, excluded, min_items, options, deadline,
-                      broadcast, metrics, path);
+                      local_k == k ? broadcast : nullptr, metrics, path);
   if (!top.ok()) return top;
   for (ScoredItem& item : *top) item.item += begin_;
   return top;

@@ -129,8 +129,9 @@ class ModelShard {
   /// cold-start policy — those are gather-side decisions so they act
   /// exactly once per query. Returns at most min(k, shard size) items with
   /// GLOBAL ids, DeadlineExceeded when `deadline` expires mid-scan.
-  /// `broadcast` (may be null) is the cross-shard early-reject bar;
-  /// `metrics` and `path` are Retrieve's.
+  /// `broadcast` (may be null) is the cross-shard early-reject bar, used
+  /// only when the shard holds at least k items; `metrics` and `path` are
+  /// Retrieve's.
   Result<std::vector<ScoredItem>> ScoreTopK(
       const ShardSlice& slice, UserId u, size_t k,
       const QueryOptions& options,

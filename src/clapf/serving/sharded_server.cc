@@ -356,6 +356,12 @@ Result<std::vector<ScoredItem>> ModelServer::ServeDegraded(
   }
   k = ClampK(k, history_.num_items());
   if (k == 0) return std::vector<ScoredItem>{};
+  // A cold user who opted out of the fallback gets nothing, whether the
+  // popularity answer stands in for the model (never published, every
+  // shard dark) or is the cold-start answer itself.
+  if (history_.NumItemsOf(u) == 0 && !options.cold_start_fallback) {
+    return std::vector<ScoredItem>{};
+  }
   std::vector<bool> excluded(static_cast<size_t>(history_.num_items()),
                              false);
   for (ItemId i : history_.ItemsOf(u)) {
@@ -386,7 +392,6 @@ Result<std::vector<ScoredItem>> ModelServer::ServeUser(
     // shard history slices would make a globally-warm user look cold in
     // every shard where they happen to own no interactions, and every shard
     // count must answer alike.
-    if (!options.cold_start_fallback) return std::vector<ScoredItem>{};
     top = *ServeDegraded(u, k, options);  // `u` is valid: cannot fail
   } else {
     // Scatter: every shard is consulted (the exact top-k needs them all).

@@ -14,8 +14,8 @@
 #include "clapf/data/dataset.h"
 #include "clapf/model/factor_model.h"
 #include "clapf/model/ivf_index.h"
+#include "clapf/model/retrieval.h"
 #include "clapf/obs/metrics.h"
-#include "clapf/recommender.h"
 #include "clapf/serving/admission_queue.h"
 #include "clapf/serving/flight_recorder.h"
 #include "clapf/serving/governor.h"
@@ -25,6 +25,7 @@
 #include "clapf/serving/shard_map.h"
 #include "clapf/util/status.h"
 #include "clapf/util/thread_pool.h"
+#include "clapf/util/top_k.h"
 
 namespace clapf {
 
@@ -157,6 +158,20 @@ struct ServerOptions {
   /// Per-tenant in-flight admission budget; <= 0 disables tenant quotas
   /// (the global max_queue_depth bound always applies).
   int64_t per_tenant_quota = 0;
+};
+
+/// Reply from ModelServer::RecommendBatch: results[i] answers users[i].
+/// When the batch deadline expires mid-flight the work already done is
+/// returned rather than discarded; `complete` flags which users finished (an
+/// unfinished user's list is empty, never a half-scored ranking).
+struct BatchReply {
+  std::vector<std::vector<ScoredItem>> results;
+  /// complete[i] != 0 iff results[i] holds the finished answer for users[i].
+  std::vector<uint8_t> complete;
+  /// Number of set flags in `complete`.
+  size_t num_complete = 0;
+  /// True when the deadline expired before every user finished.
+  bool deadline_exceeded = false;
 };
 
 /// The serving front end: owns the interaction history, a worker pool
@@ -390,7 +405,8 @@ class ModelServer {
 
   /// Popularity ranking over the whole catalog with history/option
   /// exclusions — the answer for a cold user, and while no shard of the
-  /// tenant has a slice.
+  /// tenant has a slice. Empty for a cold user with
+  /// QueryOptions::cold_start_fallback off.
   Result<std::vector<ScoredItem>> ServeDegraded(
       UserId u, size_t k, const QueryOptions& options) const;
 

@@ -1,0 +1,68 @@
+#!/usr/bin/env bash
+# Smoke test of clapf_cli in the README's command shapes: writes a small
+# ratings file, trains a model, answers recommend queries on the exact,
+# packed, ANN and ANN + pq paths (the ANN query with --exclude and
+# --no-cold-fallback), then replays queries through serve. Checks every
+# exit code and the "scoring path:" line each query command prints.
+#
+# Usage: tests/cli/cli_smoke_test.sh <clapf_cli binary> <scratch dir>
+set -euo pipefail
+
+cli="$1"
+dir="$2"
+rm -rf "${dir}"
+mkdir -p "${dir}"
+cd "${dir}"
+
+# 80 users x 240 items in 8 taste groups of 30 items: user u rates 12 items
+# of group u % 8 with 4 or 5 stars (kept as positive feedback), so the
+# trained item factors cluster by group — the catalog shape the ANN recall
+# gate is meant for.
+awk 'BEGIN {
+  for (u = 1; u <= 80; ++u) {
+    g = u % 8
+    for (j = 0; j < 12; ++j) {
+      i = g * 30 + (u * 7 + j * 5) % 30 + 1
+      printf "%d\t%d\t%d\t%d\n", u, i, 4 + j % 2, 880000000 + u * 100 + j
+    }
+  }
+}' > u.data
+
+# Runs one clapf_cli command; fails the test on a non-zero exit.
+run() {
+  local out
+  if ! out="$("${cli}" "$@" 2>&1)"; then
+    echo "${out}"
+    echo "FAIL: clapf_cli $* exited non-zero" >&2
+    exit 1
+  fi
+  echo "${out}"
+}
+
+# Runs a query command and checks the scoring path it reports.
+expect_path() {
+  local want="$1" out
+  shift
+  out="$(run "$@")"
+  echo "${out}"
+  if ! grep -qx "scoring path: ${want}" <<< "${out}"; then
+    echo "FAIL: clapf_cli $* did not report 'scoring path: ${want}'" >&2
+    exit 1
+  fi
+}
+
+run train --input u.data --format tab --method CLAPF-MAP \
+    --iterations 200000 --model-out ml.clpf --dataset-out ml.clds
+
+expect_path exact recommend --model ml.clpf --dataset ml.clds \
+    --users 5 --k 10
+expect_path packed recommend --model ml.clpf --dataset ml.clds \
+    --users 5 --k 10 --packed
+expect_path ann recommend --model ml.clpf --dataset ml.clds \
+    --users 1,5 --k 10 --ann --nprobe 8 --exclude 3,4 --no-cold-fallback
+expect_path ann+pq recommend --model ml.clpf --dataset ml.clds \
+    --users 5 --k 10 --ann --pq --rerank-budget 256
+expect_path ann serve --model ml.clpf --dataset ml.clds \
+    --users 1,5 --ann
+
+echo "PASS"

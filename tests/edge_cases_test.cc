@@ -124,10 +124,9 @@ TEST(EdgeCaseTest, WmfOnSingleInteraction) {
 
 TEST(EdgeCaseTest, RecommenderOnFullyColdDataset) {
   Dataset history = testing::MakeDataset(2, 3, {});
-  FactorModel model(2, 3, 2);
-  auto rec = Recommender::Create(std::move(model), history);
-  ASSERT_TRUE(rec.ok());
-  auto top = rec->Recommend(0, 2, QueryOptions{});
+  ModelServer server(history, ServerOptions{});
+  ASSERT_TRUE(server.PublishModel(FactorModel(2, 3, 2)).ok());
+  auto top = server.Recommend(0, 2, QueryOptions{});
   ASSERT_TRUE(top.ok());
   EXPECT_EQ(top->size(), 2u);  // popularity fallback over all-zero counts
 }

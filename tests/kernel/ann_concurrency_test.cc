@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "clapf/model/ivf_index.h"
-#include "clapf/recommender.h"
 #include "clapf/serving/sharded_server.h"
 #include "clapf/util/random.h"
 #include "testing/test_util.h"

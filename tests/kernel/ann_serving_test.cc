@@ -14,7 +14,6 @@
 #include "clapf/model/ivf_index.h"
 #include "clapf/model/score_kernel.h"
 #include "clapf/obs/metrics.h"
-#include "clapf/recommender.h"
 #include "clapf/serving/publish_request.h"
 #include "clapf/serving/sharded_server.h"
 #include "clapf/util/fault_injection.h"

@@ -17,7 +17,8 @@
 #include "clapf/model/factor_model.h"
 #include "clapf/model/packed_snapshot.h"
 #include "clapf/model/score_kernel.h"
-#include "clapf/recommender.h"
+#include "clapf/model/retrieval.h"
+#include "clapf/serving/sharded_server.h"
 #include "clapf/util/fault_injection.h"
 #include "clapf/util/random.h"
 #include "clapf/util/top_k.h"
@@ -372,19 +373,21 @@ TEST_F(IvfIndexTest, DesyncedIndexPassesStructureButFailsRecallGate) {
 
 TEST_F(IvfIndexTest, AnnQueryRespectsExcludeMinScoreAndHistory) {
   const auto history = testing::MakeLearnableDataset(10, 300, 6, 41);
-  auto rec = Recommender::Create(MakeRandomModel(10, 300, 16, 41), history);
-  ASSERT_TRUE(rec.ok());
-  IvfOptions opts;
-  opts.num_clusters = 12;
-  ASSERT_TRUE(rec->EnableIvf(opts, /*verify_sample_users=*/10,
-                             /*verify_recall_floor=*/0.5)
-                  .ok());
+  const FactorModel model = MakeRandomModel(10, 300, 16, 41);
+  const PackedSnapshot packed = PackedSnapshot::Build(model);
+  IvfGateOptions gate;
+  gate.ivf.num_clusters = 12;
+  gate.recall_floor = 0.5;
+  gate.recall_users = 10;
+  auto index = BuildGatedIvf(model, packed, gate, nullptr, "test", nullptr);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const RetrievalLayers layers{&model, &packed, index->get()};
 
   QueryOptions ann;
   ann.ann = true;
   ann.ann_nprobe = 12;  // full probe: ANN ranking == exact ranking
   ann.exclude = {0, 1, 2, 3, 4, 5, 6, 7};
-  auto got = rec->Recommend(0, 50, ann);
+  auto got = testing::RetrieveTopK(layers, history, 0, 50, ann);
   ASSERT_TRUE(got.ok());
   for (const ScoredItem& item : *got) {
     EXPECT_GT(item.item, 7) << "excluded item served through ANN";
@@ -395,7 +398,7 @@ TEST_F(IvfIndexTest, AnnQueryRespectsExcludeMinScoreAndHistory) {
   // min_score keeps the surviving prefix of the same ANN ranking.
   QueryOptions floored = ann;
   floored.min_score = (*got)[got->size() / 2].score;
-  auto filtered = rec->Recommend(0, 50, floored);
+  auto filtered = testing::RetrieveTopK(layers, history, 0, 50, floored);
   ASSERT_TRUE(filtered.ok());
   ASSERT_LE(filtered->size(), got->size());
   for (size_t x = 0; x < filtered->size(); ++x) {
@@ -408,19 +411,20 @@ TEST_F(IvfIndexTest, KBeyondShortlistStillFillsFromWidenedProbes) {
   // k = whole catalog with nprobe=1: the widening guarantee must deliver
   // every servable item, matching the exact path's result count and order.
   const auto history = testing::MakeLearnableDataset(6, 120, 5, 43);
-  auto rec = Recommender::Create(MakeRandomModel(6, 120, 8, 43), history);
-  ASSERT_TRUE(rec.ok());
+  const FactorModel model = MakeRandomModel(6, 120, 8, 43);
+  const PackedSnapshot packed = PackedSnapshot::Build(model);
   IvfOptions opts;
   opts.num_clusters = 10;
-  ASSERT_TRUE(rec->EnableIvf(opts).ok());
+  const IvfIndex index = IvfIndex::Build(model, opts);
+  const RetrievalLayers layers{&model, &packed, &index};
 
   QueryOptions exact_opts;  // packed full scan
   QueryOptions ann;
   ann.ann = true;
   ann.ann_nprobe = 1;
   for (UserId u = 0; u < 6; ++u) {
-    auto want = rec->Recommend(u, 120, exact_opts);
-    auto got = rec->Recommend(u, 120, ann);
+    auto want = testing::RetrieveTopK(layers, history, u, 120, exact_opts);
+    auto got = testing::RetrieveTopK(layers, history, u, 120, ann);
     ASSERT_TRUE(want.ok());
     ASSERT_TRUE(got.ok());
     // Widening covers the entire catalog, so even "nprobe=1" is exact here.
@@ -434,9 +438,9 @@ TEST_F(IvfIndexTest, KBeyondShortlistStillFillsFromWidenedProbes) {
 
 TEST_F(IvfIndexTest, DeadlineExpiryUnderAnnReturnsDeadlineExceeded) {
   const auto history = testing::MakeLearnableDataset(4, 3000, 5, 47);
-  auto rec = Recommender::Create(MakeRandomModel(4, 3000, 8, 47), history);
-  ASSERT_TRUE(rec.ok());
-  ASSERT_TRUE(rec->EnableIvf({}).ok());
+  const FactorModel model = MakeRandomModel(4, 3000, 8, 47);
+  const PackedSnapshot packed = PackedSnapshot::Build(model);
+  const IvfIndex index = IvfIndex::Build(model, {});
 
   // Every ANN chunk stalls 2ms; a 1ms budget must expire mid-shortlist.
   FaultInjector::Instance().Arm(FaultPoint::kServeSlowBlock,
@@ -444,7 +448,8 @@ TEST_F(IvfIndexTest, DeadlineExpiryUnderAnnReturnsDeadlineExceeded) {
   QueryOptions ann;
   ann.ann = true;
   ann.deadline = std::chrono::microseconds(1000);
-  auto got = rec->Recommend(0, 10, ann);
+  auto got =
+      testing::RetrieveTopK({&model, &packed, &index}, history, 0, 10, ann);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(got.status().message().find("ann"), std::string::npos);
@@ -455,33 +460,37 @@ TEST_F(IvfIndexTest, BatchPartialPrefixUnderAnnMatchesUnboundedAnswers) {
   // completed user's list must equal the unbounded ANN answer — a correct
   // prefix of the ANN ranking, never a half-scored one.
   const auto history = testing::MakeLearnableDataset(16, 2000, 5, 53);
-  auto rec = Recommender::Create(MakeRandomModel(16, 2000, 8, 53), history);
-  ASSERT_TRUE(rec.ok());
-  ASSERT_TRUE(rec->EnableIvf({}).ok());
+  ServerOptions options;
+  options.num_threads = 1;
+  options.ann = true;
+  options.canary.ann_recall_floor = 0;  // random isotropic catalog
+  ModelServer server(history, options);
+  ASSERT_TRUE(server.PublishModel(MakeRandomModel(16, 2000, 8, 53)).ok());
 
   std::vector<UserId> users(16);
   for (UserId u = 0; u < 16; ++u) users[static_cast<size_t>(u)] = u;
   QueryOptions ann;
   ann.ann = true;
-  ann.num_threads = 1;
-  auto unbounded = rec->RecommendBatch(users, 10, ann);
+  auto unbounded = server.RecommendBatch(users, 10, ann);
   ASSERT_TRUE(unbounded.ok());
+  ASSERT_EQ(unbounded->num_complete, users.size());
 
   FaultInjector::Instance().Arm(FaultPoint::kServeSlowBlock,
                                 {/*trigger_at_hit=*/1, /*max_fires=*/-1});
   QueryOptions bounded = ann;
   bounded.deadline = std::chrono::microseconds(4000);
-  auto partial = rec->RecommendBatchPartial(users, 10, bounded);
+  auto partial = server.RecommendBatch(users, 10, bounded);
   ASSERT_TRUE(partial.ok());
   for (size_t i = 0; i < users.size(); ++i) {
     if (!partial->complete[i]) {
       EXPECT_TRUE(partial->results[i].empty());
       continue;
     }
-    ASSERT_EQ(partial->results[i].size(), (*unbounded)[i].size());
+    ASSERT_EQ(partial->results[i].size(), unbounded->results[i].size());
     for (size_t x = 0; x < partial->results[i].size(); ++x) {
-      EXPECT_EQ(partial->results[i][x].item, (*unbounded)[i][x].item);
-      EXPECT_EQ(partial->results[i][x].score, (*unbounded)[i][x].score);
+      EXPECT_EQ(partial->results[i][x].item, unbounded->results[i][x].item);
+      EXPECT_EQ(partial->results[i][x].score,
+                unbounded->results[i][x].score);
     }
   }
 }

@@ -12,7 +12,6 @@
 
 #include "clapf/model/packed_snapshot.h"
 #include "clapf/model/score_kernel.h"
-#include "clapf/recommender.h"
 #include "clapf/serving/sharded_server.h"
 #include "clapf/util/random.h"
 #include "testing/test_util.h"
@@ -98,32 +97,6 @@ TEST(PackedConcurrencyTest, QueriesRaceHotSwapsOnPackedPath) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(server.version(), 7);
   EXPECT_FALSE(server.degraded());
-}
-
-TEST(PackedConcurrencyTest, BatchQueriesShareSnapshotAcrossPoolThreads) {
-  const auto history = testing::MakeLearnableDataset(32, 64, 6, 11);
-  auto rec = Recommender::Create(MakeRandomModel(32, 64, 12, 13), history);
-  ASSERT_TRUE(rec.ok());
-  ASSERT_TRUE(rec->EnablePacked().ok());
-
-  std::vector<UserId> users(32);
-  for (UserId u = 0; u < 32; ++u) users[static_cast<size_t>(u)] = u;
-  QueryOptions options;
-  options.num_threads = 4;  // thread-pool shards share packed_ read-only
-  auto batch = rec->RecommendBatch(users, 5, options);
-  ASSERT_TRUE(batch.ok());
-
-  QueryOptions serial;
-  serial.num_threads = 1;
-  auto want = rec->RecommendBatch(users, 5, serial);
-  ASSERT_TRUE(want.ok());
-  for (size_t i = 0; i < users.size(); ++i) {
-    ASSERT_EQ((*batch)[i].size(), (*want)[i].size());
-    for (size_t x = 0; x < (*want)[i].size(); ++x) {
-      EXPECT_EQ((*batch)[i][x].item, (*want)[i][x].item);
-      EXPECT_EQ((*batch)[i][x].score, (*want)[i][x].score);
-    }
-  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// End-to-end tests for packed inference in the serving stack: Recommender
-// fast-path parity with the exact double scan, the QueryOptions::use_packed
-// opt-out, ModelServer's publish-time packed build + canary agreement gate,
-// the Ranker::ScoreItemRange fallback counter, and range-vs-full-scan parity
-// for every in-tree ranker.
+// End-to-end tests for packed inference in the serving stack: the packed
+// Retrieve path's parity with the exact double scan, the
+// QueryOptions::use_packed opt-out, ModelServer's publish-time packed build
+// + canary agreement gate, the Ranker::ScoreItemRange fallback counter, and
+// range-vs-full-scan parity for every in-tree ranker.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,8 +15,8 @@
 #include "clapf/core/trainer_factory.h"
 #include "clapf/eval/oracle.h"
 #include "clapf/model/packed_snapshot.h"
+#include "clapf/model/retrieval.h"
 #include "clapf/obs/metrics.h"
-#include "clapf/recommender.h"
 #include "clapf/serving/sharded_server.h"
 #include "clapf/util/random.h"
 #include "testing/test_util.h"
@@ -39,23 +39,23 @@ TEST(PackedRecommenderTest, PackedTopKMatchesExactOnGoldenFixture) {
   // Gaussian factors give well-separated scores, so the float32 repack must
   // reproduce the exact top-k (ids and order) for every user.
   const auto history = testing::MakeLearnableDataset(24, 60, 8, 5);
-  auto rec = Recommender::Create(MakeRandomModel(24, 60, 16, 5), history);
-  ASSERT_TRUE(rec.ok());
-  ASSERT_TRUE(rec->EnablePacked(/*verify_sample_users=*/24).ok());
-  ASSERT_NE(rec->packed_snapshot(), nullptr);
+  const FactorModel model = MakeRandomModel(24, 60, 16, 5);
+  const PackedSnapshot packed = PackedSnapshot::Build(model);
+  ASSERT_TRUE(VerifyPackedAgreement(model, packed, 24, "test").ok());
+  const RetrievalLayers layers{&model, &packed, nullptr};
 
   QueryOptions exact_opts;
   exact_opts.use_packed = false;
   for (UserId u = 0; u < 24; ++u) {
-    auto exact = rec->Recommend(u, 10, exact_opts);
-    auto packed = rec->Recommend(u, 10, {});
+    auto exact = testing::RetrieveTopK(layers, history, u, 10, exact_opts);
+    auto fast = testing::RetrieveTopK(layers, history, u, 10);
     ASSERT_TRUE(exact.ok());
-    ASSERT_TRUE(packed.ok());
-    ASSERT_EQ(exact->size(), packed->size()) << "user " << u;
+    ASSERT_TRUE(fast.ok());
+    ASSERT_EQ(exact->size(), fast->size()) << "user " << u;
     for (size_t x = 0; x < exact->size(); ++x) {
-      EXPECT_EQ((*exact)[x].item, (*packed)[x].item)
+      EXPECT_EQ((*exact)[x].item, (*fast)[x].item)
           << "user " << u << " rank " << x;
-      EXPECT_NEAR((*exact)[x].score, (*packed)[x].score, 1e-4)
+      EXPECT_NEAR((*exact)[x].score, (*fast)[x].score, 1e-4)
           << "user " << u << " rank " << x;
     }
   }
@@ -63,17 +63,17 @@ TEST(PackedRecommenderTest, PackedTopKMatchesExactOnGoldenFixture) {
 
 TEST(PackedRecommenderTest, UsePackedFalseStaysBitIdenticalToExactPath) {
   const auto history = testing::MakeLearnableDataset(10, 40, 6, 9);
-  auto baseline = Recommender::Create(MakeRandomModel(10, 40, 8, 9), history);
-  auto packed = Recommender::Create(MakeRandomModel(10, 40, 8, 9), history);
-  ASSERT_TRUE(baseline.ok());
-  ASSERT_TRUE(packed.ok());
-  ASSERT_TRUE(packed->EnablePacked().ok());
+  const FactorModel model = MakeRandomModel(10, 40, 8, 9);
+  const PackedSnapshot packed = PackedSnapshot::Build(model);
 
   QueryOptions opts;
   opts.use_packed = false;
   for (UserId u = 0; u < 10; ++u) {
-    auto want = baseline->Recommend(u, 7, {});  // no snapshot: exact anyway
-    auto got = packed->Recommend(u, 7, opts);
+    // No snapshot: exact anyway.
+    auto want = testing::RetrieveTopK({&model, nullptr, nullptr}, history, u,
+                                      7);
+    auto got =
+        testing::RetrieveTopK({&model, &packed, nullptr}, history, u, 7, opts);
     ASSERT_TRUE(want.ok());
     ASSERT_TRUE(got.ok());
     ASSERT_EQ(want->size(), got->size());
@@ -87,13 +87,13 @@ TEST(PackedRecommenderTest, UsePackedFalseStaysBitIdenticalToExactPath) {
 
 TEST(PackedRecommenderTest, ExcludeAndMinScoreApplyOnPackedPath) {
   const auto history = testing::MakeLearnableDataset(8, 30, 5, 21);
-  auto rec = Recommender::Create(MakeRandomModel(8, 30, 8, 21), history);
-  ASSERT_TRUE(rec.ok());
-  ASSERT_TRUE(rec->EnablePacked().ok());
+  const FactorModel model = MakeRandomModel(8, 30, 8, 21);
+  const PackedSnapshot packed = PackedSnapshot::Build(model);
+  const RetrievalLayers layers{&model, &packed, nullptr};
 
   QueryOptions opts;
   opts.exclude = {0, 1, 2, 3, 4};
-  auto got = rec->Recommend(0, 30, opts);
+  auto got = testing::RetrieveTopK(layers, history, 0, 30, opts);
   ASSERT_TRUE(got.ok());
   for (const ScoredItem& item : *got) {
     EXPECT_GT(item.item, 4) << "excluded item served";
@@ -102,7 +102,7 @@ TEST(PackedRecommenderTest, ExcludeAndMinScoreApplyOnPackedPath) {
 
   QueryOptions floor;
   floor.min_score = 0.0;
-  auto filtered = rec->Recommend(0, 30, floor);
+  auto filtered = testing::RetrieveTopK(layers, history, 0, 30, floor);
   ASSERT_TRUE(filtered.ok());
   for (const ScoredItem& item : *filtered) EXPECT_GE(item.score, 0.0);
 }
@@ -121,18 +121,13 @@ TEST(PackedServerTest, PublishBuildsGatesAndServesPackedSnapshot) {
 
   // The served ranking equals the exact top-k: packed approximation must not
   // reorder well-separated scores.
-  auto exact_rec = Recommender::Create(model, history);
-  ASSERT_TRUE(exact_rec.ok());
-  QueryOptions exact_opts;
-  exact_opts.use_packed = false;
   for (UserId u = 0; u < 20; ++u) {
     auto served = server.Recommend(u, 5);
-    auto want = exact_rec->Recommend(u, 5, exact_opts);
+    const std::vector<ScoredItem> want = model.TopKForUser(u, 5, &history);
     ASSERT_TRUE(served.ok());
-    ASSERT_TRUE(want.ok());
-    ASSERT_EQ(served->size(), want->size());
-    for (size_t x = 0; x < want->size(); ++x) {
-      EXPECT_EQ((*served)[x].item, (*want)[x].item) << "user " << u;
+    ASSERT_EQ(served->size(), want.size());
+    for (size_t x = 0; x < want.size(); ++x) {
+      EXPECT_EQ((*served)[x].item, want[x].item) << "user " << u;
     }
   }
 }

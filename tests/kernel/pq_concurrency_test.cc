@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "clapf/model/ivf_index.h"
-#include "clapf/recommender.h"
 #include "clapf/serving/publish_request.h"
 #include "clapf/serving/sharded_server.h"
 #include "clapf/util/random.h"

@@ -15,7 +15,7 @@
 #include "clapf/model/ivf_index.h"
 #include "clapf/model/packed_snapshot.h"
 #include "clapf/obs/metrics.h"
-#include "clapf/recommender.h"
+#include "clapf/model/retrieval.h"
 #include "clapf/serving/publish_request.h"
 #include "clapf/serving/sharded_server.h"
 #include "clapf/util/fault_injection.h"
@@ -166,13 +166,16 @@ TEST_F(PqServingTest, CanaryRefusesCorruptCodesAndKeepsPriorSnapshot) {
 
 TEST_F(PqServingTest, ExclusionsAndMinScoreHoldUnderPq) {
   const auto history = testing::MakeLearnableDataset(12, 300, 6, 137);
-  auto rec = Recommender::Create(MakeServableModel(12, 300, 8, 8, 137),
-                                 history);
-  ASSERT_TRUE(rec.ok());
-  IvfOptions ivf;
-  ivf.num_clusters = 8;
-  ivf.pq = true;
-  ASSERT_TRUE(rec->EnableIvf(ivf, 12, 0.95).ok());
+  const FactorModel model = MakeServableModel(12, 300, 8, 8, 137);
+  const PackedSnapshot packed = PackedSnapshot::Build(model);
+  IvfGateOptions gate;
+  gate.ivf.num_clusters = 8;
+  gate.ivf.pq = true;
+  gate.recall_floor = 0.95;
+  gate.recall_users = 12;
+  auto index = BuildGatedIvf(model, packed, gate, nullptr, "test", nullptr);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const RetrievalLayers layers{&model, &packed, index->get()};
 
   QueryOptions ann;
   ann.ann = true;
@@ -182,8 +185,8 @@ TEST_F(PqServingTest, ExclusionsAndMinScoreHoldUnderPq) {
   pq.pq = true;
   pq.rerank_budget = 300;  // full budget: answers must match exactly
   for (UserId u = 0; u < 12; ++u) {
-    auto want = rec->Recommend(u, 10, ann);
-    auto got = rec->Recommend(u, 10, pq);
+    auto want = testing::RetrieveTopK(layers, history, u, 10, ann);
+    auto got = testing::RetrieveTopK(layers, history, u, 10, pq);
     ASSERT_TRUE(want.ok());
     ASSERT_TRUE(got.ok());
     ASSERT_EQ(want->size(), got->size()) << "user " << u;
@@ -198,12 +201,11 @@ TEST_F(PqServingTest, ExclusionsAndMinScoreHoldUnderPq) {
 
 TEST_F(PqServingTest, DeadlineExpiresInsideQuantizedScan) {
   const auto history = testing::MakeLearnableDataset(4, 3000, 5, 139);
-  auto rec = Recommender::Create(MakeServableModel(4, 3000, 8, 8, 139),
-                                 history);
-  ASSERT_TRUE(rec.ok());
+  const FactorModel model = MakeServableModel(4, 3000, 8, 8, 139);
+  const PackedSnapshot packed = PackedSnapshot::Build(model);
   IvfOptions ivf;
   ivf.pq = true;
-  ASSERT_TRUE(rec->EnableIvf(ivf).ok());
+  const IvfIndex index = IvfIndex::Build(model, ivf);
 
   // Every quantized chunk stalls 2ms; a 1ms budget must expire during the
   // first pass, before any exact re-rank work runs.
@@ -213,7 +215,8 @@ TEST_F(PqServingTest, DeadlineExpiresInsideQuantizedScan) {
   pq.ann = true;
   pq.pq = true;
   pq.deadline = std::chrono::microseconds(1000);
-  auto got = rec->Recommend(0, 10, pq);
+  auto got =
+      testing::RetrieveTopK({&model, &packed, &index}, history, 0, 10, pq);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(got.status().message().find("pq"), std::string::npos);
@@ -221,27 +224,29 @@ TEST_F(PqServingTest, DeadlineExpiresInsideQuantizedScan) {
 
 TEST_F(PqServingTest, BatchPartialPrefixUnderPqMatchesUnboundedAnswers) {
   const auto history = testing::MakeLearnableDataset(16, 2000, 5, 149);
-  auto rec = Recommender::Create(MakeServableModel(16, 2000, 8, 8, 149),
-                                 history);
-  ASSERT_TRUE(rec.ok());
-  IvfOptions ivf;
-  ivf.pq = true;
-  ASSERT_TRUE(rec->EnableIvf(ivf).ok());
+  ServerOptions options;
+  options.num_threads = 1;
+  options.ann = true;
+  options.ivf.pq = true;
+  options.canary.ann_recall_floor = 0;  // a deadline drill, not a recall one
+  ModelServer server(history, options);
+  ASSERT_TRUE(
+      server.PublishModel(MakeServableModel(16, 2000, 8, 8, 149)).ok());
 
   std::vector<UserId> users(16);
   for (UserId u = 0; u < 16; ++u) users[static_cast<size_t>(u)] = u;
   QueryOptions pq;
   pq.ann = true;
   pq.pq = true;
-  pq.num_threads = 1;
-  auto unbounded = rec->RecommendBatch(users, 10, pq);
+  auto unbounded = server.RecommendBatch(users, 10, pq);
   ASSERT_TRUE(unbounded.ok());
+  ASSERT_EQ(unbounded->num_complete, users.size());
 
   FaultInjector::Instance().Arm(FaultPoint::kServeSlowBlock,
                                 {/*trigger_at_hit=*/1, /*max_fires=*/-1});
   QueryOptions bounded = pq;
   bounded.deadline = std::chrono::microseconds(4000);
-  auto partial = rec->RecommendBatchPartial(users, 10, bounded);
+  auto partial = server.RecommendBatch(users, 10, bounded);
   ASSERT_TRUE(partial.ok());
   EXPECT_TRUE(partial->deadline_exceeded);
   for (size_t i = 0; i < users.size(); ++i) {
@@ -250,10 +255,11 @@ TEST_F(PqServingTest, BatchPartialPrefixUnderPqMatchesUnboundedAnswers) {
       EXPECT_TRUE(partial->results[i].empty());
       continue;
     }
-    ASSERT_EQ(partial->results[i].size(), (*unbounded)[i].size());
+    ASSERT_EQ(partial->results[i].size(), unbounded->results[i].size());
     for (size_t x = 0; x < partial->results[i].size(); ++x) {
-      EXPECT_EQ(partial->results[i][x].item, (*unbounded)[i][x].item);
-      EXPECT_EQ(partial->results[i][x].score, (*unbounded)[i][x].score);
+      EXPECT_EQ(partial->results[i][x].item, unbounded->results[i][x].item);
+      EXPECT_EQ(partial->results[i][x].score,
+                unbounded->results[i][x].score);
     }
   }
 }

@@ -150,6 +150,54 @@ TEST(OnlineTrainerTest, SameStreamSameBoundariesIsBitIdentical) {
   ExpectSameBits(a.model(), b.model(), "independent identical streams");
 }
 
+// FNV-1a, 64-bit, over the model's user factors, item factors and biases.
+uint64_t FactorHash(const FactorModel& model) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](const std::vector<double>& values) {
+    const auto* b = reinterpret_cast<const unsigned char*>(values.data());
+    for (size_t x = 0; x < values.size() * sizeof(double); ++x) {
+      h ^= b[x];
+      h *= 0x100000001b3ull;
+    }
+  };
+  mix(model.user_factor_data());
+  mix(model.item_factor_data());
+  mix(model.item_bias_data());
+  return h;
+}
+
+TEST(OnlineTrainerTest, TwoIncrementsReproduceThePinnedFactors) {
+  // Hashes recorded when the trainer carried its own copy of the BPR step,
+  // before it moved onto the batch trainer's worker: one thread, a fixed
+  // stream that grows the model past its bootstrap dimensions, two
+  // increments — with item biases and without.
+  const struct {
+    bool bias;
+    uint64_t hash;
+  } kPins[] = {{true, 0x4cf7937446f1e3f5ull}, {false, 0x69510f1335c0b09dull}};
+  for (const auto& pin : kPins) {
+    SCOPED_TRACE(pin.bias ? "bias on" : "bias off");
+    OnlineTrainerOptions options;
+    options.sgd.num_factors = 6;
+    options.sgd.seed = 17;
+    options.sgd.use_item_bias = pin.bias;
+    options.reservoir_capacity = 48;
+    OnlineTrainer trainer(testing::MakeLearnableDataset(10, 16, 4, 13),
+                          options);
+    for (int64_t p = 0; p < 40; ++p) {
+      trainer.Ingest(static_cast<UserId>((p * 3 + 1) % 12),
+                     static_cast<ItemId>((p * 7 + 2) % 19));
+      if (p == 19) {
+        ASSERT_TRUE(trainer.TrainIncrement(101).ok());
+      }
+    }
+    ASSERT_TRUE(trainer.TrainIncrement(202).ok());
+    EXPECT_EQ(trainer.increments(), 2);
+    EXPECT_EQ(trainer.model().num_items(), 19);
+    EXPECT_EQ(FactorHash(trainer.model()), pin.hash);
+  }
+}
+
 TEST(OnlineTrainerTest, DivergenceHaltRestoresTheModelAndKeepsTheTail) {
   Dataset bootstrap = testing::MakeLearnableDataset(8, 12, 4, 1);
   OnlineTrainerOptions options;

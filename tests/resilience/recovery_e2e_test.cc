@@ -10,7 +10,7 @@
 #include "clapf/core/checkpoint.h"
 #include "clapf/core/clapf_trainer.h"
 #include "clapf/model/model_io.h"
-#include "clapf/recommender.h"
+#include "clapf/serving/sharded_server.h"
 #include "clapf/util/fs.h"
 #include "clapf/util/logging.h"
 #include "testing/fault_schedule.h"
@@ -171,8 +171,9 @@ TEST(RecoveryE2eTest, ResumeDisabledTrainsFromScratch) {
 }
 
 // Serving-side degradation: a corrupt model file must fail loudly at load so
-// the caller can fall back (examples/serving.cpp demonstrates the PopRank
-// fallback), and a valid checkpoint lets the service reload a recovered model.
+// the caller can fall back (examples/serving.cpp shows the refused publish
+// and the server's popularity answers), and a valid checkpoint lets the
+// server publish a recovered model.
 TEST(RecoveryE2eTest, CorruptModelFileFailsLoadButCheckpointRecovers) {
   ClapfOptions opts = BaseOptions();
   opts.sgd.iterations = 1000;
@@ -191,7 +192,7 @@ TEST(RecoveryE2eTest, CorruptModelFileFailsLoadButCheckpointRecovers) {
   damaged[damaged.size() / 2] ^= 0x04;
   ASSERT_TRUE(WriteStringToFile(model_path, damaged).ok());
 
-  auto broken = Recommender::Load(model_path, TrainData());
+  auto broken = LoadModel(model_path);
   EXPECT_EQ(broken.status().code(), StatusCode::kCorruption);
 
   // The newest checkpoint still holds a healthy model.
@@ -203,9 +204,9 @@ TEST(RecoveryE2eTest, CorruptModelFileFailsLoadButCheckpointRecovers) {
   EXPECT_EQ(recovered->model.user_factor_data(),
             trainer.model()->user_factor_data());
 
-  auto serving = Recommender::Create(std::move(recovered->model), TrainData());
-  ASSERT_TRUE(serving.ok());
-  auto recs = serving->Recommend(0, 5, QueryOptions{});
+  ModelServer serving(TrainData(), ServerOptions{});
+  ASSERT_TRUE(serving.PublishModel(std::move(recovered->model)).ok());
+  auto recs = serving.Recommend(0, 5, QueryOptions{});
   ASSERT_TRUE(recs.ok());
   EXPECT_EQ(recs->size(), 5u);
 }

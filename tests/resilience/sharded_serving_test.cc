@@ -16,12 +16,14 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "clapf/model/packed_snapshot.h"
 #include "clapf/model/score_kernel.h"
+#include "clapf/serving/model_shard.h"
 #include "clapf/serving/sharded_server.h"
 #include "clapf/serving/shard_map.h"
 #include "clapf/util/logging.h"
@@ -191,12 +193,17 @@ TEST(ShardedDeterminismTest, PackedShardedMatchesMonolithicBitForBit) {
   for (int32_t shards : {1, 2, 3, 5}) {
     ModelServer server(history, DrillOptions(shards));
     ASSERT_TRUE(server.PublishModel(model).ok());
-    for (UserId u = 0; u < kUsers; ++u) {
-      auto got = server.Recommend(u, 10);
-      ASSERT_TRUE(got.ok());
-      ExpectSameRanking(*got, Reference(model, history, u, 10, {}, true),
-                        "packed shards=" + std::to_string(shards) +
-                            " user=" + std::to_string(u));
+    // k = kItems is past every shard's size: each shard returns all its
+    // servable items, whatever order the scatter finishes in.
+    for (size_t k : {size_t{10}, static_cast<size_t>(kItems)}) {
+      for (UserId u = 0; u < kUsers; ++u) {
+        auto got = server.Recommend(u, k);
+        ASSERT_TRUE(got.ok());
+        ExpectSameRanking(*got, Reference(model, history, u, k, {}, true),
+                          "packed shards=" + std::to_string(shards) +
+                              " k=" + std::to_string(k) +
+                              " user=" + std::to_string(u));
+      }
     }
   }
 }
@@ -290,6 +297,39 @@ TEST(ShardedDeterminismTest, ColdStartIsAGlobalDecision) {
     ExpectSameRanking(*got, Reference(model, history, u, 10, {}, true),
                       "cold drill user=" + std::to_string(u));
   }
+}
+
+TEST(ShardedDeterminismTest, ShardSmallerThanKStaysOffTheBar) {
+  // A shard holding fewer than k items fills its local heap without
+  // bounding the global k-th best. Were it to raise the cross-shard bar,
+  // whichever shards scored after it would reject items the merged answer
+  // needs, so a k past the shard size would lose items depending on the
+  // scatter order.
+  // User 0's one interaction lies outside shard 1, so all of shard 1's
+  // items are servable and its local heap fills.
+  Dataset history = testing::MakeDataset(kUsers, kItems, {{0, 0}});
+  const ShardMap map = ShardMap::Create(kItems, 3);
+  ASSERT_GT(map.begin(1), 0);
+  const std::vector<int64_t> counts = history.ItemPopularity();
+  const std::vector<double> popularity(counts.begin(), counts.end());
+  ModelShard shard(1, map.begin(1), map.end(1), history, popularity);
+  auto slice = shard.BuildSlice(RandomModel(13), /*packed=*/true,
+                                /*verify_integrity=*/true, 0, "test");
+  ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+
+  ThresholdBroadcast small_shard;
+  auto all = shard.ScoreTopK(**slice, 0, kItems, {}, std::nullopt,
+                             &small_shard);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->size(), static_cast<size_t>(map.size(1)));
+  EXPECT_EQ(small_shard.Get(), -std::numeric_limits<double>::infinity());
+
+  // A shard holding at least k items does bound it.
+  ThresholdBroadcast large_shard;
+  auto top = shard.ScoreTopK(**slice, 0, 3, {}, std::nullopt, &large_shard);
+  ASSERT_TRUE(top.ok());
+  ASSERT_EQ(top->size(), 3u);
+  EXPECT_EQ(large_shard.Get(), top->back().score);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include "testing/test_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -44,6 +45,25 @@ Dataset MakeLearnableDataset(int32_t num_users, int32_t num_items,
     }
   }
   return builder.Build();
+}
+
+Result<std::vector<ScoredItem>> RetrieveTopK(const RetrievalLayers& layers,
+                                             const Dataset& history,
+                                             UserId u, size_t k,
+                                             const QueryOptions& options) {
+  const int32_t n = layers.num_items();
+  std::vector<bool> excluded(static_cast<size_t>(n), false);
+  for (ItemId i : history.ItemsOf(u)) excluded[static_cast<size_t>(i)] = true;
+  for (ItemId i : options.exclude) {
+    if (i >= 0 && i < n) excluded[static_cast<size_t>(i)] = true;
+  }
+  k = std::min(k, static_cast<size_t>(n));
+  const size_t min_items =
+      k + history.ItemsOf(u).size() + options.exclude.size();
+  auto top = Retrieve(layers, u, k, &excluded, min_items, options,
+                      DeadlineFrom(options), nullptr, nullptr, nullptr);
+  if (top.ok()) ApplyMinScore(options.min_score, &*top);
+  return top;
 }
 
 FactorModel MakeExactModel(const std::vector<std::vector<double>>& scores) {

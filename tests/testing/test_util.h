@@ -8,6 +8,9 @@
 
 #include "clapf/data/dataset.h"
 #include "clapf/model/factor_model.h"
+#include "clapf/model/retrieval.h"
+#include "clapf/util/status.h"
+#include "clapf/util/top_k.h"
 
 namespace clapf {
 namespace testing {
@@ -36,6 +39,16 @@ FactorModel MakeExactModel(const std::vector<std::vector<double>>& scores);
 FactorModel MakeClusteredItemModel(int32_t num_users, int32_t num_items,
                                    int32_t num_factors, int32_t num_centers,
                                    double noise, uint64_t seed);
+
+/// The top-k of `u` from one Retrieve call over `layers`, asked the way a
+/// one-shard server asks it: `history` and options.exclude excluded (and
+/// counted into the ANN widening floor), options.deadline armed, then
+/// options.min_score applied. Cold-start policy is the server's and is not
+/// applied.
+Result<std::vector<ScoredItem>> RetrieveTopK(const RetrievalLayers& layers,
+                                             const Dataset& history,
+                                             UserId u, size_t k,
+                                             const QueryOptions& options = {});
 
 /// Writes `content` to a unique temp file and returns its path.
 std::string WriteTempFile(const std::string& name, const std::string& content);

@@ -3,7 +3,7 @@
 //   clapf_cli train     --input u.data --format tab --method CLAPF-MAP
 //                       --model-out model.clpf --dataset-out data.clds
 //   clapf_cli evaluate  --model model.clpf --dataset data.clds
-//   clapf_cli recommend --model model.clpf --dataset data.clds --user 5 --k 10
+//   clapf_cli recommend --model model.clpf --dataset data.clds --users 5 --k 10
 //                       --ann --pq --rerank-budget 256
 //   clapf_cli serve     --model model.clpf --dataset data.clds --users 1,5
 //                       --deadline-us 5000 --queue-depth 32 --min-auc 0.6
@@ -192,10 +192,23 @@ int RunEvaluate(int argc, char** argv) {
   return 0;
 }
 
+// Reports which scoring path actually answered the queries, read back from
+// the serving counters rather than echoed from the flags — a --pq run whose
+// index carries no codes serves plain ANN and says so.
+void PrintScoringPath(MetricsRegistry* metrics, bool packed) {
+  const int64_t pq_queries =
+      metrics->GetCounter("ann.pq_queries_total")->Value();
+  const int64_t ann_queries = metrics->GetCounter("ann.queries_total")->Value();
+  std::printf("scoring path: %s\n",
+              pq_queries > 0
+                  ? "ann+pq"
+                  : (ann_queries > 0 ? "ann" : (packed ? "packed" : "exact")));
+}
+
 int RunRecommend(int argc, char** argv) {
   std::string model_path = "model.clpf", dataset_path, format = "tab";
   std::string users_csv = "0", exclude_csv, metrics_out;
-  int64_t k = 10, threads = 0, nprobe = 0, rerank_budget = 0;
+  int64_t k = 10, nprobe = 0, rerank_budget = 0;
   int64_t build_threads = 0;
   bool has_header = false, no_cold_fallback = false, packed = false;
   bool ann = false, pq = false;
@@ -212,14 +225,14 @@ int RunRecommend(int argc, char** argv) {
                   "comma-separated item ids to skip (business rules)");
   flags.AddBool("no-cold-fallback", &no_cold_fallback,
                 "return empty lists for cold users instead of popularity");
-  flags.AddInt("threads", &threads, "batch worker threads (0 = all cores)");
   flags.AddBool("packed", &packed,
-                "score through the packed SIMD snapshot (verified against "
-                "the exact model first); default is the exact double path");
+                "score through the packed SIMD snapshot (the publish gate "
+                "checks it against the exact model first); default is the "
+                "exact double path");
   flags.AddBool("ann", &ann,
                 "retrieve through the IVF shortlist with fused exact "
-                "re-rank (implies --packed; the index must clear a measured "
-                "recall@10 >= 0.95 check before it serves)");
+                "re-rank (implies --packed; the publish gate refuses the "
+                "index below a measured recall@10 of 0.95)");
   flags.AddInt("nprobe", &nprobe,
                "clusters probed per ANN query (0 = the index default; "
                "higher = better recall, more items scored)");
@@ -232,11 +245,12 @@ int RunRecommend(int argc, char** argv) {
                "survivors the quantized pass hands to the exact re-rank "
                "(0 = the index default; requires --pq)");
   flags.AddInt("build-threads", &build_threads,
-               "worker threads for the IVF/code-book build (0 = the index "
-               "default of 1; the index is identical at any count)");
+               "worker threads for the publish: the packed repack, the "
+               "gate's catalog passes and, with --ann, the IVF/code-book "
+               "build (0 = 1; the index is identical at any count)");
   flags.AddString("metrics-out", &metrics_out,
-                  "dump query metrics (latency histogram, counts) as JSON to "
-                  "this path");
+                  "dump serving metrics (latency histograms, outcome "
+                  "counters) as JSON to this path");
   if (Status s = flags.Parse(argc, argv); !s.ok()) {
     return s.code() == StatusCode::kFailedPrecondition ? 0 : Fail(s);
   }
@@ -249,49 +263,9 @@ int RunRecommend(int argc, char** argv) {
   if (rerank_budget != 0 && !pq) {
     return Fail(Status::InvalidArgument("--rerank-budget requires --pq"));
   }
-  if (build_threads != 0 && !ann) {
-    return Fail(Status::InvalidArgument("--build-threads requires --ann"));
-  }
 
   auto data = LoadAnyDataset(dataset_path, format, has_header);
   if (!data.ok()) return Fail(data.status());
-  auto recommender = Recommender::Load(model_path, *std::move(data));
-  if (!recommender.ok()) return Fail(recommender.status());
-  if (packed || ann) {
-    if (Status s = recommender->EnablePacked(/*verify_sample_users=*/16);
-        !s.ok()) {
-      return Fail(s);
-    }
-    std::printf("packed scoring enabled (%s kernel)\n",
-                ScoreKernelName(ActiveScoreKernel()));
-  }
-  if (ann) {
-    IvfOptions ivf_options;
-    ivf_options.pq = pq;
-    if (build_threads > 0) {
-      ivf_options.build_threads = static_cast<int>(build_threads);
-    }
-    // With --pq the 0.95 floor below gates the composed quantized+re-rank
-    // path (EnableIvf switches checks when codes are present).
-    if (Status s = recommender->EnableIvf(ivf_options,
-                                          /*verify_sample_users=*/16,
-                                          /*verify_recall_floor=*/0.95);
-        !s.ok()) {
-      return Fail(s);
-    }
-    std::printf("ann enabled: %d clusters, default nprobe %d\n",
-                recommender->ivf_index()->num_clusters(),
-                recommender->ivf_index()->default_nprobe());
-    if (pq) {
-      std::printf("pq enabled: int8 codes, rerank budget %lld\n",
-                  static_cast<long long>(
-                      rerank_budget > 0
-                          ? rerank_budget
-                          : recommender->ivf_index()->default_rerank_budget()));
-    }
-  }
-  MetricsRegistry metrics;
-  if (!metrics_out.empty()) recommender->SetMetrics(&metrics);
 
   std::vector<UserId> users;
   for (const std::string& tok : Split(users_csv, ',')) {
@@ -301,7 +275,6 @@ int RunRecommend(int argc, char** argv) {
   }
   QueryOptions options;
   options.cold_start_fallback = !no_cold_fallback;
-  options.num_threads = static_cast<int>(threads);
   options.ann = ann;
   options.ann_nprobe = static_cast<int32_t>(nprobe);
   options.pq = pq;
@@ -314,39 +287,31 @@ int RunRecommend(int argc, char** argv) {
     }
   }
 
-  auto batch = recommender->RecommendBatch(users, static_cast<size_t>(k),
-                                           options);
+  // One shard over the history: the model file goes through LoadModel's CRC
+  // and then the canary gate (packed agreement, and with --ann the index
+  // binding and recall checks); a refused publish is a failure here.
+  ServerOptions server_options;
+  server_options.packed = packed || ann;
+  server_options.ann = ann;
+  server_options.ivf.pq = pq;
+  if (build_threads > 0) {
+    server_options.ivf.build_threads = static_cast<int>(build_threads);
+  }
+  ModelServer server(*std::move(data), server_options);
+  if (Status s = server.PublishModel(model_path); !s.ok()) return Fail(s);
+
+  auto batch = server.RecommendBatch(users, static_cast<size_t>(k), options);
   if (!batch.ok()) return Fail(batch.status());
   for (size_t i = 0; i < users.size(); ++i) {
     std::printf("top-%lld for user %d:\n", static_cast<long long>(k),
                 users[i]);
-    for (const ScoredItem& item : (*batch)[i]) {
+    for (const ScoredItem& item : batch->results[i]) {
       std::printf("  item %-8d score %.4f\n", item.item, item.score);
     }
   }
-  // Which path actually scored: a --pq request against an index without
-  // codes silently serves plain ANN, so report from the index state rather
-  // than echoing the flags.
-  const bool served_pq = pq && recommender->ivf_index() != nullptr &&
-                         recommender->ivf_index()->has_pq();
-  std::printf("scoring path: %s\n",
-              served_pq ? "ann+pq"
-                        : (ann ? "ann" : (packed ? "packed" : "exact")));
-  MaybeDumpMetrics(metrics, metrics_out);
+  PrintScoringPath(server.mutable_metrics(), server_options.packed);
+  MaybeDumpMetrics(server.metrics(), metrics_out);
   return 0;
-}
-
-// Reports which scoring path actually answered the replayed serve queries,
-// read back from the serving counters rather than echoed from the flags —
-// a --pq run whose index carries no codes serves plain ANN and says so.
-void PrintScoringPath(MetricsRegistry* metrics, bool packed) {
-  const int64_t pq_queries =
-      metrics->GetCounter("ann.pq_queries_total")->Value();
-  const int64_t ann_queries = metrics->GetCounter("ann.queries_total")->Value();
-  std::printf("scoring path: %s\n",
-              pq_queries > 0
-                  ? "ann+pq"
-                  : (ann_queries > 0 ? "ann" : (packed ? "packed" : "exact")));
 }
 
 int RunServe(int argc, char** argv) {

@@ -30,7 +30,7 @@ STAGE="${1:-all}"
 
 # The ctest labels each sanitizer rung runs (the default rung runs the
 # entire unfiltered suite). Add a new suite's label to the right rung(s).
-SANITIZE_LABELS="faultinjection format sampling serving obs kernel governor shard online ann pq"
+SANITIZE_LABELS="faultinjection format sampling serving obs kernel governor shard online ann pq cli"
 TSAN_LABELS="parallel serving obs kernel governor shard online ann pq"
 
 # "a b c" -> "^(a|b|c)$", the regex ctest -L matches labels against.
