@@ -412,22 +412,38 @@ void BM_ShardPublish(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardPublish)->Arg(0)->Arg(1);
 
+FactorModel ClusteredCatalog(int32_t num_users, int32_t num_items,
+                             int32_t num_factors, int32_t num_centers,
+                             uint64_t seed);
+
 // An online update as the publish gate sees it: one shard, 200k items,
-// d = 32, packed on, ann off. Two prepared candidates differ in every
-// 100th item (1% of the catalog), and the iterations alternate them, so
-// each publish replaces the serving slice with a 1% delta: the integrity
-// scan, the repack and the packed agreement against the slice it replaces.
+// d = 32, packed on. Two prepared candidates differ in every 100th item (1%
+// of the catalog), and the iterations alternate them, so each publish
+// replaces the serving slice with a 1% delta, handed over as a const
+// lvalue. Arg 0 (ann off): the hand-over copy, the integrity scan, the
+// repack and the packed agreement against the slice it replaces. Arg 1
+// (ann + ivf.pq on a clustered catalog the recall gate accepts) adds the
+// incremental index rebuild — the dirty set, its reassignment, the
+// cluster-ordered repack and the SQ8 encode — and the recall gate, whose
+// ground truth re-scores the delta.
 void BM_PublishDriftUpdate(benchmark::State& state) {
   constexpr int32_t kUsers = 2000;
   constexpr int32_t kItems = 200000;
+  const bool ann = state.range(0) == 1;
   static Dataset data = BenchData(kUsers, kItems, 100000);
   ServerOptions options;
   options.num_threads = 2;
   options.ivf.build_threads = 4;  // the publish's thread budget
+  options.ann = ann;
+  options.ivf.pq = ann;
   ModelServer server(data, options);
   FactorModel a(kUsers, kItems, 32);
   Rng rng(23);
-  a.InitGaussian(rng, 0.1);
+  if (ann) {
+    a = ClusteredCatalog(kUsers, kItems, 32, 64, 23);
+  } else {
+    a.InitGaussian(rng, 0.1);
+  }
   FactorModel b = a;
   for (ItemId i = 0; i < kItems; i += 100) {
     for (double& x : b.ItemFactors(i)) x += 0.01 * rng.NextGaussian();
@@ -440,7 +456,11 @@ void BM_PublishDriftUpdate(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PublishDriftUpdate)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_PublishDriftUpdate)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Cost of one governor control step (read metric deltas + p99 estimate +
 // policy decision). This is what the ticker thread pays every interval_us —

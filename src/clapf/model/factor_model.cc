@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "clapf/util/logging.h"
+#include "clapf/util/thread_pool.h"
 
 namespace clapf {
 
@@ -146,18 +147,37 @@ double FactorModel::SquaredNorm() const {
   return total;
 }
 
-FactorModel FactorModel::SliceItems(ItemId begin, ItemId end) const {
-  CLAPF_CHECK(begin >= 0 && begin <= end && end <= num_items_);
-  FactorModel out(num_users_, end - begin, num_factors_, use_item_bias_);
-  out.user_factors_ = user_factors_;
-  std::copy(item_factors_.begin() +
-                static_cast<size_t>(begin) * num_factors_,
-            item_factors_.begin() + static_cast<size_t>(end) * num_factors_,
-            out.item_factors_.begin());
-  std::copy(item_bias_.begin() + static_cast<size_t>(begin),
-            item_bias_.begin() + static_cast<size_t>(end),
-            out.item_bias_.begin());
-  return out;
+void FactorModel::CopyItemsFrom(const FactorModel& source, ItemId begin,
+                                int threads) {
+  CLAPF_CHECK(source.num_users_ == num_users_ &&
+              source.num_factors_ == num_factors_ &&
+              source.use_item_bias_ == use_item_bias_);
+  CLAPF_CHECK(begin >= 0 && begin + num_items_ <= source.num_items_);
+  // 512 KiB tiles of each array, all copied as one list of tasks.
+  constexpr size_t kTileDoubles = size_t{1} << 16;
+  struct Tile {
+    const double* from;
+    double* to;
+    size_t n;
+  };
+  std::vector<Tile> tiles;
+  const auto add = [&](const double* from, double* to, size_t n) {
+    for (size_t at = 0; at < n; at += kTileDoubles) {
+      tiles.push_back({from + at, to + at, std::min(kTileDoubles, n - at)});
+    }
+  };
+  const size_t d = static_cast<size_t>(num_factors_);
+  add(source.user_factors_.data(), user_factors_.data(),
+      user_factors_.size());
+  add(source.item_factors_.data() + static_cast<size_t>(begin) * d,
+      item_factors_.data(), item_factors_.size());
+  add(source.item_bias_.data() + static_cast<size_t>(begin),
+      item_bias_.data(), item_bias_.size());
+  ParallelForEach(static_cast<int64_t>(tiles.size()), threads,
+                  [&](int64_t t) {
+                    const Tile& tile = tiles[static_cast<size_t>(t)];
+                    std::copy(tile.from, tile.from + tile.n, tile.to);
+                  });
 }
 
 }  // namespace clapf

@@ -99,12 +99,14 @@ class FactorModel {
   void ExpandTo(int32_t new_users, int32_t new_items, Rng& rng,
                 double stddev = 0.01);
 
-  /// Copy of this model restricted to items [begin, end): user factors are
-  /// kept whole, item factors/biases are copied for the range and renumbered
-  /// to [0, end - begin). A score f_ui depends only on u's and i's own
-  /// parameters, so the slice predicts bit-identical doubles for its items —
-  /// the invariant per-shard serving snapshots are built on.
-  FactorModel SliceItems(ItemId begin, ItemId end) const;
+  /// Overwrites this model's parameters with `source`'s user factors and
+  /// its items [begin, begin + num_items()), renumbered to
+  /// [0, num_items()); the two models share users, factor count and bias
+  /// flag. A score f_ui depends only on u's and i's own parameters, so the
+  /// copy predicts bit-identical doubles for its items — the invariant
+  /// per-shard serving slices are built on. The copy runs in tiles over
+  /// `threads` workers; the bytes do not depend on the count.
+  void CopyItemsFrom(const FactorModel& source, ItemId begin, int threads);
 
  private:
   int32_t num_users_;

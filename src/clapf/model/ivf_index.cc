@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -169,6 +170,47 @@ uint64_t PqRadixSelect(const uint64_t* keys, size_t n, size_t k) {
 }
 
 }  // namespace
+
+ItemDelta DiffItems(const FactorModel& model, const FactorModel& base,
+                    int threads) {
+  CLAPF_CHECK(model.num_factors() == base.num_factors() &&
+              model.use_item_bias() == base.use_item_bias() &&
+              base.num_items() <= model.num_items());
+  const size_t d = static_cast<size_t>(model.num_factors());
+  const bool bias = model.use_item_bias();
+  const ItemId n = model.num_items();
+  const ItemId shared = base.num_items();
+  // Each chunk lists its own dirty items; the chunks concatenate in item
+  // order, so the set is the serial scan's for any thread count.
+  constexpr ItemId kChunk = 4096;
+  const int64_t chunks = (n + kChunk - 1) / kChunk;
+  std::vector<ItemDelta> parts(static_cast<size_t>(chunks));
+  ParallelForEach(chunks, threads, [&](int64_t c) {
+    const ItemId begin = static_cast<ItemId>(c) * kChunk;
+    const ItemId end = std::min<ItemId>(n, begin + kChunk);
+    ItemDelta& part = parts[static_cast<size_t>(c)];
+    for (ItemId i = begin; i < end; ++i) {
+      const bool dirty =
+          i >= shared ||
+          std::memcmp(model.ItemFactors(i).data(), base.ItemFactors(i).data(),
+                      d * sizeof(double)) != 0 ||
+          (bias && std::memcmp(&model.item_bias_data()[static_cast<size_t>(i)],
+                               &base.item_bias_data()[static_cast<size_t>(i)],
+                               sizeof(double)) != 0);
+      if (dirty) {
+        part.items.push_back(i);
+        part.crcs.push_back(ItemCrc(model, i));
+      }
+    }
+  });
+  ItemDelta delta;
+  for (const ItemDelta& part : parts) {
+    delta.items.insert(delta.items.end(), part.items.begin(),
+                       part.items.end());
+    delta.crcs.insert(delta.crcs.end(), part.crcs.begin(), part.crcs.end());
+  }
+  return delta;
+}
 
 IvfIndex IvfIndex::Build(const FactorModel& model, const IvfOptions& options,
                          IvfBuildPhases* phases) {
@@ -347,7 +389,8 @@ Result<IvfIndex> IvfIndex::RebuildDirty(const IvfIndex& previous,
                                         const FactorModel& model,
                                         const IvfOptions& options,
                                         int64_t* items_reassigned,
-                                        IvfBuildPhases* phases) {
+                                        IvfBuildPhases* phases,
+                                        const ItemDelta* delta) {
   if (!options.CompatibleWith(previous.options_)) {
     return Status::InvalidArgument(
         "ivf rebuild: options incompatible with the previous build");
@@ -381,70 +424,81 @@ Result<IvfIndex> IvfIndex::RebuildDirty(const IvfIndex& previous,
 
   const int32_t n = idx.num_items_;
   const int32_t ad = idx.num_factors_ + 2;
-  idx.assignment_.resize(static_cast<size_t>(n));
-  idx.item_crc_.resize(static_cast<size_t>(n));
   IvfBuildPhases times;
   Stopwatch phase;
 
-  // Dirty detection in one parallel pass: an item whose parameter bytes are
-  // unchanged keeps its previous cluster untouched; a changed (or newly
-  // grown) item is queued for its nearest frozen centroid. No k-means
-  // re-training — that is the entire saving.
-  std::vector<uint8_t> dirty(static_cast<size_t>(n), 0);
-  ParallelForEach(n, options.build_threads, [&](int64_t i) {
-    const uint32_t crc = ItemCrc(model, static_cast<ItemId>(i));
-    idx.item_crc_[static_cast<size_t>(i)] = crc;
-    if (i < previous.num_items_ &&
-        crc == previous.item_crc_[static_cast<size_t>(i)]) {
-      idx.assignment_[static_cast<size_t>(i)] =
-          previous.assignment_[static_cast<size_t>(i)];
-    } else {
-      dirty[static_cast<size_t>(i)] = 1;
+  // An item whose parameter bytes are unchanged keeps its previous cluster
+  // and CRC; a changed (or newly grown) item is queued for its nearest
+  // frozen centroid. No k-means re-training — that is the entire saving.
+  std::vector<ItemId> hashed_dirty;
+  const std::vector<ItemId>* dirty_items = &hashed_dirty;
+  if (delta != nullptr) {
+    // The caller's byte compare already found the changed items and hashed
+    // them: carry everything else over without reading it.
+    CLAPF_CHECK(delta->items.size() == delta->crcs.size());
+    const size_t shared = static_cast<size_t>(previous.num_items_);
+    idx.item_crc_ = previous.item_crc_;
+    idx.item_crc_.resize(static_cast<size_t>(n));
+    idx.assignment_ = previous.assignment_;
+    idx.assignment_.resize(static_cast<size_t>(n));
+    size_t grown = 0;
+    for (size_t x = 0; x < delta->items.size(); ++x) {
+      const size_t i = static_cast<size_t>(delta->items[x]);
+      CLAPF_CHECK(i < static_cast<size_t>(n));
+      idx.item_crc_[i] = delta->crcs[x];
+      grown += i >= shared ? 1 : 0;
     }
-  });
-  std::vector<ItemId> dirty_items;
-  for (ItemId i = 0; i < n; ++i) {
-    if (dirty[static_cast<size_t>(i)] != 0) dirty_items.push_back(i);
+    CLAPF_CHECK(grown == static_cast<size_t>(n) - shared)
+        << "ivf rebuild: the delta must list every grown item";
+    dirty_items = &delta->items;
+  } else {
+    // Dirty detection in one parallel pass against the stored CRCs.
+    idx.item_crc_.resize(static_cast<size_t>(n));
+    idx.assignment_.resize(static_cast<size_t>(n));
+    std::vector<uint8_t> dirty(static_cast<size_t>(n), 0);
+    ParallelForEach(n, options.build_threads, [&](int64_t i) {
+      const uint32_t crc = ItemCrc(model, static_cast<ItemId>(i));
+      idx.item_crc_[static_cast<size_t>(i)] = crc;
+      if (i < previous.num_items_ &&
+          crc == previous.item_crc_[static_cast<size_t>(i)]) {
+        idx.assignment_[static_cast<size_t>(i)] =
+            previous.assignment_[static_cast<size_t>(i)];
+      } else {
+        dirty[static_cast<size_t>(i)] = 1;
+      }
+    });
+    for (ItemId i = 0; i < n; ++i) {
+      if (dirty[static_cast<size_t>(i)] != 0) hashed_dirty.push_back(i);
+    }
   }
-  AssignItems(model, dirty_items.data(),
-              static_cast<int64_t>(dirty_items.size()), idx.aug_m2_,
+  AssignItems(model, dirty_items->data(),
+              static_cast<int64_t>(dirty_items->size()), idx.aug_m2_,
               CentroidPanel(idx.centroids_.data(), idx.num_clusters_, ad),
               options.build_threads, idx.assignment_.data());
   if (items_reassigned != nullptr) {
-    *items_reassigned = static_cast<int64_t>(dirty_items.size());
+    *items_reassigned = static_cast<int64_t>(dirty_items->size());
   }
   times.assign_us = phase.ElapsedMicros();
 
   phase.Reset();
   idx.FinishLayout(model);
   times.repack_us = phase.ElapsedMicros();
-  // Incremental code refresh against the FROZEN book: clean items' codes are
-  // copied byte-for-byte from the previous index (through both permutations)
-  // and only dirty items run the quantizer. The book never retrains here —
-  // a majority-dirty republish already falls back to a full Build at the
-  // caller, which is where the book (like the centroids) gets refreshed.
-  // New items can land outside the frozen book's range and clamp; the
-  // measured composed-recall gate is the backstop for that drift.
+  // Code refresh against the FROZEN book: every item of the new layout is
+  // encoded, block by block, and a code is a pure function of (float,
+  // scale, offset), so a clean item gets exactly the bytes it had. The book
+  // never retrains here — a majority-dirty republish already falls back to
+  // a full Build at the caller, which is where the book (like the
+  // centroids) gets refreshed. New items can land outside the frozen book's
+  // range and clamp; the measured composed-recall gate is the backstop for
+  // that drift.
   if (options.pq) {
     phase.Reset();
-    if (previous.has_pq()) {
-      idx.pq_ = PqCodes::Allocate(idx.packed_, previous.pq_.book());
-      ParallelForEach(n, options.build_threads, [&](int64_t local) {
-        const ItemId g = idx.local_to_global_[static_cast<size_t>(local)];
-        if (g < previous.num_items_ && dirty[static_cast<size_t>(g)] == 0) {
-          idx.pq_.CopyItemFrom(
-              previous.pq_, previous.global_to_local_[static_cast<size_t>(g)],
-              static_cast<ItemId>(local));
-        } else {
-          idx.pq_.EncodeItem(idx.packed_, static_cast<ItemId>(local));
-        }
-      });
-      idx.pq_.RecomputeBlockBounds(options.build_threads);
-    } else {
-      idx.pq_ = PqCodes::Encode(
-          idx.packed_, PqCodes::TrainBook(idx.packed_, options.build_threads),
-          options.build_threads);
-    }
+    idx.pq_ = PqCodes::Encode(
+        idx.packed_,
+        previous.has_pq()
+            ? previous.pq_.book()
+            : PqCodes::TrainBook(idx.packed_, options.build_threads),
+        options.build_threads);
     times.encode_us = phase.ElapsedMicros();
   }
   if (phases != nullptr) *phases = times;
@@ -1039,45 +1093,32 @@ namespace {
 
 // Recall@k of the path `index` serves — Retrieve through its probes at
 // `nprobe`, through the quantized first pass at `rerank_budget` when `pq` —
-// against the exact top-k over `exact` (the base-order snapshot of the same
-// model: an independent ground truth, so a desynced permutation or code
-// book scores low instead of agreeing with itself). Averages
-// |retrieved ∩ exact| / k over the GateSampleUsers(num_users, sample_users)
-// users. The ground truth is one tiled pass (ExactTopKForUsers) and the ANN
-// queries run in parallel, both over the index's build_threads; the
+// against `truth`, whose list x starts with the exact top-k of users[x]
+// over the base-order snapshot of the same model (an independent ground
+// truth, so a desynced permutation or code book scores low instead of
+// agreeing with itself). Averages |retrieved ∩ exact| / k over the users.
+// The ANN queries run in parallel over the index's build_threads and the
 // per-user recalls are summed in user order, so the value is bit-identical
-// for any thread count.
-double MeasureRecall(const PackedSnapshot& exact, const IvfIndex& index,
-                     int32_t sample_users, size_t k, int32_t nprobe, bool pq,
-                     size_t rerank_budget) {
-  if ((pq && !index.has_pq()) || exact.num_items() != index.num_items() ||
-      exact.num_users() != index.packed().num_users()) {
-    return 0.0;
-  }
-  const int32_t n = exact.num_items();
-  const std::vector<UserId> users =
-      GateSampleUsers(exact.num_users(), sample_users);
-  if (n == 0 || users.empty()) return 1.0;
-  k = std::min(k, static_cast<size_t>(n));
-  if (k == 0) return 1.0;
-
-  const int threads = index.options().build_threads;
-  const std::vector<std::vector<ScoredItem>> truth =
-      ExactTopKForUsers(exact, users, k, threads);
+// for any thread count. `k` must be in [1, num_items].
+double RecallAgainst(const IvfIndex& index, const std::vector<UserId>& users,
+                     const std::vector<std::vector<ScoredItem>>& truth,
+                     size_t k, int32_t nprobe, bool pq, size_t rerank_budget) {
   QueryOptions probe;
   probe.ann = true;
   probe.ann_nprobe = nprobe;
   probe.pq = pq;
   probe.rerank_budget = static_cast<int32_t>(rerank_budget);
   std::vector<double> recall(users.size());
-  ParallelForEach(static_cast<int64_t>(users.size()), threads, [&](int64_t x) {
+  ParallelForEach(static_cast<int64_t>(users.size()),
+                  index.options().build_threads, [&](int64_t x) {
     const size_t ux = static_cast<size_t>(x);
     // No deadline is passed, so the retrieval cannot fail.
     auto got = Retrieve({nullptr, nullptr, &index}, users[ux], k, nullptr, k,
                         probe, std::nullopt, nullptr, nullptr, nullptr);
     CLAPF_CHECK(got.ok());
+    const size_t kept = std::min(k, truth[ux].size());
     std::vector<int32_t> truth_ids, got_ids;
-    for (const ScoredItem& s : truth[ux]) truth_ids.push_back(s.item);
+    for (size_t r = 0; r < kept; ++r) truth_ids.push_back(truth[ux][r].item);
     for (const ScoredItem& s : *got) got_ids.push_back(s.item);
     std::sort(truth_ids.begin(), truth_ids.end());
     std::sort(got_ids.begin(), got_ids.end());
@@ -1092,25 +1133,42 @@ double MeasureRecall(const PackedSnapshot& exact, const IvfIndex& index,
   return recall_sum / static_cast<double>(users.size());
 }
 
-}  // namespace
-
-double MeasureIvfRecall(const PackedSnapshot& exact, const IvfIndex& index,
-                        int32_t sample_users, size_t k, int32_t nprobe) {
-  return MeasureRecall(exact, index, sample_users, k, nprobe, /*pq=*/false,
-                       0);
+// The measured recall of the path `index` serves over the
+// GateSampleUsers(num_users, sample_users) users: 0.0 when the index cannot
+// serve it (missing codes, dimensions that disagree with `exact`), 1.0 for
+// an empty catalog or sample. `truth` (may be null) holds each sampled
+// user's exact top-j over `exact`, j >= min(k, n); null computes the top-k
+// with one tiled pass of ExactTopKForUsers over the index's build_threads.
+double MeasureRecall(const PackedSnapshot& exact, const IvfIndex& index,
+                     int32_t sample_users, size_t k, int32_t nprobe, bool pq,
+                     size_t rerank_budget,
+                     const std::vector<std::vector<ScoredItem>>* truth) {
+  if ((pq && !index.has_pq()) || exact.num_items() != index.num_items() ||
+      exact.num_users() != index.packed().num_users()) {
+    return 0.0;
+  }
+  const int32_t n = exact.num_items();
+  const std::vector<UserId> users =
+      GateSampleUsers(exact.num_users(), sample_users);
+  if (n == 0 || users.empty()) return 1.0;
+  k = std::min(k, static_cast<size_t>(n));
+  if (k == 0) return 1.0;
+  if (truth != nullptr) {
+    return RecallAgainst(index, users, *truth, k, nprobe, pq, rerank_budget);
+  }
+  return RecallAgainst(
+      index, users,
+      ExactTopKForUsers(exact, users, k, index.options().build_threads), k,
+      nprobe, pq, rerank_budget);
 }
 
-double MeasurePqRecall(const PackedSnapshot& exact, const IvfIndex& index,
-                       int32_t sample_users, size_t k, int32_t nprobe,
-                       size_t rerank_budget) {
-  return MeasureRecall(exact, index, sample_users, k, nprobe, /*pq=*/true,
-                       rerank_budget);
-}
-
-Status VerifyAnnRecall(const PackedSnapshot& exact, const IvfIndex& index,
-                       int32_t sample_users, size_t k, int32_t nprobe,
-                       size_t rerank_budget, double floor,
-                       const std::string& context) {
+// VerifyAnnRecall against the given (or, when null, a freshly computed)
+// ground truth.
+Status CheckAnnRecall(const PackedSnapshot& exact, const IvfIndex& index,
+                      int32_t sample_users, size_t k, int32_t nprobe,
+                      size_t rerank_budget, double floor,
+                      const std::string& context,
+                      const std::vector<std::vector<ScoredItem>>* truth) {
   const bool pq = index.options().pq;
   if (pq && !index.has_pq()) {
     return Status::FailedPrecondition(
@@ -1124,7 +1182,7 @@ Status VerifyAnnRecall(const PackedSnapshot& exact, const IvfIndex& index,
         std::to_string(index.num_items()) + ")");
   }
   const double recall = MeasureRecall(exact, index, sample_users, k, nprobe,
-                                      pq, rerank_budget);
+                                      pq, rerank_budget, truth);
   if (recall < floor) {
     return Status::FailedPrecondition(
         context + ": ivf " + (pq ? "pq composed " : "") +
@@ -1135,10 +1193,144 @@ Status VerifyAnnRecall(const PackedSnapshot& exact, const IvfIndex& index,
   return Status::OK();
 }
 
+// Blocks per ScoreBlocks call when the delta truth re-scores dirty items.
+constexpr int32_t kRescoreRunBlocks = 64;
+
+// The recall truth of `stamp`'s gate over `exact`: each sampled user's exact
+// top-min(2k, n). A user starts from the baseline's list when the baseline
+// truth carries this stamp, `delta` (the candidate's dirty items against
+// the baseline model) is known, and the user's packed row equals the
+// baseline snapshot's: every clean item then has the bytes, and so the
+// score, it had when that list was made. A clean item missing from the old
+// list ranks below each clean item in it, so the old list without the
+// dirty items, plus the dirty items re-scored, holds the exact top-j for
+// j = the clean entries kept. That is exact for the gate while j >= k, and
+// the new list keeps those j; below k the user is scanned in full, as is
+// every user the baseline cannot serve. Dirty items are scored with their
+// whole block through ScoreBlocks, the kernel ScoreBlocksTopK runs, so
+// each float equals the full scan's.
+RecallTruth GateTruth(const PackedSnapshot& exact, RecallTruth stamp,
+                      const GateBaseline* baseline, const ItemDelta* delta,
+                      int threads) {
+  const std::vector<UserId> users =
+      GateSampleUsers(stamp.num_users, stamp.sample_users);
+  const size_t k = stamp.k;
+  const size_t keep =
+      std::min(2 * k, static_cast<size_t>(std::max(exact.num_items(), 0)));
+  stamp.lists.assign(users.size(), {});
+  const RecallTruth* old =
+      baseline != nullptr && delta != nullptr ? baseline->truth : nullptr;
+  const PackedSnapshot* old_exact =
+      baseline != nullptr ? baseline->exact : nullptr;
+  const bool applies =
+      old != nullptr && old_exact != nullptr && old->kernel == stamp.kernel &&
+      old->sample_users == stamp.sample_users && old->k == k &&
+      old->num_users == stamp.num_users && old->num_items == stamp.num_items &&
+      old->num_factors == stamp.num_factors &&
+      old->use_item_bias == stamp.use_item_bias &&
+      old->lists.size() == users.size() &&
+      old_exact->num_users() == exact.num_users() &&
+      old_exact->num_items() == exact.num_items() &&
+      old_exact->num_factors() == exact.num_factors();
+  std::vector<uint8_t> from_old(users.size(), 0);
+  if (applies && k > 0) {
+    // Runs of consecutive dirty blocks, each scored with one call.
+    struct Run {
+      int32_t first_block = 0;
+      int32_t blocks = 0;
+      size_t first_item = 0;  // into delta->items
+      size_t end_item = 0;
+    };
+    std::vector<Run> runs;
+    for (size_t x = 0; x < delta->items.size(); ++x) {
+      const int32_t b = delta->items[x] / kPackedBlockItems;
+      if (!runs.empty()) {
+        Run& last = runs.back();
+        const int32_t last_block = last.first_block + last.blocks - 1;
+        if (b == last_block) {
+          last.end_item = x + 1;
+          continue;
+        }
+        if (b == last_block + 1 && last.blocks < kRescoreRunBlocks) {
+          ++last.blocks;
+          last.end_item = x + 1;
+          continue;
+        }
+      }
+      runs.push_back({b, 1, x, x + 1});
+    }
+    const size_t d = static_cast<size_t>(exact.num_factors());
+    ParallelForEach(static_cast<int64_t>(users.size()), threads,
+                    [&](int64_t x) {
+      const size_t ux = static_cast<size_t>(x);
+      const UserId u = users[ux];
+      if (std::memcmp(exact.user_factors(u), old_exact->user_factors(u),
+                      d * sizeof(float)) != 0) {
+        return;
+      }
+      std::vector<ScoredItem> clean;
+      for (const ScoredItem& e : old->lists[ux]) {
+        if (!std::binary_search(delta->items.begin(), delta->items.end(),
+                                e.item)) {
+          clean.push_back(e);
+        }
+      }
+      if (clean.size() < k) return;
+      TopKAccumulator acc(clean.size());
+      for (const ScoredItem& e : clean) acc.Push(e.item, e.score);
+      float buf[kRescoreRunBlocks * kPackedBlockItems];
+      for (const Run& run : runs) {
+        ScoreBlocks(exact, u, run.first_block, run.blocks, buf);
+        const ItemId base = run.first_block * kPackedBlockItems;
+        for (size_t i = run.first_item; i < run.end_item; ++i) {
+          const ItemId item = delta->items[i];
+          acc.Push(item, static_cast<double>(buf[item - base]));
+        }
+      }
+      stamp.lists[ux] = acc.Take();
+      from_old[ux] = 1;
+    });
+  }
+  std::vector<UserId> scan;
+  for (size_t ux = 0; ux < users.size(); ++ux) {
+    if (from_old[ux] == 0) scan.push_back(users[ux]);
+  }
+  std::vector<std::vector<ScoredItem>> scanned =
+      ExactTopKForUsers(exact, scan, keep, threads);
+  for (size_t ux = 0, next = 0; ux < users.size(); ++ux) {
+    if (from_old[ux] == 0) stamp.lists[ux] = std::move(scanned[next++]);
+  }
+  return stamp;
+}
+
+}  // namespace
+
+double MeasureIvfRecall(const PackedSnapshot& exact, const IvfIndex& index,
+                        int32_t sample_users, size_t k, int32_t nprobe) {
+  return MeasureRecall(exact, index, sample_users, k, nprobe, /*pq=*/false,
+                       0, nullptr);
+}
+
+double MeasurePqRecall(const PackedSnapshot& exact, const IvfIndex& index,
+                       int32_t sample_users, size_t k, int32_t nprobe,
+                       size_t rerank_budget) {
+  return MeasureRecall(exact, index, sample_users, k, nprobe, /*pq=*/true,
+                       rerank_budget, nullptr);
+}
+
+Status VerifyAnnRecall(const PackedSnapshot& exact, const IvfIndex& index,
+                       int32_t sample_users, size_t k, int32_t nprobe,
+                       size_t rerank_budget, double floor,
+                       const std::string& context) {
+  return CheckAnnRecall(exact, index, sample_users, k, nprobe, rerank_budget,
+                        floor, context, nullptr);
+}
+
 Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
     const FactorModel& model, const PackedSnapshot& exact,
     const IvfGateOptions& options, const IvfIndex* previous,
-    const std::string& context, MetricsRegistry* metrics) {
+    const std::string& context, MetricsRegistry* metrics,
+    const GateBaseline* baseline, RecallTruth* truth) {
   std::shared_ptr<IvfIndex> ivf;  // mutable only for the drills below
   TraceSpan build_span(options.build_us);
   IvfBuildPhases phases;  // summed over the rebuild and the build that ran
@@ -1149,11 +1341,24 @@ Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
     phases.encode_us += p.encode_us;
   };
   bool trained = false;
+  // The candidate's dirty items against the model the previous index was
+  // built from: the one dirty set the rebuild and the recall truth share.
+  std::optional<ItemDelta> delta;
+  if (previous != nullptr && baseline != nullptr &&
+      baseline->model != nullptr &&
+      baseline->model->num_factors() == model.num_factors() &&
+      baseline->model->use_item_bias() == model.use_item_bias() &&
+      baseline->model->num_items() <= model.num_items()) {
+    Stopwatch diff;
+    delta = DiffItems(model, *baseline->model, options.ivf.build_threads);
+    phases.assign_us += diff.ElapsedMicros();
+  }
   if (previous != nullptr) {
     int64_t reassigned = 0;
     IvfBuildPhases rebuild_phases;
     auto rebuilt = IvfIndex::RebuildDirty(*previous, model, options.ivf,
-                                          &reassigned, &rebuild_phases);
+                                          &reassigned, &rebuild_phases,
+                                          delta ? &*delta : nullptr);
     add_phases(rebuild_phases);
     // A majority-dirty republish means the catalog's geometry moved out
     // from under the frozen centroids, and measured recall would pay for
@@ -1201,16 +1406,41 @@ Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
   std::shared_ptr<const IvfIndex> built = std::move(ivf);
   if (!options.verify) return built;
   TraceSpan gate_span(options.gate_us);
-  // The index must be bound to exactly this model's item parameters, and
-  // the measured recall@k of the path it serves (the composed quantized +
+  // The index was built from this model's bytes above, so its per-item
+  // CRCs need no re-check; its dimensions and structure must hold, and the
+  // measured recall@k of the path it serves (the composed quantized +
   // re-rank path when it carries codes: the strictly stronger check, and
-  // the only one that catches a corrupted code book) must clear the floor.
-  Status gate = VerifyIvfBinding(model, *built, context);
+  // the only one that catches a corrupted code book or a desynced
+  // permutation) must clear the floor.
+  Status gate = Status::OK();
+  if (model.num_items() != built->num_items() ||
+      model.num_factors() != built->num_factors()) {
+    gate = Status::FailedPrecondition(
+        context + ": ivf index dimensions disagree with the model (index " +
+        std::to_string(built->num_items()) + "x" +
+        std::to_string(built->num_factors()) + ", model " +
+        std::to_string(model.num_items()) + "x" +
+        std::to_string(model.num_factors()) + ")");
+  }
+  if (gate.ok()) gate = built->VerifyStructure(context);
   if (gate.ok() && options.recall_floor > 0.0) {
-    gate = VerifyAnnRecall(
-        exact, *built, options.recall_users,
-        static_cast<size_t>(std::max<int32_t>(1, options.recall_k)),
-        /*nprobe=*/0, /*rerank_budget=*/0, options.recall_floor, context);
+    const size_t k =
+        static_cast<size_t>(std::max<int32_t>(1, options.recall_k));
+    RecallTruth stamp;
+    stamp.kernel = ActiveScoreKernel();
+    stamp.sample_users = options.recall_users;
+    stamp.k = std::min(k, static_cast<size_t>(exact.num_items()));
+    stamp.num_users = exact.num_users();
+    stamp.num_items = exact.num_items();
+    stamp.num_factors = exact.num_factors();
+    stamp.use_item_bias = exact.use_item_bias();
+    RecallTruth ran = GateTruth(exact, std::move(stamp), baseline,
+                                delta ? &*delta : nullptr,
+                                options.ivf.build_threads);
+    gate = CheckAnnRecall(exact, *built, options.recall_users, k,
+                          /*nprobe=*/0, /*rerank_budget=*/0,
+                          options.recall_floor, context, &ran.lists);
+    if (gate.ok() && truth != nullptr) *truth = std::move(ran);
   }
   if (metrics != nullptr) {
     metrics

@@ -66,6 +66,26 @@ struct IvfOptions {
   }
 };
 
+/// The items whose parameter bytes differ between a candidate model and
+/// the model a previous index was built from, ascending, with the CRC32 of
+/// each one's new parameters: the one dirty set of a publish (DiffItems).
+/// RebuildDirty reassigns exactly these items and the recall gate re-scores
+/// exactly these.
+struct ItemDelta {
+  std::vector<ItemId> items;
+  std::vector<uint32_t> crcs;  // crcs[x] belongs to items[x]
+};
+
+/// The ItemDelta of `model` against `base`, which must share its factor
+/// count and bias flag and hold at most as many items. One tiled pass over
+/// `threads` workers marks an item dirty when its factor or bias bytes
+/// differ from base's (every item past base's catalog is dirty) and hashes
+/// only the dirty items. Exact: a byte compare, where a CRC compare would
+/// miss a change whose CRC collides. The result does not depend on
+/// `threads`.
+ItemDelta DiffItems(const FactorModel& model, const FactorModel& base,
+                    int threads);
+
 /// Wall time (us) of each phase of one IvfIndex::Build or RebuildDirty.
 /// A phase that does not run reads 0: kmeans in RebuildDirty, which keeps
 /// the previous centroids, and encode without IvfOptions::pq.
@@ -73,12 +93,12 @@ struct IvfBuildPhases {
   /// Max-norm pass, training-sample lift and the Lloyd iterations.
   double kmeans_us = 0.0;
   /// Per-item CRCs and the nearest-centroid pass (every item in Build, the
-  /// dirty items in RebuildDirty).
+  /// dirty items in RebuildDirty; BuildGatedIvf adds its DiffItems pass).
   double assign_us = 0.0;
   /// Cluster-ordered permutation and the PackedSnapshot repack.
   double repack_us = 0.0;
-  /// Code book training and code encoding (a frozen-book refresh in
-  /// RebuildDirty).
+  /// Code book training and code encoding (every item re-encoded under the
+  /// frozen book in RebuildDirty).
   double encode_us = 0.0;
 };
 
@@ -108,10 +128,10 @@ struct IvfProbeRange {
 ///      scored candidate gets its exact packed score.
 ///
 /// The index binds itself to the source model with a per-item CRC of the
-/// item parameters: VerifyIvfBinding detects a stale or desynced index at
-/// publish time, and RebuildDirty uses the same CRCs to reassign only the
-/// items whose parameters actually changed (frozen centroids), which is the
-/// online incremental-publish path.
+/// item parameters: VerifyIvfBinding detects a stale index of unknown
+/// origin, and RebuildDirty (given no ItemDelta) uses the same CRCs to
+/// reassign only the items whose parameters actually changed (frozen
+/// centroids), which is the online incremental-publish path.
 ///
 /// Immutable after Build and safe to share read-only across query threads.
 class IvfIndex {
@@ -125,19 +145,25 @@ class IvfIndex {
                         IvfBuildPhases* phases = nullptr);
 
   /// Incremental rebuild for online publishes: keeps `previous`'s centroids,
-  /// reassigns only the items whose parameter bytes changed (detected via
-  /// the stored per-item CRCs; catalog growth counts as changed), then
-  /// re-packs. `options` must be CompatibleWith the previous build's (query
-  /// knobs like default_nprobe may differ and take effect immediately).
-  /// `items_reassigned` (optional) reports how many items moved through the
-  /// assignment step, `phases` (optional) each phase's wall time. Returns
-  /// InvalidArgument on incompatible options, a different factor count /
-  /// bias mode, or a shrunken catalog — callers fall back to a full Build.
+  /// reassigns only the items whose parameter bytes changed (catalog growth
+  /// counts as changed), re-packs, and re-encodes every item under the
+  /// frozen code book. `options` must be CompatibleWith the previous build's
+  /// (query knobs like default_nprobe may differ and take effect
+  /// immediately). The changed items come from `delta` when given — the
+  /// DiffItems of `model` against the model `previous` was built from, so
+  /// the clean items keep their CRCs and clusters unread — and otherwise
+  /// from hashing every item against the stored per-item CRCs; both build
+  /// the same index. `items_reassigned` (optional) reports how many items
+  /// moved through the assignment step, `phases` (optional) each phase's
+  /// wall time. Returns InvalidArgument on incompatible options, a
+  /// different factor count / bias mode, or a shrunken catalog — callers
+  /// fall back to a full Build.
   static Result<IvfIndex> RebuildDirty(const IvfIndex& previous,
                                        const FactorModel& model,
                                        const IvfOptions& options,
                                        int64_t* items_reassigned,
-                                       IvfBuildPhases* phases = nullptr);
+                                       IvfBuildPhases* phases = nullptr,
+                                       const ItemDelta* delta = nullptr);
 
   int32_t num_items() const { return num_items_; }
   int32_t num_factors() const { return num_factors_; }
@@ -286,13 +312,14 @@ class IvfIndex {
   bool use_item_bias_ = false;
 };
 
-/// Publish-time binding check: `index` must have been built from exactly
-/// `model`'s current item parameters (per-item CRCs and dimensions must all
-/// match) and pass VerifyStructure. FailedPrecondition naming the first
-/// (smallest) divergent item on a stale/desynced index. The per-item CRCs
-/// are recomputed in parallel over the index's build_threads; the verdict
-/// does not depend on the count. This is the cheap, exact half of the ANN
-/// canary gate; `context` names the candidate in errors.
+/// Binding check for an index of unknown origin: `index` must have been
+/// built from exactly `model`'s current item parameters (per-item CRCs and
+/// dimensions must all match) and pass VerifyStructure. FailedPrecondition
+/// naming the first (smallest) divergent item on a stale/desynced index.
+/// The per-item CRCs are recomputed in parallel over the index's
+/// build_threads; the verdict does not depend on the count. The publish
+/// gate (BuildGatedIvf) does not run it: it built its index from the
+/// candidate's bytes itself. `context` names the candidate in errors.
 Status VerifyIvfBinding(const FactorModel& model, const IvfIndex& index,
                         const std::string& context);
 
@@ -337,13 +364,39 @@ Status VerifyAnnRecall(const PackedSnapshot& exact, const IvfIndex& index,
                        size_t rerank_budget, double floor,
                        const std::string& context);
 
+/// The recall gate's ground truth as a passed gate leaves it: for each of
+/// the GateSampleUsers(num_users, sample_users) users, the exact top-j
+/// (score desc, id asc) over the base-order snapshot it ran on, with
+/// k <= j <= 2k while the catalog holds 2k items. The stamp is what the
+/// lists were computed under; the next gate may start from them only when
+/// it runs under the same stamp.
+struct RecallTruth {
+  ScoreKernel kernel{};      // scored the lists
+  int32_t sample_users = 0;  // the sample size asked for
+  size_t k = 0;              // the recall@k the gate measured
+  int32_t num_users = 0;     // the snapshot's dimensions
+  int32_t num_items = 0;
+  int32_t num_factors = 0;
+  bool use_item_bias = false;
+  std::vector<std::vector<ScoredItem>> lists;  // one per sampled user
+};
+
+/// What a publish's index gate may start from: the serving slice it
+/// replaces — the model `previous` was built from, its base-order snapshot,
+/// and the recall truth its gate kept (null when it kept none).
+struct GateBaseline {
+  const FactorModel* model = nullptr;
+  const PackedSnapshot* exact = nullptr;
+  const RecallTruth* truth = nullptr;
+};
+
 /// How a publish builds and gates one IVF index (BuildGatedIvf).
 struct IvfGateOptions {
   IvfOptions ivf;
-  /// Binding + structural verification, then the measured recall check.
+  /// Dimension + structural verification, then the measured recall check.
   bool verify = true;
   /// recall@recall_k floor at the index's default nprobe, measured against
-  /// the exact packed scan; <= 0 skips the measured check (binding and
+  /// the exact packed scan; <= 0 skips the measured check (dimensions and
   /// structure still run when `verify` is set).
   double recall_floor = 0.95;
   /// Recall probe sample: the GateSampleUsers(num_users, recall_users)
@@ -351,7 +404,7 @@ struct IvfGateOptions {
   int32_t recall_users = 16;
   int32_t recall_k = 10;
   /// Where BuildGatedIvf records the wall time (us) of the index build and
-  /// of the gate (binding + recall); null records nothing.
+  /// of the gate (structure + recall); null records nothing.
   Histogram* build_us = nullptr;
   Histogram* gate_us = nullptr;
   /// Where BuildGatedIvf records the build's IvfBuildPhases, one sample per
@@ -370,15 +423,30 @@ struct IvfGateOptions {
 /// `model` — incrementally from `previous` (may be null) when its options
 /// are compatible and at most half the items changed, else from scratch —
 /// fires the kAnnCorruptIndex / kAnnCorruptCodes drills, then, with
-/// `options.verify`, refuses it unless VerifyIvfBinding and (recall_floor >
-/// 0) VerifyAnnRecall against `exact` (the base-order snapshot of `model`)
-/// pass. `metrics` (may be null) counts ann.index_builds_total,
+/// `options.verify`, refuses it unless its dimensions match `model`, it
+/// passes VerifyStructure and (recall_floor > 0) VerifyAnnRecall's measured
+/// recall against `exact` (the base-order snapshot of `model`) clears the
+/// floor. No per-item CRC is re-checked: the index was built from
+/// `model`'s bytes in this call (VerifyIvfBinding is for indexes of unknown
+/// origin).
+///
+/// With a `baseline` whose model `previous` was built from, the rebuild
+/// takes the DiffItems of `model` against it (timed in the assign phase),
+/// and the recall truth starts from baseline->truth when its stamp matches
+/// this gate: a sampled user whose packed row equals the baseline's gets
+/// the top of its old list without the dirty items plus the dirty items
+/// re-scored by the same kernel — exact while >= k clean entries remain —
+/// and every other user a full scan. The verdict, the measured value and
+/// the Status equal the full gate's. `truth` (may be null) receives the
+/// lists this gate ran on when it passed, for the next publish's baseline.
+/// `metrics` (may be null) counts ann.index_builds_total,
 /// ann.index_rebuilds_incremental_total, ann.index_items_reassigned_total
 /// and the ann.recall_gate_pass_total / ann.recall_gate_fail_total verdicts.
 Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
     const FactorModel& model, const PackedSnapshot& exact,
     const IvfGateOptions& options, const IvfIndex* previous,
-    const std::string& context, MetricsRegistry* metrics);
+    const std::string& context, MetricsRegistry* metrics,
+    const GateBaseline* baseline = nullptr, RecallTruth* truth = nullptr);
 
 }  // namespace clapf
 

@@ -5,8 +5,14 @@
 #include <cstring>
 #include <limits>
 
+#include "clapf/model/score_kernel.h"
 #include "clapf/util/logging.h"
 #include "clapf/util/thread_pool.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define CLAPF_PQ_CODEC_X86 1
+#endif
 
 namespace clapf {
 namespace {
@@ -15,6 +21,86 @@ int8_t EncodeValue(float x, float scale, float offset) {
   if (scale == 0.0f) return 0;
   const float q = std::nearbyint((x - offset) / scale);
   return static_cast<int8_t>(std::max(-127.0f, std::min(127.0f, q)));
+}
+
+// Encodes one block: `lanes` strips of kPackedBlockItems floats at `src`
+// into the same strips of codes at `dst`. Slots at and past `real` are the
+// tail block's pads and get code 0. Every byte of the block is written.
+// lane_min[l * kPackedBlockItems] / lane_max[...] receive the extrema of
+// lane l's 8 codes, pads included.
+using EncodeBlockFn = void (*)(const float* src, int32_t lanes,
+                               const float* scale, const float* offset,
+                               int32_t real, int8_t* dst, int8_t* lane_min,
+                               int8_t* lane_max);
+
+void EncodeBlockPortable(const float* src, int32_t lanes, const float* scale,
+                         const float* offset, int32_t real, int8_t* dst,
+                         int8_t* lane_min, int8_t* lane_max) {
+  for (int32_t l = 0; l < lanes; ++l) {
+    const std::size_t at = static_cast<std::size_t>(l) * kPackedBlockItems;
+    int8_t lo = 127, hi = -128;
+    for (int32_t j = 0; j < kPackedBlockItems; ++j) {
+      const int8_t code =
+          j < real ? EncodeValue(src[at + j], scale[l], offset[l]) : 0;
+      dst[at + j] = code;
+      lo = std::min(lo, code);
+      hi = std::max(hi, code);
+    }
+    lane_min[at] = lo;
+    lane_max[at] = hi;
+  }
+}
+
+#ifdef CLAPF_PQ_CODEC_X86
+// EncodeValue on 8 lanes at once, bit for bit: the same subtraction and
+// division, _mm256_round_ps under the current rounding mode (what
+// nearbyint does), and the clamp in std::min/std::max's operand order —
+// MINPS/MAXPS return their second operand when the first is NaN, so a NaN
+// quotient clamps to 127 as (std::min(127.f, NaN) == 127.f) does. No FMA:
+// nothing here multiplies.
+__attribute__((target("avx2"))) void EncodeBlockAvx2(
+    const float* src, int32_t lanes, const float* scale, const float* offset,
+    int32_t real, int8_t* dst, int8_t* lane_min, int8_t* lane_max) {
+  const __m256i slot = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i keep = _mm256_cmpgt_epi32(_mm256_set1_epi32(real), slot);
+  const __m256 hi127 = _mm256_set1_ps(127.0f);
+  const __m256 lo127 = _mm256_set1_ps(-127.0f);
+  for (int32_t l = 0; l < lanes; ++l) {
+    const std::size_t at = static_cast<std::size_t>(l) * kPackedBlockItems;
+    __m128i bytes = _mm_setzero_si128();
+    if (scale[l] != 0.0f) {
+      const __m256 x = _mm256_loadu_ps(src + at);
+      __m256 q = _mm256_div_ps(_mm256_sub_ps(x, _mm256_set1_ps(offset[l])),
+                               _mm256_set1_ps(scale[l]));
+      q = _mm256_round_ps(q, _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC);
+      q = _mm256_max_ps(_mm256_min_ps(q, hi127), lo127);
+      const __m256i codes =
+          _mm256_and_si256(_mm256_cvttps_epi32(q), keep);
+      const __m128i words =
+          _mm_packs_epi32(_mm256_castsi256_si128(codes),
+                          _mm256_extracti128_si256(codes, 1));
+      bytes = _mm_packs_epi16(words, words);
+    }
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + at), bytes);
+    // Bytes 8..15 repeat 0..7, so three halving steps leave the extrema
+    // of the 8 codes in byte 0.
+    __m128i lo = _mm_min_epi8(bytes, _mm_srli_si128(bytes, 4));
+    __m128i hi = _mm_max_epi8(bytes, _mm_srli_si128(bytes, 4));
+    lo = _mm_min_epi8(lo, _mm_srli_si128(lo, 2));
+    hi = _mm_max_epi8(hi, _mm_srli_si128(hi, 2));
+    lo = _mm_min_epi8(lo, _mm_srli_si128(lo, 1));
+    hi = _mm_max_epi8(hi, _mm_srli_si128(hi, 1));
+    lane_min[at] = static_cast<int8_t>(_mm_cvtsi128_si32(lo));
+    lane_max[at] = static_cast<int8_t>(_mm_cvtsi128_si32(hi));
+  }
+}
+#endif  // CLAPF_PQ_CODEC_X86
+
+EncodeBlockFn ActiveEncodeBlockFn() {
+#ifdef CLAPF_PQ_CODEC_X86
+  if (ActiveScoreKernel() == ScoreKernel::kAvx2) return EncodeBlockAvx2;
+#endif
+  return EncodeBlockPortable;
 }
 
 }  // namespace
@@ -54,7 +140,8 @@ PqCodeBook PqCodes::TrainBook(const PackedSnapshot& packed, int threads) {
   return book;
 }
 
-PqCodes PqCodes::Allocate(const PackedSnapshot& packed, PqCodeBook book) {
+PqCodes PqCodes::Encode(const PackedSnapshot& packed, PqCodeBook book,
+                        int threads) {
   PqCodes codes;
   codes.book_ = std::move(book);
   codes.num_items_ = packed.num_items();
@@ -66,41 +153,32 @@ PqCodes PqCodes::Allocate(const PackedSnapshot& packed, PqCodeBook book) {
   const std::size_t total =
       static_cast<std::size_t>(codes.num_blocks_) * codes.block_stride_;
   if (total > 0) {
+    // Not zeroed here: the workers write every byte of their blocks, so
+    // each faults in its own pages.
     codes.codes_.reset(static_cast<int8_t*>(::operator new[](
         total, std::align_val_t(kPackedAlignment))));
-    std::memset(codes.codes_.get(), 0, total);
   }
-  // Loosest valid extrema: a bound built from ±127 can never prune a block
-  // wrongly, so codes written after Allocate stay correct even before
-  // RecomputeBlockBounds tightens them.
   const std::size_t bound_n =
       static_cast<std::size_t>(codes.num_bound_superblocks()) *
       codes.block_stride_;
-  codes.bound_lane_min_.assign(bound_n, static_cast<int8_t>(-127));
-  codes.bound_lane_max_.assign(bound_n, static_cast<int8_t>(127));
-  return codes;
-}
+  codes.bound_lane_min_.resize(bound_n);
+  codes.bound_lane_max_.resize(bound_n);
 
-PqCodes PqCodes::Encode(const PackedSnapshot& packed, PqCodeBook book,
-                        int threads) {
-  PqCodes codes = Allocate(packed, std::move(book));
-  ParallelForEach(codes.num_items_, threads, [&](int64_t local) {
-    codes.EncodeItem(packed, static_cast<ItemId>(local));
-  });
-  codes.RecomputeBlockBounds(threads);
-  return codes;
-}
-
-void PqCodes::RecomputeBlockBounds(int threads) {
-  const int32_t lanes = num_factors_ + 1;
-  ParallelForEach(num_bound_superblocks(), threads, [&](int64_t sb) {
-    int8_t* mins = bound_lane_min_.data() +
-                   static_cast<std::size_t>(sb) * block_stride_;
-    int8_t* maxs = bound_lane_max_.data() +
-                   static_cast<std::size_t>(sb) * block_stride_;
+  // One task per bound superblock: its kPackedBlockItems blocks are encoded
+  // and their extrema land in the superblock's strips in the same pass.
+  // Each code is a pure function of (float, scale, offset), so the bytes do
+  // not depend on `threads` or on the kernel.
+  const EncodeBlockFn encode = ActiveEncodeBlockFn();
+  const int32_t lanes = codes.num_factors_ + 1;
+  const std::size_t stride = codes.block_stride_;
+  ParallelForEach(codes.num_bound_superblocks(), threads, [&](int64_t sb) {
+    int8_t* mins = codes.bound_lane_min_.data() +
+                   static_cast<std::size_t>(sb) * stride;
+    int8_t* maxs = codes.bound_lane_max_.data() +
+                   static_cast<std::size_t>(sb) * stride;
     for (int32_t j = 0; j < kPackedBlockItems; ++j) {
       const int32_t b = static_cast<int32_t>(sb) * kPackedBlockItems + j;
-      if (b >= num_blocks_) {
+      if (b >= codes.num_blocks_) {
         // Slot for a block past the catalog: zero, never consumed.
         for (int32_t l = 0; l < lanes; ++l) {
           mins[l * kPackedBlockItems + j] = 0;
@@ -108,55 +186,16 @@ void PqCodes::RecomputeBlockBounds(int threads) {
         }
         continue;
       }
-      const int8_t* blk =
-          codes_.get() + static_cast<std::size_t>(b) * block_stride_;
-      for (int32_t l = 0; l < lanes; ++l) {
-        const int8_t* strip = blk + static_cast<std::size_t>(l) *
-                                        kPackedBlockItems;
-        int8_t lo = strip[0], hi = strip[0];
-        for (int32_t i = 1; i < kPackedBlockItems; ++i) {
-          lo = std::min(lo, strip[i]);
-          hi = std::max(hi, strip[i]);
-        }
-        mins[l * kPackedBlockItems + j] = lo;
-        maxs[l * kPackedBlockItems + j] = hi;
-      }
+      encode(packed.block_data() + static_cast<std::size_t>(b) *
+                                       packed.block_stride(),
+             lanes, codes.book_.scale.data(), codes.book_.offset.data(),
+             std::min(kPackedBlockItems,
+                      codes.num_items_ - b * kPackedBlockItems),
+             codes.codes_.get() + static_cast<std::size_t>(b) * stride,
+             mins + j, maxs + j);
     }
   });
-}
-
-void PqCodes::EncodeItem(const PackedSnapshot& packed, ItemId local) {
-  const int32_t b = local / kPackedBlockItems;
-  const int32_t j = local % kPackedBlockItems;
-  const float* src = packed.block_data() +
-                     static_cast<std::size_t>(b) * packed.block_stride();
-  int8_t* dst = codes_.get() + static_cast<std::size_t>(b) * block_stride_;
-  const int32_t lanes = num_factors_ + 1;
-  for (int32_t l = 0; l < lanes; ++l) {
-    dst[static_cast<std::size_t>(l) * kPackedBlockItems + j] =
-        EncodeValue(src[static_cast<std::size_t>(l) * kPackedBlockItems + j],
-                    book_.scale[static_cast<size_t>(l)],
-                    book_.offset[static_cast<size_t>(l)]);
-  }
-}
-
-void PqCodes::CopyItemFrom(const PqCodes& from, ItemId from_local,
-                           ItemId to_local) {
-  CLAPF_CHECK(from.num_factors_ == num_factors_);
-  const int8_t* src =
-      from.codes_.get() +
-      static_cast<std::size_t>(from_local / kPackedBlockItems) *
-          from.block_stride_;
-  int8_t* dst = codes_.get() +
-                static_cast<std::size_t>(to_local / kPackedBlockItems) *
-                    block_stride_;
-  const int32_t sj = from_local % kPackedBlockItems;
-  const int32_t dj = to_local % kPackedBlockItems;
-  const int32_t lanes = num_factors_ + 1;
-  for (int32_t l = 0; l < lanes; ++l) {
-    dst[static_cast<std::size_t>(l) * kPackedBlockItems + dj] =
-        src[static_cast<std::size_t>(l) * kPackedBlockItems + sj];
-  }
+  return codes;
 }
 
 float PqCodes::DecodeLane(ItemId local, int32_t lane) const {

@@ -22,8 +22,9 @@ namespace clapf {
 /// per-lane min/max over the *real* items of the snapshot the codes were
 /// trained on. A degenerate lane (max == min, e.g. the bias strip of a
 /// bias-less model) gets scale 0 and dequantizes exactly. The book is frozen
-/// across incremental rebuilds: dirty items re-encode against it, which is
-/// what keeps clean items' codes bit-identical publish over publish.
+/// across incremental rebuilds: every item re-encodes against it, and a code
+/// is a pure function of (float, scale, offset), so clean items' codes stay
+/// bit-identical publish over publish.
 ///
 /// Why per-lane scalar int8 rather than per-subspace PQ: at serving factor
 /// counts (d ≤ 64) a code book lookup table per subspace costs more bytes
@@ -70,15 +71,15 @@ class PqCodes {
   static PqCodeBook TrainBook(const PackedSnapshot& packed, int threads);
 
   /// Allocates codes matching `packed`'s geometry under `book` and encodes
-  /// every item. Bit-identical for any `threads` (disjoint per-item writes
-  /// of a pure per-item function).
+  /// every item, block by block: each of `threads` workers writes every
+  /// byte of its blocks (pad slots as 0) and folds their per-lane extrema
+  /// into the bound superblocks in the same pass. Runs the AVX2 encoder
+  /// when ActiveScoreKernel() is kAvx2, the portable one otherwise; a code
+  /// is round-to-nearest((x − offset) / scale) clamped to ±127 under the
+  /// current rounding mode, so the bytes are identical for any kernel and
+  /// any `threads`.
   static PqCodes Encode(const PackedSnapshot& packed, PqCodeBook book,
                         int threads);
-
-  /// Allocates zeroed codes matching `packed`'s geometry under a frozen
-  /// `book` without encoding — the incremental-rebuild substrate: callers
-  /// CopyItemFrom clean items and EncodeItem only the dirty ones.
-  static PqCodes Allocate(const PackedSnapshot& packed, PqCodeBook book);
 
   int32_t num_items() const { return num_items_; }
   int32_t num_factors() const { return num_factors_; }
@@ -111,26 +112,12 @@ class PqCodes {
   /// items. IEEE rounding is monotone, so each corner score is ≥ every
   /// kernel score of its block's items bit-for-bit, never just
   /// approximately — a block whose corner score is strictly below the
-  /// shortlist bar cannot contain a survivor. Allocate seeds the loosest
-  /// valid extrema (±127), so codes written after Allocate stay correct
-  /// even before RecomputeBlockBounds tightens them; slots for blocks past
-  /// num_blocks() become 0 after recompute and are never consumed (every
-  /// scan bounds against the real block count).
+  /// shortlist bar cannot contain a survivor. The extrema include the pad
+  /// slots (code 0, which can only loosen a bound); slots for blocks past
+  /// num_blocks() are 0 and never consumed (every scan bounds against the
+  /// real block count).
   const int8_t* bound_lane_min() const { return bound_lane_min_.data(); }
   const int8_t* bound_lane_max() const { return bound_lane_max_.data(); }
-
-  /// Recomputes every block's per-lane extrema from the stored codes (pad
-  /// lanes included — they encode 0, which can only loosen a bound).
-  /// Deterministic for any `threads`: superblocks are disjoint. Call after
-  /// a batch of EncodeItem/CopyItemFrom writes (Encode calls it itself).
-  void RecomputeBlockBounds(int threads);
-
-  /// Re-encodes local item `local` from `packed` against the stored book.
-  void EncodeItem(const PackedSnapshot& packed, ItemId local);
-
-  /// Copies local item `from_local`'s codes out of `from` (which must share
-  /// this codec's factor count) into slot `to_local`.
-  void CopyItemFrom(const PqCodes& from, ItemId from_local, ItemId to_local);
 
   /// Dequantized value of (local item, lane); lane 0 is the bias.
   float DecodeLane(ItemId local, int32_t lane) const;

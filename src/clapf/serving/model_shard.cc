@@ -1,6 +1,7 @@
 #include "clapf/serving/model_shard.h"
 
 #include <algorithm>
+#include <future>
 #include <utility>
 
 #include "clapf/model/model_io.h"
@@ -10,6 +11,14 @@
 namespace clapf {
 
 namespace {
+
+// The smallest candidate whose slice storage BuildSliceFrom allocates on a
+// helper thread beside the gate stages. Below it the zero-fill costs the
+// calling thread at most ~25 ms, and the helper would gain nothing but a
+// malloc arena of its own: glibc serves allocations under its 32 MB
+// mmap-threshold cap from per-thread arenas, which keep freed slices'
+// memory resident (+2.5–3.5 MB of peak RSS on an ML1M-sized model).
+constexpr size_t kHelperAllocationBytes = size_t{32} << 20;
 
 // Per-thread exclusion bitmap: one scatter worker reuses it across shards
 // and queries, so after warm-up the only O(shard) work outside scoring is
@@ -27,6 +36,7 @@ PublishStageMetrics::PublishStageMetrics(MetricsRegistry* registry) {
         std::string("serving.publish.stage.") + name + "_us",
         PublishStageBucketsUs());
   };
+  handover = stage("handover");
   integrity = stage("integrity");
   pack = stage("pack");
   agreement = stage("agreement");
@@ -38,6 +48,7 @@ PublishStageMetrics::PublishStageMetrics(MetricsRegistry* registry) {
   ann_gate = stage("ann_gate");
   auc_probe = stage("auc_probe");
   swap = stage("swap");
+  release = stage("release");
   agreement_pairs_checked =
       registry->GetCounter("serving.publish.agreement_pairs_checked_total");
 }
@@ -60,25 +71,89 @@ Result<std::shared_ptr<ShardSlice>> ModelShard::BuildSlice(
     const IvfGateOptions* ann, const ShardSlice* previous,
     MetricsRegistry* metrics, int threads,
     const PublishStageMetrics* stages) const {
+  if (candidate.num_items() != num_local_items()) {
+    return BuildSliceFrom(candidate, packed, verify_integrity,
+                          packed_agreement_users, context, ann, previous,
+                          metrics, threads, stages);
+  }
+  static const PublishStageMetrics kUntimed;
+  auto slice = std::make_shared<ShardSlice>(std::move(candidate));
+  CLAPF_RETURN_IF_ERROR(GateSlice(
+      slice->model, packed, verify_integrity, packed_agreement_users, context,
+      ann, previous, metrics, threads, stages != nullptr ? *stages : kUntimed,
+      slice.get()));
+  return slice;
+}
+
+Result<std::shared_ptr<ShardSlice>> ModelShard::BuildSliceFrom(
+    const FactorModel& candidate, bool packed, bool verify_integrity,
+    int32_t packed_agreement_users, const std::string& context,
+    const IvfGateOptions* ann, const ShardSlice* previous,
+    MetricsRegistry* metrics, int threads,
+    const PublishStageMetrics* stages) const {
   static const PublishStageMetrics kUntimed;
   const PublishStageMetrics& timed = stages != nullptr ? *stages : kUntimed;
-  auto slice = std::make_shared<ShardSlice>(
-      candidate.num_items() == num_local_items()
-          ? std::move(candidate)
-          : candidate.SliceItems(begin_, end_));
+  const auto model_like = [&candidate](int32_t num_items) {
+    return FactorModel(candidate.num_users(), num_items,
+                       candidate.num_factors(), candidate.use_item_bias());
+  };
+  const size_t candidate_bytes = (candidate.user_factor_data().size() +
+                                  candidate.item_factor_data().size() +
+                                  candidate.item_bias_data().size()) *
+                                 sizeof(double);
+  const bool whole = candidate.num_items() == num_local_items();
+  if (!whole || candidate_bytes < kHelperAllocationBytes) {
+    // This shard's items come straight out of the candidate, and the
+    // stages read the copy.
+    TraceSpan span(timed.handover);
+    auto slice = std::make_shared<ShardSlice>(model_like(num_local_items()));
+    slice->model.CopyItemsFrom(candidate, whole ? 0 : begin_, threads);
+    span.Stop();
+    CLAPF_RETURN_IF_ERROR(GateSlice(slice->model, packed, verify_integrity,
+                                    packed_agreement_users, context, ann,
+                                    previous, metrics, threads, timed,
+                                    slice.get()));
+    return slice;
+  }
+  // The stages read `candidate` in place. Meanwhile a helper thread
+  // allocates the slice's model: the zero-fill faults in its pages (~0.15 s
+  // for 256 MB), which would otherwise stall the calling thread before any
+  // stage. The future's destructor joins the helper on every path out.
+  auto storage = std::async(std::launch::async, model_like,
+                            candidate.num_items());
+  // The slice's model stays empty until the copy below.
+  auto slice = std::make_shared<ShardSlice>(model_like(0));
+  CLAPF_RETURN_IF_ERROR(GateSlice(candidate, packed, verify_integrity,
+                                  packed_agreement_users, context, ann,
+                                  previous, metrics, threads, timed,
+                                  slice.get()));
+  TraceSpan span(timed.handover);
+  slice->model = storage.get();
+  slice->model.CopyItemsFrom(candidate, 0, threads);
+  return slice;
+}
+
+Status ModelShard::GateSlice(const FactorModel& model, bool packed,
+                             bool verify_integrity,
+                             int32_t packed_agreement_users,
+                             const std::string& context,
+                             const IvfGateOptions* ann,
+                             const ShardSlice* previous,
+                             MetricsRegistry* metrics, int threads,
+                             const PublishStageMetrics& timed,
+                             ShardSlice* slice) const {
   if (verify_integrity) {
     // The slice carries the full user matrix plus this shard's items, so
     // the shape check + finite scan covers exactly the parameters this
     // shard will serve — a corrupt user factor is caught by every shard's
     // gate, a corrupt item factor by its owner's.
     TraceSpan span(timed.integrity);
-    CLAPF_RETURN_IF_ERROR(
-        VerifyModelIntegrity(slice->model, context, threads));
+    CLAPF_RETURN_IF_ERROR(VerifyModelIntegrity(model, context, threads));
   }
   if (packed) {
     TraceSpan pack_span(timed.pack);
     auto snap = std::make_shared<PackedSnapshot>(
-        PackedSnapshot::Build(slice->model, nullptr, threads));
+        PackedSnapshot::Build(model, nullptr, threads));
     pack_span.Stop();
     if (packed_agreement_users > 0) {
       TraceSpan span(timed.agreement);
@@ -89,7 +164,7 @@ Result<std::shared_ptr<ShardSlice>> ModelShard::BuildSlice(
       }
       AgreementStamp stamp;
       Status agree =
-          VerifyPackedAgreement(slice->model, *snap, packed_agreement_users,
+          VerifyPackedAgreement(model, *snap, packed_agreement_users,
                                 context, threads, &baseline, &stamp);
       span.Stop();
       if (timed.agreement_pairs_checked != nullptr) {
@@ -110,14 +185,22 @@ Result<std::shared_ptr<ShardSlice>> ModelShard::BuildSlice(
     gate.repack_us = timed.ann_repack;
     gate.encode_us = timed.ann_encode;
     gate.gate_us = timed.ann_gate;
+    GateBaseline baseline;
+    if (previous != nullptr) {
+      baseline = {&previous->model, previous->packed.get(),
+                  previous->recall_truth ? &*previous->recall_truth
+                                         : nullptr};
+    }
+    RecallTruth truth;
     auto ivf = BuildGatedIvf(
-        slice->model, *slice->packed, gate,
+        model, *slice->packed, gate,
         previous != nullptr ? previous->ivf.get() : nullptr, context,
-        metrics);
+        metrics, &baseline, &truth);
     if (!ivf.ok()) return ivf.status();
     slice->ivf = *std::move(ivf);
+    if (!truth.lists.empty()) slice->recall_truth = std::move(truth);
   }
-  return slice;
+  return Status::OK();
 }
 
 std::vector<bool>* ModelShard::BuildExcluded(

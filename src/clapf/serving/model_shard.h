@@ -34,18 +34,27 @@ struct ShardSlice {
   /// Set when `packed` passed VerifyPackedAgreement: the kernel and sample
   /// it ran with, so the next publish can check only what changed.
   std::optional<AgreementStamp> agreement;
+  /// Set when `ivf` passed its measured recall gate: the sampled users'
+  /// exact top lists over `packed` and what they were computed under, so
+  /// the next publish's gate re-scores only the items that changed.
+  std::optional<RecallTruth> recall_truth;
 };
 
 /// The serving.publish.stage.<stage>_us histograms (PublishStageBucketsUs,
-/// up to 60 s) that time a publish stage by stage: integrity (shape check +
-/// tiled finite scan), pack (the SIMD repack), agreement (packed-vs-exact,
-/// on the pairs that changed since the serving slice when that slice can be
-/// the baseline), ann_build and ann_gate (index build; binding + measured
-/// recall), auc_probe (sampled-AUC floor) and swap (the snapshot swap).
-/// ann_build splits into the IvfBuildPhases ann_kmeans (centroid training,
-/// full builds only), ann_assign, ann_repack and ann_encode (pq only). A
-/// publish records one sample per stage it runs, one per built slice for
-/// the slice stages, also when that stage refuses the candidate. The
+/// up to 60 s) that time a publish stage by stage: handover (the slice's
+/// own copy of a candidate it cannot adopt, in tiles over the thread
+/// budget), integrity (shape check + tiled finite scan), pack (the SIMD
+/// repack), agreement (packed-vs-exact, on the pairs that changed since the
+/// serving slice when that slice can be the baseline), ann_build and
+/// ann_gate (index build; dimensions, structure and measured recall),
+/// auc_probe (sampled-AUC floor), swap (the snapshot swap under the
+/// snapshot mutex) and release (freeing the slices the swap displaced, off
+/// that mutex). ann_build
+/// splits into the IvfBuildPhases ann_kmeans (centroid training, full
+/// builds only), ann_assign (the dirty set and its reassignment),
+/// ann_repack and ann_encode (pq only). A publish records one sample per
+/// stage it runs, one per built slice for the slice stages, also when that
+/// stage refuses the candidate. The
 /// serving.publish.agreement_pairs_checked_total counter adds the
 /// (sampled user, block) pairs each agreement check compared. Default-
 /// constructed handles are null and time nothing.
@@ -53,6 +62,7 @@ struct PublishStageMetrics {
   PublishStageMetrics() = default;
   explicit PublishStageMetrics(MetricsRegistry* registry);
 
+  Histogram* handover = nullptr;
   Histogram* integrity = nullptr;
   Histogram* pack = nullptr;
   Histogram* agreement = nullptr;
@@ -64,6 +74,7 @@ struct PublishStageMetrics {
   Histogram* ann_gate = nullptr;
   Histogram* auc_probe = nullptr;
   Histogram* swap = nullptr;
+  Histogram* release = nullptr;
   Counter* agreement_pairs_checked = nullptr;
 };
 
@@ -95,11 +106,11 @@ class ModelShard {
 
   /// Builds this shard's ShardSlice of `candidate` (version left 0 for the
   /// server to assign at swap time). `candidate` holds either the full
-  /// catalog, whose items [begin, end) are copied out (SliceItems), or
-  /// exactly this shard's items, which the slice adopts as they are — so
-  /// the one-shard server moves its candidate in and a publish holds one
-  /// copy of the model. When `verify_integrity` is set the sliced model
-  /// must pass VerifyModelIntegrity (shape check + finite scan); when
+  /// catalog, whose items [begin, end) are copied out as BuildSliceFrom
+  /// does, or exactly this shard's items, which the slice adopts as they
+  /// are — so the one-shard server moves its candidate in and a publish
+  /// holds one copy of the model. When `verify_integrity` is set the sliced
+  /// model must pass VerifyModelIntegrity (shape check + finite scan); when
   /// `packed` is set a PackedSnapshot is built and, if
   /// `packed_agreement_users` > 0, verified against the slice within
   /// PackedScoreBound and stamped. `previous` (may be null) is the slice
@@ -107,14 +118,31 @@ class ModelShard {
   /// baseline, so only the pairs whose bytes changed are checked (an
   /// unusable stamp means the full check). When `ann` is non-null
   /// (requires `packed`) an IvfIndex is built over the sliced catalog and
-  /// gated by BuildGatedIvf, incrementally from `previous`'s index when it
-  /// has one; `metrics` (may be null) receives the build and gate
-  /// counters. The integrity scan, the repack and the agreement check run
-  /// over `threads` workers (the index passes use ann->ivf's
-  /// build_threads); `stages` (may be null) times each stage. Gate
-  /// failures leave nothing published.
+  /// gated by BuildGatedIvf with `previous` as its GateBaseline —
+  /// incrementally from `previous`'s index, with the recall truth started
+  /// from `previous`'s — and the truth it passed on is kept in the slice;
+  /// `metrics` (may be null) receives the build and gate counters. The
+  /// integrity scan, the repack and the agreement check run over `threads`
+  /// workers (the index passes use ann->ivf's build_threads); `stages` (may
+  /// be null) times each stage. Gate failures leave nothing published.
   Result<std::shared_ptr<ShardSlice>> BuildSlice(
       FactorModel candidate, bool packed, bool verify_integrity,
+      int32_t packed_agreement_users, const std::string& context,
+      const IvfGateOptions* ann = nullptr,
+      const ShardSlice* previous = nullptr,
+      MetricsRegistry* metrics = nullptr, int threads = 1,
+      const PublishStageMetrics* stages = nullptr) const;
+
+  /// BuildSlice of a candidate the caller keeps: the slice gets its own
+  /// copy, made in tiles over `threads` workers (the handover stage).
+  /// Holding exactly this shard's items and 32 MB or more, `candidate` is
+  /// read in place by the stages while a helper thread allocates the
+  /// slice's storage, which is filled after them; otherwise this shard's
+  /// items are copied out first and the stages read the copy. Nothing
+  /// refers to `candidate` once this returns; the slice, its verdicts and
+  /// its bytes are BuildSlice's.
+  Result<std::shared_ptr<ShardSlice>> BuildSliceFrom(
+      const FactorModel& candidate, bool packed, bool verify_integrity,
       int32_t packed_agreement_users, const std::string& context,
       const IvfGateOptions* ann = nullptr,
       const ShardSlice* previous = nullptr,
@@ -147,6 +175,16 @@ class ModelShard {
                                          const QueryOptions& options) const;
 
  private:
+  /// The gate stages of BuildSlice over `model` (this shard's items, local
+  /// ids): fills `slice`'s packed snapshot, index and stamps and never
+  /// reads slice->model.
+  Status GateSlice(const FactorModel& model, bool packed,
+                   bool verify_integrity, int32_t packed_agreement_users,
+                   const std::string& context, const IvfGateOptions* ann,
+                   const ShardSlice* previous, MetricsRegistry* metrics,
+                   int threads, const PublishStageMetrics& timed,
+                   ShardSlice* slice) const;
+
   /// Fills the thread-local excluded bitmap (local ids) for `u`.
   std::vector<bool>* BuildExcluded(UserId u,
                                    const QueryOptions& options) const;

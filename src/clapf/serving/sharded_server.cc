@@ -149,15 +149,36 @@ Status ModelServer::PublishModel(PublishRequest request) {
   }
   auto resolved = ResolveCandidate(&request);
   if (!resolved.ok()) return resolved.status();
-  FactorModel candidate = *std::move(resolved);
+  return PublishCandidate(*resolved, &*resolved, target, tenant);
+}
 
+Status ModelServer::PublishModel(const FactorModel& candidate) {
+  return PublishCandidate(candidate, nullptr, kAllShards, kDefaultTenant);
+}
+
+Status ModelServer::PublishModel(FactorModel&& candidate) {
+  return PublishCandidate(candidate, &candidate, kAllShards, kDefaultTenant);
+}
+
+Status ModelServer::PublishCandidate(const FactorModel& borrowed,
+                                     FactorModel* owned, int32_t target,
+                                     const std::string& tenant) {
+  const FactorModel* cand = &borrowed;
+  std::optional<FactorModel> corrupted;
   FaultInjector& faults = FaultInjector::Instance();
   if (faults.armed() &&
       faults.ShouldFire(FaultPoint::kServeCorruptCandidate) &&
-      !candidate.mutable_user_factor_data().empty()) {
-    candidate.mutable_user_factor_data()[0] =
+      !cand->user_factor_data().empty()) {
+    if (owned != nullptr) {
+      corrupted.emplace(std::move(*owned));
+    } else {
+      corrupted.emplace(*cand);
+    }
+    corrupted->mutable_user_factor_data()[0] =
         std::numeric_limits<double>::quiet_NaN();
+    cand = owned = &*corrupted;
   }
+  const FactorModel& candidate = *cand;
 
   const std::string context = "serving candidate";
   if (candidate.num_users() != history_.num_users() ||
@@ -232,18 +253,26 @@ Status ModelServer::PublishModel(PublishRequest request) {
   for (size_t i = 0; i < targets.size(); ++i) {
     const int32_t s = targets[i];
     const ModelShard& shard = shards_[static_cast<size_t>(s)];
-    // A shard covering the whole catalog adopts the candidate itself, so
-    // the one-shard server holds a single copy of the model.
-    auto slice = shard.BuildSlice(
-        shard.num_local_items() == candidate.num_items()
-            ? std::move(candidate)
-            : candidate.SliceItems(shard.begin(), shard.end()),
-        options_.packed,
-        /*verify_integrity=*/canary && target != kAllShards,
-        canary ? options_.canary.packed_agreement_users : 0,
-        context + " (shard " + std::to_string(s) + ")",
-        ann_enabled ? &ann : nullptr, prev_slices[i].get(), &metrics_,
-        options_.ivf.build_threads, &publish_stages_);
+    const std::string shard_context =
+        context + " (shard " + std::to_string(s) + ")";
+    const bool verify_integrity = canary && target != kAllShards;
+    const int32_t agreement_users =
+        canary ? options_.canary.packed_agreement_users : 0;
+    // A shard covering the whole catalog adopts a candidate the server
+    // owns, so the one-shard server holds a single copy of the model; any
+    // other slice is copied out of the candidate, with no full copy first.
+    auto slice =
+        owned != nullptr && shard.num_local_items() == candidate.num_items()
+            ? shard.BuildSlice(std::move(*owned), options_.packed,
+                               verify_integrity, agreement_users,
+                               shard_context, ann_enabled ? &ann : nullptr,
+                               prev_slices[i].get(), &metrics_,
+                               options_.ivf.build_threads, &publish_stages_)
+            : shard.BuildSliceFrom(
+                  candidate, options_.packed, verify_integrity,
+                  agreement_users, shard_context,
+                  ann_enabled ? &ann : nullptr, prev_slices[i].get(),
+                  &metrics_, options_.ivf.build_threads, &publish_stages_);
     if (!slice.ok()) {
       stats_.RecordCanaryReject();
       shard_stats_[static_cast<size_t>(s)]->RecordCanaryReject();
@@ -294,6 +323,10 @@ Status ModelServer::PublishModel(PublishRequest request) {
   }
 
   int64_t published_version = 0;
+  // The slices the swap displaces (a 1M-item slice holds ~560 MB: model,
+  // repacks, codes) are freed after snapshot_mu_ is released, so no
+  // query's AcquireCut waits on their destructors.
+  std::vector<std::shared_ptr<const ShardSlice>> displaced;
   {
     // One mutex hold swaps every target: readers cut either the old model
     // or the new one, never a mix of the two from one publish.
@@ -307,13 +340,18 @@ Status ModelServer::PublishModel(PublishRequest request) {
     for (size_t i = 0; i < targets.size(); ++i) {
       built[i]->version = published_version;
       ShardChain& chain = state.chains[static_cast<size_t>(targets[i])];
-      chain.previous = chain.current;
+      displaced.push_back(
+          std::exchange(chain.previous, std::move(chain.current)));
       chain.current = std::move(built[i]);
       // A fresh slice supersedes any pending half-open probe of this shard:
       // the stashed slice is obsolete and its verdict would be moot.
-      chain.tripped.reset();
-      chain.probe_fallback.reset();
+      displaced.push_back(std::move(chain.tripped));
+      displaced.push_back(std::move(chain.probe_fallback));
     }
+  }
+  {
+    TraceSpan span(publish_stages_.release);
+    displaced.clear();
   }
   stats_.RecordPublish();
   for (size_t i = 0; i < targets.size(); ++i) {
@@ -772,6 +810,8 @@ void ModelServer::RecordOutcome(const Status& status,
 
 bool ModelServer::TripShardBreaker(const std::string& tenant, int32_t shard) {
   bool have_probe_candidate = false;
+  // Slices the chain lets go of, freed after snapshot_mu_ is released.
+  std::vector<std::shared_ptr<const ShardSlice>> released;
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     auto it = tenants_.find(tenant);
@@ -787,13 +827,12 @@ bool ModelServer::TripShardBreaker(const std::string& tenant, int32_t shard) {
                      from_version, shard);
     // Stash the failing slice for a later half-open probe; a newer trip
     // replaces any older, never-probed candidate.
+    released.push_back(std::move(chain.tripped));
+    released.push_back(std::move(chain.probe_fallback));
     if (options_.breaker.half_open && chain.current != nullptr) {
       chain.tripped = chain.current;
       have_probe_candidate = true;
-    } else {
-      chain.tripped.reset();
     }
-    chain.probe_fallback.reset();
     if (chain.previous != nullptr) {
       CLAPF_LOG(Warning) << "circuit breaker tripped on tenant \"" << tenant
                          << "\" shard " << shard << " slice v"
@@ -802,8 +841,8 @@ bool ModelServer::TripShardBreaker(const std::string& tenant, int32_t shard) {
       RecordShardEvent(shard, FlightEventKind::kRollback,
                        "shard rolled back to previous slice", from_version,
                        chain.previous->version);
-      chain.current = chain.previous;
-      chain.previous.reset();
+      released.push_back(std::exchange(chain.current,
+                                       std::move(chain.previous)));
       stats_.RecordRollback();
       shard_stats_[static_cast<size_t>(shard)]->RecordRollback();
     } else {
@@ -815,9 +854,10 @@ bool ModelServer::TripShardBreaker(const std::string& tenant, int32_t shard) {
                        "no rollback target; shard degraded to popularity "
                        "fallback",
                        from_version, shard);
-      chain.current.reset();
+      released.push_back(std::move(chain.current));
     }
   }
+  released.clear();
   {
     // Arm the half-open schedule for this shard's window. RecordOutcome
     // already zeroed the tumbling counters when it decided the trip; this
@@ -888,14 +928,17 @@ bool ModelServer::BeginShardProbe(const std::string& tenant, int32_t shard) {
 void ModelServer::ResolveShardProbe(const std::string& tenant,
                                     int32_t shard, bool recovered,
                                     double error_rate) {
+  // Slices the chain lets go of, declared before the lock so that they are
+  // freed after snapshot_mu_ is released.
+  std::shared_ptr<const ShardSlice> released[3];
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   auto it = tenants_.find(tenant);
   if (it == tenants_.end() || it->second.chains.empty()) return;
   ShardChain& chain = it->second.chains[static_cast<size_t>(shard)];
   if (chain.tripped == nullptr || chain.current != chain.tripped) {
     // A publish replaced the probe slice mid-window; its verdict is moot.
-    chain.tripped.reset();
-    chain.probe_fallback.reset();
+    released[0] = std::move(chain.tripped);
+    released[1] = std::move(chain.probe_fallback);
     return;
   }
   const int64_t probe_version = chain.current->version;
@@ -903,7 +946,7 @@ void ModelServer::ResolveShardProbe(const std::string& tenant,
     // The probed slice stays serving and the fallback it displaced becomes
     // the rollback target again — the pre-incident chain restored, for
     // this shard alone.
-    chain.previous = chain.probe_fallback;
+    released[2] = std::exchange(chain.previous, chain.probe_fallback);
     stats_.RecordProbeRecovery();
     shard_stats_[static_cast<size_t>(shard)]->RecordProbeRecovery();
     RecordShardEvent(shard, FlightEventKind::kProbeRecovered,
@@ -914,7 +957,7 @@ void ModelServer::ResolveShardProbe(const std::string& tenant,
                     << " reinstated on tenant \"" << tenant << "\" shard "
                     << shard << " (error rate " << error_rate << ")";
   } else {
-    chain.current = chain.probe_fallback;
+    released[2] = std::exchange(chain.current, chain.probe_fallback);
     stats_.RecordProbeFailure();
     shard_stats_[static_cast<size_t>(shard)]->RecordProbeFailure();
     RecordShardEvent(shard, FlightEventKind::kProbeFailed,
@@ -926,8 +969,8 @@ void ModelServer::ResolveShardProbe(const std::string& tenant,
                        << " discarded on tenant \"" << tenant << "\" shard "
                        << shard << " (error rate " << error_rate << ")";
   }
-  chain.tripped.reset();
-  chain.probe_fallback.reset();
+  released[0] = std::move(chain.tripped);
+  released[1] = std::move(chain.probe_fallback);
 }
 
 std::vector<std::string> ModelServer::tenants() const {

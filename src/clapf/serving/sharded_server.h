@@ -53,14 +53,14 @@ struct CanaryOptions {
   int32_t packed_agreement_users = 64;
 
   // ANN half of the gate, only exercised when ServerOptions::ann builds an
-  // IVF index per publish. The binding + structural checks (VerifyIvfBinding:
-  // the index was built from exactly this candidate's item parameters and
-  // its permutation is coherent) always run; the measured check re-ranks
-  // `ann_recall_users` sampled users at the index's default nprobe and
-  // refuses the publish when recall@`ann_recall_k` vs the exact fused scan
-  // falls below `ann_recall_floor`. This is the PackedScoreBound discipline
-  // extended into the approximate regime: the contract is measured at the
-  // gate, not hoped for.
+  // IVF index per publish. The dimension + structural checks (the index
+  // matches the candidate's shape and its permutation is coherent) always
+  // run; the measured check re-ranks `ann_recall_users` sampled users at the
+  // index's default nprobe and refuses the publish when
+  // recall@`ann_recall_k` vs the exact fused scan falls below
+  // `ann_recall_floor`. This is the PackedScoreBound discipline extended
+  // into the approximate regime: the contract is measured at the gate, not
+  // hoped for.
   /// Measured-recall floor; <= 0 skips the measured check.
   double ann_recall_floor = 0.95;
   /// Sample size of the recall probe: the GateSampleUsers(num_users,
@@ -115,13 +115,13 @@ struct ServerOptions {
   /// double path only.
   bool packed = true;
   /// Build an IVF approximate-MIPS index over each published packed slice
-  /// (requires `packed`) and canary-verify it (binding + measured recall@k,
-  /// CanaryOptions::ann_recall_*) before adoption, so queries opting in with
-  /// QueryOptions::ann take the sub-linear probe + re-rank path. When the
-  /// shard's previous slice carries a compatible index the publish rebuilds
-  /// incrementally: frozen centroids, only items whose parameters changed
-  /// are reassigned (the online incremental-publish path). Off by default:
-  /// index builds cost a k-means pass per publish.
+  /// (requires `packed`) and canary-verify it (structure + measured
+  /// recall@k, CanaryOptions::ann_recall_*) before adoption, so queries
+  /// opting in with QueryOptions::ann take the sub-linear probe + re-rank
+  /// path. When the shard's previous slice carries a compatible index the
+  /// publish rebuilds incrementally: frozen centroids, only items whose
+  /// parameters changed are reassigned (the online incremental-publish
+  /// path). Off by default: index builds cost a k-means pass per publish.
   bool ann = false;
   /// Index build knobs when `ann` is set. With `ivf.pq` on, each publish
   /// additionally trains/refreshes the per-lane int8 code book next to the
@@ -197,10 +197,11 @@ struct BatchReply {
 /// Publish path: Publish(candidate) → canary gate → atomic swap. A
 /// PublishRequest targets one shard or all of them, always with a
 /// full-catalog candidate. Each target shard slices the candidate
-/// (FactorModel::SliceItems — bit-identical doubles; a shard covering the
-/// whole catalog adopts the candidate itself), repacks it, builds its IVF
-/// index when ServerOptions::ann is set, and runs its own gate (integrity on
-/// one-shard publishes, packed agreement, the ANN binding + recall gate). An
+/// (FactorModel::CopyItemsFrom — bit-identical doubles; a shard covering
+/// the whole catalog adopts a candidate the server owns), repacks it,
+/// builds its IVF index when ServerOptions::ann is set, and runs its own
+/// gate (integrity on one-shard publishes, packed agreement, the ANN
+/// structure + recall gate). An
 /// all-shard publish first scans the whole candidate's integrity and, after
 /// the slices are built, runs the sampled-AUC probe through them — the
 /// packed kernels that will serve. All built slices swap in under one mutex
@@ -243,11 +244,25 @@ class ModelServer {
 
   /// The unified publish entry point: resolves `request` (an in-memory
   /// candidate or a CRC-verified model file — the implicit PublishRequest
-  /// conversions make `PublishModel(model)` and `PublishModel(path)` read
-  /// naturally; one shard or all; any tenant), gates it, and swaps it in.
-  /// On any gate failure (InvalidArgument / Corruption / FailedPrecondition)
-  /// nothing swaps and the prior slices keep serving.
+  /// conversions make `PublishModel(path)` read naturally; one shard or
+  /// all; any tenant), gates it, and swaps it in. On any gate failure
+  /// (InvalidArgument / Corruption / FailedPrecondition) nothing swaps and
+  /// the prior slices keep serving.
   Status PublishModel(PublishRequest request);
+
+  /// Publishes a candidate the caller keeps to every shard of the default
+  /// tenant, with no copy before the gate: the gate stages read `candidate`
+  /// in place, and each built slice takes its own copy in tiles over
+  /// ServerOptions::ivf.build_threads (the handover stage). On one shard a
+  /// candidate of 32 MB or more gets its slice's storage allocated beside
+  /// the stages and filled after them. Nothing refers to `candidate` once
+  /// this returns. Same gates, verdicts and served bytes as publishing a
+  /// copy.
+  Status PublishModel(const FactorModel& candidate);
+
+  /// Publishes a candidate the server may take: a one-shard server adopts
+  /// it without a copy. Same as PublishModel(PublishRequest(candidate)).
+  Status PublishModel(FactorModel&& candidate);
 
   /// Scatter-gather top-k for one user of `tenant`, through admission
   /// control on the serving pool. Outcomes: the ranked list,
@@ -374,6 +389,12 @@ class ModelServer {
   /// Resolves the request's candidate (in-memory vs file) and validates
   /// routing. Gate-style failures are recorded as canary rejects.
   Result<FactorModel> ResolveCandidate(PublishRequest* request);
+
+  /// The publish behind every PublishModel overload: gates `candidate` for
+  /// `target` of `tenant` and swaps it in. `owned` (may be null) is
+  /// `candidate` itself when the server may move from it.
+  Status PublishCandidate(const FactorModel& candidate, FactorModel* owned,
+                          int32_t target, const std::string& tenant);
 
   /// Consistent cut of `tenant`'s chains (one mutex hold). Empty when the
   /// tenant has never been published to.

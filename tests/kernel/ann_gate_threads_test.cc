@@ -6,7 +6,10 @@
 // the ground-truth lists must equal a full scan per user, the measured
 // recalls must be bit-identical at build_threads 1, 2 and 4 (and to a
 // plain per-user reference), and VerifyIvfBinding must name the same,
-// smallest, stale item at every thread count. Part of the `ann` label.
+// smallest, stale item at every thread count. Over publish sequences, the
+// gate whose ground truth starts from the serving slice's kept lists must
+// return the full gate's Status at every thread count. Part of the `ann`
+// label.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +23,8 @@
 #include "clapf/model/packed_snapshot.h"
 #include "clapf/model/retrieval.h"
 #include "clapf/model/score_kernel.h"
+#include "clapf/serving/model_shard.h"
+#include "clapf/util/fault_injection.h"
 #include "clapf/util/random.h"
 #include "testing/test_util.h"
 
@@ -206,6 +211,124 @@ TEST(AnnGateThreadsTest, BindingNamesTheSmallestStaleItemAtEveryThreadCount) {
     const Status last = VerifyIvfBinding(one_stale, index, "gate");
     EXPECT_NE(last.message().find("item 9999's"), std::string::npos)
         << "threads " << threads << ": " << last.message();
+  }
+}
+
+// A serving chain per shard, advanced the way a server advances it: every
+// candidate's slice is gated once against the serving slice as it is (the
+// recall truth starting from the slice's kept lists) and once against a
+// copy that kept no truth (the full scan), and a candidate's slices are
+// adopted only when every shard passed. The two gates must return the same
+// Status — code and message, which carries the measured recall of a
+// refused index — and the lists a slice keeps must be exact top lists of
+// its catalog, whose first k are the full gate's. The sequence covers
+// drift of 0.1%-60% of the items, moved user rows (sampled users
+// included), a kernel switch, and refused candidates in between, at 1 and
+// 3 shards.
+TEST(AnnGateThreadsTest, DeltaTruthGateEqualsTheFullGateOverPublishSequences) {
+  constexpr int32_t kUsers = 40, kItems = 1203, kFactors = 8;
+  constexpr size_t kK = 10;
+  const Dataset history =
+      testing::MakeLearnableDataset(kUsers, kItems, 8, 301);
+  const std::vector<double> popularity(kItems, 1.0);
+  const ScoreKernel other = ActiveScoreKernel() == ScoreKernel::kAvx2
+                                ? ScoreKernel::kPortable
+                                : ScoreKernel::kAvx2;
+  const std::vector<UserId> users = GateSampleUsers(kUsers, 16);
+  const double kFractions[] = {0.001, 0.01, 0.05, 0.2, 0.6};
+  for (int threads : kThreadCounts) {
+    for (int32_t num_shards : {1, 3}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " shards " +
+                   std::to_string(num_shards));
+      std::vector<ModelShard> shards;
+      for (int32_t s = 0; s < num_shards; ++s) {
+        shards.emplace_back(s, kItems * s / num_shards,
+                            kItems * (s + 1) / num_shards, history,
+                            popularity);
+      }
+      IvfGateOptions gate;
+      gate.ivf.pq = threads != 2;  // the composed gate and the plain one
+      gate.ivf.build_threads = threads;
+      gate.recall_users = 16;
+      gate.recall_k = static_cast<int32_t>(kK);
+      gate.recall_floor = 0.8;
+      FactorModel serving_model = testing::MakeClusteredItemModel(
+          kUsers, kItems, kFactors, 8, 0.05, 302);
+      std::vector<std::shared_ptr<const ShardSlice>> serving;
+      for (const ModelShard& shard : shards) {
+        auto slice = shard.BuildSliceFrom(serving_model, true, false, 0,
+                                          "seed", &gate);
+        ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+        serving.push_back(*slice);
+      }
+      Rng rng(303 + static_cast<uint64_t>(threads));
+      int adopted = 0;
+      for (int step = 0; step < 10; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        FactorModel cand = serving_model;
+        const double fraction = kFractions[step % 5];
+        for (ItemId i = 0; i < kItems; ++i) {
+          if (rng.NextDouble() >= fraction) continue;
+          cand.ItemFactors(i)[static_cast<size_t>(i % kFactors)] +=
+              0.05 * rng.NextGaussian();
+          cand.ItemBias(i) += 0.01 * rng.NextGaussian();
+        }
+        cand.ItemFactors((step * 97) % kItems)[0] += 0.01;
+        if (step % 4 == 1) {
+          for (UserId u : {0, 2, 5}) cand.UserFactors(u)[0] += 0.3;
+        }
+        const bool switch_kernel = step == 6 && ScoreKernelSupported(other);
+        const bool refuse = step % 5 == 2;
+        if (switch_kernel) ForceScoreKernel(other);
+        bool all_passed = true;
+        std::vector<std::shared_ptr<const ShardSlice>> next;
+        for (size_t s = 0; s < shards.size(); ++s) {
+          if (refuse) FaultInjector::Instance().Arm(FaultPoint::kAnnCorruptIndex);
+          auto delta = shards[s].BuildSliceFrom(cand, true, false, 0, "cand",
+                                                &gate, serving[s].get());
+          ShardSlice no_truth = *serving[s];
+          no_truth.recall_truth.reset();
+          if (refuse) FaultInjector::Instance().Arm(FaultPoint::kAnnCorruptIndex);
+          auto full = shards[s].BuildSliceFrom(cand, true, false, 0, "cand",
+                                               &gate, &no_truth);
+          FaultInjector::Instance().Reset();
+          ASSERT_EQ(delta.ok(), full.ok()) << delta.status().ToString();
+          if (!delta.ok()) {
+            EXPECT_EQ(delta.status().code(), full.status().code());
+            EXPECT_EQ(delta.status().message(), full.status().message());
+            all_passed = false;
+            continue;
+          }
+          const ShardSlice& got = **delta;
+          ASSERT_TRUE(got.recall_truth.has_value());
+          ASSERT_TRUE((*full)->recall_truth.has_value());
+          const auto& lists = got.recall_truth->lists;
+          const auto& full_lists = (*full)->recall_truth->lists;
+          ASSERT_EQ(lists.size(), users.size());
+          for (size_t x = 0; x < users.size(); ++x) {
+            const std::string what = "user " + std::to_string(users[x]);
+            ASSERT_GE(lists[x].size(), kK) << what;
+            ExpectSameLists(FullScan(*got.packed, users[x], lists[x].size()),
+                            lists[x], what);
+            ExpectSameLists(
+                std::vector<ScoredItem>(full_lists[x].begin(),
+                                        full_lists[x].begin() + kK),
+                std::vector<ScoredItem>(lists[x].begin(),
+                                        lists[x].begin() + kK),
+                what);
+          }
+          next.push_back(*delta);
+        }
+        if (switch_kernel) ClearScoreKernelOverride();
+        if (all_passed) {
+          serving = std::move(next);
+          serving_model = std::move(cand);
+          ++adopted;
+        }
+        EXPECT_EQ(all_passed, !refuse);
+      }
+      EXPECT_EQ(adopted, 8);
+    }
   }
 }
 

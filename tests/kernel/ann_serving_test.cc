@@ -7,6 +7,8 @@
 // the monolithic exact scan. Part of the `ann` ctest label.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -252,6 +254,177 @@ TEST_F(AnnServingTest, PublishAgreementChecksOnlyWhatChanged) {
     ASSERT_TRUE(plain.PublishModel(second).ok());
     EXPECT_EQ(plain_pairs() - full, drifted);
   }
+}
+
+// True when the two models hold the same bytes.
+bool SameBytes(const FactorModel& a, const FactorModel& b) {
+  const auto same = [](const std::vector<double>& x,
+                       const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  return a.num_users() == b.num_users() && a.num_items() == b.num_items() &&
+         same(a.user_factor_data(), b.user_factor_data()) &&
+         same(a.item_factor_data(), b.item_factor_data()) &&
+         same(a.item_bias_data(), b.item_bias_data());
+}
+
+// Every user's answer on the exact double path (which scores the slice's
+// own copy of the model), the packed path and, with an index, the ANN and
+// pq paths; the exact answers come first.
+std::vector<std::vector<ScoredItem>> AllAnswers(ModelServer& server,
+                                                int32_t users, bool ann) {
+  std::vector<QueryOptions> paths(2);
+  paths[0].use_packed = false;
+  if (ann) {
+    paths.resize(4);
+    paths[2].ann = true;
+    paths[3].ann = true;
+    paths[3].pq = true;
+  }
+  std::vector<std::vector<ScoredItem>> answers;
+  for (const QueryOptions& options : paths) {
+    for (UserId u = 0; u < users; ++u) {
+      auto got = server.Recommend(u, 10, options);
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+      answers.push_back(got.ok() ? *got : std::vector<ScoredItem>{});
+    }
+  }
+  return answers;
+}
+
+void ExpectSameAnswers(const std::vector<std::vector<ScoredItem>>& want,
+                       const std::vector<std::vector<ScoredItem>>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t q = 0; q < want.size(); ++q) {
+    ASSERT_EQ(want[q].size(), got[q].size()) << "query " << q;
+    for (size_t r = 0; r < want[q].size(); ++r) {
+      EXPECT_EQ(want[q][r].item, got[q][r].item) << "query " << q;
+      EXPECT_EQ(want[q][r].score, got[q][r].score) << "query " << q;
+    }
+  }
+}
+
+TEST_F(AnnServingTest, LvaluePublishKeepsTheCallerModelAndServesLikeAMove) {
+  // A const lvalue is handed over without a copy before the gate: the
+  // stages read it in place and each slice copies it in tiles. The caller's
+  // model stays bit-identical, every answer equals the one a server given
+  // the same model by move serves, the exact answers equal the model's own
+  // top-k, and a refused lvalue publish leaves the serving slice in place.
+  for (int32_t shards : kShardCounts) {
+    for (bool ann : {false, true}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " ann=" + std::to_string(ann));
+      const auto history = testing::MakeLearnableDataset(20, 400, 8, 83);
+      ServerOptions options = AnnOptions(shards);
+      options.ann = ann;
+      options.ivf.pq = ann;
+      options.ivf.build_threads = 3;
+      ModelServer by_ref(history, options);
+      ModelServer by_move(history, options);
+      const FactorModel first = MakeServableModel(20, 400, 16, 8, 83);
+      FactorModel drifted = first;
+      for (ItemId i = 5; i < 400; i += 40) drifted.ItemFactors(i)[2] += 0.05;
+      drifted.UserFactors(3)[0] += 0.1;
+      const FactorModel second = drifted;
+      const FactorModel first_bytes = first, second_bytes = second;
+
+      for (const FactorModel* model : {&first, &second}) {
+        ASSERT_TRUE(by_ref.PublishModel(*model).ok());
+        ASSERT_TRUE(by_move.PublishModel(FactorModel(*model)).ok());
+        const auto answers = AllAnswers(by_ref, 20, ann);
+        ExpectSameAnswers(AllAnswers(by_move, 20, ann), answers);
+        // The exact path scores the slices' copies: they must hold the
+        // published model's bytes.
+        std::vector<std::vector<ScoredItem>> want;
+        for (UserId u = 0; u < 20; ++u) {
+          want.push_back(model->TopKForUser(u, 10, &history));
+        }
+        ExpectSameAnswers(want, std::vector<std::vector<ScoredItem>>(
+                                    answers.begin(), answers.begin() + 20));
+      }
+      EXPECT_TRUE(SameBytes(first, first_bytes));
+      EXPECT_TRUE(SameBytes(second, second_bytes));
+      EXPECT_EQ(by_ref.version(), 2);
+
+      // Refused inside the slice build (the ANN gate) with an index, by the
+      // whole-candidate integrity scan without one.
+      FactorModel broken = first;
+      if (!ann) broken.ItemFactors(17)[0] = std::nan("");
+      const FactorModel refused = broken, refused_bytes = broken;
+      if (ann) FaultInjector::Instance().Arm(FaultPoint::kAnnCorruptIndex);
+      EXPECT_FALSE(by_ref.PublishModel(refused).ok());
+      FaultInjector::Instance().Reset();
+      EXPECT_TRUE(SameBytes(refused, refused_bytes));
+      EXPECT_EQ(by_ref.version(), 2);
+      EXPECT_FALSE(by_ref.degraded());
+      ExpectSameAnswers(AllAnswers(by_move, 20, ann),
+                        AllAnswers(by_ref, 20, ann));
+    }
+  }
+}
+
+// FNV-1a over a model's parameter bytes.
+uint64_t ModelHash(const FactorModel& model) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::vector<double>* v :
+       {&model.user_factor_data(), &model.item_factor_data(),
+        &model.item_bias_data()}) {
+    const auto* b = reinterpret_cast<const unsigned char*>(v->data());
+    for (size_t x = 0; x < v->size() * sizeof(double); ++x) {
+      h = (h ^ b[x]) * 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST_F(AnnServingTest, LargeLvaluePublishGatesTheCallerModelInPlace) {
+  // From 32 MB up, a one-shard lvalue publish allocates its slice's
+  // storage on a helper thread while the gate stages read the caller's
+  // model, and copies into it after them. The slice still holds the
+  // model's bytes (the exact path equals the model's own top-k), the
+  // caller's model is untouched, and a candidate refused inside the slice
+  // build — by the index gate, with the helper still running — leaves the
+  // serving slice in place.
+  constexpr int32_t kUsers = 8, kItems = 65536, kFactors = 64;
+  const auto history = testing::MakeLearnableDataset(kUsers, kItems, 8, 97);
+  ServerOptions options = AnnOptions(1);
+  options.ivf.num_clusters = 64;
+  options.ivf.default_nprobe = 64;  // every cluster: the gate reads 1.0
+  options.ivf.max_train_points = 4096;
+  options.ivf.build_threads = 2;
+  ModelServer server(history, options);
+  const FactorModel model =
+      MakeServableModel(kUsers, kItems, kFactors, 8, 97);
+  ASSERT_GE((model.user_factor_data().size() +
+             model.item_factor_data().size() +
+             model.item_bias_data().size()) *
+                sizeof(double),
+            size_t{32} << 20);
+  const uint64_t before = ModelHash(model);
+  QueryOptions exact;
+  exact.use_packed = false;
+  const auto expect_model_served = [&] {
+    for (UserId u = 0; u < kUsers; ++u) {
+      auto got = server.Recommend(u, 10, exact);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectSameAnswers({model.TopKForUser(u, 10, &history)}, {*got});
+    }
+  };
+
+  const Status published = server.PublishModel(model);
+  ASSERT_TRUE(published.ok()) << published.ToString();
+  EXPECT_EQ(ModelHash(model), before);
+  expect_model_served();
+
+  FaultInjector::Instance().Arm(FaultPoint::kAnnCorruptIndex);
+  const Status refused = server.PublishModel(model);
+  FaultInjector::Instance().Reset();
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.message().find("recall"), std::string::npos);
+  EXPECT_EQ(ModelHash(model), before);
+  EXPECT_EQ(server.version(), 1);
+  expect_model_served();
 }
 
 TEST_F(AnnServingTest, FullProbeAnnServesExactAnswers) {

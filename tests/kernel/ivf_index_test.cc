@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "clapf/model/factor_model.h"
@@ -567,6 +568,116 @@ TEST_F(IvfIndexTest, BuildMatchesTheScalarAssignmentGoldens) {
     ASSERT_TRUE(rebuilt.ok());
     EXPECT_EQ(reassigned, 200);
     EXPECT_EQ(IndexHash(*rebuilt), 0xce2d92ece175fae2ull);
+  }
+}
+
+// A candidate whose items [0, base.num_items()) differ from `base` in the
+// ways a publish sees — a factor one ulp away, a changed bias, a zero whose
+// sign flipped — on about `fraction` of them, and whose catalog grows by
+// `grow` items.
+FactorModel DriftedCandidate(const FactorModel& base, double fraction,
+                             int32_t grow, uint64_t seed) {
+  FactorModel cand = base;
+  Rng rng(seed);
+  for (ItemId i = 0; i < cand.num_items(); ++i) {
+    if (rng.NextDouble() >= fraction) continue;
+    switch (i % 3) {
+      case 0: {
+        double& x = cand.ItemFactors(i)[static_cast<size_t>(i) %
+                                        static_cast<size_t>(
+                                            cand.num_factors())];
+        x = std::nextafter(x, 1e9);
+        break;
+      }
+      case 1:
+        cand.ItemBias(i) += 0.125;
+        break;
+      default:
+        cand.ItemBias(i) = std::signbit(cand.ItemBias(i)) ? 0.0 : -0.0;
+        break;
+    }
+  }
+  if (grow > 0) {
+    Rng grow_rng(seed + 1);
+    cand.ExpandTo(cand.num_users(), cand.num_items() + grow, grow_rng, 0.5);
+  }
+  return cand;
+}
+
+TEST_F(IvfIndexTest, DiffItemsIsTheSetOfItemsWhoseBytesDiffer) {
+  const FactorModel base = testing::MakeClusteredItemModel(
+      6, 3001, 8, /*num_centers=*/8, /*noise=*/0.05, 91);
+  for (int threads : {1, 2, 4}) {
+    for (double fraction : {0.0, 0.001, 0.05, 0.6, 1.0}) {
+      for (int32_t grow : {0, 13}) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + " fraction " +
+                     std::to_string(fraction) + " grow " +
+                     std::to_string(grow));
+        const FactorModel cand = DriftedCandidate(base, fraction, grow, 92);
+        const ItemDelta delta = DiffItems(cand, base, threads);
+        std::vector<ItemId> want;
+        for (ItemId i = 0; i < cand.num_items(); ++i) {
+          if (i >= base.num_items() ||
+              std::memcmp(cand.ItemFactors(i).data(),
+                          base.ItemFactors(i).data(),
+                          8 * sizeof(double)) != 0 ||
+              std::memcmp(&cand.item_bias_data()[static_cast<size_t>(i)],
+                          &base.item_bias_data()[static_cast<size_t>(i)],
+                          sizeof(double)) != 0) {
+            want.push_back(i);
+          }
+        }
+        EXPECT_EQ(delta.items, want);
+        // Each dirty item carries the CRC a full build binds it with.
+        const IvfIndex fresh = IvfIndex::Build(cand, IvfOptions{});
+        ASSERT_EQ(delta.crcs.size(), delta.items.size());
+        for (size_t x = 0; x < delta.items.size(); ++x) {
+          EXPECT_EQ(delta.crcs[x],
+                    fresh.item_crcs()[static_cast<size_t>(delta.items[x])])
+              << "item " << delta.items[x];
+        }
+      }
+    }
+  }
+
+  // Without item biases the bias bytes are not parameters: only factor
+  // changes make an item dirty.
+  FactorModel flat(2, 40, 4, /*use_item_bias=*/false);
+  FactorModel moved = flat;
+  moved.ItemBias(3) = 1.0;
+  moved.ItemFactors(7)[1] = 0.5;
+  EXPECT_EQ(DiffItems(moved, flat, 2).items, std::vector<ItemId>{7});
+}
+
+TEST_F(IvfIndexTest, RebuildDirtyFromTheDiffSetBuildsTheIndexOfTheCrcScan) {
+  const FactorModel base = testing::MakeClusteredItemModel(
+      6, 3001, 8, /*num_centers=*/8, /*noise=*/0.05, 93);
+  for (int threads : {1, 2, 4}) {
+    IvfOptions opts;
+    opts.num_clusters = 24;
+    opts.pq = true;
+    opts.build_threads = threads;
+    const IvfIndex previous = IvfIndex::Build(base, opts);
+    for (double fraction : {0.0, 0.001, 0.01, 0.2, 0.45}) {
+      for (int32_t grow : {0, 5}) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + " fraction " +
+                     std::to_string(fraction) + " grow " +
+                     std::to_string(grow));
+        const FactorModel cand = DriftedCandidate(base, fraction, grow, 94);
+        const ItemDelta delta = DiffItems(cand, base, threads);
+        int64_t from_delta = -1, from_crcs = -2;
+        auto with = IvfIndex::RebuildDirty(previous, cand, opts, &from_delta,
+                                           nullptr, &delta);
+        auto without =
+            IvfIndex::RebuildDirty(previous, cand, opts, &from_crcs);
+        ASSERT_TRUE(with.ok());
+        ASSERT_TRUE(without.ok());
+        EXPECT_EQ(from_delta, from_crcs);
+        EXPECT_EQ(IndexHash(*with), IndexHash(*without));
+        EXPECT_EQ(with->item_crcs(), without->item_crcs());
+        EXPECT_TRUE(VerifyIvfBinding(cand, *with, "delta").ok());
+      }
+    }
   }
 }
 

@@ -7,7 +7,9 @@
 // `pq` ctest label.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "clapf/model/packed_snapshot.h"
 #include "clapf/obs/metrics.h"
 #include "clapf/model/retrieval.h"
+#include "clapf/model/score_kernel.h"
 #include "clapf/serving/publish_request.h"
 #include "clapf/serving/sharded_server.h"
 #include "clapf/util/fault_injection.h"
@@ -27,7 +30,10 @@ namespace {
 
 class PqServingTest : public ::testing::Test {
  protected:
-  void TearDown() override { FaultInjector::Instance().Reset(); }
+  void TearDown() override {
+    FaultInjector::Instance().Reset();
+    ClearScoreKernelOverride();
+  }
 };
 
 FactorModel MakeServableModel(int32_t num_users, int32_t num_items,
@@ -388,6 +394,95 @@ TEST_F(PqServingTest, RebuildDirtyFreezesBookAndReencodesOnlyDirtyItems) {
   const PackedSnapshot exact = PackedSnapshot::Build(model);
   EXPECT_TRUE(VerifyAnnRecall(exact, *rebuilt, 8, 10, 0, 0, 0.95, "rebuild")
                   .ok());
+}
+
+// The per-item encoder that the block-wise PqCodes::Encode replaced, kept
+// as the byte reference.
+int8_t ReferenceCode(float x, float scale, float offset) {
+  if (scale == 0.0f) return 0;
+  const float q = std::nearbyint((x - offset) / scale);
+  return static_cast<int8_t>(std::max(-127.0f, std::min(127.0f, q)));
+}
+
+TEST_F(PqServingTest, RebuildDirtyEncodesEveryByteLikeThePerItemEncoder) {
+  // Every code byte after an incremental rebuild — pad slots of a partial
+  // tail block included — is the per-item encoding of the rebuilt repack
+  // under the frozen book, and every block bound the extrema of its codes,
+  // for both kernels and any thread count.
+  for (int32_t tail = 0; tail < kPackedBlockItems; ++tail) {
+    const int32_t n = 40 * kPackedBlockItems + tail;
+    const FactorModel model = MakeServableModel(8, n, 8, 8, 500 + tail);
+    FactorModel moved = model;
+    for (ItemId i = 3; i < n; i += 17) moved.ItemFactors(i)[1] += 0.02;
+    moved.ItemBias(n - 1) += 0.3;  // the tail block's last real item
+    for (ScoreKernel kernel : {ScoreKernel::kPortable, ScoreKernel::kAvx2}) {
+      if (!ScoreKernelSupported(kernel)) continue;
+      ForceScoreKernel(kernel);
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE("n " + std::to_string(n) + " " +
+                     ScoreKernelName(kernel) + " threads " +
+                     std::to_string(threads));
+        IvfOptions options;
+        options.num_clusters = 8;
+        options.pq = true;
+        options.build_threads = threads;
+        const IvfIndex before = IvfIndex::Build(model, options);
+        auto rebuilt = IvfIndex::RebuildDirty(before, moved, options, nullptr);
+        ASSERT_TRUE(rebuilt.ok());
+        const PqCodes& codes = rebuilt->pq_codes();
+        const PqCodeBook& book = before.pq_codes().book();
+        const PackedSnapshot& packed = rebuilt->packed();
+        const int32_t lanes = codes.num_factors() + 1;
+        ASSERT_EQ(codes.num_blocks(), (n + 7) / 8);
+        for (int32_t b = 0; b < codes.num_blocks(); ++b) {
+          for (int32_t l = 0; l < lanes; ++l) {
+            int8_t lo = 127, hi = -127;
+            for (int32_t j = 0; j < kPackedBlockItems; ++j) {
+              const size_t at = static_cast<size_t>(l) * kPackedBlockItems +
+                                static_cast<size_t>(j);
+              const int8_t want =
+                  b * kPackedBlockItems + j < n
+                      ? ReferenceCode(
+                            packed.block_data()[static_cast<size_t>(b) *
+                                                    packed.block_stride() +
+                                                at],
+                            book.scale[static_cast<size_t>(l)],
+                            book.offset[static_cast<size_t>(l)])
+                      : 0;
+              const int8_t got =
+                  codes.block_codes()[static_cast<size_t>(b) *
+                                          codes.block_stride() +
+                                      at];
+              ASSERT_EQ(got, want) << "block " << b << " lane " << l
+                                   << " slot " << j;
+              lo = std::min(lo, want);
+              hi = std::max(hi, want);
+            }
+            const size_t bound =
+                static_cast<size_t>(b / kPackedBlockItems) *
+                    codes.block_stride() +
+                static_cast<size_t>(l) * kPackedBlockItems +
+                static_cast<size_t>(b % kPackedBlockItems);
+            ASSERT_EQ(codes.bound_lane_min()[bound], lo) << "block " << b;
+            ASSERT_EQ(codes.bound_lane_max()[bound], hi) << "block " << b;
+          }
+        }
+        // Bound slots past the last block are zero.
+        for (int32_t b = codes.num_blocks();
+             b < codes.num_bound_superblocks() * kPackedBlockItems; ++b) {
+          for (int32_t l = 0; l < lanes; ++l) {
+            const size_t bound =
+                static_cast<size_t>(b / kPackedBlockItems) *
+                    codes.block_stride() +
+                static_cast<size_t>(l) * kPackedBlockItems +
+                static_cast<size_t>(b % kPackedBlockItems);
+            ASSERT_EQ(codes.bound_lane_min()[bound], 0);
+            ASSERT_EQ(codes.bound_lane_max()[bound], 0);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
