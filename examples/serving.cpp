@@ -7,7 +7,8 @@
 // newest valid checkpoint. Finishes with the rest of the serving layer: an
 // overload drill (bounded admission queue shedding a burst), a validated hot
 // reload (canary gate rejecting a corrupt candidate, then swapping in a good
-// one while queries run), and the same server over four shards.
+// one while queries run), an ondemand governor reacting to the overload, and
+// the same server over four shards.
 
 #include <atomic>
 #include <cstdio>
@@ -172,9 +173,11 @@ int main(int argc, char** argv) {
 
   // 7. Under load. A second server with a tiny admission queue publishes
   // the trained model straight from memory, through the same canary gate.
+  // Its ondemand governor is ticked by hand below, never by a thread.
   ServerOptions server_options;
   server_options.num_threads = 2;
   server_options.max_queue_depth = 2;  // tiny on purpose: we want shedding
+  server_options.governor.emplace().interval_us = 0;
   ModelServer server(data, server_options);
   CLAPF_CHECK_OK(server.PublishModel(*trainer.model()));
   std::printf("model server: published v%lld\n",
@@ -235,20 +238,37 @@ int main(int argc, char** argv) {
               "the swap window\n",
               static_cast<long long>(server.version()), swap_served.load());
 
-  // Governor drill: an ondemand governor watches the same metrics and, on
+  // Governor drill: the ondemand governor watches the same metrics and, on
   // pressure (here: the sheds recorded by the overload drill above), clamps
   // every knob to its defensive bound — then decays back once calm. Each
   // movement lands in the flight recorder next to the sheds that caused it.
-  server.TickGovernor();  // performance policy: a deliberate no-op
-  GovernorKnobs knobs = server.governor().knobs();
-  std::printf("governor (%s): queue_depth=%lld after tick — static policy "
-              "never moves knobs\n",
-              GovernorPolicyName(server.governor().policy()),
-              static_cast<long long>(knobs.max_queue_depth));
+  const ServingGovernor& governor = *server.governor();
+  server.TickGovernor();
+  GovernorKnobs knobs = governor.knobs();
+  std::printf("governor (ondemand): queue_depth=%lld (bounds %lld..%lld) "
+              "deadline_budget_us=%lld after the overload\n",
+              static_cast<long long>(knobs.max_queue_depth),
+              static_cast<long long>(governor.bounds().min_queue_depth),
+              static_cast<long long>(governor.bounds().max_queue_depth),
+              static_cast<long long>(knobs.deadline_budget_us));
+  // Calm ticks relax one step per decay_ticks: the budget cap doubles until
+  // it is released, and the later steps query an unclamped server.
+  int calm_ticks = 0;
+  while (governor.knobs().deadline_budget_us != 0 && calm_ticks < 1000) {
+    server.TickGovernor();
+    ++calm_ticks;
+  }
+  knobs = governor.knobs();
+  std::printf("governor decayed to rest after %d calm ticks: queue_depth=%lld "
+              "deadline_budget_us=%lld (%lld adjustments)\n",
+              calm_ticks, static_cast<long long>(knobs.max_queue_depth),
+              static_cast<long long>(knobs.deadline_budget_us),
+              static_cast<long long>(governor.adjustments()));
 
   // The incident black box: everything the serving layer decided above —
-  // sheds, the canary reject, publishes — in order, dumpable as JSON at any
-  // time (and automatically on a breaker trip via flight_dump_path).
+  // sheds, the canary reject, publishes, governor moves — in order,
+  // dumpable as JSON at any time (and automatically on a breaker trip via
+  // flight_dump_path).
   int shown = 0;
   for (const FlightEvent& event : server.flight_recorder().Snapshot()) {
     std::printf("  flight[%llu] %s: %s\n",
@@ -264,7 +284,7 @@ int main(int argc, char** argv) {
   ServerOptions shard_options = server_options;
   shard_options.max_queue_depth = 64;
   shard_options.num_shards = 4;
-  shard_options.per_tenant_quota = 8;
+  shard_options.governor.reset();
   ModelServer sharded(data, shard_options);
   std::printf("sharded server: %s\n", sharded.shard_map().ToString().c_str());
   CLAPF_CHECK_OK(sharded.PublishModel(recovered->model));
@@ -287,18 +307,7 @@ int main(int argc, char** argv) {
     std::printf(" v%lld", static_cast<long long>(v));
   }
   std::printf(" (only shard 2 moved)\n");
-
-  // Multi-tenancy: tenant "acme" gets its own serving chain (and its own
-  // breaker windows and admission quota); the default tenant is untouched.
-  CLAPF_CHECK_OK(sharded.PublishModel(
-      PublishRequest(recovered->model).WithTenant("acme")));
-  auto acme = sharded.Recommend(3, 5, {}, "acme");
-  CLAPF_CHECK_OK(acme.status());
-  std::printf("tenants:");
-  for (const std::string& name : sharded.tenants()) {
-    std::printf(" \"%s\"", name.c_str());
-  }
-  std::printf("\nsharded stats: %s\n", sharded.stats().ToString().c_str());
+  std::printf("sharded stats: %s\n", sharded.stats().ToString().c_str());
   for (const ShardStatsSnapshot& shard : sharded.shard_stats()) {
     std::printf("  %s\n", shard.ToString().c_str());
   }

@@ -25,7 +25,6 @@ AdmissionQueue::AdmissionQueue(int num_threads, int64_t max_depth,
   }
   admitted_ = metrics->GetCounter("serving.admission.admitted_total");
   shed_ = metrics->GetCounter("serving.admission.shed_total");
-  quota_shed_ = metrics->GetCounter("serving.admission.quota_shed_total");
 }
 
 Status AdmissionQueue::Submit(std::function<void()> task) {
@@ -45,44 +44,6 @@ Status AdmissionQueue::Submit(std::function<void()> task) {
   }
   admitted_->Inc();
   return Status::OK();
-}
-
-Status AdmissionQueue::SubmitForTenant(const std::string& tenant,
-                                       int64_t quota,
-                                       std::function<void()> task) {
-  if (quota > 0) {
-    std::lock_guard<std::mutex> lock(tenant_mu_);
-    int64_t& in_flight = tenant_in_flight_[tenant];
-    if (in_flight >= quota) {
-      quota_shed_->Inc();
-      shed_->Inc();
-      return Status::Unavailable(
-          "tenant \"" + tenant + "\" quota reached (" +
-          std::to_string(in_flight) + "/" + std::to_string(quota) +
-          " in flight); request shed");
-    }
-    ++in_flight;
-  }
-  Status admitted = Submit(
-      [this, tenant, task = std::move(task), quota]() mutable {
-        task();
-        if (quota > 0) {
-          std::lock_guard<std::mutex> lock(tenant_mu_);
-          --tenant_in_flight_[tenant];
-        }
-      });
-  if (!admitted.ok() && quota > 0) {
-    // Refused at the global bound after the quota reservation: release it.
-    std::lock_guard<std::mutex> lock(tenant_mu_);
-    --tenant_in_flight_[tenant];
-  }
-  return admitted;
-}
-
-int64_t AdmissionQueue::TenantInFlight(const std::string& tenant) const {
-  std::lock_guard<std::mutex> lock(tenant_mu_);
-  auto it = tenant_in_flight_.find(tenant);
-  return it != tenant_in_flight_.end() ? it->second : 0;
 }
 
 void AdmissionQueue::Wait() { pool_.Wait(); }

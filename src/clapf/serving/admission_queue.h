@@ -1,13 +1,11 @@
 #ifndef CLAPF_SERVING_ADMISSION_QUEUE_H_
 #define CLAPF_SERVING_ADMISSION_QUEUE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 
 #include "clapf/obs/metrics.h"
 #include "clapf/util/status.h"
@@ -35,18 +33,6 @@ class AdmissionQueue {
   /// dropped untouched. Thread-safe.
   Status Submit(std::function<void()> task);
 
-  /// Multi-tenant admission: admits `task` only when both the global
-  /// `max_depth` bound and `tenant`'s own in-flight bound hold. `quota` <= 0
-  /// means the tenant is unbounded (global bound only). A quota refusal
-  /// returns Unavailable and counts in both shed() and quota_shed() — one
-  /// tenant's burst sheds against its own budget instead of starving the
-  /// others through the shared bound. Thread-safe.
-  Status SubmitForTenant(const std::string& tenant, int64_t quota,
-                         std::function<void()> task);
-
-  /// Tasks admitted for `tenant` (via SubmitForTenant) not yet finished.
-  int64_t TenantInFlight(const std::string& tenant) const;
-
   /// Blocks until every admitted task has finished.
   void Wait();
 
@@ -67,8 +53,6 @@ class AdmissionQueue {
   /// Lifetime counters for observability.
   int64_t admitted() const { return admitted_->Value(); }
   int64_t shed() const { return shed_->Value(); }
-  /// Sheds caused by a tenant quota (also counted in shed()).
-  int64_t quota_shed() const { return quota_shed_->Value(); }
 
  private:
   ThreadPool pool_;
@@ -76,13 +60,6 @@ class AdmissionQueue {
   std::unique_ptr<MetricsRegistry> owned_registry_;  // null when shared
   Counter* admitted_;
   Counter* shed_;
-  Counter* quota_shed_;
-
-  // Per-tenant in-flight counts, created on first SubmitForTenant. Guarded
-  // by tenant_mu_: admission checks and the post-run decrement both take it,
-  // so a tenant can never exceed its quota by racing submissions.
-  mutable std::mutex tenant_mu_;
-  std::unordered_map<std::string, int64_t> tenant_in_flight_;
 };
 
 }  // namespace clapf

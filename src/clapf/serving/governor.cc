@@ -2,61 +2,21 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-
-#include "clapf/util/string_util.h"
+#include <string>
+#include <utility>
 
 namespace clapf {
 
-const char* GovernorPolicyName(GovernorPolicy policy) {
-  switch (policy) {
-    case GovernorPolicy::kPerformance: return "performance";
-    case GovernorPolicy::kOndemand: return "ondemand";
-    case GovernorPolicy::kSchedutil: return "schedutil";
-  }
-  return "unknown";
-}
+namespace {
 
-Result<GovernorPolicy> ParseGovernorPolicy(const std::string& name) {
-  const std::string key = ToLower(name);
-  if (key == "performance") return GovernorPolicy::kPerformance;
-  if (key == "ondemand") return GovernorPolicy::kOndemand;
-  if (key == "schedutil") return GovernorPolicy::kSchedutil;
-  return Status::InvalidArgument(
-      "unknown governor policy: " + name +
-      " (want performance|ondemand|schedutil)");
-}
+// Queue utilization (depth / current bound) at or above which a tick counts
+// as pressure.
+constexpr double kQueueHighWatermark = 0.75;
+// Deadline-miss fraction since the previous tick that counts as pressure on
+// its own.
+constexpr double kMissRateHighWatermark = 0.5;
 
-HistogramSnapshot HistogramDelta(const HistogramSnapshot& prev,
-                                 const HistogramSnapshot& cur) {
-  HistogramSnapshot delta = cur;
-  if (prev.counts.size() == cur.counts.size()) {
-    for (size_t i = 0; i < delta.counts.size(); ++i) {
-      delta.counts[i] -= prev.counts[i];
-    }
-    delta.count -= prev.count;
-    delta.sum -= prev.sum;
-  }
-  return delta;
-}
-
-double HistogramQuantileUpperBound(const HistogramSnapshot& snapshot,
-                                   double q) {
-  if (snapshot.count <= 0 || snapshot.bounds.empty()) return -1.0;
-  const int64_t rank = std::max<int64_t>(
-      1, static_cast<int64_t>(std::ceil(q * snapshot.count)));
-  int64_t seen = 0;
-  for (size_t b = 0; b < snapshot.counts.size(); ++b) {
-    seen += snapshot.counts[b];
-    if (seen >= rank) {
-      // Overflow bucket: no finite upper bound exists; report twice the last
-      // finite bound as a pessimistic-but-usable estimate.
-      if (b >= snapshot.bounds.size()) return snapshot.bounds.back() * 2.0;
-      return snapshot.bounds[b];
-    }
-  }
-  return snapshot.bounds.back() * 2.0;
-}
+}  // namespace
 
 ServingGovernor::ServingGovernor(const GovernorOptions& options,
                                  int64_t initial_queue_depth,
@@ -64,20 +24,15 @@ ServingGovernor::ServingGovernor(const GovernorOptions& options,
                                  AdmissionQueue* queue,
                                  FlightRecorder* recorder)
     : options_(options),
-      metrics_(metrics),
       queue_(queue),
       recorder_(recorder),
       queries_in_(metrics->GetCounter("serving.queries_total")),
       sheds_in_(metrics->GetCounter("serving.shed_total")),
       misses_in_(metrics->GetCounter("serving.deadline_exceeded_total")),
-      internal_in_(metrics->GetCounter("serving.internal_errors_total")),
       trips_in_(metrics->GetCounter("serving.breaker_trips_total")),
-      latency_in_(metrics->GetHistogram("serving.query.latency_us",
-                                        LatencyBucketsUs())),
       queue_depth_gauge_(metrics->GetGauge("serving.governor.queue_depth")),
       deadline_budget_gauge_(
           metrics->GetGauge("serving.governor.deadline_budget_us")),
-      force_packed_gauge_(metrics->GetGauge("serving.governor.force_packed")),
       ticks_(metrics->GetCounter("serving.governor.ticks_total")),
       adjustments_(metrics->GetCounter("serving.governor.adjustments_total")) {
   GovernorKnobBounds& b = options_.bounds;
@@ -88,21 +43,17 @@ ServingGovernor::ServingGovernor(const GovernorOptions& options,
       b.min_deadline_budget_us > b.max_deadline_budget_us) {
     b.min_deadline_budget_us = b.max_deadline_budget_us;
   }
-  // Knobs start at rest — with the performance policy they stay there, which
-  // is byte-for-byte the pre-governor static configuration.
-  knob_queue_depth_.store(rest_queue_depth(), std::memory_order_relaxed);
+  // Knobs start at rest: the static configuration until pressure shows.
+  knob_queue_depth_.store(b.max_queue_depth, std::memory_order_relaxed);
   knob_deadline_budget_us_.store(rest_deadline_budget_us(),
                                  std::memory_order_relaxed);
-  queue_depth_gauge_->Set(static_cast<double>(rest_queue_depth()));
+  queue_depth_gauge_->Set(static_cast<double>(b.max_queue_depth));
   deadline_budget_gauge_->Set(static_cast<double>(rest_deadline_budget_us()));
-  force_packed_gauge_->Set(0.0);
-  prev_latency_ = latency_in_->Snapshot();
 }
 
 ServingGovernor::~ServingGovernor() { Stop(); }
 
 void ServingGovernor::Start() {
-  if (options_.policy == GovernorPolicy::kPerformance) return;
   if (options_.interval_us <= 0) return;
   std::lock_guard<std::mutex> lock(ticker_mu_);
   if (ticker_.joinable()) return;
@@ -137,14 +88,10 @@ GovernorKnobs ServingGovernor::knobs() const {
   k.max_queue_depth = knob_queue_depth_.load(std::memory_order_relaxed);
   k.deadline_budget_us =
       knob_deadline_budget_us_.load(std::memory_order_relaxed);
-  k.force_packed = knob_force_packed_.load(std::memory_order_relaxed);
   return k;
 }
 
 void ServingGovernor::ApplyToQuery(QueryOptions* options) const {
-  if (knob_force_packed_.load(std::memory_order_relaxed)) {
-    options->use_packed = true;
-  }
   const int64_t budget =
       knob_deadline_budget_us_.load(std::memory_order_relaxed);
   if (budget > 0 &&
@@ -160,23 +107,15 @@ ServingGovernor::Inputs ServingGovernor::ReadInputs() {
   const int64_t queries = queries_in_->Value();
   const int64_t sheds = sheds_in_->Value();
   const int64_t misses = misses_in_->Value();
-  const int64_t internal = internal_in_->Value();
   const int64_t trips = trips_in_->Value();
   in.queries_delta = queries - prev_queries_;
   in.sheds_delta = sheds - prev_sheds_;
   in.misses_delta = misses - prev_misses_;
-  in.internal_delta = internal - prev_internal_;
   in.trips_delta = trips - prev_trips_;
   prev_queries_ = queries;
   prev_sheds_ = sheds;
   prev_misses_ = misses;
-  prev_internal_ = internal;
   prev_trips_ = trips;
-
-  HistogramSnapshot cur = latency_in_->Snapshot();
-  in.p99_us = HistogramQuantileUpperBound(HistogramDelta(prev_latency_, cur),
-                                          0.99);
-  prev_latency_ = std::move(cur);
   return in;
 }
 
@@ -213,17 +152,6 @@ void ServingGovernor::SetDeadlineBudget(int64_t budget_us, const char* why) {
                     std::string("deadline_budget_us ") + why, old, budget_us);
 }
 
-void ServingGovernor::SetForcePacked(bool on, const char* why) {
-  const bool old = knob_force_packed_.load(std::memory_order_relaxed);
-  if (on == old) return;
-  knob_force_packed_.store(on, std::memory_order_relaxed);
-  force_packed_gauge_->Set(on ? 1.0 : 0.0);
-  adjustments_->Inc();
-  recorder_->Record(FlightEventKind::kGovernorAdjust,
-                    std::string("force_packed ") + why, old ? 1 : 0,
-                    on ? 1 : 0);
-}
-
 void ServingGovernor::RelaxOneStep(const char* why) {
   const GovernorKnobBounds& b = options_.bounds;
   const int64_t depth = knob_queue_depth_.load(std::memory_order_relaxed);
@@ -243,12 +171,13 @@ void ServingGovernor::RelaxOneStep(const char* why) {
       next = std::min(next, rest_deadline_budget_us());
     }
     SetDeadlineBudget(next, why);
-    return;
   }
-  SetForcePacked(false, why);
 }
 
-void ServingGovernor::TickOndemand(const Inputs& in) {
+void ServingGovernor::Tick() {
+  std::lock_guard<std::mutex> lock(tick_mu_);
+  ticks_->Inc();
+  const Inputs in = ReadInputs();
   const int64_t depth_bound =
       knob_queue_depth_.load(std::memory_order_relaxed);
   const double utilization =
@@ -260,15 +189,13 @@ void ServingGovernor::TickOndemand(const Inputs& in) {
           ? static_cast<double>(in.misses_delta) /
                 static_cast<double>(in.queries_delta)
           : 0.0;
-  const bool pressure = utilization >= options_.queue_high_watermark ||
+  const bool pressure = utilization >= kQueueHighWatermark ||
                         in.sheds_delta > 0 || in.trips_delta > 0 ||
-                        miss_rate >= options_.miss_rate_high_watermark;
+                        miss_rate >= kMissRateHighWatermark;
   if (pressure) {
     // Step every knob to its defensive bound at once: shed early (bounded
-    // queueing latency), cap per-query budgets (bounded tail), and serve
-    // the cheap packed path. Aggressive up, slow down — the ondemand shape.
+    // queueing latency) and cap per-query budgets (bounded tail).
     calm_ticks_ = 0;
-    SetForcePacked(true, "pressure");
     SetDeadlineBudget(options_.bounds.min_deadline_budget_us, "pressure");
     SetQueueDepth(options_.bounds.min_queue_depth, "pressure");
     return;
@@ -276,64 +203,6 @@ void ServingGovernor::TickOndemand(const Inputs& in) {
   if (++calm_ticks_ >= options_.decay_ticks) {
     calm_ticks_ = 0;
     RelaxOneStep("decay");
-  }
-}
-
-void ServingGovernor::TickSchedutil(const Inputs& in) {
-  const int64_t target_us =
-      std::max<int64_t>(1, static_cast<int64_t>(
-                               options_.latency_target_ms * 1000.0));
-  if (in.p99_us < 0.0) {
-    // No latency samples since the last tick: traffic is idle, drift back
-    // toward rest so a past overload's clamps do not outlive the overload.
-    if (++calm_ticks_ >= options_.decay_ticks) {
-      calm_ticks_ = 0;
-      RelaxOneStep("idle");
-    }
-    return;
-  }
-  calm_ticks_ = 0;
-  const double err =
-      (in.p99_us - static_cast<double>(target_us)) /
-      static_cast<double>(target_us);
-  const int64_t depth = knob_queue_depth_.load(std::memory_order_relaxed);
-  if (err > 0.0) {
-    // Over target: admission is the dominant latency lever (queueing), so
-    // shrink it proportionally; cap budgets near the target so one slow
-    // query cannot blow the tail; prefer the packed path when far over.
-    const double step = std::min(err, 1.0) * options_.proportional_gain;
-    const int64_t next =
-        depth - std::max<int64_t>(1, static_cast<int64_t>(
-                                         std::llround(depth * step)));
-    SetQueueDepth(next, "over-target");
-    SetDeadlineBudget(2 * target_us, "over-target");
-    if (err > 0.5) SetForcePacked(true, "over-target");
-  } else {
-    const double step = std::min(-err, 1.0) * options_.proportional_gain;
-    const int64_t next =
-        depth + std::max<int64_t>(1, static_cast<int64_t>(
-                                         std::llround(depth * step)));
-    SetQueueDepth(next, "under-target");
-    if (err < -0.5) {
-      SetDeadlineBudget(rest_deadline_budget_us(), "under-target");
-      SetForcePacked(false, "under-target");
-    }
-  }
-}
-
-void ServingGovernor::Tick() {
-  std::lock_guard<std::mutex> lock(tick_mu_);
-  ticks_->Inc();
-  const Inputs in = ReadInputs();
-  switch (options_.policy) {
-    case GovernorPolicy::kPerformance:
-      break;  // static by definition
-    case GovernorPolicy::kOndemand:
-      TickOndemand(in);
-      break;
-    case GovernorPolicy::kSchedutil:
-      TickSchedutil(in);
-      break;
   }
 }
 

@@ -14,23 +14,17 @@ namespace clapf {
 /// meaningful target on a single-shard server.
 inline constexpr int32_t kAllShards = -1;
 
-/// The tenant a single-tenant deployment serves; every query and publish
-/// that does not name a tenant lands here.
-inline constexpr const char* kDefaultTenant = "default";
-
 /// The one publish surface of the serving layer. A request carries either an
 /// in-memory candidate model or a path to a saved one (CRC-verified by the
 /// wire format on load) — never both — plus routing: which shard the
-/// candidate replaces (kAllShards for a full swap) and which tenant's
-/// serving chain it lands in.
+/// candidate replaces (kAllShards for a full swap).
 ///
 /// The single-argument constructors are implicit by design so the unified
 /// entry point reads exactly like the two calls it replaced:
 ///
 ///   server.PublishModel(model);          // was server.Publish(model)
 ///   server.PublishModel("model.clapf");  // was server.PublishFromFile(path)
-///   server.PublishModel(
-///       PublishRequest(model).WithShard(2).WithTenant("acme"));
+///   server.PublishModel(PublishRequest(model).WithShard(2));
 ///
 /// The candidate model is always full-catalog dimensioned, even when only
 /// one shard is targeted: the server slices out the items the target shard
@@ -44,21 +38,13 @@ struct PublishRequest {
   // NOLINTNEXTLINE(google-explicit-constructor)
   PublishRequest(const char* model_path) : path(model_path) {}
 
-  /// Fluent routing setters for one-line call sites.
+  /// Fluent routing setter for one-line call sites.
   PublishRequest& WithShard(int32_t s) & {
     shard = s;
     return *this;
   }
   PublishRequest&& WithShard(int32_t s) && {
     shard = s;
-    return std::move(*this);
-  }
-  PublishRequest& WithTenant(std::string t) & {
-    tenant = std::move(t);
-    return *this;
-  }
-  PublishRequest&& WithTenant(std::string t) && {
-    tenant = std::move(t);
     return std::move(*this);
   }
 
@@ -68,8 +54,6 @@ struct PublishRequest {
   std::string path;
   /// Shard whose slice the candidate replaces, or kAllShards.
   int32_t shard = kAllShards;
-  /// Serving chain the publish lands in; created on first publish.
-  std::string tenant = kDefaultTenant;
 };
 
 }  // namespace clapf

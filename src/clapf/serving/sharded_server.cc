@@ -83,6 +83,7 @@ ModelServer::ModelServer(Dataset history, const ServerOptions& options)
     shard_stats_.push_back(
         std::make_unique<ShardServingStats>(&metrics_, s));
   }
+  breaker_windows_.resize(static_cast<size_t>(num_shards()));
   if (options_.canary.enabled && options_.canary.min_auc > 0.0) {
     TrainTestSplit split =
         SplitRandom(history_, 1.0 - options_.canary.probe_fraction,
@@ -96,14 +97,16 @@ ModelServer::ModelServer(Dataset history, const ServerOptions& options)
                             : std::min(num_shards(), 4);
     scatter_pool_ = std::make_unique<ThreadPool>(threads);
   }
-  governor_ = std::make_unique<ServingGovernor>(
-      options_.governor, options_.max_queue_depth, &metrics_, &queue_,
-      &recorder_);
-  governor_->Start();
+  if (options_.governor.has_value()) {
+    governor_ = std::make_unique<ServingGovernor>(
+        *options_.governor, options_.max_queue_depth, &metrics_, &queue_,
+        &recorder_);
+    governor_->Start();
+  }
 }
 
 ModelServer::~ModelServer() {
-  governor_->Stop();
+  if (governor_ != nullptr) governor_->Stop();
   queue_.Wait();
 }
 
@@ -138,10 +141,6 @@ Result<FactorModel> ModelServer::ResolveCandidate(PublishRequest* request) {
 
 Status ModelServer::PublishModel(PublishRequest request) {
   const int32_t target = request.shard;
-  const std::string tenant = request.tenant;
-  if (tenant.empty()) {
-    return Status::InvalidArgument("publish tenant must be non-empty");
-  }
   if (target != kAllShards && (target < 0 || target >= num_shards())) {
     return Status::InvalidArgument(
         "publish targets shard " + std::to_string(target) +
@@ -149,20 +148,19 @@ Status ModelServer::PublishModel(PublishRequest request) {
   }
   auto resolved = ResolveCandidate(&request);
   if (!resolved.ok()) return resolved.status();
-  return PublishCandidate(*resolved, &*resolved, target, tenant);
+  return PublishCandidate(*resolved, &*resolved, target);
 }
 
 Status ModelServer::PublishModel(const FactorModel& candidate) {
-  return PublishCandidate(candidate, nullptr, kAllShards, kDefaultTenant);
+  return PublishCandidate(candidate, nullptr, kAllShards);
 }
 
 Status ModelServer::PublishModel(FactorModel&& candidate) {
-  return PublishCandidate(candidate, &candidate, kAllShards, kDefaultTenant);
+  return PublishCandidate(candidate, &candidate, kAllShards);
 }
 
 Status ModelServer::PublishCandidate(const FactorModel& borrowed,
-                                     FactorModel* owned, int32_t target,
-                                     const std::string& tenant) {
+                                     FactorModel* owned, int32_t target) {
   const FactorModel* cand = &borrowed;
   std::optional<FactorModel> corrupted;
   FaultInjector& faults = FaultInjector::Instance();
@@ -241,11 +239,9 @@ Status ModelServer::PublishCandidate(const FactorModel& borrowed,
     // chain cut once so every target shard's previous slice comes from the
     // same publish generation.
     std::lock_guard<std::mutex> lock(snapshot_mu_);
-    auto it = tenants_.find(tenant);
-    if (it != tenants_.end() && !it->second.chains.empty()) {
+    if (!chains_.empty()) {
       for (size_t i = 0; i < targets.size(); ++i) {
-        prev_slices[i] =
-            it->second.chains[static_cast<size_t>(targets[i])].current;
+        prev_slices[i] = chains_[static_cast<size_t>(targets[i])].current;
       }
     }
   }
@@ -333,13 +329,10 @@ Status ModelServer::PublishCandidate(const FactorModel& borrowed,
     TraceSpan span(publish_stages_.swap);
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     published_version = next_version_++;
-    TenantState& state = tenants_[tenant];
-    if (state.chains.empty()) {
-      state.chains.resize(static_cast<size_t>(num_shards()));
-    }
+    if (chains_.empty()) chains_.resize(static_cast<size_t>(num_shards()));
     for (size_t i = 0; i < targets.size(); ++i) {
       built[i]->version = published_version;
-      ShardChain& chain = state.chains[static_cast<size_t>(targets[i])];
+      ShardChain& chain = chains_[static_cast<size_t>(targets[i])];
       displaced.push_back(
           std::exchange(chain.previous, std::move(chain.current)));
       chain.current = std::move(built[i]);
@@ -358,9 +351,8 @@ Status ModelServer::PublishCandidate(const FactorModel& borrowed,
     const int32_t s = targets[i];
     shard_stats_[static_cast<size_t>(s)]->RecordPublish();
     RecordShardEvent(s, FlightEventKind::kPublish,
-                     "tenant \"" + tenant +
-                         "\" slice cleared the canary gate",
-                     published_version, s, checked_share[i]);
+                     "slice cleared the canary gate", published_version, s,
+                     checked_share[i]);
   }
   {
     // The swapped shards get fresh breaker windows: errors charged to their
@@ -368,22 +360,17 @@ Status ModelServer::PublishCandidate(const FactorModel& borrowed,
     // shards keep their windows — their slices did not change.
     std::lock_guard<std::mutex> lock(breaker_mu_);
     for (int32_t s : targets) {
-      breaker_windows_[{tenant, s}] = BreakerWindow{};
+      breaker_windows_[static_cast<size_t>(s)] = BreakerWindow{};
     }
   }
   return Status::OK();
 }
 
-std::vector<std::shared_ptr<const ShardSlice>>
-ModelServer::AcquireCut(const std::string& tenant) const {
+std::vector<std::shared_ptr<const ShardSlice>> ModelServer::AcquireCut()
+    const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end() || it->second.chains.empty()) return {};
-  std::vector<std::shared_ptr<const ShardSlice>> cut(
-      it->second.chains.size());
-  for (size_t s = 0; s < cut.size(); ++s) {
-    cut[s] = it->second.chains[s].current;
-  }
+  std::vector<std::shared_ptr<const ShardSlice>> cut(chains_.size());
+  for (size_t s = 0; s < cut.size(); ++s) cut[s] = chains_[s].current;
   return cut;
 }
 
@@ -510,8 +497,8 @@ Result<std::vector<ScoredItem>> ModelServer::ServeUser(
     top[0].score = std::numeric_limits<double>::quiet_NaN();
   }
   // Serve-time integrity, attributed to the failure domain: a non-finite
-  // score is charged to the shard that owns the item, and only that
-  // (tenant, shard) breaker window eats the error.
+  // score is charged to the shard that owns the item, and only that shard's
+  // breaker window eats the error.
   for (const ScoredItem& item : top) {
     if (!std::isfinite(item.score)) {
       const int32_t s = shard_map_.ShardOfItem(item.item);
@@ -536,7 +523,7 @@ bool ModelServer::AllDark(
                   })) {
     return false;
   }
-  // Every shard of a published tenant tripped dark: the shards still count
+  // Every shard of a published server tripped dark: the shards still count
   // the popularity-served query, so their cooldowns advance toward the
   // half-open probe.
   attr->consulted.resize(cut.size());
@@ -545,12 +532,11 @@ bool ModelServer::AllDark(
 }
 
 Result<std::vector<ScoredItem>> ModelServer::ServeOne(
-    UserId u, size_t k, const QueryOptions& options,
-    const std::string& tenant, QueryAttribution* attr) {
+    UserId u, size_t k, const QueryOptions& options, QueryAttribution* attr) {
   if (u < 0 || u >= history_.num_users()) {
     return Status::OutOfRange("unknown user id " + std::to_string(u));
   }
-  auto cut = AcquireCut(tenant);
+  auto cut = AcquireCut();
   if (AllDark(cut, attr)) {
     stats_.RecordDegraded();
     return ServeDegraded(u, k, options);
@@ -558,9 +544,10 @@ Result<std::vector<ScoredItem>> ModelServer::ServeOne(
   return ServeUser(u, k, options, DeadlineFrom(options), cut, attr);
 }
 
-Result<BatchReply> ModelServer::ServeBatch(
-    std::span<const UserId> users, size_t k, const QueryOptions& options,
-    const std::string& tenant, QueryAttribution* attr) {
+Result<BatchReply> ModelServer::ServeBatch(std::span<const UserId> users,
+                                           size_t k,
+                                           const QueryOptions& options,
+                                           QueryAttribution* attr) {
   for (UserId u : users) {
     if (u < 0 || u >= history_.num_users()) {
       return Status::OutOfRange("unknown user id " + std::to_string(u));
@@ -571,7 +558,7 @@ Result<BatchReply> ModelServer::ServeBatch(
   reply.complete.assign(users.size(), 0);
   if (users.empty()) return reply;
 
-  auto cut = AcquireCut(tenant);
+  auto cut = AcquireCut();
   if (AllDark(cut, attr)) {
     for (size_t i = 0; i < users.size(); ++i) {
       stats_.RecordDegraded();
@@ -603,22 +590,21 @@ Result<BatchReply> ModelServer::ServeBatch(
 }
 
 Result<std::vector<ScoredItem>> ModelServer::Recommend(
-    UserId u, size_t k, const QueryOptions& options,
-    const std::string& tenant) {
+    UserId u, size_t k, const QueryOptions& options) {
   stats_.RecordQuery();
-  QueryOptions effective = options;
-  governor_->ApplyToQuery(&effective);
+  // Without a governor the caller's options pass straight through.
+  std::optional<QueryOptions> governed;
+  if (governor_ != nullptr) {
+    governor_->ApplyToQuery(&governed.emplace(options));
+  }
+  const QueryOptions& effective = governed ? *governed : options;
   TraceSpan span(query_latency_);
   std::promise<Result<std::vector<ScoredItem>>> promise;
   auto future = promise.get_future();
   QueryAttribution attr;
-  auto task = [this, u, k, &effective, &tenant, &promise, &attr] {
-    promise.set_value(ServeOne(u, k, effective, tenant, &attr));
-  };
-  Status admitted =
-      options_.per_tenant_quota > 0
-          ? queue_.SubmitForTenant(tenant, options_.per_tenant_quota, task)
-          : queue_.Submit(task);
+  Status admitted = queue_.Submit([this, u, k, &effective, &promise, &attr] {
+    promise.set_value(ServeOne(u, k, effective, &attr));
+  });
   if (!admitted.ok()) {
     span.Cancel();
     stats_.RecordShed();
@@ -634,27 +620,27 @@ Result<std::vector<ScoredItem>> ModelServer::Recommend(
     recorder_.Record(FlightEventKind::kSlowQuery,
                      "query served above slow threshold", u, 0, elapsed_us);
   }
-  RecordOutcome(out.status(), tenant, attr);
+  RecordOutcome(out.status(), attr);
   return out;
 }
 
-Result<BatchReply> ModelServer::RecommendBatch(
-    std::span<const UserId> users, size_t k, const QueryOptions& options,
-    const std::string& tenant) {
+Result<BatchReply> ModelServer::RecommendBatch(std::span<const UserId> users,
+                                               size_t k,
+                                               const QueryOptions& options) {
   stats_.RecordQuery();
-  QueryOptions effective = options;
-  governor_->ApplyToQuery(&effective);
+  std::optional<QueryOptions> governed;
+  if (governor_ != nullptr) {
+    governor_->ApplyToQuery(&governed.emplace(options));
+  }
+  const QueryOptions& effective = governed ? *governed : options;
   TraceSpan span(batch_latency_);
   std::promise<Result<BatchReply>> promise;
   auto future = promise.get_future();
   QueryAttribution attr;
-  auto task = [this, users, k, &effective, &tenant, &promise, &attr] {
-    promise.set_value(ServeBatch(users, k, effective, tenant, &attr));
-  };
   Status admitted =
-      options_.per_tenant_quota > 0
-          ? queue_.SubmitForTenant(tenant, options_.per_tenant_quota, task)
-          : queue_.Submit(task);
+      queue_.Submit([this, users, k, &effective, &promise, &attr] {
+        promise.set_value(ServeBatch(users, k, effective, &attr));
+      });
   if (!admitted.ok()) {
     span.Cancel();
     stats_.RecordShed();
@@ -672,15 +658,14 @@ Result<BatchReply> ModelServer::RecommendBatch(
                      static_cast<int64_t>(users.size()), 0, elapsed_us);
   }
   if (out.ok() && out->deadline_exceeded) {
-    RecordOutcome(Status::DeadlineExceeded("partial batch"), tenant, attr);
+    RecordOutcome(Status::DeadlineExceeded("partial batch"), attr);
   } else {
-    RecordOutcome(out.status(), tenant, attr);
+    RecordOutcome(out.status(), attr);
   }
   return out;
 }
 
 void ModelServer::RecordOutcome(const Status& status,
-                                const std::string& tenant,
                                 const QueryAttribution& attr) {
   bool breaker_error = false;
   switch (status.code()) {
@@ -715,17 +700,16 @@ void ModelServer::RecordOutcome(const Status& status,
   for (int32_t s : attr.consulted) {
     shard_stats_[static_cast<size_t>(s)]->RecordQuery();
   }
-  if (!options_.breaker.enabled) return;
 
   // Outcomes that exercised the served slices and can judge their health —
   // what a shard's half-open probe window counts. Deadline misses and
   // client errors say nothing about the slice under probe.
   const bool judges_model = status.code() == StatusCode::kOk || breaker_error;
 
-  // Each consulted shard's (tenant, shard) window counts this query; only
-  // the blamed shard's window eats the error. Every state transition is
-  // decided under breaker_mu_ and acted on after releasing it — the
-  // actions take snapshot_mu_, and the two locks are never held together.
+  // Each consulted shard's window counts this query; only the blamed
+  // shard's window eats the error. Every state transition is decided under
+  // breaker_mu_ and acted on after releasing it — the actions take
+  // snapshot_mu_, and the two locks are never held together.
   std::vector<int32_t> judged = attr.consulted;
   if (attr.blame >= 0 &&
       std::find(judged.begin(), judged.end(), attr.blame) == judged.end()) {
@@ -743,7 +727,7 @@ void ModelServer::RecordOutcome(const Status& status,
   {
     std::lock_guard<std::mutex> lock(breaker_mu_);
     for (int32_t s : judged) {
-      BreakerWindow& w = breaker_windows_[{tenant, s}];
+      BreakerWindow& w = breaker_windows_[static_cast<size_t>(s)];
       const bool shard_error = breaker_error && s == attr.blame;
       if (w.state == ShardBreakerState::kHalfOpen) {
         // The probe window judges this shard's re-admitted slice alone;
@@ -795,35 +779,33 @@ void ModelServer::RecordOutcome(const Status& status,
   for (const ShardAction& action : actions) {
     switch (action.kind) {
       case ShardAction::Kind::kTrip:
-        TripShardBreaker(tenant, action.shard);
+        TripShardBreaker(action.shard);
         break;
       case ShardAction::Kind::kBeginProbe:
-        BeginShardProbe(tenant, action.shard);
+        BeginShardProbe(action.shard);
         break;
       case ShardAction::Kind::kResolveProbe:
-        ResolveShardProbe(tenant, action.shard, action.recovered,
-                          action.rate);
+        ResolveShardProbe(action.shard, action.recovered, action.rate);
         break;
     }
   }
 }
 
-bool ModelServer::TripShardBreaker(const std::string& tenant, int32_t shard) {
+bool ModelServer::TripShardBreaker(int32_t shard) {
   bool have_probe_candidate = false;
   // Slices the chain lets go of, freed after snapshot_mu_ is released.
   std::vector<std::shared_ptr<const ShardSlice>> released;
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
-    auto it = tenants_.find(tenant);
-    if (it == tenants_.end() || it->second.chains.empty()) return false;
+    if (chains_.empty()) return false;
     stats_.RecordBreakerTrip();
     shard_stats_[static_cast<size_t>(shard)]->RecordBreakerTrip();
-    ShardChain& chain = it->second.chains[static_cast<size_t>(shard)];
+    ShardChain& chain = chains_[static_cast<size_t>(shard)];
     const int64_t from_version =
         chain.current != nullptr ? chain.current->version : 0;
     RecordShardEvent(shard, FlightEventKind::kBreakerTrip,
-                     "error-rate breaker fired on tenant \"" + tenant +
-                         "\" shard " + std::to_string(shard),
+                     "error-rate breaker fired on shard " +
+                         std::to_string(shard),
                      from_version, shard);
     // Stash the failing slice for a later half-open probe; a newer trip
     // replaces any older, never-probed candidate.
@@ -834,10 +816,9 @@ bool ModelServer::TripShardBreaker(const std::string& tenant, int32_t shard) {
       have_probe_candidate = true;
     }
     if (chain.previous != nullptr) {
-      CLAPF_LOG(Warning) << "circuit breaker tripped on tenant \"" << tenant
-                         << "\" shard " << shard << " slice v"
-                         << from_version << ": rolling back to v"
-                         << chain.previous->version;
+      CLAPF_LOG(Warning) << "circuit breaker tripped on shard " << shard
+                         << " slice v" << from_version
+                         << ": rolling back to v" << chain.previous->version;
       RecordShardEvent(shard, FlightEventKind::kRollback,
                        "shard rolled back to previous slice", from_version,
                        chain.previous->version);
@@ -846,8 +827,7 @@ bool ModelServer::TripShardBreaker(const std::string& tenant, int32_t shard) {
       stats_.RecordRollback();
       shard_stats_[static_cast<size_t>(shard)]->RecordRollback();
     } else {
-      CLAPF_LOG(Warning) << "circuit breaker tripped on tenant \"" << tenant
-                         << "\" shard " << shard
+      CLAPF_LOG(Warning) << "circuit breaker tripped on shard " << shard
                          << " with no rollback target: shard degrades to "
                             "popularity fallback";
       RecordShardEvent(shard, FlightEventKind::kDegrade,
@@ -863,7 +843,7 @@ bool ModelServer::TripShardBreaker(const std::string& tenant, int32_t shard) {
     // already zeroed the tumbling counters when it decided the trip; this
     // re-zeroing only covers direct TripShardBreaker callers.
     std::lock_guard<std::mutex> lock(breaker_mu_);
-    BreakerWindow& w = breaker_windows_[{tenant, shard}];
+    BreakerWindow& w = breaker_windows_[static_cast<size_t>(shard)];
     if (have_probe_candidate && options_.breaker.cooldown_queries > 0) {
       w.state = ShardBreakerState::kCooldown;
       w.cooldown_left = options_.breaker.cooldown_queries;
@@ -886,14 +866,13 @@ bool ModelServer::TripShardBreaker(const std::string& tenant, int32_t shard) {
   return have_probe_candidate;
 }
 
-bool ModelServer::BeginShardProbe(const std::string& tenant, int32_t shard) {
+bool ModelServer::BeginShardProbe(int32_t shard) {
   bool started = false;
   int64_t probe_version = 0;
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
-    auto it = tenants_.find(tenant);
-    if (it != tenants_.end() && !it->second.chains.empty()) {
-      ShardChain& chain = it->second.chains[static_cast<size_t>(shard)];
+    if (!chains_.empty()) {
+      ShardChain& chain = chains_[static_cast<size_t>(shard)];
       if (chain.tripped != nullptr) {
         chain.probe_fallback = chain.current;
         probe_version = chain.tripped->version;
@@ -906,7 +885,7 @@ bool ModelServer::BeginShardProbe(const std::string& tenant, int32_t shard) {
     // A publish raced the probe open and superseded the stashed slice;
     // nothing to probe.
     std::lock_guard<std::mutex> lock(breaker_mu_);
-    BreakerWindow& w = breaker_windows_[{tenant, shard}];
+    BreakerWindow& w = breaker_windows_[static_cast<size_t>(shard)];
     w.state = ShardBreakerState::kClosed;
     w.probe_left = 0;
     w.probe_errors = 0;
@@ -915,26 +894,23 @@ bool ModelServer::BeginShardProbe(const std::string& tenant, int32_t shard) {
   stats_.RecordProbe();
   shard_stats_[static_cast<size_t>(shard)]->RecordProbe();
   RecordShardEvent(shard, FlightEventKind::kProbeStart,
-                   "half-open probe re-admitted tripped slice on tenant \"" +
-                       tenant + "\" shard " + std::to_string(shard),
+                   "half-open probe re-admitted tripped slice on shard " +
+                       std::to_string(shard),
                    probe_version, shard);
   CLAPF_LOG(Info) << "half-open probe: re-admitting tripped slice v"
-                  << probe_version << " on tenant \"" << tenant << "\" shard "
-                  << shard << " for " << options_.breaker.probe_window
-                  << " queries";
+                  << probe_version << " on shard " << shard << " for "
+                  << options_.breaker.probe_window << " queries";
   return true;
 }
 
-void ModelServer::ResolveShardProbe(const std::string& tenant,
-                                    int32_t shard, bool recovered,
+void ModelServer::ResolveShardProbe(int32_t shard, bool recovered,
                                     double error_rate) {
   // Slices the chain lets go of, declared before the lock so that they are
   // freed after snapshot_mu_ is released.
   std::shared_ptr<const ShardSlice> released[3];
   std::lock_guard<std::mutex> lock(snapshot_mu_);
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end() || it->second.chains.empty()) return;
-  ShardChain& chain = it->second.chains[static_cast<size_t>(shard)];
+  if (chains_.empty()) return;
+  ShardChain& chain = chains_[static_cast<size_t>(shard)];
   if (chain.tripped == nullptr || chain.current != chain.tripped) {
     // A publish replaced the probe slice mid-window; its verdict is moot.
     released[0] = std::move(chain.tripped);
@@ -954,8 +930,8 @@ void ModelServer::ResolveShardProbe(const std::string& tenant,
                      chain.previous != nullptr ? chain.previous->version : 0,
                      error_rate);
     CLAPF_LOG(Info) << "half-open probe passed: slice v" << probe_version
-                    << " reinstated on tenant \"" << tenant << "\" shard "
-                    << shard << " (error rate " << error_rate << ")";
+                    << " reinstated on shard " << shard << " (error rate "
+                    << error_rate << ")";
   } else {
     released[2] = std::exchange(chain.current, chain.probe_fallback);
     stats_.RecordProbeFailure();
@@ -966,44 +942,32 @@ void ModelServer::ResolveShardProbe(const std::string& tenant,
                      chain.current != nullptr ? chain.current->version : 0,
                      error_rate);
     CLAPF_LOG(Warning) << "half-open probe failed: slice v" << probe_version
-                       << " discarded on tenant \"" << tenant << "\" shard "
-                       << shard << " (error rate " << error_rate << ")";
+                       << " discarded on shard " << shard << " (error rate "
+                       << error_rate << ")";
   }
   released[0] = std::move(chain.tripped);
   released[1] = std::move(chain.probe_fallback);
 }
 
-std::vector<std::string> ModelServer::tenants() const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  std::vector<std::string> names;
-  names.reserve(tenants_.size());
-  for (const auto& [name, state] : tenants_) names.push_back(name);
-  return names;  // std::map iteration is already sorted
-}
-
-std::vector<int64_t> ModelServer::shard_versions(
-    const std::string& tenant) const {
+std::vector<int64_t> ModelServer::shard_versions() const {
   std::vector<int64_t> versions(static_cast<size_t>(num_shards()), 0);
   std::lock_guard<std::mutex> lock(snapshot_mu_);
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) return versions;
-  for (size_t s = 0; s < it->second.chains.size(); ++s) {
-    const auto& current = it->second.chains[s].current;
+  for (size_t s = 0; s < chains_.size(); ++s) {
+    const auto& current = chains_[s].current;
     versions[s] = current != nullptr ? current->version : 0;
   }
   return versions;
 }
 
-int64_t ModelServer::version(const std::string& tenant) const {
-  const std::vector<int64_t> versions = shard_versions(tenant);
+int64_t ModelServer::version() const {
+  const std::vector<int64_t> versions = shard_versions();
   return *std::min_element(versions.begin(), versions.end());
 }
 
-bool ModelServer::degraded(const std::string& tenant) const {
+bool ModelServer::degraded() const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end() || it->second.chains.empty()) return true;
-  for (const ShardChain& chain : it->second.chains) {
+  if (chains_.empty()) return true;
+  for (const ShardChain& chain : chains_) {
     if (chain.current == nullptr) return true;
   }
   return false;

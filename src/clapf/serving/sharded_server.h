@@ -2,13 +2,11 @@
 #define CLAPF_SERVING_SHARDED_SERVER_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "clapf/data/dataset.h"
@@ -71,12 +69,11 @@ struct CanaryOptions {
   int32_t ann_recall_k = 10;
 };
 
-/// Post-publish error-rate circuit breaker. Queries are grouped into
-/// tumbling windows; when a full-enough window's internal-error rate
+/// Post-publish error-rate circuit breaker, always on. Queries are grouped
+/// into tumbling windows; when a full-enough window's internal-error rate
 /// crosses the threshold, the server rolls back to the previous snapshot
 /// (or degrades to the popularity fallback when none exists).
 struct BreakerOptions {
-  bool enabled = true;
   /// Queries per evaluation window.
   int64_t window = 64;
   /// Smallest window the breaker will judge — avoids tripping on one
@@ -134,9 +131,10 @@ struct ServerOptions {
   IvfOptions ivf;
   CanaryOptions canary;
   BreakerOptions breaker;
-  /// Adaptive knob control (policy, bounds, tick cadence); the default
-  /// `performance` policy reproduces the static pre-governor behavior.
-  GovernorOptions governor;
+  /// Adaptive knob control (bounds, tick cadence). Absent, the default, the
+  /// knobs stay at their configured values and queries pass through
+  /// untouched; present, an ondemand ServingGovernor steers them.
+  std::optional<GovernorOptions> governor;
   /// Events retained by the incident flight recorder (rounded up to a power
   /// of two).
   int64_t flight_recorder_capacity = 256;
@@ -155,9 +153,6 @@ struct ServerOptions {
   /// Scatter worker threads fanning one query across shards; 0 picks
   /// min(num_shards, 4). Irrelevant when num_shards == 1 (inline scoring).
   int scatter_threads = 0;
-  /// Per-tenant in-flight admission budget; <= 0 disables tenant quotas
-  /// (the global max_queue_depth bound always applies).
-  int64_t per_tenant_quota = 0;
 };
 
 /// Reply from ModelServer::RecommendBatch: results[i] answers users[i].
@@ -181,18 +176,18 @@ struct BatchReply {
 /// (ShardMap); one shard — the default — is the monolithic server, and
 /// every shard count runs the same code.
 ///
-/// Query path (scatter-gather): one admission decision at the front (global
-/// bound plus the per-tenant quota), then the admitted worker takes a
-/// consistent cut of every shard's current slice under one mutex
-/// acquisition and fans the shards out over a dedicated scatter pool (one
-/// shard scores inline). Each shard runs Retrieve over its local items,
-/// raising a shared ThresholdBroadcast bar so shards early-reject against
-/// each other's k-th-best; the gathered per-shard heaps merge through one
-/// TopKAccumulator whose (score desc, item asc) total order makes the result
-/// BIT-IDENTICAL for every shard count — same scores, same order, same
-/// smaller-id tie-break. Cold-start and min_score are decided once at the
-/// gather side, so a user who is warm globally is never mistaken for cold in
-/// a shard where they happen to have no history.
+/// Query path (scatter-gather): one admission decision at the front (the
+/// global bound), then the admitted worker takes a consistent cut of every
+/// shard's current slice under one mutex acquisition and fans the shards
+/// out over a dedicated scatter pool (one shard scores inline). Each shard
+/// runs Retrieve over its local items, raising a shared ThresholdBroadcast
+/// bar so shards early-reject against each other's k-th-best; the gathered
+/// per-shard heaps merge through one TopKAccumulator whose (score desc,
+/// item asc) total order makes the result BIT-IDENTICAL for every shard
+/// count — same scores, same order, same smaller-id tie-break. Cold-start
+/// and min_score are decided once at the gather side, so a user who is warm
+/// globally is never mistaken for cold in a shard where they happen to have
+/// no history.
 ///
 /// Publish path: Publish(candidate) → canary gate → atomic swap. A
 /// PublishRequest targets one shard or all of them, always with a
@@ -209,23 +204,20 @@ struct BatchReply {
 /// one-shard publish reloads that shard while the others keep serving —
 /// incremental hot reload. A failed gate leaves the prior slices serving.
 ///
-/// Tenancy: serving chains are keyed by tenant name, created on first
-/// publish. Tenants share the catalog, history, and worker pools but have
-/// independent slices, breaker windows, and (when
-/// ServerOptions::per_tenant_quota is set) admission budgets.
+/// Serving chains: one per shard, created by the first publish. Before it
+/// the server consults no shard and answers from popularity.
 ///
 /// Failure domains: after a publish, a serve-time integrity check turns a
 /// non-finite score into Internal, charged to the shard owning the item;
-/// only that (tenant, shard) breaker window eats the error. A tripped shard
-/// rolls back to its previous slice, or degrades to its popularity slice
-/// when it has none, while the other shards keep serving the model. Each
-/// (tenant, shard) breaker then runs half-open recovery — cooldown, probe
-/// window, reinstate-or-revert (BreakerOptions::half_open et al.) — scoped
-/// to its own failure domain: only queries that consulted the shard advance
-/// its cooldown and probe, and a probe verdict swaps that shard's slice
-/// alone. The governor is deliberately global: its levers (admission depth,
-/// deadline budget, packed forcing) are shared resources, so per-shard
-/// governors would fight over one knob.
+/// only that shard's breaker window eats the error. A tripped shard rolls
+/// back to its previous slice, or degrades to its popularity slice when it
+/// has none, while the other shards keep serving the model. Each shard's
+/// breaker then runs half-open recovery — cooldown, probe window,
+/// reinstate-or-revert (BreakerOptions::half_open et al.) — scoped to its
+/// own failure domain: only queries that consulted the shard advance its
+/// cooldown and probe, and a probe verdict swaps that shard's slice alone.
+/// The optional governor is server-wide: its levers (admission depth,
+/// deadline budget) are shared resources.
 ///
 /// Readers copy shared_ptrs under a mutex held for nanoseconds, then score
 /// lock-free on their private cut; publishes swap the pointers under the
@@ -236,7 +228,7 @@ struct BatchReply {
 class ModelServer {
  public:
   /// Serves `history` (copied) across ServerOptions::num_shards shards. No
-  /// model is published yet, so every tenant starts degraded to popularity.
+  /// model is published yet, so the server starts degraded to popularity.
   ModelServer(Dataset history, const ServerOptions& options);
 
   /// Stops the governor ticker and drains in-flight queries.
@@ -245,14 +237,14 @@ class ModelServer {
   /// The unified publish entry point: resolves `request` (an in-memory
   /// candidate or a CRC-verified model file — the implicit PublishRequest
   /// conversions make `PublishModel(path)` read naturally; one shard or
-  /// all; any tenant), gates it, and swaps it in. On any gate failure
-  /// (InvalidArgument / Corruption / FailedPrecondition) nothing swaps and
-  /// the prior slices keep serving.
+  /// all), gates it, and swaps it in. On any gate failure (InvalidArgument
+  /// / Corruption / FailedPrecondition) nothing swaps and the prior slices
+  /// keep serving.
   Status PublishModel(PublishRequest request);
 
-  /// Publishes a candidate the caller keeps to every shard of the default
-  /// tenant, with no copy before the gate: the gate stages read `candidate`
-  /// in place, and each built slice takes its own copy in tiles over
+  /// Publishes a candidate the caller keeps to every shard, with no copy
+  /// before the gate: the gate stages read `candidate` in place, and each
+  /// built slice takes its own copy in tiles over
   /// ServerOptions::ivf.build_threads (the handover stage). On one shard a
   /// candidate of 32 MB or more gets its slice's storage allocated beside
   /// the stages and filled after them. Nothing refers to `candidate` once
@@ -264,56 +256,46 @@ class ModelServer {
   /// it without a copy. Same as PublishModel(PublishRequest(candidate)).
   Status PublishModel(FactorModel&& candidate);
 
-  /// Scatter-gather top-k for one user of `tenant`, through admission
-  /// control on the serving pool. Outcomes: the ranked list,
-  /// DeadlineExceeded (options.deadline expired), Unavailable (shed by the
-  /// global bound or tenant quota), OutOfRange (bad id), or Internal
-  /// (shard-attributed integrity failure — that shard's breaker food).
-  Result<std::vector<ScoredItem>> Recommend(
-      UserId u, size_t k, const QueryOptions& options = {},
-      const std::string& tenant = kDefaultTenant);
+  /// Scatter-gather top-k for one user, through admission control on the
+  /// serving pool. Outcomes: the ranked list, DeadlineExceeded
+  /// (options.deadline expired), Unavailable (shed by the admission bound),
+  /// OutOfRange (bad id), or Internal (shard-attributed integrity failure —
+  /// that shard's breaker food).
+  Result<std::vector<ScoredItem>> Recommend(UserId u, size_t k,
+                                            const QueryOptions& options = {});
 
   /// Alias of Recommend, kept so code written against the sharded server's
   /// method name still compiles.
   Result<std::vector<ScoredItem>> RecommendOne(
-      UserId u, size_t k, const QueryOptions& options = {},
-      const std::string& tenant = kDefaultTenant) {
-    return Recommend(u, k, options, tenant);
+      UserId u, size_t k, const QueryOptions& options = {}) {
+    return Recommend(u, k, options);
   }
 
   /// Batched scatter-gather as one admitted unit of work; an expired
   /// deadline returns the completed prefix with the rest flagged.
   Result<BatchReply> RecommendBatch(std::span<const UserId> users, size_t k,
-                                    const QueryOptions& options = {},
-                                    const std::string& tenant =
-                                        kDefaultTenant);
+                                    const QueryOptions& options = {});
 
   const ShardMap& shard_map() const { return shard_map_; }
   int32_t num_shards() const { return shard_map_.num_shards(); }
 
-  /// Tenants with a serving chain (publish creates one), sorted by name.
-  std::vector<std::string> tenants() const;
+  /// Per-shard serving versions, ascending shard order; 0 for a shard with
+  /// no valid slice (all zeros before the first publish).
+  std::vector<int64_t> shard_versions() const;
 
-  /// Per-shard serving versions for `tenant`, ascending shard order; 0 for
-  /// a shard with no valid slice. An unknown tenant gets all zeros.
-  std::vector<int64_t> shard_versions(
-      const std::string& tenant = kDefaultTenant) const;
+  /// The oldest slice version serving any shard — with one shard, the
+  /// version of the snapshot serving; 0 while degraded().
+  int64_t version() const;
 
-  /// The oldest slice version serving any shard of `tenant` — with one
-  /// shard, the version of the snapshot serving; 0 while degraded().
-  int64_t version(const std::string& tenant = kDefaultTenant) const;
-
-  /// True while ANY shard of `tenant` answers from the popularity fallback
-  /// (no valid slice) — including the never-published and unknown-tenant
-  /// cases.
-  bool degraded(const std::string& tenant = kDefaultTenant) const;
+  /// True while ANY shard answers from the popularity fallback (no valid
+  /// slice) — including before the first publish.
+  bool degraded() const;
 
   /// Point-in-time copy of the server-wide counters.
   ServingStatsSnapshot stats() const;
 
   /// Per-shard counters, shards in ascending id order regardless of which
-  /// thread, tenant, or registry iteration produced them (deterministic
-  /// aggregation).
+  /// thread or registry iteration produced them (deterministic aggregation).
   std::vector<ShardStatsSnapshot> shard_stats() const;
 
   /// The server's metrics registry: every serving counter, the
@@ -341,15 +323,18 @@ class ModelServer {
   Status DumpFlightRecorder(const std::string& path,
                             const FlightDumpOptions& options = {}) const;
 
-  /// The serving governor (never null). Its knobs() are the live values; in
-  /// drills, drive the control loop deterministically with TickGovernor().
-  const ServingGovernor& governor() const { return *governor_; }
-  void TickGovernor() { governor_->Tick(); }
+  /// The serving governor, or null when ServerOptions::governor is absent.
+  /// Its knobs() are the live values; in drills, drive the control loop
+  /// deterministically with TickGovernor() (a no-op without a governor).
+  const ServingGovernor* governor() const { return governor_.get(); }
+  void TickGovernor() {
+    if (governor_ != nullptr) governor_->Tick();
+  }
 
   const Dataset& history() const { return history_; }
 
  private:
-  /// One (tenant, shard) serving chain. current/previous are guarded by
+  /// One shard's serving chain. current/previous are guarded by
   /// snapshot_mu_ (the RCU pattern, per shard).
   struct ShardChain {
     std::shared_ptr<const ShardSlice> current;
@@ -361,16 +346,13 @@ class ModelServer {
     std::shared_ptr<const ShardSlice> tripped;
     std::shared_ptr<const ShardSlice> probe_fallback;
   };
-  struct TenantState {
-    std::vector<ShardChain> chains;  // one per shard
-  };
-  /// Tumbling-window breaker phase of one (tenant, shard). kClosed judges
-  /// full windows and trips; kCooldown counts consulted queries toward the
-  /// probe; kHalfOpen judges the probe window against the re-admitted slice.
+  /// Tumbling-window breaker phase of one shard. kClosed judges full
+  /// windows and trips; kCooldown counts consulted queries toward the probe;
+  /// kHalfOpen judges the probe window against the re-admitted slice.
   enum class ShardBreakerState { kClosed, kCooldown, kHalfOpen };
-  /// Per-(tenant, shard) breaker window and half-open state, guarded by
-  /// breaker_mu_. A publish to the shard resets the whole struct — a fresh
-  /// slice starts closed with an empty window.
+  /// Per-shard breaker window and half-open state, guarded by breaker_mu_.
+  /// A publish to the shard resets the whole struct — a fresh slice starts
+  /// closed with an empty window.
   struct BreakerWindow {
     int64_t queries = 0;
     int64_t errors = 0;
@@ -391,30 +373,27 @@ class ModelServer {
   Result<FactorModel> ResolveCandidate(PublishRequest* request);
 
   /// The publish behind every PublishModel overload: gates `candidate` for
-  /// `target` of `tenant` and swaps it in. `owned` (may be null) is
-  /// `candidate` itself when the server may move from it.
+  /// `target` and swaps it in. `owned` (may be null) is `candidate` itself
+  /// when the server may move from it.
   Status PublishCandidate(const FactorModel& candidate, FactorModel* owned,
-                          int32_t target, const std::string& tenant);
+                          int32_t target);
 
-  /// Consistent cut of `tenant`'s chains (one mutex hold). Empty when the
-  /// tenant has never been published to.
-  std::vector<std::shared_ptr<const ShardSlice>> AcquireCut(
-      const std::string& tenant) const;
+  /// Consistent cut of the chains (one mutex hold). Empty before the first
+  /// publish.
+  std::vector<std::shared_ptr<const ShardSlice>> AcquireCut() const;
 
-  /// True when no shard of `cut` has a slice (never-published or unknown
-  /// tenant, or every shard tripped dark): the whole answer then comes from
-  /// popularity. For a published tenant every shard is marked consulted.
+  /// True when no shard of `cut` has a slice (never published, or every
+  /// shard tripped dark): the whole answer then comes from popularity.
+  /// After the first publish every shard is marked consulted.
   bool AllDark(const std::vector<std::shared_ptr<const ShardSlice>>& cut,
                QueryAttribution* attr) const;
 
   /// Pool-worker entries.
   Result<std::vector<ScoredItem>> ServeOne(UserId u, size_t k,
                                            const QueryOptions& options,
-                                           const std::string& tenant,
                                            QueryAttribution* attr);
   Result<BatchReply> ServeBatch(std::span<const UserId> users, size_t k,
                                 const QueryOptions& options,
-                                const std::string& tenant,
                                 QueryAttribution* attr);
 
   /// The scatter-gather core for one (validated) user against one cut.
@@ -425,28 +404,26 @@ class ModelServer {
       QueryAttribution* attr);
 
   /// Popularity ranking over the whole catalog with history/option
-  /// exclusions — the answer for a cold user, and while no shard of the
-  /// tenant has a slice. Empty for a cold user with
-  /// QueryOptions::cold_start_fallback off.
+  /// exclusions — the answer for a cold user, and while no shard has a
+  /// slice. Empty for a cold user with QueryOptions::cold_start_fallback
+  /// off.
   Result<std::vector<ScoredItem>> ServeDegraded(
       UserId u, size_t k, const QueryOptions& options) const;
 
   /// Stats + per-shard breaker accounting for one finished query.
-  void RecordOutcome(const Status& status, const std::string& tenant,
-                     const QueryAttribution& attr);
+  void RecordOutcome(const Status& status, const QueryAttribution& attr);
 
-  /// Breaker action for one (tenant, shard): roll the shard back to its
-  /// previous slice or degrade it to popularity; the other shards are
-  /// untouched. Returns true when the rolled-back-from slice was stashed
-  /// for a later half-open probe.
-  bool TripShardBreaker(const std::string& tenant, int32_t shard);
+  /// Breaker action for one shard: roll it back to its previous slice or
+  /// degrade it to popularity; the other shards are untouched. Returns true
+  /// when the rolled-back-from slice was stashed for a later half-open
+  /// probe.
+  bool TripShardBreaker(int32_t shard);
 
-  /// Half-open transitions for one (tenant, shard); called off breaker_mu_
-  /// (they take snapshot_mu_). BeginShardProbe returns false when a publish
-  /// superseded the stashed slice and there is nothing to probe.
-  bool BeginShardProbe(const std::string& tenant, int32_t shard);
-  void ResolveShardProbe(const std::string& tenant, int32_t shard,
-                         bool recovered, double error_rate);
+  /// Half-open transitions for one shard; called off breaker_mu_ (they take
+  /// snapshot_mu_). BeginShardProbe returns false when a publish superseded
+  /// the stashed slice and there is nothing to probe.
+  bool BeginShardProbe(int32_t shard);
+  void ResolveShardProbe(int32_t shard, bool recovered, double error_rate);
 
   /// Records one shard-scoped event into both the global and the shard's
   /// own recorder.
@@ -463,11 +440,11 @@ class ModelServer {
   std::vector<ModelShard> shards_;
 
   mutable std::mutex snapshot_mu_;
-  std::map<std::string, TenantState> tenants_;  // created on first publish
-  int64_t next_version_ = 1;  // one ticket per publish, all tenants
+  std::vector<ShardChain> chains_;  // one per shard, from the first publish
+  int64_t next_version_ = 1;  // one ticket per publish
 
   std::mutex breaker_mu_;
-  std::map<std::pair<std::string, int32_t>, BreakerWindow> breaker_windows_;
+  std::vector<BreakerWindow> breaker_windows_;  // one per shard
 
   // Declaration order matters: the registry precedes every view into it,
   // the recorders precede the pools whose workers write them, and the
@@ -483,7 +460,7 @@ class ModelServer {
   std::unique_ptr<ThreadPool> scatter_pool_;  // null when num_shards == 1
   ServingStats stats_;
   std::vector<std::unique_ptr<ShardServingStats>> shard_stats_;
-  std::unique_ptr<ServingGovernor> governor_;
+  std::unique_ptr<ServingGovernor> governor_;  // null without a governor
 };
 
 /// Alias kept so code written against the sharded server's class name still

@@ -2,8 +2,11 @@
 # Smoke test of clapf_cli in the README's command shapes: writes a small
 # ratings file, trains a model, answers recommend queries on the exact,
 # packed, ANN and ANN + pq paths (the ANN query with --exclude and
-# --no-cold-fallback), then replays queries through serve. Checks every
-# exit code and the "scoring path:" line each query command prints.
+# --no-cold-fallback), then replays queries through serve: on the ANN path,
+# under the ondemand governor with a flight dump, and over four shards.
+# Checks every exit code, the "scoring path:" line each query command
+# prints, the governor and sharded lines, and that an unknown governor is
+# refused.
 #
 # Usage: tests/cli/cli_smoke_test.sh <clapf_cli binary> <scratch dir>
 set -euo pipefail
@@ -64,5 +67,43 @@ expect_path ann+pq recommend --model ml.clpf --dataset ml.clds \
     --users 5 --k 10 --ann --pq --rerank-budget 256
 expect_path ann serve --model ml.clpf --dataset ml.clds \
     --users 1,5 --ann
+
+# Fails the test unless `out` holds a line starting with `want`.
+expect_line() {
+  local want="$1" out="$2"
+  if ! grep -q "^${want}" <<< "${out}"; then
+    echo "FAIL: no line starting '${want}'" >&2
+    exit 1
+  fi
+}
+
+# Adaptive serving quick-start: the ticker thread runs the ondemand
+# governor, and the flight recorder lands on disk as JSON at exit.
+out="$(run serve --model ml.clpf --dataset ml.clds --users 1,5 \
+    --governor ondemand --governor-interval-ms 20 --flight-dump flight.json)"
+echo "${out}"
+expect_line "governor ondemand active" "${out}"
+expect_line "governor: ondemand ticks=" "${out}"
+if [[ ! -s flight.json ]] ||
+    ! python3 -c 'import json, sys; json.load(open(sys.argv[1]))' \
+        flight.json; then
+  echo "FAIL: --flight-dump did not write a non-empty JSON document" >&2
+  exit 1
+fi
+
+# Sharded quick-start: four shards, one stats line per shard.
+out="$(run serve --model ml.clpf --dataset ml.clds --users 1,5 --shards 4)"
+echo "${out}"
+expect_line "sharded serving: " "${out}"
+expect_line "published model v1 to 4 shard(s)" "${out}"
+
+# Only off and ondemand name a governor; anything else is refused.
+if "${cli}" serve --model ml.clpf --dataset ml.clds \
+    --governor schedutil > refused.txt 2>&1; then
+  cat refused.txt
+  echo "FAIL: serve --governor schedutil exited zero" >&2
+  exit 1
+fi
+expect_line "error: .*off|ondemand" "$(cat refused.txt)"
 
 echo "PASS"

@@ -1,10 +1,9 @@
 // Adaptive-governor and flight-recorder drills: the control loop must move
 // every knob only inside its declared bounds, recover once pressure clears,
 // and leave a deterministic incident narrative in the flight recorder. The
-// acceptance drill at the bottom is the ISSUE's bar: under fault-injected
-// overload, an adaptive policy keeps the deadline-miss rate below the static
-// `performance` baseline by shedding early instead of serving doomed
-// queries.
+// acceptance drill at the bottom is the bar: under fault-injected overload,
+// the ondemand governor keeps the deadline-miss rate below a server with no
+// governor by shedding early instead of serving doomed queries.
 //
 // This suite is also the Tsan acceptance gate for the governor ticker thread
 // and the lock-free flight-recorder ring (see the *RaceFree drills).
@@ -155,44 +154,13 @@ TEST(FlightRecorderTest, ConcurrentWritersAndReadersSeeNoTornEvents) {
   EXPECT_EQ(recorder.Snapshot().size(), recorder.capacity());
 }
 
-// --- Governor policy plumbing --------------------------------------------
-
-TEST(GovernorPolicyTest, ParseRoundTripsAndRejectsUnknown) {
-  for (GovernorPolicy p : {GovernorPolicy::kPerformance,
-                           GovernorPolicy::kOndemand,
-                           GovernorPolicy::kSchedutil}) {
-    auto parsed = ParseGovernorPolicy(GovernorPolicyName(p));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, p);
-  }
-  EXPECT_EQ(ParseGovernorPolicy("turbo").status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(GovernorHistogramTest, QuantileUpperBoundFromDelta) {
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("h", LatencyBucketsUs());
-  for (int i = 0; i < 100; ++i) h->Record(90.0);  // bucket bound 100
-  HistogramSnapshot before = h->Snapshot();
-  for (int i = 0; i < 100; ++i) h->Record(40000.0);  // bucket bound 5e4
-  HistogramSnapshot after = h->Snapshot();
-
-  // Cumulative p99 straddles both bursts, the delta sees only the second.
-  EXPECT_DOUBLE_EQ(HistogramQuantileUpperBound(after, 0.5), 100.0);
-  HistogramSnapshot delta = HistogramDelta(before, after);
-  EXPECT_EQ(delta.count, 100);
-  EXPECT_DOUBLE_EQ(HistogramQuantileUpperBound(delta, 0.99), 5e4);
-  EXPECT_DOUBLE_EQ(HistogramQuantileUpperBound(HistogramDelta(after, after),
-                                               0.99),
-                   -1.0);
-}
+// --- Ondemand governor ---------------------------------------------------
 
 TEST(ServingGovernorTest, OndemandClampsToDeclaredBoundsAndPropagates) {
   MetricsRegistry registry;
   AdmissionQueue queue(1, 16, &registry);
   FlightRecorder recorder(32);
   GovernorOptions options;
-  options.policy = GovernorPolicy::kOndemand;
   options.interval_us = 0;  // manual ticks only
   options.bounds.min_queue_depth = 2;
   options.bounds.min_deadline_budget_us = 2000;
@@ -200,7 +168,6 @@ TEST(ServingGovernorTest, OndemandClampsToDeclaredBoundsAndPropagates) {
 
   EXPECT_EQ(governor.knobs().max_queue_depth, 16);
   EXPECT_EQ(governor.knobs().deadline_budget_us, 0);
-  EXPECT_FALSE(governor.knobs().force_packed);
 
   // One shed since the last tick is pressure by itself.
   registry.GetCounter("serving.shed_total")->Inc();
@@ -209,16 +176,14 @@ TEST(ServingGovernorTest, OndemandClampsToDeclaredBoundsAndPropagates) {
   GovernorKnobs knobs = governor.knobs();
   EXPECT_EQ(knobs.max_queue_depth, 2);
   EXPECT_EQ(knobs.deadline_budget_us, 2000);
-  EXPECT_TRUE(knobs.force_packed);
   EXPECT_EQ(queue.max_depth(), 2);  // propagated to the admission gate
-  EXPECT_GE(governor.adjustments(), 3);
+  EXPECT_GE(governor.adjustments(), 2);
 
-  // ApplyToQuery: an unbounded query inherits the budget, a tighter client
-  // deadline is kept, and the packed override sticks.
+  // ApplyToQuery: an unbounded query inherits the budget and a tighter
+  // client deadline is kept.
   QueryOptions unbounded;
   governor.ApplyToQuery(&unbounded);
   EXPECT_EQ(unbounded.deadline, std::chrono::microseconds(2000));
-  EXPECT_TRUE(unbounded.use_packed);
   QueryOptions tight;
   tight.deadline = std::chrono::microseconds(500);
   governor.ApplyToQuery(&tight);
@@ -237,7 +202,6 @@ TEST(ServingGovernorTest, OndemandDecaysBackToRestAfterCalm) {
   AdmissionQueue queue(1, 16, &registry);
   FlightRecorder recorder(64);
   GovernorOptions options;
-  options.policy = GovernorPolicy::kOndemand;
   options.interval_us = 0;
   options.decay_ticks = 1;  // one calm tick per relaxation step
   options.bounds.min_queue_depth = 2;
@@ -249,8 +213,7 @@ TEST(ServingGovernorTest, OndemandDecaysBackToRestAfterCalm) {
   ASSERT_EQ(governor.knobs().max_queue_depth, 2);
 
   // Calm ticks relax one step each: depth doubles to rest, then the budget
-  // doubles out the top, then the packed override drops. Bounds must hold
-  // at every intermediate step.
+  // doubles out the top. Bounds must hold at every intermediate step.
   for (int i = 0; i < 20; ++i) {
     governor.Tick();
     GovernorKnobs knobs = governor.knobs();
@@ -264,105 +227,83 @@ TEST(ServingGovernorTest, OndemandDecaysBackToRestAfterCalm) {
   GovernorKnobs rest = governor.knobs();
   EXPECT_EQ(rest.max_queue_depth, 16);
   EXPECT_EQ(rest.deadline_budget_us, 0);
-  EXPECT_FALSE(rest.force_packed);
   EXPECT_EQ(queue.max_depth(), 16);
-}
-
-TEST(ServingGovernorTest, SchedutilTracksLatencyTarget) {
-  MetricsRegistry registry;
-  AdmissionQueue queue(1, 64, &registry);
-  FlightRecorder recorder(64);
-  GovernorOptions options;
-  options.policy = GovernorPolicy::kSchedutil;
-  options.interval_us = 0;
-  options.latency_target_ms = 5.0;  // 5000 us
-  options.bounds.min_queue_depth = 2;
-  ServingGovernor governor(options, 64, &registry, &queue, &recorder);
-
-  Histogram* latency =
-      registry.GetHistogram("serving.query.latency_us", LatencyBucketsUs());
-
-  // Far over target: p99 lands in the 5e4 bucket, err = 9 — shrink the
-  // admission bound, cap budgets at 2x target, force the packed path.
-  for (int i = 0; i < 100; ++i) latency->Record(40000.0);
-  governor.Tick();
-  GovernorKnobs over = governor.knobs();
-  EXPECT_LT(over.max_queue_depth, 64);
-  EXPECT_GE(over.max_queue_depth, 2);
-  EXPECT_EQ(over.deadline_budget_us, 10000);
-  EXPECT_TRUE(over.force_packed);
-
-  // Far under target: err = -0.98 — grow back and release the degradations.
-  const int64_t shrunk = over.max_queue_depth;
-  for (int i = 0; i < 200; ++i) latency->Record(90.0);
-  governor.Tick();
-  GovernorKnobs under = governor.knobs();
-  EXPECT_GT(under.max_queue_depth, shrunk);
-  EXPECT_EQ(under.deadline_budget_us, 0);
-  EXPECT_FALSE(under.force_packed);
 }
 
 // --- ModelServer integration ---------------------------------------------
 
-ServerOptions GovernorDrillOptions(GovernorPolicy policy) {
+// Drill server with 64 admission slots; `governed` adds an ondemand governor
+// that the drills tick manually, one calm tick per relaxation step.
+ServerOptions GovernorDrillOptions(bool governed) {
   ServerOptions options;
   options.num_threads = 2;
   options.max_queue_depth = 64;
-  options.governor.policy = policy;
-  options.governor.interval_us = 0;  // drills tick manually
-  options.governor.decay_ticks = 1;
-  options.governor.bounds.min_queue_depth = 2;
-  options.governor.bounds.min_deadline_budget_us = 2000;
+  if (governed) {
+    GovernorOptions& governor = options.governor.emplace();
+    governor.interval_us = 0;  // drills tick manually
+    governor.decay_ticks = 1;
+    governor.bounds.min_queue_depth = 2;
+    governor.bounds.min_deadline_budget_us = 2000;
+  }
   return options;
 }
 
 TEST(ModelServerGovernorTest, PerformancePolicyNeverMovesKnobs) {
-  ModelServer server(History(), GovernorDrillOptions(
-                                    GovernorPolicy::kPerformance));
+  // No governor configured: nothing ticks, nothing is exported, and the
+  // knobs stay at their configured values.
+  ModelServer server(History(), GovernorDrillOptions(/*governed=*/false));
   ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
-  // Even under recorded pressure, the static policy holds every knob at
-  // rest — it is byte-for-byte the pre-governor configuration.
+  EXPECT_EQ(server.governor(), nullptr);
   server.mutable_metrics()->GetCounter("serving.shed_total")->Inc();
   for (int i = 0; i < 5; ++i) {
-    server.TickGovernor();
+    server.TickGovernor();  // a no-op without a governor
     auto got = server.Recommend(i % kUsers, 5);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
   }
-  GovernorKnobs knobs = server.governor().knobs();
-  EXPECT_EQ(knobs.max_queue_depth, 64);
-  EXPECT_EQ(knobs.deadline_budget_us, 0);
-  EXPECT_FALSE(knobs.force_packed);
-  EXPECT_EQ(server.governor().adjustments(), 0);
-  EXPECT_EQ(server.governor().ticks(), 5);
+  for (const MetricSnapshot& m : server.metrics().Snapshot()) {
+    EXPECT_NE(m.name.rfind("serving.governor.", 0), 0u) << m.name;
+  }
+  // The admission bound stayed at 64 under the recorded shed: a burst of
+  // four stalled queries, twice what an ondemand clamp to 2 would admit,
+  // is admitted whole.
+  const int64_t recorded_sheds = server.stats().shed;
+  ScopedFaultSchedule faults({{FaultPoint::kServeQueueStall,
+                               {.trigger_at_hit = 1, .max_fires = -1}}});
+  std::vector<std::thread> burst;
+  for (int c = 0; c < 4; ++c) {
+    burst.emplace_back([&server, c] {
+      auto got = server.Recommend(c, 5);
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+    });
+  }
+  for (auto& t : burst) t.join();
+  EXPECT_EQ(server.stats().shed, recorded_sheds);
 }
 
 TEST(ModelServerGovernorTest, KnobGaugesAreExported) {
-  ModelServer server(History(),
-                     GovernorDrillOptions(GovernorPolicy::kOndemand));
+  ModelServer server(History(), GovernorDrillOptions(/*governed=*/true));
   ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
   server.mutable_metrics()->GetCounter("serving.shed_total")->Inc();
   server.TickGovernor();
 
-  double depth_gauge = -1.0, packed_gauge = -1.0;
+  double depth_gauge = -1.0;
   for (const MetricSnapshot& m : server.metrics().Snapshot()) {
     if (m.name == "serving.governor.queue_depth") depth_gauge = m.gauge;
-    if (m.name == "serving.governor.force_packed") packed_gauge = m.gauge;
   }
   EXPECT_EQ(depth_gauge, 2.0);
-  EXPECT_EQ(packed_gauge, 1.0);
 }
 
-// The ISSUE's acceptance drill: under fault-injected overload with a tight
-// client deadline, the static performance baseline serves every query into
-// its doom (miss rate 1.0), while ondemand sheds at admission once pressure
-// is visible — sheds are Unavailable, not deadline misses, so its miss rate
+// The acceptance drill: under fault-injected overload with a tight client
+// deadline, a server with no governor serves every query into its doom
+// (miss rate 1.0), while ondemand sheds at admission once pressure is
+// visible — sheds are Unavailable, not deadline misses, so its miss rate
 // must land strictly below the baseline. Knobs must stay inside bounds.
 TEST(ModelServerGovernorTest, OndemandKeepsMissRateBelowStaticBaseline) {
   constexpr int kClients = 4;
   constexpr int kPerClient = 25;
 
-  auto drill = [](GovernorPolicy policy, bool tick) {
-    ModelServer server(History(), GovernorDrillOptions(policy));
+  auto drill = [](bool governed) {
+    ModelServer server(History(), GovernorDrillOptions(governed));
     CLAPF_CHECK_OK(server.PublishModel(RandomModel(1)));
     // Every scoring block stalls 2ms; a 500us budget cannot survive one.
     ScopedFaultSchedule faults({{FaultPoint::kServeSlowBlock,
@@ -371,12 +312,12 @@ TEST(ModelServerGovernorTest, OndemandKeepsMissRateBelowStaticBaseline) {
     options.deadline = std::chrono::microseconds(500);
 
     // Prime the control loop: two doomed queries, then one tick. For the
-    // adaptive policy the 100% miss rate is pressure and the admission
+    // governed server the 100% miss rate is pressure and the admission
     // bound clamps to 2 before the burst.
     for (int i = 0; i < 2; ++i) {
       (void)server.Recommend(i, 5, options);
     }
-    if (tick) server.TickGovernor();
+    server.TickGovernor();
 
     std::vector<std::thread> clients;
     for (int c = 0; c < kClients; ++c) {
@@ -387,19 +328,20 @@ TEST(ModelServerGovernorTest, OndemandKeepsMissRateBelowStaticBaseline) {
       });
     }
     for (auto& t : clients) t.join();
-    if (tick) server.TickGovernor();
+    server.TickGovernor();
 
-    const GovernorKnobs knobs = server.governor().knobs();
-    const auto& bounds = server.governor().bounds();
-    EXPECT_GE(knobs.max_queue_depth, bounds.min_queue_depth);
-    EXPECT_LE(knobs.max_queue_depth, bounds.max_queue_depth);
+    if (const ServingGovernor* governor = server.governor()) {
+      const GovernorKnobs knobs = governor->knobs();
+      EXPECT_GE(knobs.max_queue_depth, governor->bounds().min_queue_depth);
+      EXPECT_LE(knobs.max_queue_depth, governor->bounds().max_queue_depth);
+    }
     return server.stats();
   };
 
-  ServingStatsSnapshot baseline = drill(GovernorPolicy::kPerformance, true);
-  ServingStatsSnapshot adaptive = drill(GovernorPolicy::kOndemand, true);
+  ServingStatsSnapshot baseline = drill(/*governed=*/false);
+  ServingStatsSnapshot adaptive = drill(/*governed=*/true);
 
-  // Static baseline: nothing sheds (depth 64 >> 4 clients), every served
+  // No governor: nothing sheds (depth 64 >> 4 clients), every served
   // query misses its deadline.
   EXPECT_EQ(baseline.shed, 0);
   EXPECT_EQ(baseline.deadline_exceeded, baseline.queries);
@@ -612,8 +554,8 @@ TEST(ModelServerGovernorTest, PublishCancelsPendingProbe) {
 // --- Concurrency (the Tsan gate for the governor ticker) ------------------
 
 TEST(ModelServerGovernorTest, TickerThreadRacesQueriesPublishesAndReaders) {
-  ServerOptions options = GovernorDrillOptions(GovernorPolicy::kOndemand);
-  options.governor.interval_us = 200;  // aggressive ticker
+  ServerOptions options = GovernorDrillOptions(/*governed=*/true);
+  options.governor->interval_us = 200;  // aggressive ticker
   options.slow_query_us = 1;           // exercise the slow-query hook too
   ModelServer server(History(), options);
   ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
@@ -633,7 +575,7 @@ TEST(ModelServerGovernorTest, TickerThreadRacesQueriesPublishesAndReaders) {
   });
   std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      (void)server.governor().knobs();
+      (void)server.governor()->knobs();
       (void)server.flight_recorder().Snapshot();
       (void)server.metrics().Snapshot();
       (void)server.stats();
@@ -657,9 +599,9 @@ TEST(ModelServerGovernorTest, TickerThreadRacesQueriesPublishesAndReaders) {
   auto stats = server.stats();
   EXPECT_EQ(stats.queries, 200);
   // The ticker ran and every knob respected its bounds.
-  EXPECT_GT(server.governor().ticks(), 0);
-  const GovernorKnobs knobs = server.governor().knobs();
-  const auto& bounds = server.governor().bounds();
+  EXPECT_GT(server.governor()->ticks(), 0);
+  const GovernorKnobs knobs = server.governor()->knobs();
+  const auto& bounds = server.governor()->bounds();
   EXPECT_GE(knobs.max_queue_depth, bounds.min_queue_depth);
   EXPECT_LE(knobs.max_queue_depth, bounds.max_queue_depth);
 }

@@ -90,6 +90,14 @@ TEST(ModelServerTest, ServesPopularityFallbackBeforeFirstPublish) {
     EXPECT_EQ(stats.queries, 1);
     EXPECT_EQ(stats.degraded, 1);
     EXPECT_EQ(stats.ok, 1);
+    // No shard has a chain yet, so none was consulted: the per-shard
+    // counters stay untouched and every shard version reads 0.
+    EXPECT_EQ(server.shard_versions(),
+              std::vector<int64_t>(static_cast<size_t>(shards), 0));
+    for (const ShardStatsSnapshot& shard : server.shard_stats()) {
+      EXPECT_EQ(shard.queries, 0);
+      EXPECT_EQ(shard.degraded, 0);
+    }
   }
 }
 

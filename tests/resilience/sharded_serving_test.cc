@@ -4,8 +4,7 @@
 // order, same smaller-id tie-break — for any shard count, on both the
 // packed and the exact kernels. On top of that, the per-shard failure
 // domains: targeted hot reload, per-shard canary gates, shard-attributed
-// breaker trips and rollbacks, tenant isolation and quotas, and
-// deterministic stats aggregation.
+// breaker trips and rollbacks, and deterministic stats aggregation.
 //
 // This suite is the Tsan acceptance gate for the sharded serving layer: the
 // hot-reload-under-load drill publishes into single shards while query
@@ -167,10 +166,6 @@ TEST(ShardedServerTest, PublishRequestRoutingIsValidated) {
   ModelServer server(History(), DrillOptions(3));
   EXPECT_EQ(server
                 .PublishModel(PublishRequest(RandomModel(1)).WithShard(7))
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(server
-                .PublishModel(PublishRequest(RandomModel(1)).WithTenant(""))
                 .code(),
             StatusCode::kInvalidArgument);
   // Both a model and a path, or neither, is a malformed request.
@@ -444,18 +439,14 @@ TEST(ShardedServerTest, PerShardCanaryRejectsOnlyTheCorruptSlice) {
 }
 
 TEST(ShardedServerTest, PartiallyPublishedTenantServesHealthyShardsFromModel) {
-  // A fresh tenant published into shard 0 only: shard 0 answers from the
+  // A fresh server published into shard 0 only: shard 0 answers from the
   // model, shards 1-2 from their popularity slices — degraded but alive.
   ModelServer server(History(), DrillOptions(3));
-  ASSERT_TRUE(server
-                  .PublishModel(PublishRequest(RandomModel(1))
-                                    .WithShard(0)
-                                    .WithTenant("canary-tenant"))
-                  .ok());
-  EXPECT_TRUE(server.degraded("canary-tenant"));
-  EXPECT_EQ(server.shard_versions("canary-tenant"),
-            (std::vector<int64_t>{1, 0, 0}));
-  auto got = server.Recommend(0, 10, {}, "canary-tenant");
+  ASSERT_TRUE(
+      server.PublishModel(PublishRequest(RandomModel(1)).WithShard(0)).ok());
+  EXPECT_TRUE(server.degraded());
+  EXPECT_EQ(server.shard_versions(), (std::vector<int64_t>{1, 0, 0}));
+  auto got = server.Recommend(0, 10);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->size(), 10u);
   const std::vector<ShardStatsSnapshot> shards = server.shard_stats();
@@ -520,7 +511,7 @@ TEST(ShardedServerTest, BreakerDegradesShardWithoutRollbackTarget) {
               StatusCode::kInternal);
   }
   faults.Disarm(FaultPoint::kServeScoreNan);
-  // One shard went dark (no previous slice → popularity); the tenant is
+  // One shard went dark (no previous slice → popularity); the server is
   // degraded but queries still answer, with the healthy shard on the model.
   EXPECT_TRUE(server.degraded());
   auto got = server.Recommend(0, 5);
@@ -528,65 +519,6 @@ TEST(ShardedServerTest, BreakerDegradesShardWithoutRollbackTarget) {
   auto stats = server.stats();
   EXPECT_EQ(stats.breaker_trips, 1);
   EXPECT_EQ(stats.rollbacks, 0);
-}
-
-// ---------------------------------------------------------------------------
-// Tenancy
-
-TEST(ShardedServerTest, TenantsServeIndependentModels) {
-  Dataset history = History();
-  ModelServer server(history, DrillOptions(3));
-  FactorModel alpha = RandomModel(31);
-  FactorModel beta = RandomModel(32);
-  ASSERT_TRUE(
-      server.PublishModel(PublishRequest(alpha).WithTenant("alpha")).ok());
-  ASSERT_TRUE(
-      server.PublishModel(PublishRequest(beta).WithTenant("beta")).ok());
-  EXPECT_EQ(server.tenants(), (std::vector<std::string>{"alpha", "beta"}));
-
-  // Each tenant's answers match the reference of its own model.
-  for (UserId u : {0, 5, 11}) {
-    auto got_a = server.Recommend(u, 8, {}, "alpha");
-    auto got_b = server.Recommend(u, 8, {}, "beta");
-    ASSERT_TRUE(got_a.ok() && got_b.ok());
-    ExpectSameRanking(*got_a, Reference(alpha, history, u, 8, {}, true),
-                      "tenant alpha");
-    ExpectSameRanking(*got_b, Reference(beta, history, u, 8, {}, true),
-                      "tenant beta");
-  }
-
-  // An unknown tenant is degraded (popularity), never an error.
-  EXPECT_TRUE(server.degraded("ghost"));
-  auto ghost = server.Recommend(0, 5, {}, "ghost");
-  ASSERT_TRUE(ghost.ok());
-  EXPECT_GT(server.stats().degraded, 0);
-}
-
-TEST(ShardedServerTest, TenantQuotaShedsTheNoisyTenantOnly) {
-  ServerOptions options = DrillOptions(2);
-  options.num_threads = 1;
-  options.per_tenant_quota = 1;
-  ModelServer server(History(), options);
-  ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
-
-  // Park the single worker 20ms per admitted task so tenant "noisy"'s first
-  // query is still in flight when its second arrives.
-  ScopedFaultSchedule faults(
-      {{FaultPoint::kServeQueueStall, {.trigger_at_hit = 1, .max_fires = -1}}});
-  std::thread first([&server] {
-    auto got = server.Recommend(0, 5, {}, "noisy");
-    EXPECT_TRUE(got.ok()) << got.status().ToString();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(8));
-  auto second = server.Recommend(1, 5, {}, "noisy");
-  EXPECT_EQ(second.status().code(), StatusCode::kUnavailable);
-  first.join();
-  EXPECT_EQ(server.stats().shed, 1);
-
-  // A quiet tenant is admitted even while the noisy one is over quota.
-  faults.Disarm(FaultPoint::kServeQueueStall);
-  auto quiet = server.Recommend(0, 5, {}, "quiet");
-  EXPECT_TRUE(quiet.ok()) << quiet.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@
 //   clapf_cli serve     --model model.clpf --dataset data.clds --users 1,5
 //                       --deadline-us 5000 --queue-depth 32 --min-auc 0.6
 //                       --metrics-out metrics.json --metrics-every 10
-//                       --shards 4 --tenant acme --per-tenant-quota 8
+//                       --shards 4 --governor ondemand
 //   clapf_cli online    --dataset u.data --format tab --wal-dir ./wal
 //                       --checkpoint-dir ./ckpt --cycle-every 64
 //                       --min-auc 0.6 --flight-dump flight.json
@@ -317,13 +317,12 @@ int RunRecommend(int argc, char** argv) {
 int RunServe(int argc, char** argv) {
   std::string model_path = "model.clpf", dataset_path, format = "tab";
   std::string users_csv = "0", metrics_out;
-  std::string governor_name = "performance", flight_dump;
-  std::string tenant = std::string(kDefaultTenant);
+  std::string governor_name = "off", flight_dump;
   int64_t k = 10, threads = 2, queue_depth = 64, repeat = 1;
   int64_t deadline_us = 0, metrics_every = 0, governor_interval_ms = 50;
-  int64_t shards = 1, per_tenant_quota = 0, nprobe = 0, rerank_budget = 0;
+  int64_t shards = 1, nprobe = 0, rerank_budget = 0;
   int64_t build_threads = 0;
-  double min_auc = 0.0, latency_target_ms = 5.0;
+  double min_auc = 0.0;
   bool has_header = false, packed = true, ann = false, pq = false;
   FlagParser flags;
   flags.AddString("model", &model_path, "candidate model path (.clpf)");
@@ -370,25 +369,16 @@ int RunServe(int argc, char** argv) {
                "refresh --metrics-out every N replay rounds as well as at "
                "exit (0 = exit only)");
   flags.AddString("governor", &governor_name,
-                  "serving governor policy: performance (static, default), "
-                  "ondemand (step on pressure, decay slowly), or schedutil "
-                  "(track --latency-target-ms)");
+                  "serving governor: off (static knobs, default) or "
+                  "ondemand (step on pressure, decay slowly)");
   flags.AddInt("governor-interval-ms", &governor_interval_ms,
                "governor tick cadence in milliseconds");
-  flags.AddDouble("latency-target-ms", &latency_target_ms,
-                  "schedutil: p99 query-latency target in milliseconds");
   flags.AddString("flight-dump", &flight_dump,
                   "dump the incident flight recorder (JSON) to this path at "
                   "exit and on every breaker trip");
   flags.AddInt("shards", &shards,
                "catalog shards for scatter-gather serving (default 1, the "
                "monolithic case; answers are bit-identical for any count)");
-  flags.AddString("tenant", &tenant,
-                  "tenant whose serving chain receives the publish and "
-                  "answers the queries");
-  flags.AddInt("per-tenant-quota", &per_tenant_quota,
-               "per-tenant in-flight admission budget (0 = global "
-               "--queue-depth bound only)");
   if (Status s = flags.Parse(argc, argv); !s.ok()) {
     return s.code() == StatusCode::kFailedPrecondition ? 0 : Fail(s);
   }
@@ -401,12 +391,14 @@ int RunServe(int argc, char** argv) {
   if (rerank_budget != 0 && !pq) {
     return Fail(Status::InvalidArgument("--rerank-budget requires --pq"));
   }
+  const std::string governor_key = ToLower(governor_name);
+  if (governor_key != "off" && governor_key != "ondemand") {
+    return Fail(Status::InvalidArgument("unknown governor: " + governor_name +
+                                        " (want off|ondemand)"));
+  }
 
   auto data = LoadAnyDataset(dataset_path, format, has_header);
   if (!data.ok()) return Fail(data.status());
-
-  auto policy = ParseGovernorPolicy(governor_name);
-  if (!policy.ok()) return Fail(policy.status());
 
   ServerOptions server_options;
   server_options.num_threads = static_cast<int>(threads);
@@ -418,12 +410,11 @@ int RunServe(int argc, char** argv) {
   if (build_threads > 0) {
     server_options.ivf.build_threads = static_cast<int>(build_threads);
   }
-  server_options.governor.policy = *policy;
-  server_options.governor.interval_us = governor_interval_ms * 1000;
-  server_options.governor.latency_target_ms = latency_target_ms;
+  if (governor_key == "ondemand") {
+    server_options.governor.emplace().interval_us = governor_interval_ms * 1000;
+  }
   server_options.flight_dump_path = flight_dump;
   server_options.num_shards = static_cast<int32_t>(shards);
-  server_options.per_tenant_quota = per_tenant_quota;
 
   std::vector<UserId> user_ids;
   for (const std::string& tok : Split(users_csv, ',')) {
@@ -439,33 +430,28 @@ int RunServe(int argc, char** argv) {
   query_options.rerank_budget = static_cast<int32_t>(rerank_budget);
 
   ModelServer server(*std::move(data), server_options);
-  if (server.num_shards() > 1 || tenant != kDefaultTenant) {
-    std::printf("sharded serving: %s tenant \"%s\"\n",
-                server.shard_map().ToString().c_str(), tenant.c_str());
+  if (server.num_shards() > 1) {
+    std::printf("sharded serving: %s\n", server.shard_map().ToString().c_str());
   }
-  if (*policy != GovernorPolicy::kPerformance) {
-    std::printf("governor %s active (tick every %lld ms)\n",
-                GovernorPolicyName(*policy),
+  if (server.governor() != nullptr) {
+    std::printf("governor ondemand active (tick every %lld ms)\n",
                 static_cast<long long>(governor_interval_ms));
   }
 
   // The candidate goes through the full canary gate; a rejection leaves the
   // server in degraded (popularity) mode rather than exiting.
-  if (Status s = server.PublishModel(
-          PublishRequest(model_path).WithTenant(tenant));
-      !s.ok()) {
+  if (Status s = server.PublishModel(model_path); !s.ok()) {
     std::printf("publish rejected (%s); serving popularity fallback\n",
                 s.ToString().c_str());
   } else {
     std::printf("published model v%lld to %d shard(s)\n",
-                static_cast<long long>(server.version(tenant)),
+                static_cast<long long>(server.version()),
                 server.num_shards());
   }
 
   for (int64_t round = 0; round < repeat; ++round) {
     for (UserId u : user_ids) {
-      auto got = server.Recommend(u, static_cast<size_t>(k), query_options,
-                                  tenant);
+      auto got = server.Recommend(u, static_cast<size_t>(k), query_options);
       if (!got.ok()) {
         std::printf("user %d: %s\n", u, got.status().ToString().c_str());
         continue;
@@ -488,16 +474,14 @@ int RunServe(int argc, char** argv) {
       std::printf("  %s\n", shard.ToString().c_str());
     }
   }
-  if (*policy != GovernorPolicy::kPerformance) {
-    const GovernorKnobs knobs = server.governor().knobs();
-    std::printf("governor: policy=%s ticks=%lld adjustments=%lld "
-                "queue_depth=%lld deadline_budget_us=%lld force_packed=%d\n",
-                GovernorPolicyName(*policy),
-                static_cast<long long>(server.governor().ticks()),
-                static_cast<long long>(server.governor().adjustments()),
+  if (const ServingGovernor* governor = server.governor()) {
+    const GovernorKnobs knobs = governor->knobs();
+    std::printf("governor: ondemand ticks=%lld adjustments=%lld "
+                "queue_depth=%lld deadline_budget_us=%lld\n",
+                static_cast<long long>(governor->ticks()),
+                static_cast<long long>(governor->adjustments()),
                 static_cast<long long>(knobs.max_queue_depth),
-                static_cast<long long>(knobs.deadline_budget_us),
-                knobs.force_packed ? 1 : 0);
+                static_cast<long long>(knobs.deadline_budget_us));
   }
   if (!flight_dump.empty()) {
     // Exit dump complements the automatic on-trip dumps: the recorder's
