@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "clapf/model/exact_scan.h"
 #include "clapf/util/logging.h"
 #include "clapf/util/thread_pool.h"
 
@@ -73,26 +74,7 @@ void FactorModel::ScoreItemRange(UserId u, ItemId begin, ItemId end,
                                  std::vector<double>* scores) const {
   CLAPF_CHECK(scores->size() == static_cast<size_t>(num_items_));
   CLAPF_CHECK(begin >= 0 && begin <= end && end <= num_items_);
-  const double* uf = &user_factors_[static_cast<size_t>(u) * num_factors_];
-  // The bias test is hoisted out of the scan: one branch selects a loop
-  // body instead of every item paying it, so both bodies auto-vectorize.
-  // The arithmetic (bias first, then factor products in order) is unchanged,
-  // keeping scores bit-identical to the pre-hoist loop.
-  if (use_item_bias_) {
-    for (int32_t i = begin; i < end; ++i) {
-      const double* vf = &item_factors_[static_cast<size_t>(i) * num_factors_];
-      double s = item_bias_[static_cast<size_t>(i)];
-      for (int32_t f = 0; f < num_factors_; ++f) s += uf[f] * vf[f];
-      (*scores)[static_cast<size_t>(i)] = s;
-    }
-  } else {
-    for (int32_t i = begin; i < end; ++i) {
-      const double* vf = &item_factors_[static_cast<size_t>(i) * num_factors_];
-      double s = 0.0;
-      for (int32_t f = 0; f < num_factors_; ++f) s += uf[f] * vf[f];
-      (*scores)[static_cast<size_t>(i)] = s;
-    }
-  }
+  ExactScoreItems(*this, u, begin, end, scores->data() + begin);
 }
 
 bool FactorModel::AllFinite() const {

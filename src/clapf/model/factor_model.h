@@ -40,8 +40,8 @@ class FactorModel {
 
   /// Scores only the half-open item range [begin, end) into
   /// (*scores)[begin..end); `scores` must already be sized to num_items.
-  /// Serving uses this to poll deadlines between blocks instead of running
-  /// one unbounded full-catalog scan.
+  /// Runs ExactScoreItems (exact_scan.h): the bits of Score for every item,
+  /// four items per vector under the AVX2 kernel.
   void ScoreItemRange(UserId u, ItemId begin, ItemId end,
                       std::vector<double>* scores) const;
 

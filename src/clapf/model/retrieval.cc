@@ -4,6 +4,7 @@
 #include <string>
 #include <thread>
 
+#include "clapf/model/exact_scan.h"
 #include "clapf/model/score_kernel.h"
 #include "clapf/util/fault_injection.h"
 #include "clapf/util/logging.h"
@@ -132,12 +133,9 @@ Result<std::vector<ScoredItem>> Retrieve(
 
   // The scan: every range in kRankerBlockItems chunks, each chunk polling
   // the fault point, reading the cross-shard bar, scoring, raising the bar
-  // from a full heap and checking the deadline. The exact path scores into
-  // a buffer and selects once at the end; the packed kernels feed the
+  // from a full heap and checking the deadline. Every kernel feeds the
   // accumulator directly, early-rejecting below max(heap threshold, bar).
   FaultInjector& faults = FaultInjector::Instance();
-  thread_local std::vector<double> scores;
-  if (taken == RetrievalPath::kExact) scores.resize(static_cast<size_t>(n));
   TopKAccumulator acc(k);
   ItemId scanned = 0;
   for (size_t ri = 0; ri < ranges->size(); ++ri) {
@@ -156,7 +154,7 @@ Result<std::vector<ScoredItem>> Retrieve(
                              ? broadcast->Get()
                              : -std::numeric_limits<double>::infinity();
       if (taken == RetrievalPath::kExact) {
-        layers.model->ScoreItemRange(u, lo, hi, &scores);
+        ExactScoreTopK(*layers.model, u, lo, hi, excluded, &acc, bar);
       } else if (taken == RetrievalPath::kPacked) {
         ScoreBlocksTopK(*layers.packed, u, lo, hi, excluded, &acc, bar);
       } else {
@@ -176,10 +174,6 @@ Result<std::vector<ScoredItem>> Retrieve(
             " items");
       }
     }
-  }
-  if (taken == RetrievalPath::kExact) {
-    static const std::vector<bool> kNone;
-    return SelectTopK(scores, excluded != nullptr ? *excluded : kNone, k);
   }
   return acc.Take();
 }

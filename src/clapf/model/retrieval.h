@@ -178,7 +178,7 @@ struct RetrievalLayers {
 ///            the quantized shortlist at the rerank budget, then the
 ///            prefetched exact re-rank of the chosen ranges;
 ///   packed   (use_packed and a snapshot): the fused scan of the catalog;
-///   exact    the double scan and SelectTopK.
+///   exact    the fused exact double scan (ExactScoreTopK).
 ///
 /// Every scan polls the kServeSlowBlock fault, `deadline` (DeadlineExceeded
 /// on expiry) and the cross-shard `broadcast` bar (may be null) once per

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 
 #include "clapf/obs/exporter.h"
 #include "clapf/util/fs.h"
@@ -93,12 +94,31 @@ void FlightRecorder::Record(FlightEventKind kind, std::string_view detail,
   std::memcpy(words, &event, sizeof(event));
 
   Slot& slot = slots_[ticket & mask_];
+  // Claim the slot so that its sequence only grows. A newer ticket already
+  // there (in progress or complete) wins: this stale event is dropped, and
+  // dropped() counts it as overwritten. An older writer still storing
+  // (odd sequence) finishes first: it never waits on anyone, so the yield
+  // loop ends. One writer at a time stores the words, so a slot never
+  // mixes two events.
+  const uint64_t claim = ticket * 2 + 1;
+  uint64_t seen = slot.seq.load(std::memory_order_seq_cst);
+  for (;;) {
+    if (seen > claim) return;
+    if ((seen & 1) != 0) {
+      std::this_thread::yield();
+      seen = slot.seq.load(std::memory_order_seq_cst);
+      continue;
+    }
+    if (slot.seq.compare_exchange_weak(seen, claim,
+                                       std::memory_order_seq_cst)) {
+      break;
+    }
+  }
   // Per-slot seqlock, all sequentially consistent: the odd "in progress"
   // value is globally ordered before the word stores, which are ordered
-  // before the even "complete" value, so a reader whose before/after
-  // sequence loads both see `complete` cannot have mixed words from two
-  // writers racing on a wrapped slot.
-  slot.seq.store(ticket * 2 + 1, std::memory_order_seq_cst);
+  // before the even "complete" value, and the sequence never returns to a
+  // value it held, so a reader whose before/after sequence loads both see
+  // `complete` read the words of that one event.
   for (size_t i = 0; i < kPayloadWords; ++i) {
     slot.words[i].store(words[i], std::memory_order_seq_cst);
   }

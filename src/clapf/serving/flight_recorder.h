@@ -67,20 +67,28 @@ struct FlightDumpOptions {
   bool include_timestamps = true;
 };
 
-/// Fixed-size lock-free ring of recent serving incidents, dmesg-style: the
+/// Fixed-size mutex-free ring of recent serving incidents, dmesg-style: the
 /// newest `capacity` events are retained, older ones are silently
 /// overwritten, and a dump is cheap enough to take while the server is on
 /// fire — which is exactly when it is taken.
 ///
 /// Concurrency design: writers claim a monotonically increasing ticket with
 /// one fetch_add and publish the event into slot `ticket % capacity` behind
-/// a per-slot sequence counter (odd = write in progress, even = ticket*2+2 =
-/// complete — a per-slot seqlock). Readers validate the slot sequence before
-/// and after copying and skip any slot a concurrent writer is rewriting, so
-/// Snapshot() never blocks a writer and never returns a torn event. All slot
-/// accesses go through std::atomic (sequentially consistent on the sequence
-/// word), so the drills run clean under ThreadSanitizer; events are rare
-/// (decisions, not queries), so the ordering cost is irrelevant.
+/// a per-slot sequence counter (odd = ticket*2+1 = write in progress, even =
+/// ticket*2+2 = complete — a per-slot seqlock). A writer claims its slot by
+/// CAS-ing the sequence up to its odd value, so a slot's sequence only
+/// grows: a writer that finds a newer ticket there (a writer preempted for
+/// a whole lap of the ring) drops its stale event, which dropped() already
+/// counts as overwritten; one that finds an older writer's odd value yields
+/// until that writer completes. So one writer at a time stores a slot's
+/// words, every slot ends holding its newest ticket, and a quiescent
+/// Snapshot() returns exactly min(recorded(), capacity()) events. Readers
+/// validate the slot sequence before and after copying and skip any slot a
+/// concurrent writer is rewriting, so Snapshot() never blocks a writer and
+/// never returns a torn event. All slot accesses go through std::atomic
+/// (sequentially consistent on the sequence word), so the drills run clean
+/// under ThreadSanitizer; events are rare (decisions, not queries), so the
+/// ordering cost is irrelevant.
 ///
 /// Thread-safe: any number of concurrent Record() and Snapshot()/Dump*()
 /// calls.
@@ -93,8 +101,9 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Appends one event, overwriting the oldest when full. Lock-free and
-  /// allocation-free; `detail` is truncated to kFlightEventDetailBytes - 1.
+  /// Appends one event, overwriting the oldest when full. Allocation-free;
+  /// it waits (yielding) only while an older writer of the same slot is
+  /// still storing. `detail` is truncated to kFlightEventDetailBytes - 1.
   void Record(FlightEventKind kind, std::string_view detail, int64_t a = 0,
               int64_t b = 0, double x = 0.0);
 

@@ -20,15 +20,15 @@ namespace {
 // memory resident (+2.5–3.5 MB of peak RSS on an ML1M-sized model).
 constexpr size_t kHelperAllocationBytes = size_t{32} << 20;
 
-// Per-thread exclusion bitmap: one scatter worker reuses it across shards
-// and queries, so after warm-up the only O(shard) work outside scoring is
-// the bitmap reset.
-std::vector<bool>& LocalExcluded() {
-  thread_local std::vector<bool> excluded;
-  return excluded;
-}
-
 }  // namespace
+
+ExclusionBitmap& ExclusionBitmap::ForThread(size_t n) {
+  thread_local ExclusionBitmap bitmap;
+  for (size_t i : bitmap.set_) bitmap.bits_[i] = false;
+  bitmap.set_.clear();
+  bitmap.bits_.resize(n, false);
+  return bitmap;
+}
 
 PublishStageMetrics::PublishStageMetrics(MetricsRegistry* registry) {
   auto stage = [&](const char* name) {
@@ -203,19 +203,15 @@ Status ModelShard::GateSlice(const FactorModel& model, bool packed,
   return Status::OK();
 }
 
-std::vector<bool>* ModelShard::BuildExcluded(
+const std::vector<bool>* ModelShard::BuildExcluded(
     UserId u, const QueryOptions& options) const {
-  std::vector<bool>* excluded = &LocalExcluded();
-  excluded->assign(static_cast<size_t>(num_local_items()), false);
-  for (ItemId i : history_.ItemsOf(u)) {
-    (*excluded)[static_cast<size_t>(i)] = true;
-  }
+  ExclusionBitmap& excluded =
+      ExclusionBitmap::ForThread(static_cast<size_t>(num_local_items()));
+  for (ItemId i : history_.ItemsOf(u)) excluded.Set(static_cast<size_t>(i));
   for (ItemId i : options.exclude) {
-    if (i >= begin_ && i < end_) {
-      (*excluded)[static_cast<size_t>(i - begin_)] = true;
-    }
+    if (i >= begin_ && i < end_) excluded.Set(static_cast<size_t>(i - begin_));
   }
-  return excluded;
+  return &excluded.bits();
 }
 
 Result<std::vector<ScoredItem>> ModelShard::ScoreTopK(
@@ -225,7 +221,7 @@ Result<std::vector<ScoredItem>> ModelShard::ScoreTopK(
     RetrievalPath* path) const {
   const size_t local_k = std::min(k, static_cast<size_t>(num_local_items()));
   if (local_k == 0) return std::vector<ScoredItem>{};
-  std::vector<bool>* excluded = BuildExcluded(u, options);
+  const std::vector<bool>* excluded = BuildExcluded(u, options);
   const size_t min_items =
       local_k + history_.ItemsOf(u).size() + options.exclude.size();
   // A full heap bounds the global k-th best only when it holds k items: a
@@ -243,7 +239,7 @@ std::vector<ScoredItem> ModelShard::PopularityTopK(
   const size_t local_k =
       std::min(k, static_cast<size_t>(num_local_items()));
   if (local_k == 0) return {};
-  std::vector<bool>* excluded = BuildExcluded(u, options);
+  const std::vector<bool>* excluded = BuildExcluded(u, options);
   std::vector<ScoredItem> top = SelectTopK(popularity_, *excluded, local_k);
   for (ScoredItem& item : top) item.item += begin_;
   return top;

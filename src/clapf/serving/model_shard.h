@@ -19,6 +19,30 @@
 
 namespace clapf {
 
+/// The calling thread's exclusion bitmap, reused across queries and shards.
+/// ForThread clears only the bits the thread's previous query set and
+/// resizes to the new catalog (a shard's local range, or the whole catalog
+/// for a degraded answer), so a query writes O(its exclusions) bits, never
+/// an O(catalog) reset.
+class ExclusionBitmap {
+ public:
+  /// The calling thread's bitmap, every bit clear, sized to `n` items.
+  static ExclusionBitmap& ForThread(size_t n);
+
+  /// Flags item `i` (< the size ForThread gave).
+  void Set(size_t i) {
+    if (bits_[i]) return;
+    bits_[i] = true;
+    set_.push_back(i);
+  }
+
+  const std::vector<bool>& bits() const { return bits_; }
+
+ private:
+  std::vector<bool> bits_;
+  std::vector<size_t> set_;  // the indices of bits_ that are true
+};
+
 /// One published model version restricted to a shard's item range: the
 /// sliced exact model plus (when packed serving is on) its SIMD repack and
 /// (when ANN serving is on) its IVF index. Immutable once published; query
@@ -185,9 +209,9 @@ class ModelShard {
                    int threads, const PublishStageMetrics& timed,
                    ShardSlice* slice) const;
 
-  /// Fills the thread-local excluded bitmap (local ids) for `u`.
-  std::vector<bool>* BuildExcluded(UserId u,
-                                   const QueryOptions& options) const;
+  /// Fills the thread's ExclusionBitmap (local ids) for `u`.
+  const std::vector<bool>* BuildExcluded(UserId u,
+                                         const QueryOptions& options) const;
 
   int32_t id_;
   ItemId begin_;

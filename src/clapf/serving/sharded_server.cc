@@ -387,17 +387,15 @@ Result<std::vector<ScoredItem>> ModelServer::ServeDegraded(
   if (history_.NumItemsOf(u) == 0 && !options.cold_start_fallback) {
     return std::vector<ScoredItem>{};
   }
-  std::vector<bool> excluded(static_cast<size_t>(history_.num_items()),
-                             false);
-  for (ItemId i : history_.ItemsOf(u)) {
-    excluded[static_cast<size_t>(i)] = true;
-  }
+  ExclusionBitmap& excluded =
+      ExclusionBitmap::ForThread(static_cast<size_t>(history_.num_items()));
+  for (ItemId i : history_.ItemsOf(u)) excluded.Set(static_cast<size_t>(i));
   for (ItemId i : options.exclude) {
     if (i >= 0 && i < history_.num_items()) {
-      excluded[static_cast<size_t>(i)] = true;
+      excluded.Set(static_cast<size_t>(i));
     }
   }
-  std::vector<ScoredItem> top = SelectTopK(popularity_, excluded, k);
+  std::vector<ScoredItem> top = SelectTopK(popularity_, excluded.bits(), k);
   ApplyMinScore(options.min_score, &top);
   return top;
 }

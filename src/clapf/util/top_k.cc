@@ -49,6 +49,9 @@ std::vector<ScoredItem> SelectTopK(const std::vector<double>& scores,
                                    size_t k) {
   TopKAccumulator acc(k);
   for (size_t i = 0; i < scores.size(); ++i) {
+    // A score strictly below a full heap's threshold cannot enter, so it
+    // skips the out-of-line Push; ties and NaN still reach it.
+    if (acc.full() && scores[i] < acc.threshold_score()) continue;
     if (!exclude.empty() && exclude[i]) continue;
     acc.Push(static_cast<int32_t>(i), scores[i]);
   }

@@ -248,7 +248,12 @@ std::string Smash(std::string image, size_t at, int32_t value) {
 std::pair<Status, Status> LoadBoth(const std::string& image) {
   std::istringstream in(image, std::ios::binary);
   Status from_stream = LoadModelFromStream(in, "smashed").status();
-  const std::string path = ::testing::TempDir() + "smashed_model.clpf";
+  // One file per test: ctest runs the tests that call this in parallel
+  // processes, and a shared name let one overwrite another's image.
+  const std::string path =
+      ::testing::TempDir() +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".clpf";
   EXPECT_TRUE(WriteStringToFile(path, image).ok());
   return {from_stream, LoadModel(path).status()};
 }

@@ -138,6 +138,47 @@ TEST(RecommenderTest, ExplicitExclusionList) {
   }
 }
 
+TEST(ExclusionBitmapTest, ForThreadClearsWhatThePreviousUseSet) {
+  ExclusionBitmap& first = ExclusionBitmap::ForThread(100);
+  first.Set(3);
+  first.Set(97);
+  first.Set(3);
+  EXPECT_EQ(first.bits().size(), 100u);
+  EXPECT_TRUE(first.bits()[3] && first.bits()[97]);
+  // A smaller catalog, then a larger one: every bit reads clear, also the
+  // ones the shrink dropped.
+  ExclusionBitmap& smaller = ExclusionBitmap::ForThread(50);
+  EXPECT_EQ(smaller.bits(), std::vector<bool>(50, false));
+  smaller.Set(49);
+  ExclusionBitmap& larger = ExclusionBitmap::ForThread(120);
+  EXPECT_EQ(larger.bits(), std::vector<bool>(120, false));
+}
+
+TEST(QueryOptionsTest, ExclusionsDoNotCarryOverToTheNextQuery) {
+  // One worker answers every query, so each reuses the bitmap of the one
+  // before it, on the popularity path and on the model path.
+  for (int32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ServerOptions options = QueryServing(shards);
+    options.num_threads = 1;
+    ModelServer server(QueryHistory(), options);
+    QueryOptions drop_popular;
+    drop_popular.exclude = {5, 0, 23};
+    EXPECT_EQ(Items(*server.Recommend(kCold, 2, drop_popular)),
+              (std::vector<ItemId>{1, 2}));
+    EXPECT_EQ(Items(*server.Recommend(kCold, 2)),
+              (std::vector<ItemId>{5, 0}));
+    ASSERT_TRUE(server.PublishModel(QueryModel()).ok());
+    QueryOptions drop_best;
+    drop_best.exclude = {22, 21, 13};
+    EXPECT_EQ(Items(*server.Recommend(0, 2, drop_best)),
+              (std::vector<ItemId>{20, 19}));
+    EXPECT_EQ(Items(*server.Recommend(0, 2)), (std::vector<ItemId>{22, 21}));
+    EXPECT_EQ(Items(*server.Recommend(kCold, 2)),
+              (std::vector<ItemId>{5, 0}));
+  }
+}
+
 TEST(RecommenderTest, ColdUserFallsBackToPopularity) {
   for (int32_t shards : kShardCounts) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
