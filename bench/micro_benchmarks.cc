@@ -210,14 +210,15 @@ BENCHMARK(BM_BprSgdIterationParallel)
     ->Arg(8)
     ->UseRealTime();
 
-// Batched top-k serving over a whole user cohort through a server with T
-// query workers: the 500-user cohort is cut into T contiguous sub-batches,
-// which T client threads send concurrently as RecommendBatch requests (the
-// server runs each batch as one admitted request and parallelizes across
-// requests). Second arg selects the scoring path: 0 = exact double scan,
-// 1 = packed float32 fused kernel (the serving default). The packed/exact
-// gap at equal thread count is the end-to-end speedup the packed snapshot
-// buys (recorded in results/BENCH_scoring.json).
+// Batched top-k serving over a whole user cohort through a server that
+// serves T queries at once: the 500-user cohort is cut into T contiguous
+// sub-batches, which T client threads send concurrently as RecommendBatch
+// requests (the server runs each batch as one admitted request on its
+// client's thread and parallelizes across requests). Second arg selects
+// the scoring path: 0 = exact double scan, 1 = packed float32 fused kernel
+// (the serving default). The packed/exact gap at equal thread count is the
+// end-to-end speedup the packed snapshot buys (recorded in
+// results/BENCH_scoring.json).
 void BM_RecommendBatch(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   static Dataset data = BenchData(500, 2000, 25000);

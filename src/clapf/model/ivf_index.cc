@@ -1,7 +1,6 @@
 #include "clapf/model/ivf_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -1006,47 +1005,6 @@ void IvfIndex::DesyncForTesting() {
     global_to_local_[static_cast<size_t>(local_to_global_[l])] =
         static_cast<int32_t>(l);
   }
-}
-
-Status VerifyIvfBinding(const FactorModel& model, const IvfIndex& index,
-                        const std::string& context) {
-  if (model.num_items() != index.num_items() ||
-      model.num_factors() != index.num_factors()) {
-    return Status::FailedPrecondition(
-        context + ": ivf index dimensions disagree with the model (index " +
-        std::to_string(index.num_items()) + "x" +
-        std::to_string(index.num_factors()) + ", model " +
-        std::to_string(model.num_items()) + "x" +
-        std::to_string(model.num_factors()) + ")");
-  }
-  Status structure = index.VerifyStructure(context);
-  if (!structure.ok()) return structure;
-  // Chunks are checked in parallel; each reports its first stale item and
-  // the smallest one is named, as a serial scan would. A chunk starting
-  // past an already-found stale item is skipped.
-  constexpr ItemId kChunk = 4096;
-  const ItemId n = model.num_items();
-  std::atomic<ItemId> first_stale{n};
-  auto check_chunk = [&](int64_t c) {
-    const ItemId begin = static_cast<ItemId>(c) * kChunk;
-    const ItemId end = std::min<ItemId>(n, begin + kChunk);
-    for (ItemId i = begin;
-         i < end && i < first_stale.load(std::memory_order_relaxed); ++i) {
-      if (ItemCrc(model, i) != index.item_crcs()[static_cast<size_t>(i)]) {
-        AtomicMin(&first_stale, i);
-        return;
-      }
-    }
-  };
-  ParallelForEach((n + kChunk - 1) / kChunk, index.options().build_threads,
-                  check_chunk);
-  if (first_stale.load() < n) {
-    return Status::FailedPrecondition(
-        context + ": ivf index is stale — item " +
-        std::to_string(first_stale.load()) +
-        "'s parameters changed since the index was built");
-  }
-  return Status::OK();
 }
 
 std::vector<std::vector<ScoredItem>> ExactTopKForUsers(

@@ -37,10 +37,10 @@ struct IvfOptions {
   /// Probe-list width used when a query leaves QueryOptions::ann_nprobe at 0.
   int32_t default_nprobe = 8;
   /// Threads for the assignment and per-item CRC passes (1 = serial), and
-  /// for the index's publish gate (VerifyIvfBinding, the recall
-  /// measurement). Never changes the result: assignments are computed
-  /// independently per item, centroid updates are accumulated serially in
-  /// item order, and the gate's verdicts are thread-count invariant.
+  /// for the index's publish gate (the recall measurement). Never changes
+  /// the result: assignments are computed independently per item, centroid
+  /// updates are accumulated serially in item order, and the gate's
+  /// verdicts are thread-count invariant.
   int build_threads = 1;
   /// Build the per-lane int8 code book + codes alongside the repack so
   /// queries can opt into the quantized first-pass path
@@ -127,11 +127,10 @@ struct IvfProbeRange {
 ///      approximation lives *only* in which clusters are probed; every
 ///      scored candidate gets its exact packed score.
 ///
-/// The index binds itself to the source model with a per-item CRC of the
-/// item parameters: VerifyIvfBinding detects a stale index of unknown
-/// origin, and RebuildDirty (given no ItemDelta) uses the same CRCs to
-/// reassign only the items whose parameters actually changed (frozen
-/// centroids), which is the online incremental-publish path.
+/// The index records a per-item CRC of the source model's item parameters:
+/// RebuildDirty (given no ItemDelta) uses them to reassign only the items
+/// whose parameters actually changed (frozen centroids), which is the
+/// online incremental-publish path.
 ///
 /// Immutable after Build and safe to share read-only across query threads.
 class IvfIndex {
@@ -261,8 +260,8 @@ class IvfIndex {
   /// measured composed-recall gate.
   void CorruptPqForTesting() { pq_.CorruptForTesting(options_.seed); }
 
-  /// Per-item source-parameter CRCs (see class comment): the binding proof
-  /// VerifyIvfBinding checks and RebuildDirty's dirty detector.
+  /// Per-item source-parameter CRCs (see class comment): RebuildDirty's
+  /// dirty detector.
   const std::vector<uint32_t>& item_crcs() const { return item_crc_; }
 
   /// Total index bytes: permuted snapshot + centroids + tables.
@@ -295,8 +294,8 @@ class IvfIndex {
   /// Permutation tables between packed() local ids and global ids.
   std::vector<int32_t> local_to_global_;
   std::vector<int32_t> global_to_local_;
-  /// CRC32 of each item's source parameters (factors + bias doubles):
-  /// binding proof and dirty detector.
+  /// CRC32 of each item's source parameters (factors + bias doubles): the
+  /// dirty detector.
   std::vector<uint32_t> item_crc_;
   /// Max squared augmented norm M² the residual dimension was built against.
   double aug_m2_ = 0.0;
@@ -311,17 +310,6 @@ class IvfIndex {
   int32_t num_clusters_ = 0;
   bool use_item_bias_ = false;
 };
-
-/// Binding check for an index of unknown origin: `index` must have been
-/// built from exactly `model`'s current item parameters (per-item CRCs and
-/// dimensions must all match) and pass VerifyStructure. FailedPrecondition
-/// naming the first (smallest) divergent item on a stale/desynced index.
-/// The per-item CRCs are recomputed in parallel over the index's
-/// build_threads; the verdict does not depend on the count. The publish
-/// gate (BuildGatedIvf) does not run it: it built its index from the
-/// candidate's bytes itself. `context` names the candidate in errors.
-Status VerifyIvfBinding(const FactorModel& model, const IvfIndex& index,
-                        const std::string& context);
 
 /// The exact top-k (score desc, id asc) of every user in `users` over the
 /// whole of `exact`, from one tiled pass of ScoreBlocksTopK over the
@@ -427,8 +415,7 @@ struct IvfGateOptions {
 /// passes VerifyStructure and (recall_floor > 0) VerifyAnnRecall's measured
 /// recall against `exact` (the base-order snapshot of `model`) clears the
 /// floor. No per-item CRC is re-checked: the index was built from
-/// `model`'s bytes in this call (VerifyIvfBinding is for indexes of unknown
-/// origin).
+/// `model`'s bytes in this call.
 ///
 /// With a `baseline` whose model `previous` was built from, the rebuild
 /// takes the DiffItems of `model` against it (timed in the assign phase),

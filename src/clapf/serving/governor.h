@@ -63,8 +63,9 @@ struct GovernorOptions {
 /// scrapes and post-incident dumps both show what adaptation did and when.
 ///
 /// Inputs per tick (all from the shared MetricsRegistry / admission queue):
-/// instantaneous queue depth and deltas of the serving outcome counters
-/// (queries, sheds, deadline misses, breaker trips).
+/// the instantaneous queue depth (admitted callers, running or waiting) and
+/// deltas of the serving outcome counters (queries, sheds, deadline misses,
+/// breaker trips).
 ///
 /// Thread-safe: Tick() may run on the internal ticker thread or be called
 /// manually (deterministic drills); knobs() and ApplyToQuery() are lock-free

@@ -46,7 +46,7 @@ class ExclusionBitmap {
 /// One published model version restricted to a shard's item range: the
 /// sliced exact model plus (when packed serving is on) its SIMD repack and
 /// (when ANN serving is on) its IVF index. Immutable once published; query
-/// workers share it read-only via shared_ptr.
+/// threads share it read-only via shared_ptr.
 struct ShardSlice {
   explicit ShardSlice(FactorModel sliced_model)
       : model(std::move(sliced_model)) {}

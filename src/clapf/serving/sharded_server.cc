@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <future>
 #include <latch>
 #include <limits>
 #include <numeric>
@@ -107,7 +106,6 @@ ModelServer::ModelServer(Dataset history, const ServerOptions& options)
 
 ModelServer::~ModelServer() {
   if (governor_ != nullptr) governor_->Stop();
-  queue_.Wait();
 }
 
 void ModelServer::RecordShardEvent(int32_t shard, FlightEventKind kind,
@@ -451,8 +449,8 @@ Result<std::vector<ScoredItem>> ModelServer::ServeUser(
       score_one(0);
     } else {
       // Scatter over the dedicated pool and wait on a latch. The scatter
-      // tasks never block on anything, so the admitted worker parked here
-      // cannot deadlock against the admission pool.
+      // tasks never block on anything, so the admitted caller parked here
+      // cannot deadlock.
       std::latch done(static_cast<std::ptrdiff_t>(n));
       for (size_t s = 0; s < n; ++s) {
         scatter_pool_->Submit([&score_one, &done, s] {
@@ -569,9 +567,9 @@ Result<BatchReply> ModelServer::ServeBatch(std::span<const UserId> users,
     return reply;
   }
 
-  // One absolute deadline for the whole batch; users run serially on this
-  // worker (parallelism is across requests and across shards within one
-  // user), and an expiry hands back the completed prefix.
+  // One absolute deadline for the whole batch; users run serially on the
+  // caller's thread (parallelism is across requests and across shards
+  // within one user), and an expiry hands back the completed prefix.
   const std::optional<Clock::time_point> deadline = DeadlineFrom(options);
   for (size_t i = 0; i < users.size(); ++i) {
     auto one = ServeUser(users[i], k, options, deadline, cut, attr);
@@ -597,12 +595,10 @@ Result<std::vector<ScoredItem>> ModelServer::Recommend(
   }
   const QueryOptions& effective = governed ? *governed : options;
   TraceSpan span(query_latency_);
-  std::promise<Result<std::vector<ScoredItem>>> promise;
-  auto future = promise.get_future();
+  std::optional<Result<std::vector<ScoredItem>>> out;
   QueryAttribution attr;
-  Status admitted = queue_.Submit([this, u, k, &effective, &promise, &attr] {
-    promise.set_value(ServeOne(u, k, effective, &attr));
-  });
+  Status admitted =
+      queue_.Run([&] { out.emplace(ServeOne(u, k, effective, &attr)); });
   if (!admitted.ok()) {
     span.Cancel();
     stats_.RecordShed();
@@ -610,7 +606,6 @@ Result<std::vector<ScoredItem>> ModelServer::Recommend(
                      queue_.depth(), queue_.max_depth());
     return admitted;
   }
-  auto out = future.get();
   span.Stop();
   const double elapsed_us = span.ElapsedMicros();
   if (options_.slow_query_us > 0 &&
@@ -618,8 +613,8 @@ Result<std::vector<ScoredItem>> ModelServer::Recommend(
     recorder_.Record(FlightEventKind::kSlowQuery,
                      "query served above slow threshold", u, 0, elapsed_us);
   }
-  RecordOutcome(out.status(), attr);
-  return out;
+  RecordOutcome(out->status(), attr);
+  return *std::move(out);
 }
 
 Result<BatchReply> ModelServer::RecommendBatch(std::span<const UserId> users,
@@ -632,13 +627,10 @@ Result<BatchReply> ModelServer::RecommendBatch(std::span<const UserId> users,
   }
   const QueryOptions& effective = governed ? *governed : options;
   TraceSpan span(batch_latency_);
-  std::promise<Result<BatchReply>> promise;
-  auto future = promise.get_future();
+  std::optional<Result<BatchReply>> out;
   QueryAttribution attr;
-  Status admitted =
-      queue_.Submit([this, users, k, &effective, &promise, &attr] {
-        promise.set_value(ServeBatch(users, k, effective, &attr));
-      });
+  Status admitted = queue_.Run(
+      [&] { out.emplace(ServeBatch(users, k, effective, &attr)); });
   if (!admitted.ok()) {
     span.Cancel();
     stats_.RecordShed();
@@ -646,7 +638,6 @@ Result<BatchReply> ModelServer::RecommendBatch(std::span<const UserId> users,
                      queue_.depth(), queue_.max_depth());
     return admitted;
   }
-  auto out = future.get();
   span.Stop();
   const double elapsed_us = span.ElapsedMicros();
   if (options_.slow_query_us > 0 &&
@@ -655,12 +646,12 @@ Result<BatchReply> ModelServer::RecommendBatch(std::span<const UserId> users,
                      "batch served above slow threshold",
                      static_cast<int64_t>(users.size()), 0, elapsed_us);
   }
-  if (out.ok() && out->deadline_exceeded) {
+  if (out->ok() && (*out)->deadline_exceeded) {
     RecordOutcome(Status::DeadlineExceeded("partial batch"), attr);
   } else {
-    RecordOutcome(out.status(), attr);
+    RecordOutcome(out->status(), attr);
   }
-  return out;
+  return *std::move(out);
 }
 
 void ModelServer::RecordOutcome(const Status& status,
@@ -809,7 +800,7 @@ bool ModelServer::TripShardBreaker(int32_t shard) {
     // replaces any older, never-probed candidate.
     released.push_back(std::move(chain.tripped));
     released.push_back(std::move(chain.probe_fallback));
-    if (options_.breaker.half_open && chain.current != nullptr) {
+    if (chain.current != nullptr) {
       chain.tripped = chain.current;
       have_probe_candidate = true;
     }

@@ -82,15 +82,13 @@ struct BreakerOptions {
   /// Internal-error fraction at which the breaker trips.
   double error_threshold = 0.5;
 
-  // Half-open recovery. After a trip the rolled-back-from snapshot is kept
-  // aside; once `cooldown_queries` further queries have been answered by the
-  // fallback, it is re-admitted for a `probe_window`-query probe. A probe
-  // whose internal-error rate stays below `error_threshold` reinstates the
-  // snapshot (no republish needed); a failed probe reverts to the fallback
-  // and discards the snapshot for good. Every transition lands in the
-  // flight recorder.
-  /// Master switch for half-open recovery.
-  bool half_open = true;
+  // Half-open recovery, always on. After a trip the rolled-back-from
+  // snapshot is kept aside; once `cooldown_queries` further queries have
+  // been answered by the fallback, it is re-admitted for a
+  // `probe_window`-query probe. A probe whose internal-error rate stays below
+  // `error_threshold` reinstates the snapshot (no republish needed); a
+  // failed probe reverts to the fallback and discards the snapshot for good.
+  // Every transition lands in the flight recorder.
   /// Queries served by the fallback before a probe window opens.
   int64_t cooldown_queries = 64;
   /// Queries the probe window admits against the tripped snapshot.
@@ -99,10 +97,11 @@ struct BreakerOptions {
 
 /// ModelServer construction knobs.
 struct ServerOptions {
-  /// Query worker threads.
+  /// Queries served at once, each on its caller's thread; admitted callers
+  /// past this many wait for a run slot.
   int num_threads = 2;
-  /// Admission bound: requests past this many pending-or-running tasks are
-  /// shed with Unavailable.
+  /// Admission bound: requests past this many admitted callers, running or
+  /// waiting, are shed with Unavailable.
   int64_t max_queue_depth = 64;
   /// Build a packed SIMD snapshot of each published slice and serve queries
   /// through the fused score+top-k fast path. The canary gate then also
@@ -169,15 +168,15 @@ struct BatchReply {
   bool deadline_exceeded = false;
 };
 
-/// The serving front end: owns the interaction history, a worker pool
-/// behind a bounded admission queue, and RCU-style snapshots of the served
-/// model that training can hot-swap while queries run. The catalog is
-/// partitioned into ServerOptions::num_shards contiguous item ranges
-/// (ShardMap); one shard — the default — is the monolithic server, and
-/// every shard count runs the same code.
+/// The serving front end: owns the interaction history, a bounded
+/// admission gate that runs each query on its caller's thread, and
+/// RCU-style snapshots of the served model that training can hot-swap while
+/// queries run. The catalog is partitioned into ServerOptions::num_shards
+/// contiguous item ranges (ShardMap); one shard — the default — is the
+/// monolithic server, and every shard count runs the same code.
 ///
 /// Query path (scatter-gather): one admission decision at the front (the
-/// global bound), then the admitted worker takes a consistent cut of every
+/// global bound), then the admitted caller takes a consistent cut of every
 /// shard's current slice under one mutex acquisition and fans the shards
 /// out over a dedicated scatter pool (one shard scores inline). Each shard
 /// runs Retrieve over its local items, raising a shared ThresholdBroadcast
@@ -212,10 +211,11 @@ struct BatchReply {
 /// only that shard's breaker window eats the error. A tripped shard rolls
 /// back to its previous slice, or degrades to its popularity slice when it
 /// has none, while the other shards keep serving the model. Each shard's
-/// breaker then runs half-open recovery — cooldown, probe window,
-/// reinstate-or-revert (BreakerOptions::half_open et al.) — scoped to its
-/// own failure domain: only queries that consulted the shard advance its
-/// cooldown and probe, and a probe verdict swaps that shard's slice alone.
+/// breaker then runs half-open recovery, always on — cooldown, probe
+/// window, reinstate-or-revert (BreakerOptions::cooldown_queries et al.) —
+/// scoped to its own failure domain: only queries that consulted the shard
+/// advance its cooldown and probe, and a probe verdict swaps that shard's
+/// slice alone.
 /// The optional governor is server-wide: its levers (admission depth,
 /// deadline budget) are shared resources.
 ///
@@ -231,7 +231,7 @@ class ModelServer {
   /// model is published yet, so the server starts degraded to popularity.
   ModelServer(Dataset history, const ServerOptions& options);
 
-  /// Stops the governor ticker and drains in-flight queries.
+  /// Stops the governor ticker. No query may still be running.
   ~ModelServer();
 
   /// The unified publish entry point: resolves `request` (an in-memory
@@ -256,8 +256,8 @@ class ModelServer {
   /// it without a copy. Same as PublishModel(PublishRequest(candidate)).
   Status PublishModel(FactorModel&& candidate);
 
-  /// Scatter-gather top-k for one user, through admission control on the
-  /// serving pool. Outcomes: the ranked list, DeadlineExceeded
+  /// Scatter-gather top-k for one user, run on the calling thread once the
+  /// admission gate lets it in. Outcomes: the ranked list, DeadlineExceeded
   /// (options.deadline expired), Unavailable (shed by the admission bound),
   /// OutOfRange (bad id), or Internal (shard-attributed integrity failure —
   /// that shard's breaker food).
@@ -388,7 +388,7 @@ class ModelServer {
   bool AllDark(const std::vector<std::shared_ptr<const ShardSlice>>& cut,
                QueryAttribution* attr) const;
 
-  /// Pool-worker entries.
+  /// What an admitted caller runs.
   Result<std::vector<ScoredItem>> ServeOne(UserId u, size_t k,
                                            const QueryOptions& options,
                                            QueryAttribution* attr);
@@ -447,8 +447,8 @@ class ModelServer {
   std::vector<BreakerWindow> breaker_windows_;  // one per shard
 
   // Declaration order matters: the registry precedes every view into it,
-  // the recorders precede the pools whose workers write them, and the
-  // governor comes last so its ticker never outlives what it observes.
+  // the recorders precede the scatter pool whose workers write them, and
+  // the governor comes last so its ticker never outlives what it observes.
   MetricsRegistry metrics_;
   Histogram* query_latency_;  // serving.query.latency_us
   Histogram* batch_latency_;  // serving.batch.latency_us

@@ -37,8 +37,8 @@ enum class FaultPoint : int {
   /// One served top-k score is rewritten to NaN after ranking, so the
   /// post-publish serve-time integrity check fails and feeds the breaker.
   kServeScoreNan,
-  /// A serving worker stalls before running its task, backing the admission
-  /// queue up to its bound so overload shedding kicks in.
+  /// An admitted query stalls in its run slot before it serves, backing the
+  /// admission queue up to its bound so overload shedding kicks in.
   kServeQueueStall,
   /// A WAL append writes only a prefix of the record frame and the process
   /// "dies" (the writer is poisoned): the classic torn tail that replay must
@@ -78,7 +78,7 @@ struct FaultSpec {
 /// Process-wide fault-injection registry, RocksDB FaultInjectionTestFS style:
 /// compiled into every build, and a handful of branch-predictable no-op
 /// checks unless a test arms it. Thread-safe: the serving drills hit armed
-/// points from concurrent pool workers, so hit/fire accounting is mutex
+/// points from concurrent query threads, so hit/fire accounting is mutex
 /// guarded (only ever taken while a point is armed) and the hot-path
 /// `armed()` check is a relaxed atomic load.
 class FaultInjector {

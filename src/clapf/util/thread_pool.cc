@@ -33,23 +33,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_available_.notify_one();
 }
 
-bool ThreadPool::TrySubmit(std::function<void()> task, int64_t max_depth) {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    CLAPF_CHECK(!shutting_down_);
-    if (in_flight_ >= max_depth) return false;
-    queue_.push(std::move(task));
-    ++in_flight_;
-  }
-  work_available_.notify_one();
-  return true;
-}
-
-int64_t ThreadPool::InFlight() const {
-  std::unique_lock<std::mutex> lock(mutex_);
-  return in_flight_;
-}
-
 void ThreadPool::Wait() {
   std::unique_lock<std::mutex> lock(mutex_);
   all_idle_.wait(lock, [this] { return in_flight_ == 0; });

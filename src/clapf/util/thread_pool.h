@@ -29,15 +29,6 @@ class ThreadPool {
   /// Enqueues one task.
   void Submit(std::function<void()> task);
 
-  /// Enqueues `task` only when fewer than `max_depth` tasks are pending or
-  /// running; returns false without queuing otherwise. This is the
-  /// load-shedding primitive behind serving admission control: the queue
-  /// stays bounded instead of absorbing an overload into memory.
-  bool TrySubmit(std::function<void()> task, int64_t max_depth);
-
-  /// Tasks submitted but not yet finished (pending + running).
-  int64_t InFlight() const;
-
   /// Blocks until every submitted task has finished.
   void Wait();
 
@@ -53,7 +44,7 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable all_idle_;
   int64_t in_flight_ = 0;

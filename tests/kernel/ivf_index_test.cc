@@ -340,10 +340,14 @@ TEST_F(IvfIndexTest, RebuildDirtyReassignsOnlyChangedItems) {
   auto dirty = IvfIndex::RebuildDirty(first, model, opts, &reassigned);
   ASSERT_TRUE(dirty.ok());
   EXPECT_EQ(reassigned, 3);
-  EXPECT_TRUE(VerifyIvfBinding(model, *dirty, "test").ok());
-  // The stale seed no longer binds.
-  EXPECT_EQ(VerifyIvfBinding(model, first, "test").code(),
-            StatusCode::kFailedPrecondition);
+  const IvfIndex fresh = IvfIndex::Build(model, opts);
+  EXPECT_EQ(dirty->item_crcs(), fresh.item_crcs());
+  EXPECT_TRUE(dirty->VerifyStructure("test").ok());
+  // The stale seed no longer binds: its CRCs disagree on the moved items.
+  for (ItemId i : {ItemId{5}, ItemId{250}, ItemId{599}}) {
+    EXPECT_NE(first.item_crcs()[static_cast<size_t>(i)],
+              fresh.item_crcs()[static_cast<size_t>(i)]);
+  }
 
   // Incompatible options refuse instead of silently rebuilding.
   IvfOptions other = opts;
@@ -675,7 +679,8 @@ TEST_F(IvfIndexTest, RebuildDirtyFromTheDiffSetBuildsTheIndexOfTheCrcScan) {
         EXPECT_EQ(from_delta, from_crcs);
         EXPECT_EQ(IndexHash(*with), IndexHash(*without));
         EXPECT_EQ(with->item_crcs(), without->item_crcs());
-        EXPECT_TRUE(VerifyIvfBinding(cand, *with, "delta").ok());
+        EXPECT_EQ(with->item_crcs(), IvfIndex::Build(cand, opts).item_crcs());
+        EXPECT_TRUE(with->VerifyStructure("delta").ok());
       }
     }
   }

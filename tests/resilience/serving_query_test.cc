@@ -383,7 +383,6 @@ TEST(QueryOptionsTest, ColdStartOptOutHoldsInEveryServingState) {
     ServerOptions options = QueryServing(shards);
     options.breaker.min_samples = 4;
     options.breaker.window = 8;
-    options.breaker.half_open = false;
     ModelServer server(QueryHistory(), options);
     {
       SCOPED_TRACE("before the first publish");

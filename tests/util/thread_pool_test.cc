@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
 #include <vector>
 
 namespace clapf {
@@ -59,47 +58,6 @@ TEST(ThreadPoolTest, ReusableAcrossWaves) {
     pool.Wait();
     EXPECT_EQ(counter.load(), (wave + 1) * 20);
   }
-}
-
-TEST(ThreadPoolTest, TrySubmitRefusesPastMaxDepth) {
-  ThreadPool pool(1);
-  std::mutex gate;
-  gate.lock();  // park the single worker on the first task
-  std::atomic<int> ran{0};
-  ASSERT_TRUE(pool.TrySubmit(
-      [&gate, &ran] {
-        std::lock_guard<std::mutex> hold(gate);
-        ran.fetch_add(1);
-      },
-      /*max_depth=*/2));
-  ASSERT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }, 2));
-  // Two tasks in flight: a third at depth 2 must be refused, untouched.
-  EXPECT_FALSE(pool.TrySubmit([&ran] { ran.fetch_add(1); }, 2));
-  EXPECT_EQ(pool.InFlight(), 2);
-
-  gate.unlock();
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 2);  // the refused task never ran
-  EXPECT_EQ(pool.InFlight(), 0);
-
-  // With the pool drained the same submission is admitted again.
-  EXPECT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }, 2));
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 3);
-}
-
-TEST(ThreadPoolTest, InFlightCountsPendingAndRunning) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.InFlight(), 0);
-  std::mutex gate;
-  gate.lock();
-  for (int i = 0; i < 4; ++i) {
-    pool.Submit([&gate] { std::lock_guard<std::mutex> hold(gate); });
-  }
-  EXPECT_EQ(pool.InFlight(), 4);
-  gate.unlock();
-  pool.Wait();
-  EXPECT_EQ(pool.InFlight(), 0);
 }
 
 }  // namespace

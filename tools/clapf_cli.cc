@@ -332,7 +332,7 @@ int RunServe(int argc, char** argv) {
   flags.AddBool("header", &has_header, "skip the first line of the input");
   flags.AddString("users", &users_csv, "comma-separated dense user ids");
   flags.AddInt("k", &k, "list length");
-  flags.AddInt("threads", &threads, "serving worker threads");
+  flags.AddInt("threads", &threads, "queries served at once");
   flags.AddInt("queue-depth", &queue_depth,
                "admission bound: requests past this are shed (Unavailable)");
   flags.AddInt("deadline-us", &deadline_us,
