@@ -185,18 +185,11 @@ EvalSummary Evaluator::EvaluateParallel(const Ranker& ranker,
     for (size_t i = 0; i < ks.size(); ++i) partial.at_k[i].k = ks[i];
   }
 
-  {
-    ThreadPool pool(num_threads);
-    for (int32_t b = 0; b < num_blocks; ++b) {
-      const UserId lo = static_cast<UserId>(b) * kBlockUsers;
-      const UserId hi = std::min<UserId>(num_users, lo + kBlockUsers);
-      EvalSummary* partial = &partials[static_cast<size_t>(b)];
-      pool.Submit([this, &ranker, &ks, lo, hi, partial] {
-        AccumulateRange(ranker, ks, lo, hi, partial);
-      });
-    }
-    pool.Wait();
-  }
+  ParallelForEach(num_blocks, num_threads, [&](int64_t b) {
+    const UserId lo = static_cast<UserId>(b) * kBlockUsers;
+    const UserId hi = std::min<UserId>(num_users, lo + kBlockUsers);
+    AccumulateRange(ranker, ks, lo, hi, &partials[static_cast<size_t>(b)]);
+  });
 
   EvalSummary summary;
   summary.at_k.resize(ks.size());

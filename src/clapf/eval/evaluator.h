@@ -53,9 +53,11 @@ class Evaluator {
   EvalSummary Evaluate(const FactorModel& model,
                        const std::vector<int>& ks) const;
 
-  /// Multi-threaded evaluation, sharded over users. The ranker's ScoreItems
-  /// must be safe to call concurrently from several threads (FactorModel
-  /// qualifies; the neural trainers use per-instance scratch and do not).
+  /// Multi-threaded evaluation, sharded over users: 256-user blocks run
+  /// through ParallelForEach, the calling thread among the `num_threads`
+  /// that score them. The ranker's ScoreItems must be safe to call
+  /// concurrently from several threads (FactorModel qualifies; the neural
+  /// trainers use per-instance scratch and do not).
   /// Deterministic: users are split into fixed-size blocks whose partial
   /// sums are reduced in block order, so the summary is identical for every
   /// `num_threads` (it may still differ from Evaluate() in the last ulp,

@@ -88,6 +88,9 @@ double MaxItemNorm2(const FactorModel& model, int threads) {
 // beside the 272 KiB panel of 1000 centroids, stays in a core's L2.
 constexpr int64_t kAssignChunk = 512;
 
+// Lloyd iterations of every k-means training run.
+constexpr int32_t kKmeansIterations = 8;
+
 // assignment[i] = the nearest panel centroid of item i's augmented vector,
 // for the `count` items ids[0..count) (items 0..count when `ids` is null).
 // Items are lifted into the augmented space one cache-sized chunk at a
@@ -288,8 +291,7 @@ IvfIndex IvfIndex::Build(const FactorModel& model, const IvfOptions& options,
   std::vector<int64_t> counts(static_cast<size_t>(k));
   const int64_t num_train = static_cast<int64_t>(sample.size());
   const int64_t train_chunks = (num_train + kAssignChunk - 1) / kAssignChunk;
-  for (int32_t iter = 0; iter < std::max(0, options.kmeans_iterations);
-       ++iter) {
+  for (int32_t iter = 0; iter < kKmeansIterations; ++iter) {
     for (size_t x = 0; x < centroids.size(); ++x) {
       centroids_f[x] = static_cast<float>(centroids[x]);
     }
@@ -1362,7 +1364,6 @@ Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
   }
   build_span.Stop();
   std::shared_ptr<const IvfIndex> built = std::move(ivf);
-  if (!options.verify) return built;
   TraceSpan gate_span(options.gate_us);
   // The index was built from this model's bytes above, so its per-item
   // CRCs need no re-check; its dimensions and structure must hold, and the
@@ -1382,8 +1383,7 @@ Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
   }
   if (gate.ok()) gate = built->VerifyStructure(context);
   if (gate.ok() && options.recall_floor > 0.0) {
-    const size_t k =
-        static_cast<size_t>(std::max<int32_t>(1, options.recall_k));
+    const size_t k = kGateRecallK;
     RecallTruth stamp;
     stamp.kernel = ActiveScoreKernel();
     stamp.sample_users = options.recall_users;

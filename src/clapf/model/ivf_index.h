@@ -24,13 +24,11 @@ struct IvfOptions {
   /// Coarse clusters. 0 (default) = ceil(sqrt(num_items)), always clamped to
   /// [1, num_items].
   int32_t num_clusters = 0;
-  /// Lloyd iterations over the training sample.
-  int32_t kmeans_iterations = 8;
-  /// k-means trains on at most this many evenly strided items; the final
-  /// assignment pass still visits every item. At the default, the 8 Lloyd
-  /// iterations cost about half of that one full pass: a 1M-item, d = 32
-  /// build (1000 clusters) takes ~3 s on 4 threads, at no measurable
-  /// recall cost.
+  /// k-means runs a fixed 8 Lloyd iterations over at most this many evenly
+  /// strided items; the final assignment pass still visits every item. At
+  /// the default, the 8 iterations cost about half of that one full pass:
+  /// a 1M-item, d = 32 build (1000 clusters) takes ~3 s on 4 threads, at no
+  /// measurable recall cost.
   int32_t max_train_points = 65536;
   /// Seed for centroid initialization.
   uint64_t seed = 1;
@@ -60,7 +58,6 @@ struct IvfOptions {
   /// (and, with pq on, its frozen code book).
   bool CompatibleWith(const IvfOptions& other) const {
     return num_clusters == other.num_clusters &&
-           kmeans_iterations == other.kmeans_iterations &&
            max_train_points == other.max_train_points && seed == other.seed &&
            pq == other.pq;
   }
@@ -378,19 +375,19 @@ struct GateBaseline {
   const RecallTruth* truth = nullptr;
 };
 
+/// The k of the publish gate's recall@k contract (BuildGatedIvf).
+inline constexpr size_t kGateRecallK = 10;
+
 /// How a publish builds and gates one IVF index (BuildGatedIvf).
 struct IvfGateOptions {
   IvfOptions ivf;
-  /// Dimension + structural verification, then the measured recall check.
-  bool verify = true;
-  /// recall@recall_k floor at the index's default nprobe, measured against
-  /// the exact packed scan; <= 0 skips the measured check (dimensions and
-  /// structure still run when `verify` is set).
+  /// recall@kGateRecallK floor at the index's default nprobe, measured
+  /// against the exact packed scan; <= 0 skips the measured check (the
+  /// dimension and structure checks always run).
   double recall_floor = 0.95;
   /// Recall probe sample: the GateSampleUsers(num_users, recall_users)
   /// users (evenly spaced; can be a few more than recall_users).
   int32_t recall_users = 16;
-  int32_t recall_k = 10;
   /// Where BuildGatedIvf records the wall time (us) of the index build and
   /// of the gate (structure + recall); null records nothing.
   Histogram* build_us = nullptr;
@@ -410,12 +407,12 @@ struct IvfGateOptions {
 /// call per shard slice). Builds the index over
 /// `model` — incrementally from `previous` (may be null) when its options
 /// are compatible and at most half the items changed, else from scratch —
-/// fires the kAnnCorruptIndex / kAnnCorruptCodes drills, then, with
-/// `options.verify`, refuses it unless its dimensions match `model`, it
-/// passes VerifyStructure and (recall_floor > 0) VerifyAnnRecall's measured
-/// recall against `exact` (the base-order snapshot of `model`) clears the
-/// floor. No per-item CRC is re-checked: the index was built from
-/// `model`'s bytes in this call.
+/// fires the kAnnCorruptIndex / kAnnCorruptCodes drills, then refuses it
+/// unless its dimensions match `model`, it passes VerifyStructure and
+/// (recall_floor > 0) VerifyAnnRecall's measured recall@kGateRecallK
+/// against `exact` (the base-order snapshot of `model`) clears the floor.
+/// No per-item CRC is re-checked: the index was built from `model`'s bytes
+/// in this call.
 ///
 /// With a `baseline` whose model `previous` was built from, the rebuild
 /// takes the DiffItems of `model` against it (timed in the assign phase),

@@ -448,17 +448,25 @@ void ScoreBlocks(const PackedSnapshot& snap, UserId u, int32_t first_block,
                                  snap.block_stride(), num_blocks, out);
 }
 
-void ScoreBlocksTopK(const PackedSnapshot& snap, UserId u, ItemId begin,
-                     ItemId end, const std::vector<bool>* excluded,
-                     TopKAccumulator* acc, double reject_below) {
+namespace {
+
+// The one fused float scan behind ScoreBlocksTopK and ScoreBlocksTopKMapped.
+// Score a cache-resident chunk of blocks, then run the scalar filter
+// (exclusions + threshold early-reject) over it; an item is excluded and
+// pushed under its global id, local_to_global[i] when kMapped and i itself
+// otherwise, so neither instantiation carries a branch for the map. The
+// reject test uses strict less-than: a score tying the current threshold
+// must still go through Push so the smaller-item-id tie-break is applied
+// exactly.
+template <bool kMapped>
+void ScoreBlocksTopKBody(const PackedSnapshot& snap, UserId u, ItemId begin,
+                         ItemId end, const int32_t* local_to_global,
+                         const std::vector<bool>* excluded,
+                         TopKAccumulator* acc, double reject_below) {
   CLAPF_CHECK(begin >= 0 && begin <= end && end <= snap.num_items());
   CLAPF_CHECK(begin % kPackedBlockItems == 0);
   if (begin == end) return;
 
-  // Score a cache-resident chunk of blocks, then run the scalar filter
-  // (exclusions + threshold early-reject) over it. The reject test uses
-  // strict less-than: a score tying the current threshold must still go
-  // through Push so the smaller-item-id tie-break is applied exactly.
   constexpr int32_t kChunkBlocks = 64;
   float buf[kChunkBlocks * kPackedBlockItems];
 
@@ -471,15 +479,34 @@ void ScoreBlocksTopK(const PackedSnapshot& snap, UserId u, ItemId begin,
     const ItemId hi =
         std::min<ItemId>(end, lo + nblocks * kPackedBlockItems);
     for (ItemId i = lo; i < hi; ++i) {
-      if (excluded != nullptr && (*excluded)[static_cast<std::size_t>(i)]) {
+      ItemId g = i;
+      if constexpr (kMapped) g = local_to_global[static_cast<std::size_t>(i)];
+      if (excluded != nullptr && (*excluded)[static_cast<std::size_t>(g)]) {
         continue;
       }
       const double s = static_cast<double>(buf[i - lo]);
       if (s < reject_below) continue;
       if (acc->full() && s < acc->threshold_score()) continue;
-      acc->Push(i, s);
+      acc->Push(g, s);
     }
   }
+}
+
+}  // namespace
+
+void ScoreBlocksTopK(const PackedSnapshot& snap, UserId u, ItemId begin,
+                     ItemId end, const std::vector<bool>* excluded,
+                     TopKAccumulator* acc, double reject_below) {
+  ScoreBlocksTopKBody<false>(snap, u, begin, end, nullptr, excluded, acc,
+                             reject_below);
+}
+
+void ScoreBlocksTopKMapped(const PackedSnapshot& snap, UserId u, ItemId begin,
+                           ItemId end, const int32_t* local_to_global,
+                           const std::vector<bool>* excluded,
+                           TopKAccumulator* acc, double reject_below) {
+  ScoreBlocksTopKBody<true>(snap, u, begin, end, local_to_global, excluded,
+                            acc, reject_below);
 }
 
 void PqScoreBlocks(const int8_t* codes, std::size_t code_stride,
@@ -519,38 +546,6 @@ void PqScoreCollect(const int8_t* codes, std::size_t code_stride,
   if (begin == end) return;
   PqCollectFor(ActiveScoreKernel())(codes, code_stride, num_factors,
                                     lane_weights, base, begin, end, bar, out);
-}
-
-void ScoreBlocksTopKMapped(const PackedSnapshot& snap, UserId u, ItemId begin,
-                           ItemId end, const int32_t* local_to_global,
-                           const std::vector<bool>* excluded,
-                           TopKAccumulator* acc, double reject_below) {
-  CLAPF_CHECK(begin >= 0 && begin <= end && end <= snap.num_items());
-  CLAPF_CHECK(begin % kPackedBlockItems == 0);
-  if (begin == end) return;
-
-  constexpr int32_t kChunkBlocks = 64;
-  float buf[kChunkBlocks * kPackedBlockItems];
-
-  const int32_t last_block = (end - 1) / kPackedBlockItems;
-  for (int32_t b = begin / kPackedBlockItems; b <= last_block;
-       b += kChunkBlocks) {
-    const int32_t nblocks = std::min(kChunkBlocks, last_block - b + 1);
-    ScoreBlocks(snap, u, b, nblocks, buf);
-    const ItemId lo = b * kPackedBlockItems;
-    const ItemId hi =
-        std::min<ItemId>(end, lo + nblocks * kPackedBlockItems);
-    for (ItemId i = lo; i < hi; ++i) {
-      const ItemId g = local_to_global[static_cast<std::size_t>(i)];
-      if (excluded != nullptr && (*excluded)[static_cast<std::size_t>(g)]) {
-        continue;
-      }
-      const double s = static_cast<double>(buf[i - lo]);
-      if (s < reject_below) continue;
-      if (acc->full() && s < acc->threshold_score()) continue;
-      acc->Push(g, s);
-    }
-  }
 }
 
 }  // namespace clapf

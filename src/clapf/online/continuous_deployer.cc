@@ -49,9 +49,7 @@ ContinuousDeployer::ContinuousDeployer(ModelServer* server,
       trainer_(bootstrap, MakeTrainerOptions(options)),
       checkpoints_(MakeCheckpointOptions(options)),
       last_good_(1, 1, options.trainer.sgd.num_factors,
-                 options.trainer.sgd.use_item_bias),
-      recorder_(static_cast<size_t>(
-          std::max<int64_t>(8, options.flight_recorder_capacity))) {
+                 options.trainer.sgd.use_item_bias) {
   CLAPF_CHECK(server_ != nullptr);
   CLAPF_CHECK(!options_.wal.dir.empty());
   CLAPF_CHECK(options_.min_increment_records > 0);

@@ -29,9 +29,8 @@ struct DeployerOptions {
   /// Records accumulated before RunCycle trains and publishes; smaller is
   /// fresher, larger amortizes the canary gate.
   int64_t min_increment_records = 1;
-  /// Events retained by the deployer's own flight recorder.
-  int64_t flight_recorder_capacity = 256;
-  /// When non-empty, the flight recorder is dumped here on every publish
+  /// When non-empty, the deployer's own flight recorder (the FlightRecorder
+  /// default ring of 256 events) is dumped here on every publish
   /// rollback — the online incident black box.
   std::string flight_dump_path;
   /// Telemetry sink for the online.* counters; also forwarded to the WAL

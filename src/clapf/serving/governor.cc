@@ -39,16 +39,12 @@ ServingGovernor::ServingGovernor(const GovernorOptions& options,
   if (b.max_queue_depth <= 0) b.max_queue_depth = initial_queue_depth;
   b.min_queue_depth = std::clamp<int64_t>(b.min_queue_depth, 1,
                                           b.max_queue_depth);
-  if (b.max_deadline_budget_us > 0 &&
-      b.min_deadline_budget_us > b.max_deadline_budget_us) {
-    b.min_deadline_budget_us = b.max_deadline_budget_us;
-  }
-  // Knobs start at rest: the static configuration until pressure shows.
+  // Knobs start at rest: the static configuration until pressure shows, and
+  // no deadline cap.
   knob_queue_depth_.store(b.max_queue_depth, std::memory_order_relaxed);
-  knob_deadline_budget_us_.store(rest_deadline_budget_us(),
-                                 std::memory_order_relaxed);
+  knob_deadline_budget_us_.store(0, std::memory_order_relaxed);
   queue_depth_gauge_->Set(static_cast<double>(b.max_queue_depth));
-  deadline_budget_gauge_->Set(static_cast<double>(rest_deadline_budget_us()));
+  deadline_budget_gauge_->Set(0.0);
 }
 
 ServingGovernor::~ServingGovernor() { Stop(); }
@@ -133,14 +129,10 @@ void ServingGovernor::SetQueueDepth(int64_t depth, const char* why) {
 }
 
 void ServingGovernor::SetDeadlineBudget(int64_t budget_us, const char* why) {
-  const GovernorKnobBounds& b = options_.bounds;
-  // 0 is the "no cap" rest value and only legal when the bounds rest there;
-  // any finite budget is clamped into [min, max-or-infinity].
-  if (budget_us != 0 || b.max_deadline_budget_us != 0) {
-    budget_us = std::max(budget_us, b.min_deadline_budget_us);
-    if (b.max_deadline_budget_us > 0) {
-      budget_us = std::min(budget_us, b.max_deadline_budget_us);
-    }
+  // 0 is the "no cap" rest value; any finite budget is held at or above the
+  // floor.
+  if (budget_us != 0) {
+    budget_us = std::max(budget_us, options_.bounds.min_deadline_budget_us);
   }
   const int64_t old =
       knob_deadline_budget_us_.load(std::memory_order_relaxed);
@@ -161,15 +153,11 @@ void ServingGovernor::RelaxOneStep(const char* why) {
   }
   const int64_t budget =
       knob_deadline_budget_us_.load(std::memory_order_relaxed);
-  if (budget != rest_deadline_budget_us()) {
-    int64_t next = budget * 2;
-    // An unbounded rest value is reached by doubling out the top: past 2^20
+  if (budget != 0) {
+    // The uncapped rest value is reached by doubling out the top: past 2^20
     // us (~1s) a cap is indistinguishable from none, so release it.
-    if (rest_deadline_budget_us() == 0) {
-      if (next >= (int64_t{1} << 20)) next = 0;
-    } else {
-      next = std::min(next, rest_deadline_budget_us());
-    }
+    int64_t next = budget * 2;
+    if (next >= (int64_t{1} << 20)) next = 0;
     SetDeadlineBudget(next, why);
   }
 }

@@ -22,12 +22,10 @@ struct GovernorKnobBounds {
   /// max_queue_depth (the rest value).
   int64_t min_queue_depth = 2;
   int64_t max_queue_depth = 0;
-  /// Server-imposed per-query deadline budget range, microseconds. The rest
-  /// value is `max_deadline_budget_us`, where 0 means "no server-side cap"
-  /// (queries keep whatever deadline the client set). Under pressure a
-  /// governor may cap budgets as low as `min_deadline_budget_us`.
+  /// Floor of the server-imposed per-query deadline budget, microseconds.
+  /// At rest there is no server-side cap (queries keep whatever deadline
+  /// the client set); under pressure a governor caps budgets at this floor.
   int64_t min_deadline_budget_us = 2000;
-  int64_t max_deadline_budget_us = 0;
 };
 
 /// Current knob values, readable at any time (atomic copies).
@@ -118,17 +116,14 @@ class ServingGovernor {
 
   Inputs ReadInputs();
   /// One decay step: queue depth doubles toward rest, then the deadline
-  /// budget doubles toward rest — capacity first. A no-op at rest.
+  /// budget doubles until, past 2^20 us, the cap is released — capacity
+  /// first. A no-op at rest.
   void RelaxOneStep(const char* why);
 
   /// Bounded setters: clamp, store, propagate (queue bound), publish the
   /// gauge, and record a governor-adjust event when the value changed.
   void SetQueueDepth(int64_t depth, const char* why);
   void SetDeadlineBudget(int64_t budget_us, const char* why);
-
-  int64_t rest_deadline_budget_us() const {
-    return options_.bounds.max_deadline_budget_us;
-  }
 
   GovernorOptions options_;
   AdmissionQueue* queue_;

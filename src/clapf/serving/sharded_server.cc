@@ -23,6 +23,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// The canary gate's fixed samples (CanaryOptions): the AUC probe re-holds
+// out this share of the serving history and draws this many negatives per
+// probe case; the packed agreement compares every item of about this many
+// evenly spaced users.
+constexpr double kAucProbeFraction = 0.1;
+constexpr int32_t kAucProbeNegatives = 20;
+constexpr int32_t kPackedAgreementUsers = 64;
+
 // Scores the whole catalog through the slices a publish built — through
 // the packed snapshots that will serve when packed serving is on — so the
 // canary's sampled-AUC probe vets the kernels production queries run.
@@ -65,8 +73,6 @@ ModelServer::ModelServer(Dataset history, const ServerOptions& options)
                                            LatencyBucketsUs())),
       retrieval_metrics_(&metrics_),
       publish_stages_(&metrics_),
-      recorder_(static_cast<size_t>(
-          std::max<int64_t>(1, options.flight_recorder_capacity))),
       queue_(std::max(1, options.num_threads), options.max_queue_depth,
              &metrics_),
       stats_(&metrics_) {
@@ -76,17 +82,14 @@ ModelServer::ModelServer(Dataset history, const ServerOptions& options)
   for (int32_t s = 0; s < num_shards(); ++s) {
     shards_.emplace_back(s, shard_map_.begin(s), shard_map_.end(s), history_,
                          popularity_);
-    shard_recorders_.push_back(std::make_unique<FlightRecorder>(
-        static_cast<size_t>(
-            std::max<int64_t>(1, options.flight_recorder_capacity))));
+    shard_recorders_.push_back(std::make_unique<FlightRecorder>());
     shard_stats_.push_back(
         std::make_unique<ShardServingStats>(&metrics_, s));
   }
   breaker_windows_.resize(static_cast<size_t>(num_shards()));
-  if (options_.canary.enabled && options_.canary.min_auc > 0.0) {
-    TrainTestSplit split =
-        SplitRandom(history_, 1.0 - options_.canary.probe_fraction,
-                    options_.canary.seed);
+  if (options_.canary.min_auc > 0.0) {
+    TrainTestSplit split = SplitRandom(history_, 1.0 - kAucProbeFraction,
+                                       options_.canary.seed);
     probe_train_ = std::move(split.train);
     probe_test_ = std::move(split.test);
   }
@@ -200,8 +203,7 @@ Status ModelServer::PublishCandidate(const FactorModel& borrowed,
     targets.push_back(target);
   }
 
-  const bool canary = options_.canary.enabled;
-  if (canary && target == kAllShards) {
+  if (target == kAllShards) {
     // Whole-candidate integrity check (shape + tiled finite scan), once,
     // before any slicing, on the publish's thread budget.
     TraceSpan span(publish_stages_.integrity);
@@ -225,10 +227,8 @@ Status ModelServer::PublishCandidate(const FactorModel& borrowed,
   IvfGateOptions ann;
   if (ann_enabled) {
     ann.ivf = options_.ivf;
-    ann.verify = canary;
     ann.recall_floor = options_.canary.ann_recall_floor;
     ann.recall_users = options_.canary.ann_recall_users;
-    ann.recall_k = options_.canary.ann_recall_k;
   }
   std::vector<std::shared_ptr<const ShardSlice>> prev_slices(targets.size());
   if (options_.packed) {
@@ -249,22 +249,20 @@ Status ModelServer::PublishCandidate(const FactorModel& borrowed,
     const ModelShard& shard = shards_[static_cast<size_t>(s)];
     const std::string shard_context =
         context + " (shard " + std::to_string(s) + ")";
-    const bool verify_integrity = canary && target != kAllShards;
-    const int32_t agreement_users =
-        canary ? options_.canary.packed_agreement_users : 0;
+    const bool verify_integrity = target != kAllShards;
     // A shard covering the whole catalog adopts a candidate the server
     // owns, so the one-shard server holds a single copy of the model; any
     // other slice is copied out of the candidate, with no full copy first.
     auto slice =
         owned != nullptr && shard.num_local_items() == candidate.num_items()
             ? shard.BuildSlice(std::move(*owned), options_.packed,
-                               verify_integrity, agreement_users,
+                               verify_integrity, kPackedAgreementUsers,
                                shard_context, ann_enabled ? &ann : nullptr,
                                prev_slices[i].get(), &metrics_,
                                options_.ivf.build_threads, &publish_stages_)
             : shard.BuildSliceFrom(
                   candidate, options_.packed, verify_integrity,
-                  agreement_users, shard_context,
+                  kPackedAgreementUsers, shard_context,
                   ann_enabled ? &ann : nullptr, prev_slices[i].get(),
                   &metrics_, options_.ivf.build_threads, &publish_stages_);
     if (!slice.ok()) {
@@ -292,14 +290,13 @@ Status ModelServer::PublishCandidate(const FactorModel& borrowed,
     }
   }
 
-  if (canary && target == kAllShards && options_.canary.min_auc > 0.0 &&
+  if (target == kAllShards && options_.canary.min_auc > 0.0 &&
       probe_test_.num_interactions() > 0) {
     // Sampled-AUC probe through the built slices: a healthy model (trained
     // on data containing the probe) ranks it far above sampled negatives,
     // while a corrupt or mistrained candidate scores ~0.5.
     TraceSpan span(publish_stages_.auc_probe);
-    SampledEvaluator eval(&probe_train_, &probe_test_,
-                          options_.canary.probe_negatives,
+    SampledEvaluator eval(&probe_train_, &probe_test_, kAucProbeNegatives,
                           options_.canary.seed);
     const double auc = eval.Evaluate(SliceRanker(shard_map_, built), {5}).auc;
     span.Stop();

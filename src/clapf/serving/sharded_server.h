@@ -27,35 +27,29 @@
 
 namespace clapf {
 
-/// Validation gate a candidate model must clear before a hot swap.
+/// Validation gate a candidate model must clear before a hot swap. The gate
+/// is always on: every publish checks the candidate's dimensions and
+/// integrity, the packed-vs-exact agreement of each packed slice on a fixed
+/// sample of users (every item of the GateSampleUsers(num_users, 64) users
+/// must agree within PackedScoreBound(); the sample is evenly spaced and can
+/// hold a few more users than 64: 20000 users visit 65) and each ANN
+/// slice's index, and, with a positive `min_auc`, runs the sampled-AUC probe
+/// (20 sampled negatives per case on a re-held-out tenth of the serving
+/// history).
 struct CanaryOptions {
-  /// Master switch; disabling skips every pre-publish check except the
-  /// dimension match (which is a hard invariant of the serving history).
-  bool enabled = true;
   /// Sampled-AUC floor on the held-out probe set; <= 0 skips the probe.
   /// A structurally broken model (corrupt factors, wrong training run)
   /// scores ~0.5 here while any healthy model clears 0.6 comfortably.
   double min_auc = 0.0;
-  /// Negatives sampled per probe case (SampledEvaluator protocol).
-  int32_t probe_negatives = 20;
-  /// Fraction of the serving history re-held-out as the probe set.
-  double probe_fraction = 0.1;
   /// Seed for the probe split and negative sampling (deterministic gate).
   uint64_t seed = 1;
-  /// Sample size of the packed-vs-exact agreement check when a packed
-  /// snapshot is published (ServerOptions::packed): every item of each of
-  /// the GateSampleUsers(num_users, packed_agreement_users) users must agree
-  /// within PackedScoreBound(). The sample is evenly spaced and can hold a
-  /// few more users than this count (20000 users at 64 visit 65). <= 0
-  /// skips the check.
-  int32_t packed_agreement_users = 64;
 
   // ANN half of the gate, only exercised when ServerOptions::ann builds an
   // IVF index per publish. The dimension + structural checks (the index
   // matches the candidate's shape and its permutation is coherent) always
   // run; the measured check re-ranks `ann_recall_users` sampled users at the
-  // index's default nprobe and refuses the publish when
-  // recall@`ann_recall_k` vs the exact fused scan falls below
+  // index's default nprobe and refuses the publish when recall@kGateRecallK
+  // (model/ivf_index.h) vs the exact fused scan falls below
   // `ann_recall_floor`. This is the PackedScoreBound discipline extended
   // into the approximate regime: the contract is measured at the gate, not
   // hoped for.
@@ -65,8 +59,6 @@ struct CanaryOptions {
   /// ann_recall_users) users, evenly spaced (a few more than this count
   /// when it does not divide the user count).
   int32_t ann_recall_users = 16;
-  /// The k of the recall@k contract.
-  int32_t ann_recall_k = 10;
 };
 
 /// Post-publish error-rate circuit breaker, always on. Queries are grouped
@@ -105,10 +97,10 @@ struct ServerOptions {
   int64_t max_queue_depth = 64;
   /// Build a packed SIMD snapshot of each published slice and serve queries
   /// through the fused score+top-k fast path. The canary gate then also
-  /// verifies packed-vs-exact agreement (CanaryOptions::
-  /// packed_agreement_users) and runs its AUC probe through the packed
-  /// slices, so what is vetted is what serves. Disable to serve the exact
-  /// double path only.
+  /// verifies packed-vs-exact agreement on its fixed user sample
+  /// (CanaryOptions) and runs its AUC probe through the packed slices, so
+  /// what is vetted is what serves. Disable to serve the exact double path
+  /// only.
   bool packed = true;
   /// Build an IVF approximate-MIPS index over each published packed slice
   /// (requires `packed`) and canary-verify it (structure + measured
@@ -134,9 +126,6 @@ struct ServerOptions {
   /// knobs stay at their configured values and queries pass through
   /// untouched; present, an ondemand ServingGovernor steers them.
   std::optional<GovernorOptions> governor;
-  /// Events retained by the incident flight recorder (rounded up to a power
-  /// of two).
-  int64_t flight_recorder_capacity = 256;
   /// When non-empty, the flight recorder is dumped (JSON, atomic write) to
   /// this path every time the circuit breaker trips — the post-incident
   /// black box is on disk before anyone asks for it.
@@ -306,7 +295,8 @@ class ModelServer {
   const MetricsRegistry& metrics() const { return metrics_; }
   MetricsRegistry* mutable_metrics() { return &metrics_; }
 
-  /// The server-wide incident flight recorder: every degradation decision
+  /// The server-wide incident flight recorder (the FlightRecorder default
+  /// ring of 256 events, as is each shard's): every degradation decision
   /// (governor adjustments, sheds, deadline misses, breaker trips, probes)
   /// of every shard lands here and can be dumped at any time —
   /// automatically on a breaker trip when ServerOptions::flight_dump_path is

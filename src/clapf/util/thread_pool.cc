@@ -28,14 +28,8 @@ void ThreadPool::Submit(std::function<void()> task) {
     std::unique_lock<std::mutex> lock(mutex_);
     CLAPF_CHECK(!shutting_down_);
     queue_.push(std::move(task));
-    ++in_flight_;
   }
   work_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -45,47 +39,41 @@ void ThreadPool::WorkerLoop() {
       std::unique_lock<std::mutex> lock(mutex_);
       work_available_.wait(
           lock, [this] { return shutting_down_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (shutting_down_) return;
-        continue;
-      }
+      if (queue_.empty()) return;  // shutting down with nothing left
       task = std::move(queue_.front());
       queue_.pop();
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) all_idle_.notify_all();
-    }
   }
-}
-
-void ThreadPool::ParallelFor(int64_t begin, int64_t end,
-                             const std::function<void(int64_t)>& fn) {
-  if (begin >= end) return;
-  const int64_t span = end - begin;
-  const int64_t shards =
-      std::min<int64_t>(span, static_cast<int64_t>(workers_.size()) * 4);
-  const int64_t chunk = (span + shards - 1) / shards;
-  for (int64_t s = 0; s < shards; ++s) {
-    const int64_t lo = begin + s * chunk;
-    const int64_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    Submit([lo, hi, &fn] {
-      for (int64_t i = lo; i < hi; ++i) fn(i);
-    });
-  }
-  Wait();
 }
 
 void ParallelForEach(int64_t n, int threads,
                      const std::function<void(int64_t)>& fn) {
-  if (threads > 1 && n > 1) {
-    ThreadPool pool(threads);
-    pool.ParallelFor(0, n, fn);
-  } else {
+  if (threads <= 1 || n <= 1) {
     for (int64_t i = 0; i < n; ++i) fn(i);
+    return;
   }
+  const int64_t workers = std::min<int64_t>(threads, n);
+  const int64_t chunk = (n + 4 * workers - 1) / (4 * workers);
+  const auto run_chunk = [&](int64_t lo) {
+    const int64_t hi = std::min(n, lo + chunk);
+    for (int64_t i = lo; i < hi; ++i) fn(i);
+  };
+  // The first chunk is the caller's, so the caller always does its share.
+  std::atomic<int64_t> next{chunk};
+  const auto drain = [&] {
+    for (int64_t lo = next.fetch_add(chunk, std::memory_order_relaxed); lo < n;
+         lo = next.fetch_add(chunk, std::memory_order_relaxed)) {
+      run_chunk(lo);
+    }
+  };
+  std::vector<std::jthread> helpers;
+  helpers.reserve(static_cast<size_t>(workers - 1));
+  for (int64_t t = 1; t < workers; ++t) helpers.emplace_back(drain);
+  run_chunk(0);
+  drain();
+  // The helpers' destructors join them, which orders every fn(i) before
+  // the return.
 }
 
 }  // namespace clapf

@@ -12,15 +12,15 @@
 
 namespace clapf {
 
-/// Fixed-size worker pool for CPU-bound fan-out (parallel evaluation over
-/// users). Tasks are void() closures; Wait() blocks until the queue drains
-/// and all workers are idle.
+/// Fixed-size worker pool that runs submitted void() closures in FIFO
+/// order: the sharded server's scatter pool. A caller that needs to know
+/// when its tasks finished counts them down itself (a std::latch).
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (>= 1).
   explicit ThreadPool(int num_threads);
 
-  /// Drains outstanding work, then joins all workers.
+  /// Runs every task still queued, then joins all workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -29,16 +29,6 @@ class ThreadPool {
   /// Enqueues one task.
   void Submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has finished.
-  void Wait();
-
-  int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  /// Convenience: runs fn(begin..end) sharded across the pool and waits.
-  /// fn is invoked as fn(index) for every index in [begin, end).
-  void ParallelFor(int64_t begin, int64_t end,
-                   const std::function<void(int64_t)>& fn);
-
  private:
   void WorkerLoop();
 
@@ -46,8 +36,6 @@ class ThreadPool {
   std::queue<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable work_available_;
-  std::condition_variable all_idle_;
-  int64_t in_flight_ = 0;
   bool shutting_down_ = false;
 };
 
@@ -63,11 +51,15 @@ void AtomicMin(std::atomic<T>* target, T value) {
   }
 }
 
-/// Runs fn(i) for every i in [0, n): inline on the calling thread when
-/// `threads` <= 1, else through ParallelFor on a pool of `threads` workers
-/// that lives for the call. fn must be safe to run concurrently for
-/// distinct indexes. The build-time passes (IVF, code book, publish gate)
-/// use it with their build-thread budget.
+/// Runs fn(i) for every i in [0, n) and returns once all have run. With
+/// `threads` <= 1 or n <= 1 the loop runs inline on the calling thread;
+/// otherwise the caller and min(threads, n) - 1 helper threads, started for
+/// the call, claim chunks of ceil(n / (4 * workers)) indexes from one shared
+/// counter, the first chunk being the caller's, so at most `threads` threads
+/// run fn and the caller is one of them. fn must be safe to run
+/// concurrently for distinct indexes. The build-time passes (IVF, code
+/// book, publish gate) and the parallel evaluator use it with their thread
+/// budget.
 void ParallelForEach(int64_t n, int threads,
                      const std::function<void(int64_t)>& fn);
 

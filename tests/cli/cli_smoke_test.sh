@@ -5,8 +5,9 @@
 # --no-cold-fallback), then replays queries through serve: on the ANN path,
 # under the ondemand governor with a flight dump, and over four shards.
 # Checks every exit code, the "scoring path:" line each query command
-# prints, the governor and sharded lines, and that an unknown governor is
-# refused.
+# prints, the governor and sharded lines, that serve's --ann implies
+# --packed, and that an unknown governor, a negative --k, a queue depth
+# below 1 and an ondemand tick below 1 ms are refused with exit 1.
 #
 # Usage: tests/cli/cli_smoke_test.sh <clapf_cli binary> <scratch dir>
 set -euo pipefail
@@ -105,5 +106,36 @@ if "${cli}" serve --model ml.clpf --dataset ml.clds \
   exit 1
 fi
 expect_line "error: .*off|ondemand" "$(cat refused.txt)"
+
+# --ann implies --packed on serve as on recommend.
+expect_path ann serve --model ml.clpf --dataset ml.clds \
+    --users 1,5 --ann --packed=false
+
+# Runs a command that must be refused: exit status 1 (not a signal) and an
+# error line naming `flag`.
+expect_refused() {
+  local flag="$1" status=0
+  shift
+  "${cli}" "$@" > refused.txt 2>&1 || status=$?
+  if [[ "${status}" -ne 1 ]]; then
+    cat refused.txt
+    echo "FAIL: clapf_cli $* exited ${status}, want 1" >&2
+    exit 1
+  fi
+  if ! grep -q "^error: .*${flag}" refused.txt; then
+    cat refused.txt
+    echo "FAIL: clapf_cli $* did not name ${flag}" >&2
+    exit 1
+  fi
+}
+
+expect_refused --k recommend --model ml.clpf --dataset ml.clds --k -1
+expect_refused --k serve --model ml.clpf --dataset ml.clds --k -1
+expect_refused --queue-depth serve --model ml.clpf --dataset ml.clds \
+    --queue-depth 0
+expect_refused --queue-depth serve --model ml.clpf --dataset ml.clds \
+    --queue-depth -3
+expect_refused --governor-interval-ms serve --model ml.clpf \
+    --dataset ml.clds --governor ondemand --governor-interval-ms 0
 
 echo "PASS"

@@ -201,7 +201,7 @@ TEST(AnnGateThreadsTest, MeasuredRecallIsBitIdenticalAtEveryThreadCount) {
 // 3 shards.
 TEST(AnnGateThreadsTest, DeltaTruthGateEqualsTheFullGateOverPublishSequences) {
   constexpr int32_t kUsers = 40, kItems = 1203, kFactors = 8;
-  constexpr size_t kK = 10;
+  constexpr size_t kK = kGateRecallK;
   const Dataset history =
       testing::MakeLearnableDataset(kUsers, kItems, 8, 301);
   const std::vector<double> popularity(kItems, 1.0);
@@ -224,7 +224,6 @@ TEST(AnnGateThreadsTest, DeltaTruthGateEqualsTheFullGateOverPublishSequences) {
       gate.ivf.pq = threads != 2;  // the composed gate and the plain one
       gate.ivf.build_threads = threads;
       gate.recall_users = 16;
-      gate.recall_k = static_cast<int32_t>(kK);
       gate.recall_floor = 0.8;
       FactorModel serving_model = testing::MakeClusteredItemModel(
           kUsers, kItems, kFactors, 8, 0.05, 302);

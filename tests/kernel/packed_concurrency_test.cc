@@ -60,7 +60,6 @@ TEST(PackedConcurrencyTest, QueriesRaceHotSwapsOnPackedPath) {
   const auto history = testing::MakeLearnableDataset(16, 64, 6, 7);
   ServerOptions options;
   options.num_threads = 2;
-  options.canary.packed_agreement_users = 4;
   ModelServer server(history, options);
   ASSERT_TRUE(server.PublishModel(MakeRandomModel(16, 64, 12, 100)).ok());
 

@@ -1,13 +1,17 @@
 // Unit tests for the packed SIMD scoring path: PackedSnapshot layout and
 // repack fidelity, the portable and AVX2 kernels, the fused score+top-k
-// scan, and the packed-vs-exact agreement verifier. Part of the `kernel`
+// scan, the quantized collector against the quantized block scorer, and the
+// packed-vs-exact agreement verifier. Part of the `kernel`
 // ctest label, which also runs under the Sanitize and Tsan presets.
 #include "clapf/model/score_kernel.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "clapf/model/factor_model.h"
@@ -224,6 +228,79 @@ TEST_F(ScoreKernelTest, FusedTopKNullExcludedMeansNoExclusion) {
   const auto want = SelectTopK(scores, {}, 3);
   ASSERT_EQ(got.size(), 3u);
   for (size_t x = 0; x < 3; ++x) EXPECT_EQ(got[x].item, want[x].item);
+}
+
+// The quantized first pass prunes with block bounds checked against
+// PqScoreBlocks (PqCodecTest.BlockBoundsDominateEveryItemScore...) but
+// filters with PqScoreCollect, a separately written loop: this ties the
+// two. At bar = -inf the collector must emit every real item of the range
+// once, in ascending local order, with PqScoreBlocks's score bit for bit
+// (-0.0 read as +0.0), and at a finite bar exactly the items scoring at or
+// above it. Random codes, pad lanes included, so a tail block's pads would
+// show if emitted; both signs of lane weight; odd and even d; odd and even
+// block counts (the AVX2 loop pairs blocks).
+TEST_F(ScoreKernelTest, PqCollectMatchesPqScoreBlocksUnderEitherKernel) {
+  const auto normalized_bits = [](float s) {
+    return std::bit_cast<uint32_t>(s == 0.0f ? 0.0f : s);
+  };
+  Rng rng(41);
+  for (const ScoreKernel kernel :
+       {ScoreKernel::kPortable, ScoreKernel::kAvx2}) {
+    if (!ScoreKernelSupported(kernel)) continue;
+    ForceScoreKernel(kernel);
+    for (const int32_t d : {7, 8, 13}) {
+      for (const ItemId n : {3, 8, 61, 70}) {
+        SCOPED_TRACE(std::string("kernel ") + ScoreKernelName(kernel) +
+                     " d " + std::to_string(d) + " n " + std::to_string(n));
+        const int32_t lanes = d + 1;
+        const int32_t blocks = (n + kPackedBlockItems - 1) / kPackedBlockItems;
+        const std::size_t stride =
+            static_cast<std::size_t>(lanes) * kPackedBlockItems;
+        std::vector<int8_t> codes(stride * static_cast<std::size_t>(blocks));
+        for (int8_t& c : codes) {
+          c = static_cast<int8_t>(static_cast<int>(rng.Next() % 255) - 127);
+        }
+        std::vector<float> weights(static_cast<size_t>(lanes));
+        for (float& w : weights) {
+          w = static_cast<float>(rng.NextGaussian() * 0.01);
+        }
+        const float base = static_cast<float>(rng.NextGaussian());
+        std::vector<float> scores(static_cast<size_t>(blocks) *
+                                  kPackedBlockItems);
+        PqScoreBlocks(codes.data(), stride, d, weights.data(), base, 0, blocks,
+                      scores.data());
+
+        for (const ItemId begin : {0, 16}) {
+          if (begin >= n) continue;
+          std::vector<uint64_t> keys;
+          PqScoreCollect(codes.data(), stride, d, weights.data(), base, begin,
+                         n, -std::numeric_limits<float>::infinity(), &keys);
+          ASSERT_EQ(keys.size(), static_cast<size_t>(n - begin));
+          for (size_t x = 0; x < keys.size(); ++x) {
+            const ItemId want = begin + static_cast<ItemId>(x);
+            ASSERT_EQ(PqCandidateLocal(keys[x]), want) << "slot " << x;
+            EXPECT_EQ(std::bit_cast<uint32_t>(PqCandidateScore(keys[x])),
+                      normalized_bits(scores[static_cast<size_t>(want)]))
+                << "item " << want;
+          }
+
+          // A finite bar keeps exactly the items at or above it.
+          const float bar = scores[static_cast<size_t>((begin + n) / 2)];
+          keys.clear();
+          PqScoreCollect(codes.data(), stride, d, weights.data(), base, begin,
+                         n, bar, &keys);
+          std::vector<ItemId> want_kept;
+          for (ItemId i = begin; i < n; ++i) {
+            if (scores[static_cast<size_t>(i)] >= bar) want_kept.push_back(i);
+          }
+          ASSERT_EQ(keys.size(), want_kept.size());
+          for (size_t x = 0; x < keys.size(); ++x) {
+            EXPECT_EQ(PqCandidateLocal(keys[x]), want_kept[x]) << "slot " << x;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST_F(ScoreKernelTest, DispatchOverrideRoundTrips) {

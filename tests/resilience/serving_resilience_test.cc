@@ -331,12 +331,10 @@ TEST(ModelServerTest, AucFloorRejectsUntrainedModelAcceptsTrained) {
   }
 }
 
-TEST(ModelServerTest, DimensionMismatchRejectedEvenWithCanaryDisabled) {
+TEST(ModelServerTest, DimensionMismatchIsRejected) {
   for (int32_t shards : kShardCounts) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    ServerOptions options = DrillOptions(shards);
-    options.canary.enabled = false;
-    ModelServer server(History(), options);
+    ModelServer server(History(), DrillOptions(shards));
     FactorModel wrong(kUsers + 1, kItems, 8);
     EXPECT_EQ(server.PublishModel(std::move(wrong)).code(),
               StatusCode::kInvalidArgument);

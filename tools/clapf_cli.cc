@@ -57,6 +57,13 @@ int Fail(const Status& status) {
   return 1;
 }
 
+// A negative --k would wrap to a huge size_t and list the whole catalog.
+Status CheckListLength(int64_t k) {
+  if (k >= 0) return Status::OK();
+  return Status::InvalidArgument("--k must not be negative, got " +
+                                 std::to_string(k));
+}
+
 // Dumps `registry` as JSON to `path` when --metrics-out was given. A failed
 // dump is reported but never fails the command: telemetry is best-effort.
 void MaybeDumpMetrics(const MetricsRegistry& registry,
@@ -257,6 +264,7 @@ int RunRecommend(int argc, char** argv) {
   if (dataset_path.empty()) {
     return Fail(Status::InvalidArgument("--dataset required"));
   }
+  if (Status s = CheckListLength(k); !s.ok()) return Fail(s);
   if (pq && !ann) {
     return Fail(Status::InvalidArgument("--pq requires --ann"));
   }
@@ -334,7 +342,8 @@ int RunServe(int argc, char** argv) {
   flags.AddInt("k", &k, "list length");
   flags.AddInt("threads", &threads, "queries served at once");
   flags.AddInt("queue-depth", &queue_depth,
-               "admission bound: requests past this are shed (Unavailable)");
+               "admission bound, at least 1: requests past this are shed "
+               "(Unavailable)");
   flags.AddInt("deadline-us", &deadline_us,
                "per-query budget in microseconds (0 = unbounded)");
   flags.AddDouble("min-auc", &min_auc,
@@ -344,9 +353,9 @@ int RunServe(int argc, char** argv) {
                 "canary agreement check (--packed=false for the exact "
                 "double path)");
   flags.AddBool("ann", &ann,
-                "serve through the IVF shortlist with fused exact re-rank; "
-                "each publish builds the index and the canary gate refuses "
-                "it below recall@10 0.95 (requires --packed)");
+                "serve through the IVF shortlist with fused exact re-rank "
+                "(implies --packed); each publish builds the index and the "
+                "canary gate refuses it below recall@10 0.95");
   flags.AddInt("nprobe", &nprobe,
                "clusters probed per ANN query (0 = the index default)");
   flags.AddBool("pq", &pq,
@@ -372,7 +381,7 @@ int RunServe(int argc, char** argv) {
                   "serving governor: off (static knobs, default) or "
                   "ondemand (step on pressure, decay slowly)");
   flags.AddInt("governor-interval-ms", &governor_interval_ms,
-               "governor tick cadence in milliseconds");
+               "governor tick cadence in milliseconds (at least 1)");
   flags.AddString("flight-dump", &flight_dump,
                   "dump the incident flight recorder (JSON) to this path at "
                   "exit and on every breaker trip");
@@ -385,6 +394,12 @@ int RunServe(int argc, char** argv) {
   if (dataset_path.empty()) {
     return Fail(Status::InvalidArgument("--dataset required"));
   }
+  if (Status s = CheckListLength(k); !s.ok()) return Fail(s);
+  if (queue_depth < 1) {
+    return Fail(Status::InvalidArgument(
+        "--queue-depth must be at least 1, got " +
+        std::to_string(queue_depth)));
+  }
   if (pq && !ann) {
     return Fail(Status::InvalidArgument("--pq requires --ann"));
   }
@@ -396,6 +411,11 @@ int RunServe(int argc, char** argv) {
     return Fail(Status::InvalidArgument("unknown governor: " + governor_name +
                                         " (want off|ondemand)"));
   }
+  if (governor_key == "ondemand" && governor_interval_ms < 1) {
+    return Fail(Status::InvalidArgument(
+        "--governor-interval-ms must be at least 1 with --governor "
+        "ondemand, got " + std::to_string(governor_interval_ms)));
+  }
 
   auto data = LoadAnyDataset(dataset_path, format, has_header);
   if (!data.ok()) return Fail(data.status());
@@ -404,7 +424,7 @@ int RunServe(int argc, char** argv) {
   server_options.num_threads = static_cast<int>(threads);
   server_options.max_queue_depth = queue_depth;
   server_options.canary.min_auc = min_auc;
-  server_options.packed = packed;
+  server_options.packed = packed || ann;
   server_options.ann = ann;
   server_options.ivf.pq = pq;
   if (build_threads > 0) {
@@ -467,7 +487,7 @@ int RunServe(int argc, char** argv) {
       MaybeDumpMetrics(server.metrics(), metrics_out);
     }
   }
-  PrintScoringPath(server.mutable_metrics(), packed);
+  PrintScoringPath(server.mutable_metrics(), server_options.packed);
   std::printf("serving stats: %s\n", server.stats().ToString().c_str());
   if (server.num_shards() > 1) {
     for (const ShardStatsSnapshot& shard : server.shard_stats()) {
@@ -549,6 +569,7 @@ int RunOnline(int argc, char** argv) {
   if (dataset_path.empty()) {
     return Fail(Status::InvalidArgument("--dataset required"));
   }
+  if (Status s = CheckListLength(k); !s.ok()) return Fail(s);
 
   auto data = LoadAnyDataset(dataset_path, format, has_header);
   if (!data.ok()) return Fail(data.status());
