@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
+#include <optional>
 #include <utility>
 
 #include <thread>
@@ -1009,31 +1011,54 @@ void IvfIndex::DesyncForTesting() {
   }
 }
 
-std::vector<std::vector<ScoredItem>> ExactTopKForUsers(
-    const PackedSnapshot& exact, const std::vector<UserId>& users, size_t k,
-    int threads) {
+namespace {
+
+// Catalog items per ground-truth tile: what a core's L2 holds (270 KiB at
+// d = 32) while every user scans it.
+constexpr ItemId kTruthTileItems = 2048;
+
+// ExactTopKForUsers of `users` over `rows`' catalog, or with a `model` over
+// its base-order repack, each tile repacked into the stripe's scratch. Each
+// worker takes a contiguous stripe of tiles with its own accumulators; the
+// stripes' lists then merge per user. The top-k under (score desc, id asc)
+// is a function of the scored set alone, so the merged lists equal one full
+// scan per user for any thread count.
+std::vector<std::vector<ScoredItem>> TiledExactTopK(
+    const FactorModel* model, const PackedSnapshot& rows,
+    const std::vector<UserId>& users, size_t k, int threads) {
   std::vector<std::vector<ScoredItem>> lists(users.size());
-  const int32_t n = exact.num_items();
+  const int32_t n = model != nullptr ? model->num_items() : rows.num_items();
   if (users.empty() || n == 0 || k == 0) return lists;
-  // Tiles of the catalog a core's L2 holds (270 KiB at d = 32) while every
-  // user scans them. Each worker takes a contiguous stripe of tiles with
-  // its own accumulators; the stripes' lists then merge per user. The top-k
-  // under (score desc, id asc) is a function of the scored set alone, so
-  // the merged lists equal one full scan per user for any thread count.
-  constexpr ItemId kTileItems = 2048;
-  const int64_t num_tiles = (n + kTileItems - 1) / kTileItems;
+  const int64_t num_tiles = (n + kTruthTileItems - 1) / kTruthTileItems;
   const int64_t stripes =
       std::max<int64_t>(1, std::min<int64_t>(threads, num_tiles));
   std::vector<std::vector<std::vector<ScoredItem>>> partial(
       static_cast<size_t>(stripes));
   ParallelForEach(stripes, static_cast<int>(stripes), [&](int64_t s) {
     std::vector<TopKAccumulator> accs(users.size(), TopKAccumulator(k));
+    // The stripe's tile (user row x = users[x]) and its items' ids.
+    std::optional<PackedSnapshot> tile;
+    std::vector<int32_t> ids;
+    if (model != nullptr) {
+      tile = PackedSnapshot::Scratch(rows, users,
+                                     kTruthTileItems / kPackedBlockItems);
+      ids.resize(static_cast<size_t>(kTruthTileItems));
+    }
     for (int64_t t = num_tiles * s / stripes;
          t < num_tiles * (s + 1) / stripes; ++t) {
-      const ItemId begin = static_cast<ItemId>(t) * kTileItems;
-      const ItemId end = std::min<ItemId>(n, begin + kTileItems);
+      const ItemId begin = static_cast<ItemId>(t) * kTruthTileItems;
+      const ItemId end = std::min<ItemId>(n, begin + kTruthTileItems);
+      if (model == nullptr) {
+        for (size_t x = 0; x < users.size(); ++x) {
+          ScoreBlocksTopK(rows, users[x], begin, end, nullptr, &accs[x]);
+        }
+        continue;
+      }
+      tile->RepackItems(*model, begin, end - begin, 0);
+      std::iota(ids.begin(), ids.end(), begin);
       for (size_t x = 0; x < users.size(); ++x) {
-        ScoreBlocksTopK(exact, users[x], begin, end, nullptr, &accs[x]);
+        ScoreBlocksTopKMapped(*tile, static_cast<UserId>(x), 0, end - begin,
+                              ids.data(), nullptr, &accs[x]);
       }
     }
     auto& out = partial[static_cast<size_t>(s)];
@@ -1047,6 +1072,21 @@ std::vector<std::vector<ScoredItem>> ExactTopKForUsers(
     lists[x] = merged.Take();
   }
   return lists;
+}
+
+}  // namespace
+
+std::vector<std::vector<ScoredItem>> ExactTopKForUsers(
+    const PackedSnapshot& exact, const std::vector<UserId>& users, size_t k,
+    int threads) {
+  return TiledExactTopK(nullptr, exact, users, k, threads);
+}
+
+std::vector<std::vector<ScoredItem>> ExactTopKForUsers(
+    const FactorModel& model, const PackedSnapshot& rows,
+    const std::vector<UserId>& users, size_t k, int threads) {
+  CLAPF_CHECK(rows.num_factors() == model.num_factors());
+  return TiledExactTopK(&model, rows, users, k, threads);
 }
 
 namespace {
@@ -1094,40 +1134,40 @@ double RecallAgainst(const IvfIndex& index, const std::vector<UserId>& users,
 }
 
 // The measured recall of the path `index` serves over the
-// GateSampleUsers(num_users, sample_users) users: 0.0 when the index cannot
-// serve it (missing codes, dimensions that disagree with `exact`), 1.0 for
-// an empty catalog or sample. `truth` (may be null) holds each sampled
-// user's exact top-j over `exact`, j >= min(k, n); null computes the top-k
-// with one tiled pass of ExactTopKForUsers over the index's build_threads.
-double MeasureRecall(const PackedSnapshot& exact, const IvfIndex& index,
-                     int32_t sample_users, size_t k, int32_t nprobe, bool pq,
-                     size_t rerank_budget,
+// GateSampleUsers(num_users, sample_users) users of a catalog of
+// `num_items` items: 0.0 when the index cannot serve it (missing codes,
+// dimensions that disagree), 1.0 for an empty catalog or sample. `truth`
+// (may be null) holds each sampled user's exact top-j, j >= min(k, n);
+// null computes the top-k over `exact` with one tiled pass of
+// ExactTopKForUsers over the index's build_threads.
+double MeasureRecall(int32_t num_users, int32_t num_items,
+                     const IvfIndex& index, int32_t sample_users, size_t k,
+                     int32_t nprobe, bool pq, size_t rerank_budget,
+                     const PackedSnapshot* exact,
                      const std::vector<std::vector<ScoredItem>>* truth) {
-  if ((pq && !index.has_pq()) || exact.num_items() != index.num_items() ||
-      exact.num_users() != index.packed().num_users()) {
+  if ((pq && !index.has_pq()) || num_items != index.num_items() ||
+      num_users != index.packed().num_users()) {
     return 0.0;
   }
-  const int32_t n = exact.num_items();
-  const std::vector<UserId> users =
-      GateSampleUsers(exact.num_users(), sample_users);
-  if (n == 0 || users.empty()) return 1.0;
-  k = std::min(k, static_cast<size_t>(n));
+  const std::vector<UserId> users = GateSampleUsers(num_users, sample_users);
+  if (num_items == 0 || users.empty()) return 1.0;
+  k = std::min(k, static_cast<size_t>(num_items));
   if (k == 0) return 1.0;
   if (truth != nullptr) {
     return RecallAgainst(index, users, *truth, k, nprobe, pq, rerank_budget);
   }
   return RecallAgainst(
       index, users,
-      ExactTopKForUsers(exact, users, k, index.options().build_threads), k,
+      ExactTopKForUsers(*exact, users, k, index.options().build_threads), k,
       nprobe, pq, rerank_budget);
 }
 
-// VerifyAnnRecall against the given (or, when null, a freshly computed)
-// ground truth.
-Status CheckAnnRecall(const PackedSnapshot& exact, const IvfIndex& index,
-                      int32_t sample_users, size_t k, int32_t nprobe,
-                      size_t rerank_budget, double floor,
-                      const std::string& context,
+// VerifyAnnRecall against the given (or, when null, a ground truth freshly
+// computed over `exact`).
+Status CheckAnnRecall(int32_t num_users, int32_t num_items,
+                      const IvfIndex& index, int32_t sample_users, size_t k,
+                      int32_t nprobe, size_t rerank_budget, double floor,
+                      const std::string& context, const PackedSnapshot* exact,
                       const std::vector<std::vector<ScoredItem>>* truth) {
   const bool pq = index.options().pq;
   if (pq && !index.has_pq()) {
@@ -1135,14 +1175,15 @@ Status CheckAnnRecall(const PackedSnapshot& exact, const IvfIndex& index,
         context + ": ivf pq recall gate requires a code book but the index "
                   "carries none (or it is desynced from the catalog)");
   }
-  if (exact.num_items() != index.num_items()) {
+  if (num_items != index.num_items()) {
     return Status::FailedPrecondition(
         context + ": ivf recall probe dimensions disagree (exact " +
-        std::to_string(exact.num_items()) + " items, index " +
+        std::to_string(num_items) + " items, index " +
         std::to_string(index.num_items()) + ")");
   }
-  const double recall = MeasureRecall(exact, index, sample_users, k, nprobe,
-                                      pq, rerank_budget, truth);
+  const double recall =
+      MeasureRecall(num_users, num_items, index, sample_users, k, nprobe, pq,
+                    rerank_budget, exact, truth);
   if (recall < floor) {
     return Status::FailedPrecondition(
         context + ": ivf " + (pq ? "pq composed " : "") +
@@ -1156,52 +1197,56 @@ Status CheckAnnRecall(const PackedSnapshot& exact, const IvfIndex& index,
 // Blocks per ScoreBlocks call when the delta truth re-scores dirty items.
 constexpr int32_t kRescoreRunBlocks = 64;
 
-// The recall truth of `stamp`'s gate over `exact`: each sampled user's exact
-// top-min(2k, n). A user starts from the baseline's list when the baseline
-// truth carries this stamp, `delta` (the candidate's dirty items against
-// the baseline model) is known, and the user's packed row equals the
-// baseline snapshot's: every clean item then has the bytes, and so the
-// score, it had when that list was made. A clean item missing from the old
-// list ranks below each clean item in it, so the old list without the
-// dirty items, plus the dirty items re-scored, holds the exact top-j for
-// j = the clean entries kept. That is exact for the gate while j >= k, and
-// the new list keeps those j; below k the user is scanned in full, as is
-// every user the baseline cannot serve. Dirty items are scored with their
-// whole block through ScoreBlocks, the kernel ScoreBlocksTopK runs, so
-// each float equals the full scan's.
-RecallTruth GateTruth(const PackedSnapshot& exact, RecallTruth stamp,
-                      const GateBaseline* baseline, const ItemDelta* delta,
-                      int threads) {
+// The recall truth of `stamp`'s gate over the base-order repack of
+// `model`: each sampled user's exact top-min(2k, n), user rows from
+// `served` (the candidate's float copy). A user starts from the baseline's
+// list when the baseline truth carries this stamp, `delta` (the
+// candidate's dirty items against the baseline model) is known, and the
+// user's row in `served` equals its row in the baseline's served copy:
+// every clean item then has the bytes, and so the score, it had when that
+// list was made. A clean item missing from the old list ranks below each
+// clean item in it, so the old list without the dirty items, plus the
+// dirty items re-scored, holds the exact top-j for j = the clean entries
+// kept. That is exact for the gate while j >= k, and the new list keeps
+// those j; below k the user is scanned in full, as is every user the
+// baseline cannot serve. The dirty items' base-order blocks are repacked
+// from the doubles once, back to back, and scored with ScoreBlocks, the
+// kernel ScoreBlocksTopK runs, so each float equals the full scan's.
+RecallTruth GateTruth(const FactorModel& model, const PackedSnapshot& served,
+                      RecallTruth stamp, const GateBaseline* baseline,
+                      const ItemDelta* delta, int threads) {
   const std::vector<UserId> users =
       GateSampleUsers(stamp.num_users, stamp.sample_users);
   const size_t k = stamp.k;
-  const size_t keep =
-      std::min(2 * k, static_cast<size_t>(std::max(exact.num_items(), 0)));
+  const int32_t n = model.num_items();
+  const size_t keep = std::min(2 * k, static_cast<size_t>(std::max(n, 0)));
   stamp.lists.assign(users.size(), {});
   const RecallTruth* old =
       baseline != nullptr && delta != nullptr ? baseline->truth : nullptr;
-  const PackedSnapshot* old_exact =
-      baseline != nullptr ? baseline->exact : nullptr;
+  const PackedSnapshot* old_served =
+      baseline != nullptr ? baseline->served : nullptr;
   const bool applies =
-      old != nullptr && old_exact != nullptr && old->kernel == stamp.kernel &&
+      old != nullptr && old_served != nullptr && old->kernel == stamp.kernel &&
       old->sample_users == stamp.sample_users && old->k == k &&
       old->num_users == stamp.num_users && old->num_items == stamp.num_items &&
       old->num_factors == stamp.num_factors &&
       old->use_item_bias == stamp.use_item_bias &&
       old->lists.size() == users.size() &&
-      old_exact->num_users() == exact.num_users() &&
-      old_exact->num_items() == exact.num_items() &&
-      old_exact->num_factors() == exact.num_factors();
+      old_served->num_users() == served.num_users() &&
+      old_served->num_factors() == served.num_factors();
   std::vector<uint8_t> from_old(users.size(), 0);
   if (applies && k > 0) {
-    // Runs of consecutive dirty blocks, each scored with one call.
+    // Runs of consecutive dirty blocks, each scored with one call; run r's
+    // blocks sit at [at, at + blocks) of the repacked dirty blocks.
     struct Run {
       int32_t first_block = 0;
       int32_t blocks = 0;
+      int32_t at = 0;
       size_t first_item = 0;  // into delta->items
       size_t end_item = 0;
     };
     std::vector<Run> runs;
+    int32_t dirty_blocks = 0;
     for (size_t x = 0; x < delta->items.size(); ++x) {
       const int32_t b = delta->items[x] / kPackedBlockItems;
       if (!runs.empty()) {
@@ -1213,18 +1258,30 @@ RecallTruth GateTruth(const PackedSnapshot& exact, RecallTruth stamp,
         }
         if (b == last_block + 1 && last.blocks < kRescoreRunBlocks) {
           ++last.blocks;
+          ++dirty_blocks;
           last.end_item = x + 1;
           continue;
         }
       }
-      runs.push_back({b, 1, x, x + 1});
+      runs.push_back({b, 1, dirty_blocks, x, x + 1});
+      ++dirty_blocks;
     }
-    const size_t d = static_cast<size_t>(exact.num_factors());
+    PackedSnapshot repacked = PackedSnapshot::Scratch(served, users,
+                                                      dirty_blocks);
+    ParallelForEach(static_cast<int64_t>(runs.size()), threads,
+                    [&](int64_t r) {
+      const Run& run = runs[static_cast<size_t>(r)];
+      const ItemId begin = run.first_block * kPackedBlockItems;
+      const ItemId end = std::min<ItemId>(
+          n, (run.first_block + run.blocks) * kPackedBlockItems);
+      repacked.RepackItems(model, begin, end - begin, run.at);
+    });
+    const size_t d = static_cast<size_t>(served.num_factors());
     ParallelForEach(static_cast<int64_t>(users.size()), threads,
                     [&](int64_t x) {
       const size_t ux = static_cast<size_t>(x);
       const UserId u = users[ux];
-      if (std::memcmp(exact.user_factors(u), old_exact->user_factors(u),
+      if (std::memcmp(served.user_factors(u), old_served->user_factors(u),
                       d * sizeof(float)) != 0) {
         return;
       }
@@ -1240,7 +1297,8 @@ RecallTruth GateTruth(const PackedSnapshot& exact, RecallTruth stamp,
       for (const ScoredItem& e : clean) acc.Push(e.item, e.score);
       float buf[kRescoreRunBlocks * kPackedBlockItems];
       for (const Run& run : runs) {
-        ScoreBlocks(exact, u, run.first_block, run.blocks, buf);
+        ScoreBlocks(repacked, static_cast<UserId>(x), run.at, run.blocks,
+                    buf);
         const ItemId base = run.first_block * kPackedBlockItems;
         for (size_t i = run.first_item; i < run.end_item; ++i) {
           const ItemId item = delta->items[i];
@@ -1256,7 +1314,7 @@ RecallTruth GateTruth(const PackedSnapshot& exact, RecallTruth stamp,
     if (from_old[ux] == 0) scan.push_back(users[ux]);
   }
   std::vector<std::vector<ScoredItem>> scanned =
-      ExactTopKForUsers(exact, scan, keep, threads);
+      ExactTopKForUsers(model, served, scan, keep, threads);
   for (size_t ux = 0, next = 0; ux < users.size(); ++ux) {
     if (from_old[ux] == 0) stamp.lists[ux] = std::move(scanned[next++]);
   }
@@ -1267,30 +1325,33 @@ RecallTruth GateTruth(const PackedSnapshot& exact, RecallTruth stamp,
 
 double MeasureIvfRecall(const PackedSnapshot& exact, const IvfIndex& index,
                         int32_t sample_users, size_t k, int32_t nprobe) {
-  return MeasureRecall(exact, index, sample_users, k, nprobe, /*pq=*/false,
-                       0, nullptr);
+  return MeasureRecall(exact.num_users(), exact.num_items(), index,
+                       sample_users, k, nprobe, /*pq=*/false, 0, &exact,
+                       nullptr);
 }
 
 double MeasurePqRecall(const PackedSnapshot& exact, const IvfIndex& index,
                        int32_t sample_users, size_t k, int32_t nprobe,
                        size_t rerank_budget) {
-  return MeasureRecall(exact, index, sample_users, k, nprobe, /*pq=*/true,
-                       rerank_budget, nullptr);
+  return MeasureRecall(exact.num_users(), exact.num_items(), index,
+                       sample_users, k, nprobe, /*pq=*/true, rerank_budget,
+                       &exact, nullptr);
 }
 
 Status VerifyAnnRecall(const PackedSnapshot& exact, const IvfIndex& index,
                        int32_t sample_users, size_t k, int32_t nprobe,
                        size_t rerank_budget, double floor,
                        const std::string& context) {
-  return CheckAnnRecall(exact, index, sample_users, k, nprobe, rerank_budget,
-                        floor, context, nullptr);
+  return CheckAnnRecall(exact.num_users(), exact.num_items(), index,
+                        sample_users, k, nprobe, rerank_budget, floor,
+                        context, &exact, nullptr);
 }
 
 Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
-    const FactorModel& model, const PackedSnapshot& exact,
-    const IvfGateOptions& options, const IvfIndex* previous,
-    const std::string& context, MetricsRegistry* metrics,
-    const GateBaseline* baseline, RecallTruth* truth) {
+    const FactorModel& model, const IvfGateOptions& options,
+    const IvfIndex* previous, const std::string& context,
+    MetricsRegistry* metrics, const GateBaseline* baseline,
+    RecallTruth* truth) {
   std::shared_ptr<IvfIndex> ivf;  // mutable only for the drills below
   TraceSpan build_span(options.build_us);
   IvfBuildPhases phases;  // summed over the rebuild and the build that ran
@@ -1302,7 +1363,8 @@ Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
   };
   bool trained = false;
   // The candidate's dirty items against the model the previous index was
-  // built from: the one dirty set the rebuild and the recall truth share.
+  // built from: the one dirty set the rebuild, check_repack and the recall
+  // truth share.
   std::optional<ItemDelta> delta;
   if (previous != nullptr && baseline != nullptr &&
       baseline->model != nullptr &&
@@ -1350,6 +1412,11 @@ Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
   record(options.assign_us, phases.assign_us);
   record(options.repack_us, phases.repack_us);
   if (options.ivf.pq) record(options.encode_us, phases.encode_us);
+  build_span.Stop();
+  if (options.check_repack) {
+    // The repack as built: before any drill below scrambles the index.
+    CLAPF_RETURN_IF_ERROR(options.check_repack(*ivf, delta ? &*delta : nullptr));
+  }
   FaultInjector& faults = FaultInjector::Instance();
   if (faults.armed() && faults.ShouldFire(FaultPoint::kAnnCorruptIndex)) {
     // Desync drill: the armed hit schedule picks which build (which shard's
@@ -1362,7 +1429,6 @@ Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
     // measured composed-recall gate below can catch it.
     ivf->CorruptPqForTesting();
   }
-  build_span.Stop();
   std::shared_ptr<const IvfIndex> built = std::move(ivf);
   TraceSpan gate_span(options.gate_us);
   // The index was built from this model's bytes above, so its per-item
@@ -1387,17 +1453,18 @@ Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
     RecallTruth stamp;
     stamp.kernel = ActiveScoreKernel();
     stamp.sample_users = options.recall_users;
-    stamp.k = std::min(k, static_cast<size_t>(exact.num_items()));
-    stamp.num_users = exact.num_users();
-    stamp.num_items = exact.num_items();
-    stamp.num_factors = exact.num_factors();
-    stamp.use_item_bias = exact.use_item_bias();
-    RecallTruth ran = GateTruth(exact, std::move(stamp), baseline,
-                                delta ? &*delta : nullptr,
+    stamp.k = std::min(k, static_cast<size_t>(model.num_items()));
+    stamp.num_users = model.num_users();
+    stamp.num_items = model.num_items();
+    stamp.num_factors = model.num_factors();
+    stamp.use_item_bias = model.use_item_bias();
+    RecallTruth ran = GateTruth(model, built->packed(), std::move(stamp),
+                                baseline, delta ? &*delta : nullptr,
                                 options.ivf.build_threads);
-    gate = CheckAnnRecall(exact, *built, options.recall_users, k,
-                          /*nprobe=*/0, /*rerank_budget=*/0,
-                          options.recall_floor, context, &ran.lists);
+    gate = CheckAnnRecall(model.num_users(), model.num_items(), *built,
+                          options.recall_users, k, /*nprobe=*/0,
+                          /*rerank_budget=*/0, options.recall_floor, context,
+                          nullptr, &ran.lists);
     if (gate.ok() && truth != nullptr) *truth = std::move(ran);
   }
   if (metrics != nullptr) {

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -179,6 +180,10 @@ class IvfIndex {
   }
   /// Raw local→global table for the fused mapped kernel.
   const int32_t* local_to_global_data() const { return local_to_global_.data(); }
+  /// Raw global→local table: the lane of packed() that holds each item.
+  const int32_t* global_to_local_data() const {
+    return global_to_local_.data();
+  }
 
   /// Hints the prefetcher at the packed lanes and id-map entries of `r`'s
   /// first block. Re-rank ranges are mostly single sparse blocks scattered
@@ -311,11 +316,22 @@ class IvfIndex {
 /// The exact top-k (score desc, id asc) of every user in `users` over the
 /// whole of `exact`, from one tiled pass of ScoreBlocksTopK over the
 /// catalog spread over `threads` workers: each list equals a full fused scan
-/// for that user, for any thread count. This is the recall gate's ground
-/// truth. Empty lists when the catalog or k is empty.
+/// for that user, for any thread count. Empty lists when the catalog or k
+/// is empty.
 std::vector<std::vector<ScoredItem>> ExactTopKForUsers(
     const PackedSnapshot& exact, const std::vector<UserId>& users, size_t k,
     int threads);
+
+/// The same lists over the base-order snapshot of `model`, without holding
+/// it: each 2048-item tile of the catalog is repacked from the doubles into
+/// per-thread scratch (PackedSnapshot::RepackItems, Build's conversion) and
+/// scanned there, with the user rows of `rows` — a float copy of the same
+/// model in any item order (users are never permuted). The lists equal
+/// ExactTopKForUsers over PackedSnapshot::Build(model), bit for bit. This is
+/// the recall gate's ground truth: independent of any index's permutation.
+std::vector<std::vector<ScoredItem>> ExactTopKForUsers(
+    const FactorModel& model, const PackedSnapshot& rows,
+    const std::vector<UserId>& users, size_t k, int threads);
 
 /// Measured recall@k of the plain ANN path at `nprobe` — Retrieve through
 /// the index, exactly as queries run it — against the exact top-k over
@@ -351,15 +367,16 @@ Status VerifyAnnRecall(const PackedSnapshot& exact, const IvfIndex& index,
 
 /// The recall gate's ground truth as a passed gate leaves it: for each of
 /// the GateSampleUsers(num_users, sample_users) users, the exact top-j
-/// (score desc, id asc) over the base-order snapshot it ran on, with
-/// k <= j <= 2k while the catalog holds 2k items. The stamp is what the
-/// lists were computed under; the next gate may start from them only when
-/// it runs under the same stamp.
+/// (score desc, id asc) over the base-order repack of the model it ran on
+/// (ExactTopKForUsers' FactorModel form), with k <= j <= 2k while the
+/// catalog holds 2k items. The stamp is what the lists were computed under;
+/// the next gate may start from them only when it runs under the same
+/// stamp.
 struct RecallTruth {
   ScoreKernel kernel{};      // scored the lists
   int32_t sample_users = 0;  // the sample size asked for
   size_t k = 0;              // the recall@k the gate measured
-  int32_t num_users = 0;     // the snapshot's dimensions
+  int32_t num_users = 0;     // the model's dimensions
   int32_t num_items = 0;
   int32_t num_factors = 0;
   bool use_item_bias = false;
@@ -367,11 +384,12 @@ struct RecallTruth {
 };
 
 /// What a publish's index gate may start from: the serving slice it
-/// replaces — the model `previous` was built from, its base-order snapshot,
-/// and the recall truth its gate kept (null when it kept none).
+/// replaces — the model `previous` was built from, the slice's one float
+/// copy (its user rows are compared with the candidate's), and the recall
+/// truth its gate kept (null when it kept none).
 struct GateBaseline {
   const FactorModel* model = nullptr;
-  const PackedSnapshot* exact = nullptr;
+  const PackedSnapshot* served = nullptr;
   const RecallTruth* truth = nullptr;
 };
 
@@ -401,25 +419,34 @@ struct IvfGateOptions {
   Histogram* assign_us = nullptr;
   Histogram* repack_us = nullptr;
   Histogram* encode_us = nullptr;
+  /// Runs on the index as built, before the drills and the gate, with the
+  /// dirty set the build took (null when it had none); a refusal refuses
+  /// the index and counts no gate verdict. A publish runs its packed
+  /// agreement here, on the index's repack. Empty runs nothing.
+  std::function<Status(const IvfIndex&, const ItemDelta*)> check_repack;
 };
 
 /// The one ANN build-and-gate routine, run by every serving publish (one
 /// call per shard slice). Builds the index over
 /// `model` — incrementally from `previous` (may be null) when its options
 /// are compatible and at most half the items changed, else from scratch —
-/// fires the kAnnCorruptIndex / kAnnCorruptCodes drills, then refuses it
-/// unless its dimensions match `model`, it passes VerifyStructure and
-/// (recall_floor > 0) VerifyAnnRecall's measured recall@kGateRecallK
-/// against `exact` (the base-order snapshot of `model`) clears the floor.
-/// No per-item CRC is re-checked: the index was built from `model`'s bytes
-/// in this call.
+/// runs options.check_repack on it, fires the kAnnCorruptIndex /
+/// kAnnCorruptCodes drills, then refuses it unless its dimensions match
+/// `model`, it passes VerifyStructure and (recall_floor > 0) its measured
+/// recall@kGateRecallK clears the floor against the exact top lists over
+/// the base-order repack of `model` (ExactTopKForUsers' FactorModel form:
+/// independent of the index's permutation, so a desynced one scores low
+/// instead of agreeing with itself). No per-item CRC is re-checked: the
+/// index was built from `model`'s bytes in this call.
 ///
 /// With a `baseline` whose model `previous` was built from, the rebuild
 /// takes the DiffItems of `model` against it (timed in the assign phase),
-/// and the recall truth starts from baseline->truth when its stamp matches
-/// this gate: a sampled user whose packed row equals the baseline's gets
-/// the top of its old list without the dirty items plus the dirty items
-/// re-scored by the same kernel — exact while >= k clean entries remain —
+/// and check_repack and the recall truth take the same set. The truth
+/// starts from baseline->truth when its stamp matches this gate: a sampled
+/// user whose row in the index's repack equals its row in baseline->served
+/// gets the top of its old list without the dirty items plus the dirty
+/// items re-scored (their base-order blocks repacked from the doubles, the
+/// kernel ScoreBlocksTopK runs) — exact while >= k clean entries remain —
 /// and every other user a full scan. The verdict, the measured value and
 /// the Status equal the full gate's. `truth` (may be null) receives the
 /// lists this gate ran on when it passed, for the next publish's baseline.
@@ -427,10 +454,10 @@ struct IvfGateOptions {
 /// ann.index_rebuilds_incremental_total, ann.index_items_reassigned_total
 /// and the ann.recall_gate_pass_total / ann.recall_gate_fail_total verdicts.
 Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
-    const FactorModel& model, const PackedSnapshot& exact,
-    const IvfGateOptions& options, const IvfIndex* previous,
-    const std::string& context, MetricsRegistry* metrics,
-    const GateBaseline* baseline = nullptr, RecallTruth* truth = nullptr);
+    const FactorModel& model, const IvfGateOptions& options,
+    const IvfIndex* previous, const std::string& context,
+    MetricsRegistry* metrics, const GateBaseline* baseline = nullptr,
+    RecallTruth* truth = nullptr);
 
 }  // namespace clapf
 

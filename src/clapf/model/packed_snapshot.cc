@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -23,6 +24,31 @@ PackedSnapshot::AlignedFloats PackedSnapshot::AllocAligned(std::size_t n) {
       ::operator new[](bytes, std::align_val_t(kPackedAlignment))));
 }
 
+void PackedSnapshot::PackLanes(const FactorModel& model,
+                               const int32_t* item_perm, ItemId first,
+                               int32_t count, float* blocks,
+                               std::size_t stride) {
+  // Zeroed first, so pad lanes score exactly 0.0 and the bias lane is
+  // correct when the model has biases disabled.
+  const int32_t num_blocks = (count + kPackedBlockItems - 1) / kPackedBlockItems;
+  std::memset(blocks, 0,
+              static_cast<std::size_t>(num_blocks) * stride * sizeof(float));
+  const int32_t d = model.num_factors();
+  const bool bias = model.use_item_bias();
+  for (int32_t j = 0; j < count; ++j) {
+    const ItemId src = item_perm != nullptr ? item_perm[first + j] : first + j;
+    const int32_t lane = j % kPackedBlockItems;
+    float* blk =
+        blocks + static_cast<std::size_t>(j / kPackedBlockItems) * stride;
+    if (bias) blk[lane] = static_cast<float>(model.ItemBias(src));
+    auto vf = model.ItemFactors(src);
+    for (int32_t f = 0; f < d; ++f) {
+      blk[static_cast<std::size_t>(f + 1) * kPackedBlockItems + lane] =
+          static_cast<float>(vf[static_cast<std::size_t>(f)]);
+    }
+  }
+}
+
 PackedSnapshot PackedSnapshot::Build(const FactorModel& model,
                                      const int32_t* item_perm, int threads) {
   PackedSnapshot snap;
@@ -40,36 +66,18 @@ PackedSnapshot PackedSnapshot::Build(const FactorModel& model,
   snap.users_ = AllocAligned(static_cast<std::size_t>(snap.num_users_) *
                              snap.num_factors_);
 
-  // Runs of blocks, each zeroed first so tail-block pad lanes score exactly
-  // 0.0 and the bias lane is correct when the model has biases disabled.
+  // Runs of blocks over the workers.
   constexpr int32_t kRunBlocks = 1024;
-  const int32_t d = snap.num_factors_;
   const int64_t runs = (snap.num_blocks_ + kRunBlocks - 1) / kRunBlocks;
   ParallelForEach(runs, threads, [&](int64_t r) {
     const int32_t first = static_cast<int32_t>(r) * kRunBlocks;
-    const int32_t last = std::min(snap.num_blocks_, first + kRunBlocks);
-    std::memset(snap.blocks_.get() +
-                    static_cast<std::size_t>(first) * snap.block_stride_,
-                0,
-                static_cast<std::size_t>(last - first) * snap.block_stride_ *
-                    sizeof(float));
+    const ItemId begin = first * kPackedBlockItems;
     const ItemId end = static_cast<ItemId>(std::min<int64_t>(
-        snap.num_items_, int64_t{last} * kPackedBlockItems));
-    for (ItemId i = first * kPackedBlockItems; i < end; ++i) {
-      const ItemId src = item_perm != nullptr ? item_perm[i] : i;
-      const int32_t lane = i % kPackedBlockItems;
-      float* blk = snap.blocks_.get() +
-                   static_cast<std::size_t>(i / kPackedBlockItems) *
-                       snap.block_stride_;
-      if (snap.use_item_bias_) {
-        blk[lane] = static_cast<float>(model.ItemBias(src));
-      }
-      auto vf = model.ItemFactors(src);
-      for (int32_t f = 0; f < d; ++f) {
-        blk[static_cast<std::size_t>(f + 1) * kPackedBlockItems + lane] =
-            static_cast<float>(vf[static_cast<std::size_t>(f)]);
-      }
-    }
+        snap.num_items_, int64_t{first + kRunBlocks} * kPackedBlockItems));
+    PackLanes(model, item_perm, begin, end - begin,
+              snap.blocks_.get() +
+                  static_cast<std::size_t>(first) * snap.block_stride_,
+              snap.block_stride_);
   });
 
   const std::vector<double>& uf = model.user_factor_data();
@@ -78,6 +86,43 @@ PackedSnapshot PackedSnapshot::Build(const FactorModel& model,
     users[x] = static_cast<float>(uf[x]);
   }
   return snap;
+}
+
+PackedSnapshot PackedSnapshot::Scratch(const PackedSnapshot& rows,
+                                       const std::vector<UserId>& users,
+                                       int32_t num_blocks) {
+  PackedSnapshot snap;
+  snap.num_users_ = static_cast<int32_t>(users.size());
+  snap.num_items_ = num_blocks * kPackedBlockItems;
+  snap.num_factors_ = rows.num_factors_;
+  snap.use_item_bias_ = rows.use_item_bias_;
+  snap.num_blocks_ = num_blocks;
+  snap.block_stride_ = rows.block_stride_;
+  const std::size_t floats =
+      static_cast<std::size_t>(num_blocks) * snap.block_stride_;
+  snap.blocks_ = AllocAligned(floats);
+  std::memset(snap.blocks_.get(), 0, floats * sizeof(float));
+  snap.users_ = AllocAligned(users.size() *
+                             static_cast<std::size_t>(snap.num_factors_));
+  for (std::size_t x = 0; x < users.size(); ++x) {
+    std::memcpy(snap.users_.get() + x * static_cast<std::size_t>(
+                                            snap.num_factors_),
+                rows.user_factors(users[x]),
+                static_cast<std::size_t>(snap.num_factors_) * sizeof(float));
+  }
+  return snap;
+}
+
+void PackedSnapshot::RepackItems(const FactorModel& model, ItemId begin,
+                                 int32_t count, int32_t at_block) {
+  CLAPF_CHECK(model.num_factors() == num_factors_);
+  CLAPF_CHECK(begin >= 0 && count >= 0 && begin + count <= model.num_items());
+  CLAPF_CHECK(at_block >= 0 &&
+              at_block + (count + kPackedBlockItems - 1) / kPackedBlockItems <=
+                  num_blocks_);
+  PackLanes(model, nullptr, begin, count,
+            blocks_.get() + static_cast<std::size_t>(at_block) * block_stride_,
+            block_stride_);
 }
 
 void PackedSnapshot::ScoreItemRange(UserId u, ItemId begin, ItemId end,
@@ -151,25 +196,28 @@ Double2 Abs2(Double2 v) {
 }
 
 // Which (sampled user, block) pairs a check compares. Without a baseline
-// every user is dirty: checked on every block. With one, `user_dirty` flags
-// the users whose double row or packed floats differ from it; every other
-// user is checked on the blocks whose inputs differ (BlockDiffers), which
-// each tile finds for itself.
+// every user is dirty: checked on every block. With one, `user_dirty`
+// flags the users whose double row or packed floats differ from it; every
+// other user is checked on the blocks BlockChanged finds, which each tile
+// finds for itself.
 struct AgreementPlan {
   const FactorModel* base_model = nullptr;  // null: no baseline
   const PackedSnapshot* base_packed = nullptr;
-  std::vector<uint8_t> user_dirty;  // per sampled user
+  const int32_t* base_lane = nullptr;  // baseline global_to_local; null: i
+  std::vector<uint8_t> item_dirty;     // per item: in the baseline's delta
+  std::vector<uint8_t> user_dirty;     // per sampled user
   bool any_user_dirty = true;
 };
 
 // True when the baseline can stand in for pairs whose inputs it shares: it
-// passed under the kernel active now with the same sample, its model has
-// the candidate's dimensions and bias flag, and its repack the candidate
-// repack's dimensions (which size every memcmp).
+// carries its dirty set, it passed under the kernel active now with the
+// same sample, its model has the candidate's dimensions and bias flag, and
+// its repack the candidate repack's dimensions.
 bool BaselineApplies(const FactorModel& model, const PackedSnapshot& packed,
                      int32_t sample_users, ScoreKernel kernel,
                      const AgreementBaseline* base) {
-  if (base == nullptr || base->model == nullptr || base->packed == nullptr) {
+  if (base == nullptr || base->model == nullptr || base->packed == nullptr ||
+      base->dirty == nullptr) {
     return false;
   }
   const FactorModel& m = *base->model;
@@ -196,26 +244,53 @@ bool UserDiffers(const FactorModel& model, const PackedSnapshot& packed,
                      d * sizeof(float)) != 0;
 }
 
-// True when block b's item doubles, biases or packed floats (pad lanes
-// included) differ from the baseline.
-bool BlockDiffers(const FactorModel& model, const PackedSnapshot& packed,
+bool SameBits(float a, float b) {
+  return std::bit_cast<uint32_t>(a) == std::bit_cast<uint32_t>(b);
+}
+
+// True when local block b of the candidate repack may hold a pair the
+// baseline did not pass: an item of the dirty set, an item whose floats
+// differ from its floats at its baseline lane, or pad lanes that differ
+// from the baseline's. Item by item, not block by block: an index rebuild
+// shifts the lane of nearly every item after a moved one, yet each keeps
+// its floats. A block whose items all sit at their baseline lanes is one
+// memcmp, pad lanes included.
+bool BlockChanged(const PackedSnapshot& packed, const int32_t* local_to_global,
                   const AgreementPlan& plan, int32_t b) {
   const ItemId first = b * kPackedBlockItems;
-  const size_t items = static_cast<size_t>(
-      std::min(kPackedBlockItems, model.num_items() - first));
-  const size_t d = static_cast<size_t>(model.num_factors());
-  const size_t at = static_cast<size_t>(first);
+  const int32_t lanes = std::min(kPackedBlockItems, packed.num_items() - first);
   const size_t stride = packed.block_stride();
-  return std::memcmp(model.item_factor_data().data() + at * d,
-                     plan.base_model->item_factor_data().data() + at * d,
-                     items * d * sizeof(double)) != 0 ||
-         std::memcmp(model.item_bias_data().data() + at,
-                     plan.base_model->item_bias_data().data() + at,
-                     items * sizeof(double)) != 0 ||
-         std::memcmp(packed.block_data() + static_cast<size_t>(b) * stride,
-                     plan.base_packed->block_data() +
-                         static_cast<size_t>(b) * stride,
-                     stride * sizeof(float)) != 0;
+  const float* cand = packed.block_data() + static_cast<size_t>(b) * stride;
+  const float* base = plan.base_packed->block_data();
+  ItemId at[kPackedBlockItems];  // each lane's baseline lane
+  bool in_place = true;
+  for (int32_t l = 0; l < lanes; ++l) {
+    const ItemId g =
+        local_to_global != nullptr ? local_to_global[first + l] : first + l;
+    if (plan.item_dirty[static_cast<size_t>(g)] != 0) return true;
+    at[l] = plan.base_lane != nullptr ? plan.base_lane[g] : g;
+    in_place = in_place && at[l] == first + l;
+  }
+  if (in_place) {
+    return std::memcmp(cand, base + static_cast<size_t>(b) * stride,
+                       stride * sizeof(float)) != 0;
+  }
+  const size_t rows = stride / kPackedBlockItems;
+  for (int32_t l = 0; l < kPackedBlockItems; ++l) {
+    // A pad lane is compared with the same pad lane of the baseline's tail
+    // block (both repacks hold the same item count).
+    const ItemId old = l < lanes ? at[l] : first + l;
+    const float* was =
+        base + static_cast<size_t>(old / kPackedBlockItems) * stride +
+        static_cast<size_t>(old % kPackedBlockItems);
+    for (size_t r = 0; r < rows; ++r) {
+      if (!SameBits(cand[r * kPackedBlockItems + static_cast<size_t>(l)],
+                    was[r * kPackedBlockItems])) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 // Consecutive tile-local blocks [first, first + count).
@@ -224,37 +299,44 @@ struct BlockRun {
   int32_t count = 0;
 };
 
-// Checks items [begin, end) (begin block-aligned) against every sampled
-// user with index below `*first_bad_user`, and returns the tile's first
-// violation in (user, item) order. Per `plan`, a dirty user is checked on
-// every block of the tile and any other user on its changed blocks, whose
-// count goes to `*changed_blocks`. The blocks some user needs are copied
-// once into 8-item double blocks (factor-major inside a block, like the
-// packed layout), so each user's exact scores and L1 masses run over
-// contiguous strips, 8 items per vector: per item the score starts at the
-// bias (0.0 without biases) and adds u_f·v_f in factor order —
-// FactorModel::ScoreItemRange's arithmetic, bit for bit — and the L1 mass
-// starts at |b_i| and adds |u_f·v_f|. A branch-free screen flags the user
-// when any lane is off by more than half its bound; only a flagged user's
-// blocks are then walked lane by lane against PackedScoreBound itself.
+// Checks the lanes [begin, end) of the repack (begin block-aligned)
+// against every sampled user with index below `*first_bad_user`, and
+// returns the tile's first violation in (user, item) order. Per `plan`, a
+// dirty user is checked on every block of the tile and any other user on
+// its changed blocks, whose count goes to `*changed_blocks`. The blocks
+// some user needs are copied once into 8-item double blocks (factor-major
+// inside a block, like the packed layout), each lane from the doubles of
+// the item `local_to_global` (or the identity) names, so each user's exact
+// scores and L1 masses run over contiguous strips, 8 items per vector: per
+// item the score starts at the bias (0.0 without biases) and adds u_f·v_f
+// in factor order — FactorModel::ScoreItemRange's arithmetic, bit for bit
+// — and the L1 mass starts at |b_i| and adds |u_f·v_f|. A branch-free
+// screen flags the user when any lane is off by more than half its bound;
+// only a flagged user's blocks are then walked lane by lane against
+// PackedScoreBound itself.
 std::optional<AgreementViolation> CheckAgreementTile(
     const FactorModel& model, const PackedSnapshot& packed,
-    const std::vector<UserId>& users, const AgreementPlan& plan,
-    ItemId begin, ItemId end, std::atomic<size_t>* first_bad_user,
-    int32_t* changed_blocks) {
+    const int32_t* local_to_global, const std::vector<UserId>& users,
+    const AgreementPlan& plan, ItemId begin, ItemId end,
+    std::atomic<size_t>* first_bad_user, int32_t* changed_blocks) {
   constexpr int32_t kLanes = kPackedBlockItems;
   const int32_t d = model.num_factors();
   const int32_t first_block = begin / kLanes;
   const int32_t num_blocks = (end - begin + kLanes - 1) / kLanes;
   const size_t block_doubles = static_cast<size_t>(d) * kLanes;
   const bool bias = model.use_item_bias();
+  const auto item_at = [&](ItemId local) {
+    return local_to_global != nullptr ? local_to_global[local] : local;
+  };
 
   thread_local std::vector<BlockRun> changed_runs;
   changed_runs.clear();
   *changed_blocks = 0;
   if (plan.base_model != nullptr) {
     for (int32_t b = 0; b < num_blocks; ++b) {
-      if (!BlockDiffers(model, packed, plan, first_block + b)) continue;
+      if (!BlockChanged(packed, local_to_global, plan, first_block + b)) {
+        continue;
+      }
       ++*changed_blocks;
       if (!changed_runs.empty() &&
           changed_runs.back().first + changed_runs.back().count == b) {
@@ -286,7 +368,7 @@ std::optional<AgreementViolation> CheckAgreementTile(
         const double* vf = nullptr;
         bias0[j] = 0.0;
         if (j < static_cast<size_t>(end - begin)) {
-          const ItemId i = begin + static_cast<ItemId>(j);
+          const ItemId i = item_at(begin + static_cast<ItemId>(j));
           vf = model.ItemFactors(i).data();
           if (bias) bias0[j] = model.ItemBias(i);
         }
@@ -362,6 +444,9 @@ std::optional<AgreementViolation> CheckAgreementTile(
       }
     }
     if ((flagged[0] | flagged[1]) == 0) continue;
+    // The user's violation with the smallest item: lanes need not hold
+    // their items in order.
+    std::optional<AgreementViolation> first;
     for (const BlockRun& run : runs) {
       for (int32_t b = run.first; b < run.first + run.count; ++b) {
         Double2 delta[4], l1[4];
@@ -369,13 +454,17 @@ std::optional<AgreementViolation> CheckAgreementTile(
         const int32_t lanes = std::min(kLanes, end - begin - b * kLanes);
         for (int l = 0; l < lanes; ++l) {
           const double bound = PackedScoreBound(d, l1[l / 2][l % 2]);
-          if (delta[l / 2][l % 2] > bound) {
-            AtomicMin(first_bad_user, ui);
-            return AgreementViolation{ui, begin + b * kLanes + l,
-                                      delta[l / 2][l % 2], bound};
+          if (delta[l / 2][l % 2] <= bound) continue;
+          const ItemId item = item_at(begin + b * kLanes + l);
+          if (!first || item < first->item) {
+            first = AgreementViolation{ui, item, delta[l / 2][l % 2], bound};
           }
         }
       }
+    }
+    if (first) {
+      AtomicMin(first_bad_user, ui);
+      return first;
     }
   }
   return std::nullopt;
@@ -387,7 +476,8 @@ Status VerifyPackedAgreement(const FactorModel& model,
                              const PackedSnapshot& packed,
                              int32_t sample_users, const std::string& context,
                              int threads, const AgreementBaseline* baseline,
-                             AgreementStamp* stamp) {
+                             AgreementStamp* stamp,
+                             const int32_t* local_to_global) {
   AgreementStamp ran;
   ran.kernel = ActiveScoreKernel();
   ran.sample_users = sample_users;
@@ -407,6 +497,12 @@ Status VerifyPackedAgreement(const FactorModel& model,
   if (BaselineApplies(model, packed, sample_users, ran.kernel, baseline)) {
     plan.base_model = baseline->model;
     plan.base_packed = baseline->packed;
+    plan.base_lane = baseline->global_to_local;
+    plan.item_dirty.assign(static_cast<size_t>(model.num_items()), 0);
+    for (ItemId i : *baseline->dirty) {
+      CLAPF_CHECK(i >= 0 && i < model.num_items());
+      plan.item_dirty[static_cast<size_t>(i)] = 1;
+    }
     plan.any_user_dirty = false;
     for (size_t ui = 0; ui < users.size(); ++ui) {
       plan.user_dirty[ui] = UserDiffers(model, packed, plan, users[ui]);
@@ -426,10 +522,9 @@ Status VerifyPackedAgreement(const FactorModel& model,
     const ItemId begin = static_cast<ItemId>(t) * kAgreementTileItems;
     const ItemId end =
         std::min<ItemId>(model.num_items(), begin + kAgreementTileItems);
-    found[static_cast<size_t>(t)] =
-        CheckAgreementTile(model, packed, users, plan, begin, end,
-                           &first_bad_user,
-                           &changed_blocks[static_cast<size_t>(t)]);
+    found[static_cast<size_t>(t)] = CheckAgreementTile(
+        model, packed, local_to_global, users, plan, begin, end,
+        &first_bad_user, &changed_blocks[static_cast<size_t>(t)]);
   });
   if (stamp != nullptr) {
     const int64_t changed = std::accumulate(changed_blocks.begin(),
@@ -442,8 +537,10 @@ Status VerifyPackedAgreement(const FactorModel& model,
   }
   const AgreementViolation* first = nullptr;
   for (const auto& v : found) {
-    if (v && (first == nullptr || v->user_index < first->user_index)) {
-      first = &*v;  // tiles ascend in item order: ties keep the earlier
+    if (v && (first == nullptr || v->user_index < first->user_index ||
+              (v->user_index == first->user_index &&
+               v->item < first->item))) {
+      first = &*v;
     }
   }
   if (first == nullptr) return Status::OK();

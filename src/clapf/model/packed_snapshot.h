@@ -68,6 +68,25 @@ class PackedSnapshot {
                               const int32_t* item_perm = nullptr,
                               int threads = 1);
 
+  /// A snapshot of `num_blocks` zeroed item blocks (num_blocks ·
+  /// kPackedBlockItems items) whose user row x is
+  /// rows.user_factors(users[x]): scratch that RepackItems fills a few
+  /// blocks at a time, for passes over a model's catalog that must not
+  /// hold its whole repack (the recall gate's ground truth).
+  static PackedSnapshot Scratch(const PackedSnapshot& rows,
+                                const std::vector<UserId>& users,
+                                int32_t num_blocks);
+
+  /// Writes items [begin, begin + count) of `model` into the blocks from
+  /// `at_block` on, item begin + j at lane j of the run, converted as Build
+  /// converts them (bias lane, factor-major lanes, pad lanes zero): for a
+  /// block-aligned `begin`, the bytes of the same blocks of a base-order
+  /// Build. The written blocks must lie inside this snapshot and `model`
+  /// must have its factor count; calls on disjoint blocks may run
+  /// concurrently.
+  void RepackItems(const FactorModel& model, ItemId begin, int32_t count,
+                   int32_t at_block);
+
   int32_t num_users() const { return num_users_; }
   int32_t num_items() const { return num_items_; }
   int32_t num_factors() const { return num_factors_; }
@@ -120,6 +139,13 @@ class PackedSnapshot {
 
   static AlignedFloats AllocAligned(std::size_t n);
 
+  // Zeroes the ceil(count / kPackedBlockItems) blocks at `blocks` and
+  // writes lane j (< count) from item item_perm[first + j], or first + j
+  // without a permutation.
+  static void PackLanes(const FactorModel& model, const int32_t* item_perm,
+                        ItemId first, int32_t count, float* blocks,
+                        std::size_t stride);
+
   PackedSnapshot() = default;
 
   int32_t num_users_ = 0;
@@ -152,11 +178,18 @@ struct AgreementStamp {
 };
 
 /// A model and its repack that passed VerifyPackedAgreement as `stamp`
-/// records.
+/// records, and what a candidate changed against it.
 struct AgreementBaseline {
   const FactorModel* model = nullptr;
   const PackedSnapshot* packed = nullptr;
   AgreementStamp stamp;
+  /// The candidate's items whose doubles differ from `model`'s, ascending
+  /// (DiffItems(candidate, *model).items); every other item holds the
+  /// bytes `model` holds. Null: unknown, and every pair is checked.
+  const std::vector<ItemId>* dirty = nullptr;
+  /// The lane of `packed` that holds each item (an index's
+  /// global_to_local table); null: item i at lane i.
+  const int32_t* global_to_local = nullptr;
 };
 
 /// Verifies the packed repack against the exact double model for the
@@ -164,31 +197,37 @@ struct AgreementBaseline {
 /// |Δscore| must stay within PackedScoreBound(). Returns FailedPrecondition
 /// naming the first violating (user, item), users ascending then items
 /// ascending. This is the packed half of the serving canary gate; `context`
-/// names the candidate in errors.
+/// names the candidate in errors. `local_to_global` (may be null: lane i
+/// holds item i) names the item of each lane of `packed` — an index's
+/// cluster-ordered repack is checked through its map, so a lane whose
+/// floats belong to another item fails.
 ///
-/// One pass over the catalog: items are cut into cache-sized tiles, and
-/// each tile is checked against every sampled user while it is in cache,
-/// the exact score and its L1 mass accumulated in one loop with the same
-/// arithmetic as FactorModel::ScoreItemRange. Tiles are spread over
+/// One pass over the repack: its blocks are cut into cache-sized tiles,
+/// and each tile is checked against every sampled user while it is in
+/// cache, the exact score and its L1 mass accumulated in one loop with the
+/// same arithmetic as FactorModel::ScoreItemRange. Tiles are spread over
 /// `threads` workers; the verdict and message do not depend on the count.
 ///
 /// With a `baseline` the check covers only the (sampled user, block) pairs
-/// whose inputs differ from it, by memcmp: a user whose double row or
-/// packed floats differ is checked on every block, every other user on the
-/// blocks whose item doubles, biases or packed floats differ. Every other
-/// pair has exactly the inputs of a pair the baseline passed, so the
+/// whose inputs may differ from a pair it passed: a user whose double row
+/// or packed floats differ is checked on every block, every other user on
+/// the blocks holding an item of the baseline's dirty set, an item whose
+/// floats differ from its floats in the baseline repack (wherever each
+/// repack holds it), or pad lanes that differ from the baseline's. Every
+/// other pair has exactly the inputs of a pair the baseline passed, so the
 /// verdict and the first-violation Status equal the full check's. The
-/// baseline is ignored — every pair is checked — unless its stamp names
-/// the kernel active now and the same `sample_users`, its model has this
-/// model's dimensions and bias flag, and its repack this repack's
-/// dimensions. `stamp` (may be
-/// null) receives what this call ran with and compared, also on refusal.
+/// baseline is ignored — every pair is checked — unless it carries its
+/// dirty set, its stamp names the kernel active now and the same
+/// `sample_users`, its model has this model's dimensions and bias flag,
+/// and its repack this repack's dimensions. `stamp` (may be null) receives
+/// what this call ran with and compared, also on refusal.
 Status VerifyPackedAgreement(const FactorModel& model,
                              const PackedSnapshot& packed,
                              int32_t sample_users, const std::string& context,
                              int threads = 1,
                              const AgreementBaseline* baseline = nullptr,
-                             AgreementStamp* stamp = nullptr);
+                             AgreementStamp* stamp = nullptr,
+                             const int32_t* local_to_global = nullptr);
 
 }  // namespace clapf
 

@@ -156,7 +156,12 @@ Result<std::vector<ScoredItem>> Retrieve(
       if (taken == RetrievalPath::kExact) {
         ExactScoreTopK(*layers.model, u, lo, hi, excluded, &acc, bar);
       } else if (taken == RetrievalPath::kPacked) {
-        ScoreBlocksTopK(*layers.packed, u, lo, hi, excluded, &acc, bar);
+        if (layers.packed_map != nullptr) {
+          ScoreBlocksTopKMapped(*layers.packed, u, lo, hi, layers.packed_map,
+                                excluded, &acc, bar);
+        } else {
+          ScoreBlocksTopK(*layers.packed, u, lo, hi, excluded, &acc, bar);
+        }
       } else {
         ScoreBlocksTopKMapped(ivf->packed(), u, lo, hi,
                               ivf->local_to_global_data(), excluded, &acc,

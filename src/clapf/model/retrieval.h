@@ -158,8 +158,11 @@ struct RetrievalMetrics {
 /// specialized layer the query allows.
 struct RetrievalLayers {
   const FactorModel* model = nullptr;      ///< exact double scan
-  const PackedSnapshot* packed = nullptr;  ///< base-order SIMD repack
+  const PackedSnapshot* packed = nullptr;  ///< SIMD repack of the catalog
   const IvfIndex* ivf = nullptr;           ///< cluster-ordered index
+  /// The item each lane of `packed` holds (an index's local_to_global
+  /// table when `packed` is its repack); null: lane i holds item i.
+  const int32_t* packed_map = nullptr;
 
   int32_t num_items() const {
     return model != nullptr    ? model->num_items()
@@ -177,7 +180,9 @@ struct RetrievalLayers {
 ///            `excluded` may skip), then — with options.pq and a code book —
 ///            the quantized shortlist at the rerank budget, then the
 ///            prefetched exact re-rank of the chosen ranges;
-///   packed   (use_packed and a snapshot): the fused scan of the catalog;
+///   packed   (use_packed and a snapshot): the fused scan of the catalog,
+///            through `packed_map` when the repack is in another order
+///            (the (score desc, id asc) answer does not depend on it);
 ///   exact    the fused exact double scan (ExactScoreTopK).
 ///
 /// Every scan polls the kServeSlowBlock fault, `deadline` (DeadlineExceeded

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <optional>
 #include <utility>
 
 #include "clapf/model/model_io.h"
@@ -150,56 +151,78 @@ Status ModelShard::GateSlice(const FactorModel& model, bool packed,
     TraceSpan span(timed.integrity);
     CLAPF_RETURN_IF_ERROR(VerifyModelIntegrity(model, context, threads));
   }
-  if (packed) {
+  if (!packed) return Status::OK();
+  // The agreement of the slice's float copy `snap` (lane l holds item
+  // map[l], or l without a map) with `model`. A stamped previous slice is
+  // the baseline: `delta` (its dirty set, computed here when the caller
+  // has none) names the items whose doubles moved.
+  const auto agree = [&](const PackedSnapshot& snap, const int32_t* map,
+                         const ItemDelta* delta) -> Status {
+    if (packed_agreement_users <= 0) return Status::OK();
+    TraceSpan span(timed.agreement);
+    AgreementBaseline baseline;  // empty: the full check
+    std::optional<ItemDelta> own_delta;
+    if (previous != nullptr && previous->agreement &&
+        previous->served_packed() != nullptr) {
+      const FactorModel& base = previous->model;
+      if (delta == nullptr && base.num_items() == model.num_items() &&
+          base.num_factors() == model.num_factors() &&
+          base.use_item_bias() == model.use_item_bias()) {
+        own_delta = DiffItems(model, base, threads);
+        delta = &*own_delta;
+      }
+      baseline = {&base, previous->served_packed(), *previous->agreement,
+                  delta != nullptr ? &delta->items : nullptr,
+                  previous->ivf != nullptr
+                      ? previous->ivf->global_to_local_data()
+                      : nullptr};
+    }
+    AgreementStamp stamp;
+    Status agreed = VerifyPackedAgreement(model, snap, packed_agreement_users,
+                                          context, threads, &baseline, &stamp,
+                                          map);
+    span.Stop();
+    if (timed.agreement_pairs_checked != nullptr) {
+      timed.agreement_pairs_checked->Inc(stamp.pairs_checked);
+    }
+    CLAPF_RETURN_IF_ERROR(agreed);
+    slice->agreement = stamp;
+    return Status::OK();
+  };
+  if (ann == nullptr) {
     TraceSpan pack_span(timed.pack);
     auto snap = std::make_shared<PackedSnapshot>(
         PackedSnapshot::Build(model, nullptr, threads));
     pack_span.Stop();
-    if (packed_agreement_users > 0) {
-      TraceSpan span(timed.agreement);
-      AgreementBaseline baseline;  // empty: the full check
-      if (previous != nullptr && previous->agreement) {
-        baseline = {&previous->model, previous->packed.get(),
-                    *previous->agreement};
-      }
-      AgreementStamp stamp;
-      Status agree =
-          VerifyPackedAgreement(model, *snap, packed_agreement_users,
-                                context, threads, &baseline, &stamp);
-      span.Stop();
-      if (timed.agreement_pairs_checked != nullptr) {
-        timed.agreement_pairs_checked->Inc(stamp.pairs_checked);
-      }
-      CLAPF_RETURN_IF_ERROR(agree);
-      slice->agreement = stamp;
-    }
+    CLAPF_RETURN_IF_ERROR(agree(*snap, nullptr, nullptr));
     slice->packed = std::move(snap);
+    return Status::OK();
   }
-  if (packed && ann != nullptr) {
-    // Each shard's index covers its own slice and is gated on its own: a
-    // corrupt or low-recall index refuses only this shard's slice.
-    IvfGateOptions gate = *ann;
-    gate.build_us = timed.ann_build;
-    gate.kmeans_us = timed.ann_kmeans;
-    gate.assign_us = timed.ann_assign;
-    gate.repack_us = timed.ann_repack;
-    gate.encode_us = timed.ann_encode;
-    gate.gate_us = timed.ann_gate;
-    GateBaseline baseline;
-    if (previous != nullptr) {
-      baseline = {&previous->model, previous->packed.get(),
-                  previous->recall_truth ? &*previous->recall_truth
-                                         : nullptr};
-    }
-    RecallTruth truth;
-    auto ivf = BuildGatedIvf(
-        model, *slice->packed, gate,
-        previous != nullptr ? previous->ivf.get() : nullptr, context,
-        metrics, &baseline, &truth);
-    if (!ivf.ok()) return ivf.status();
-    slice->ivf = *std::move(ivf);
-    if (!truth.lists.empty()) slice->recall_truth = std::move(truth);
+  // Each shard's index covers its own slice and is gated on its own: a
+  // corrupt or low-recall index refuses only this shard's slice. Its
+  // repack is the slice's one float copy, checked as built.
+  IvfGateOptions gate = *ann;
+  gate.build_us = timed.ann_build;
+  gate.kmeans_us = timed.ann_kmeans;
+  gate.assign_us = timed.ann_assign;
+  gate.repack_us = timed.ann_repack;
+  gate.encode_us = timed.ann_encode;
+  gate.gate_us = timed.ann_gate;
+  gate.check_repack = [&](const IvfIndex& index, const ItemDelta* delta) {
+    return agree(index.packed(), index.local_to_global_data(), delta);
+  };
+  GateBaseline baseline;
+  if (previous != nullptr) {
+    baseline = {&previous->model, previous->served_packed(),
+                previous->recall_truth ? &*previous->recall_truth : nullptr};
   }
+  RecallTruth truth;
+  auto ivf = BuildGatedIvf(model, gate,
+                           previous != nullptr ? previous->ivf.get() : nullptr,
+                           context, metrics, &baseline, &truth);
+  if (!ivf.ok()) return ivf.status();
+  slice->ivf = *std::move(ivf);
+  if (!truth.lists.empty()) slice->recall_truth = std::move(truth);
   return Status::OK();
 }
 
@@ -226,8 +249,9 @@ Result<std::vector<ScoredItem>> ModelShard::ScoreTopK(
       local_k + history_.ItemsOf(u).size() + options.exclude.size();
   // A full heap bounds the global k-th best only when it holds k items: a
   // shard smaller than k neither raises the bar nor reads it.
-  auto top = Retrieve({&slice.model, slice.packed.get(), slice.ivf.get()}, u,
-                      local_k, excluded, min_items, options, deadline,
+  auto top = Retrieve({&slice.model, slice.served_packed(), slice.ivf.get(),
+                       slice.served_map()},
+                      u, local_k, excluded, min_items, options, deadline,
                       local_k == k ? broadcast : nullptr, metrics, path);
   if (!top.ok()) return top;
   for (ScoredItem& item : *top) item.item += begin_;

@@ -44,33 +44,53 @@ class ExclusionBitmap {
 };
 
 /// One published model version restricted to a shard's item range: the
-/// sliced exact model plus (when packed serving is on) its SIMD repack and
-/// (when ANN serving is on) its IVF index. Immutable once published; query
+/// sliced exact model plus, when packed serving is on, one float copy of
+/// its catalog — the IVF index's cluster-ordered repack when ANN serving is
+/// on, else a base-order PackedSnapshot. Immutable once published; query
 /// threads share it read-only via shared_ptr.
 struct ShardSlice {
   explicit ShardSlice(FactorModel sliced_model)
       : model(std::move(sliced_model)) {}
 
+  /// The slice's float copy: every packed reader (ann-off packed queries,
+  /// the agreement check, the AUC probe) goes through this pair. The
+  /// index's repack when the slice carries one, else `packed`; null when
+  /// packed serving is off.
+  const PackedSnapshot* served_packed() const {
+    return ivf != nullptr ? &ivf->packed() : packed.get();
+  }
+  /// The item each lane of served_packed() holds: the index's local→global
+  /// table, or null when lane i holds item i.
+  const int32_t* served_map() const {
+    return ivf != nullptr ? ivf->local_to_global_data() : nullptr;
+  }
+
   int64_t version = 0;
   FactorModel model;  // items renumbered to [0, shard size)
-  std::shared_ptr<const PackedSnapshot> packed;  // null when packed is off
-  std::shared_ptr<const IvfIndex> ivf;           // null when ANN is off
-  /// Set when `packed` passed VerifyPackedAgreement: the kernel and sample
-  /// it ran with, so the next publish can check only what changed.
+  /// Base-order repack; a publish builds one only for a slice without an
+  /// index (read through served_packed(), which prefers the index's).
+  std::shared_ptr<const PackedSnapshot> packed;
+  std::shared_ptr<const IvfIndex> ivf;  // null when ANN is off
+  /// Set when served_packed() passed VerifyPackedAgreement: the kernel and
+  /// sample it ran with, so the next publish can check only what changed.
   std::optional<AgreementStamp> agreement;
   /// Set when `ivf` passed its measured recall gate: the sampled users'
-  /// exact top lists over `packed` and what they were computed under, so
-  /// the next publish's gate re-scores only the items that changed.
+  /// exact top lists over the base-order repack of `model` and what they
+  /// were computed under, so the next publish's gate re-scores only the
+  /// items that changed.
   std::optional<RecallTruth> recall_truth;
 };
 
 /// The serving.publish.stage.<stage>_us histograms (PublishStageBucketsUs,
 /// up to 60 s) that time a publish stage by stage: handover (the slice's
 /// own copy of a candidate it cannot adopt, in tiles over the thread
-/// budget), integrity (shape check + tiled finite scan), pack (the SIMD
-/// repack), agreement (packed-vs-exact, on the pairs that changed since the
-/// serving slice when that slice can be the baseline), ann_build and
-/// ann_gate (index build; dimensions, structure and measured recall),
+/// budget), integrity (shape check + tiled finite scan), pack (the
+/// base-order SIMD repack of a slice without an index; an index's repack
+/// is ann_repack), agreement (packed-vs-exact on the slice's float copy,
+/// on the pairs that changed since the serving slice when that slice can
+/// be the baseline; a packed-only slice's includes its DiffItems pass),
+/// ann_build and ann_gate (index build; dimensions, structure and
+/// measured recall),
 /// auc_probe (sampled-AUC floor), swap (the snapshot swap under the
 /// snapshot mutex) and release (freeing the slices the swap displaced, off
 /// that mutex). ann_build
@@ -134,21 +154,24 @@ class ModelShard {
   /// does, or exactly this shard's items, which the slice adopts as they
   /// are — so the one-shard server moves its candidate in and a publish
   /// holds one copy of the model. When `verify_integrity` is set the sliced
-  /// model must pass VerifyModelIntegrity (shape check + finite scan); when
-  /// `packed` is set a PackedSnapshot is built and, if
-  /// `packed_agreement_users` > 0, verified against the slice within
-  /// PackedScoreBound and stamped. `previous` (may be null) is the slice
-  /// this one replaces: a stamped previous slice is the agreement's
-  /// baseline, so only the pairs whose bytes changed are checked (an
-  /// unusable stamp means the full check). When `ann` is non-null
-  /// (requires `packed`) an IvfIndex is built over the sliced catalog and
-  /// gated by BuildGatedIvf with `previous` as its GateBaseline —
-  /// incrementally from `previous`'s index, with the recall truth started
-  /// from `previous`'s — and the truth it passed on is kept in the slice;
-  /// `metrics` (may be null) receives the build and gate counters. The
-  /// integrity scan, the repack and the agreement check run over `threads`
-  /// workers (the index passes use ann->ivf's build_threads); `stages` (may
-  /// be null) times each stage. Gate failures leave nothing published.
+  /// model must pass VerifyModelIntegrity (shape check + finite scan). When
+  /// `packed` is set the slice gets one float copy of its catalog: with
+  /// `ann` non-null, an IvfIndex built over the sliced catalog and gated by
+  /// BuildGatedIvf with `previous` as its GateBaseline — incrementally from
+  /// `previous`'s index, with the recall truth started from `previous`'s,
+  /// kept in the slice — whose cluster-ordered repack is the copy; without
+  /// it, a base-order PackedSnapshot. If `packed_agreement_users` > 0 the
+  /// copy is verified against the slice within PackedScoreBound (an index's
+  /// repack as built, through its map, before the index gate) and stamped.
+  /// `previous` (may be null) is the slice this one replaces: a stamped
+  /// previous slice is the agreement's baseline, so only the pairs whose
+  /// inputs changed are checked (an unusable stamp means the full check);
+  /// one DiffItems set against its model drives the agreement, the index
+  /// rebuild and the recall truth. `metrics` (may be null) receives the
+  /// build and gate counters. The integrity scan, the repack and the
+  /// agreement check run over `threads` workers (the index passes use
+  /// ann->ivf's build_threads); `stages` (may be null) times each stage.
+  /// Gate failures leave nothing published.
   Result<std::shared_ptr<ShardSlice>> BuildSlice(
       FactorModel candidate, bool packed, bool verify_integrity,
       int32_t packed_agreement_users, const std::string& context,
@@ -175,8 +198,9 @@ class ModelShard {
 
   /// Scatter kernel: Retrieve over this shard's slice for user `u` — the
   /// IVF shortlist when `options.ann` is set and the slice carries an index,
-  /// else the packed fast path when the slice carries a snapshot and
-  /// `options.use_packed` allows it, else the exact double scan. Applies
+  /// else the packed fast path over the slice's float copy (served_packed()
+  /// through served_map()) when it has one and `options.use_packed` allows
+  /// it, else the exact double scan. Applies
   /// history and options.exclude exclusions; does NOT apply min_score or
   /// cold-start policy — those are gather-side decisions so they act
   /// exactly once per query. Returns at most min(k, shard size) items with
@@ -200,8 +224,8 @@ class ModelShard {
 
  private:
   /// The gate stages of BuildSlice over `model` (this shard's items, local
-  /// ids): fills `slice`'s packed snapshot, index and stamps and never
-  /// reads slice->model.
+  /// ids): fills `slice`'s float copy (index or packed snapshot) and stamps
+  /// and never reads slice->model.
   Status GateSlice(const FactorModel& model, bool packed,
                    bool verify_integrity, int32_t packed_agreement_users,
                    const std::string& context, const IvfGateOptions* ann,

@@ -32,8 +32,8 @@ constexpr int32_t kAucProbeNegatives = 20;
 constexpr int32_t kPackedAgreementUsers = 64;
 
 // Scores the whole catalog through the slices a publish built — through
-// the packed snapshots that will serve when packed serving is on — so the
-// canary's sampled-AUC probe vets the kernels production queries run.
+// each slice's float copy when packed serving is on, so the canary's
+// sampled-AUC probe vets the kernels production queries run.
 class SliceRanker final : public Ranker {
  public:
   SliceRanker(const ShardMap& map,
@@ -41,22 +41,35 @@ class SliceRanker final : public Ranker {
       : map_(map), slices_(slices) {}
 
   void ScoreItems(UserId u, std::vector<double>* scores) const override {
-    if (slices_.size() == 1) {  // one shard: its slice is the catalog
-      FactorModelRanker(&slices_[0]->model, slices_[0]->packed.get())
-          .ScoreItems(u, scores);
-      return;
-    }
     scores->resize(static_cast<size_t>(map_.num_items()));
     std::vector<double> local;
     for (size_t s = 0; s < slices_.size(); ++s) {
-      FactorModelRanker(&slices_[s]->model, slices_[s]->packed.get())
-          .ScoreItems(u, &local);
-      std::copy(local.begin(), local.end(),
-                scores->begin() + map_.begin(static_cast<int32_t>(s)));
+      ScoreSlice(*slices_[s], u, &local,
+                 scores->data() + map_.begin(static_cast<int32_t>(s)));
     }
   }
 
  private:
+  // Scores `slice`'s items for `u` into out[0, slice items): the exact
+  // doubles without a float copy, else the copy's lanes (into `local`),
+  // each score written to the slot of the item its lane holds.
+  static void ScoreSlice(const ShardSlice& slice, UserId u,
+                         std::vector<double>* local, double* out) {
+    const PackedSnapshot* packed = slice.served_packed();
+    if (packed == nullptr) {
+      slice.model.ScoreAllItems(u, local);
+      std::copy(local->begin(), local->end(), out);
+      return;
+    }
+    local->resize(static_cast<size_t>(packed->num_items()));
+    packed->ScoreItemRange(u, 0, packed->num_items(), local);
+    const int32_t* lane_item = slice.served_map();
+    for (size_t l = 0; l < local->size(); ++l) {
+      out[lane_item != nullptr ? static_cast<size_t>(lane_item[l]) : l] =
+          (*local)[l];
+    }
+  }
+
   const ShardMap& map_;
   const std::vector<std::shared_ptr<ShardSlice>>& slices_;
 };
@@ -314,8 +327,8 @@ Status ModelServer::PublishCandidate(const FactorModel& borrowed,
   }
 
   int64_t published_version = 0;
-  // The slices the swap displaces (a 1M-item slice holds ~560 MB: model,
-  // repacks, codes) are freed after snapshot_mu_ is released, so no
+  // The slices the swap displaces (a 1M-item ANN slice holds ~450 MB:
+  // model, repack, codes, tables) are freed after snapshot_mu_ is released, so no
   // query's AcquireCut waits on their destructors.
   std::vector<std::shared_ptr<const ShardSlice>> displaced;
   {

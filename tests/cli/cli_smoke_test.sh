@@ -7,7 +7,9 @@
 # Checks every exit code, the "scoring path:" line each query command
 # prints, the governor and sharded lines, that serve's --ann implies
 # --packed, and that an unknown governor, a negative --k, a queue depth
-# below 1 and an ondemand tick below 1 ms are refused with exit 1.
+# below 1, an ondemand tick below 1 ms, a negative --nprobe,
+# --rerank-budget or --build-threads, --shards or serve --threads below 1,
+# and any of those counts above INT32_MAX are refused with exit 1.
 #
 # Usage: tests/cli/cli_smoke_test.sh <clapf_cli binary> <scratch dir>
 set -euo pipefail
@@ -137,5 +139,21 @@ expect_refused --queue-depth serve --model ml.clpf --dataset ml.clds \
     --queue-depth -3
 expect_refused --governor-interval-ms serve --model ml.clpf \
     --dataset ml.clds --governor ondemand --governor-interval-ms 0
+for cmd in recommend serve; do
+  expect_refused --nprobe "${cmd}" --model ml.clpf --dataset ml.clds \
+      --ann --nprobe -1
+  expect_refused --nprobe "${cmd}" --model ml.clpf --dataset ml.clds \
+      --ann --nprobe 2147483648
+  expect_refused --rerank-budget "${cmd}" --model ml.clpf \
+      --dataset ml.clds --ann --pq --rerank-budget -5
+  expect_refused --rerank-budget "${cmd}" --model ml.clpf \
+      --dataset ml.clds --ann --pq --rerank-budget 4294967306
+  expect_refused --build-threads "${cmd}" --model ml.clpf \
+      --dataset ml.clds --build-threads -2
+done
+expect_refused --shards serve --model ml.clpf --dataset ml.clds --shards 0
+expect_refused --shards serve --model ml.clpf --dataset ml.clds \
+    --shards 2147483648
+expect_refused --threads serve --model ml.clpf --dataset ml.clds --threads 0
 
 echo "PASS"

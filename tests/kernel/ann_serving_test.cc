@@ -126,16 +126,19 @@ TEST_F(AnnServingTest, PublishTimesEachStageInTheServerRegistry) {
     // Whole-candidate stages once per publish, slice stages once per shard;
     // the ann_build phases once per shard index.
     const std::pair<const char*, int64_t> kStages[] = {
-        {"integrity", 1},       {"pack", shards},       {"agreement", shards},
-        {"ann_build", shards},  {"ann_kmeans", shards}, {"ann_assign", shards},
-        {"ann_repack", shards}, {"ann_encode", shards}, {"ann_gate", shards},
-        {"auc_probe", 1},       {"swap", 1}};
+        {"integrity", 1},       {"agreement", shards},  {"ann_build", shards},
+        {"ann_kmeans", shards}, {"ann_assign", shards}, {"ann_repack", shards},
+        {"ann_encode", shards}, {"ann_gate", shards},   {"auc_probe", 1},
+        {"swap", 1}};
     for (const auto& [stage, samples] : kStages) {
       const HistogramSnapshot hist = stage_hist(stage);
       EXPECT_EQ(hist.count, samples) << stage;
       EXPECT_GT(hist.sum, 0.0) << stage;
       EXPECT_GE(hist.bounds.back(), 60e6) << stage;
     }
+    // An ANN slice's one float copy is the index's repack: no base-order
+    // pack runs.
+    EXPECT_EQ(stage_hist("pack").count, 0);
     // The phases split the build: together they fit inside it.
     double phase_sum = 0.0;
     for (const char* phase :
@@ -156,6 +159,7 @@ TEST_F(AnnServingTest, PublishTimesEachStageInTheServerRegistry) {
                               "ann_encode"}) {
       EXPECT_EQ(stage_hist(phase).count, 2 * shards) << phase;
     }
+    EXPECT_EQ(stage_hist("pack").count, 0);
   }
 }
 

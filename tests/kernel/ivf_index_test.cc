@@ -384,7 +384,7 @@ TEST_F(IvfIndexTest, AnnQueryRespectsExcludeMinScoreAndHistory) {
   gate.ivf.num_clusters = 12;
   gate.recall_floor = 0.5;
   gate.recall_users = 10;
-  auto index = BuildGatedIvf(model, packed, gate, nullptr, "test", nullptr);
+  auto index = BuildGatedIvf(model, gate, nullptr, "test", nullptr);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   const RetrievalLayers layers{&model, &packed, index->get()};
 

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "clapf/model/ivf_index.h"
 #include "clapf/model/packed_snapshot.h"
 #include "clapf/model/score_kernel.h"
 #include "clapf/util/random.h"
@@ -245,16 +246,20 @@ float* PackedLane(PackedSnapshot* packed, ItemId item, size_t row) {
          row * kPackedBlockItems + item % kPackedBlockItems;
 }
 
-// The delta check against `baseline` and the full check must both return
+// The delta check against `base` (with the candidate's DiffItems against
+// the baseline model as its dirty set) and the full check must both return
 // the serial reference's Status, code and message, at 1, 2 and 4 threads;
 // the reference must pass exactly when `want_ok`. Returns the delta's
 // stamp at 4 threads.
 AgreementStamp ExpectDeltaMatchesFull(const Candidate& c,
-                                      const AgreementBaseline& baseline,
+                                      const AgreementBaseline& base,
                                       const std::string& what, bool want_ok) {
   const Status want = ReferenceAgreement(c.model, c.packed, kDeltaSample,
                                          what);
   EXPECT_EQ(want.ok(), want_ok) << what << ": " << want.message();
+  const std::vector<ItemId> dirty = DiffItems(c.model, *base.model, 1).items;
+  AgreementBaseline baseline = base;
+  baseline.dirty = &dirty;
   AgreementStamp stamp;
   for (int threads : {1, 2, 4}) {
     const Status full = VerifyPackedAgreement(c.model, c.packed, kDeltaSample,
@@ -474,8 +479,10 @@ TEST(PackedAgreementDiffTest, BaselineThatDoesNotFitTakesTheFullCheck) {
                                             "candidate", 2, &base, &got);
     return std::make_pair(st, got);
   };
+  const std::vector<ItemId> none;  // the candidate's doubles are the model's
   {
-    const auto [st, got] = delta({&model, &packed, stamp}, kDeltaSample);
+    const auto [st, got] =
+        delta({&model, &packed, stamp, &none}, kDeltaSample);
     EXPECT_EQ(st.message(), want.message());
     EXPECT_EQ(got.pairs_checked, 40);  // the fitting baseline: one block
   }
@@ -493,13 +500,16 @@ TEST(PackedAgreementDiffTest, BaselineThatDoesNotFitTakesTheFullCheck) {
   AgreementStamp other_sample = stamp;
   other_sample.sample_users = kDeltaSample / 2;
   const std::pair<std::string, AgreementBaseline> kUnfit[] = {
-      {"other item count", {&more_items, &more_items_packed, stamp}},
-      {"other factor count", {&more_factors, &more_factors_packed, stamp}},
-      {"other bias flag", {&no_bias, &no_bias_packed, stamp}},
-      {"other kernel", {&model, &packed, other_kernel}},
-      {"other sample", {&model, &packed, other_sample}},
-      {"repack of other dimensions", {&model, &more_items_packed, stamp}},
-      {"no model", {nullptr, &packed, stamp}},
+      {"other item count", {&more_items, &more_items_packed, stamp, &none}},
+      {"other factor count",
+       {&more_factors, &more_factors_packed, stamp, &none}},
+      {"other bias flag", {&no_bias, &no_bias_packed, stamp, &none}},
+      {"other kernel", {&model, &packed, other_kernel, &none}},
+      {"other sample", {&model, &packed, other_sample, &none}},
+      {"repack of other dimensions",
+       {&model, &more_items_packed, stamp, &none}},
+      {"no model", {nullptr, &packed, stamp, &none}},
+      {"no dirty set", {&model, &packed, stamp, nullptr}},
   };
   for (const auto& [name, base] : kUnfit) {
     const auto [st, got] = delta(base, kDeltaSample);
@@ -509,7 +519,8 @@ TEST(PackedAgreementDiffTest, BaselineThatDoesNotFitTakesTheFullCheck) {
     EXPECT_EQ(got.pairs_total, full) << name;
   }
   // The sample the candidate asks for must be the one the baseline ran.
-  const auto [st, got] = delta({&model, &packed, stamp}, kDeltaSample / 2);
+  const auto [st, got] =
+      delta({&model, &packed, stamp, &none}, kDeltaSample / 2);
   EXPECT_EQ(got.pairs_checked, got.pairs_total);
   EXPECT_EQ(st.code(), want.code());
 }
@@ -533,7 +544,8 @@ TEST(PackedAgreementDiffTest, BiasFlagMismatchTakesFullCheckOnEqualBytes) {
   const Status full = VerifyPackedAgreement(model, flagless_packed,
                                             kDeltaSample, "missing biases");
   ASSERT_FALSE(full.ok());
-  const AgreementBaseline baseline{&flagless, &flagless_packed, stamp};
+  const std::vector<ItemId> none;  // no byte differs
+  const AgreementBaseline baseline{&flagless, &flagless_packed, stamp, &none};
   for (int threads : {1, 2, 4}) {
     AgreementStamp got;
     const Status delta =
@@ -542,6 +554,154 @@ TEST(PackedAgreementDiffTest, BiasFlagMismatchTakesFullCheckOnEqualBytes) {
     EXPECT_EQ(delta.code(), full.code()) << threads;
     EXPECT_EQ(delta.message(), full.message()) << threads;
     EXPECT_EQ(got.pairs_checked, got.pairs_total) << threads;
+  }
+}
+
+// ---- agreement through a map -------------------------------------------
+
+// The cluster-ordered layout an index gives `cluster` (one cluster per
+// item): clusters ascending, items ascending inside each, as
+// IvfIndex::FinishLayout's counting sort lays them out. Returns the
+// local→global map; `global_to_local` receives its inverse.
+std::vector<int32_t> ClusterLayout(const std::vector<int32_t>& cluster,
+                                   int32_t clusters,
+                                   std::vector<int32_t>* global_to_local) {
+  std::vector<int32_t> local_to_global;
+  for (int32_t c = 0; c < clusters; ++c) {
+    for (size_t i = 0; i < cluster.size(); ++i) {
+      if (cluster[i] == c) local_to_global.push_back(static_cast<int32_t>(i));
+    }
+  }
+  global_to_local->assign(cluster.size(), 0);
+  for (size_t l = 0; l < local_to_global.size(); ++l) {
+    (*global_to_local)[static_cast<size_t>(local_to_global[l])] =
+        static_cast<int32_t>(l);
+  }
+  return local_to_global;
+}
+
+TEST(PackedAgreementDiffTest, MappedCheckNamesTheBaseOrderCheckItem) {
+  // A cluster-ordered repack of the model checked through its map refuses
+  // a corrupted float with the message the base-order check gives for the
+  // same item, at every thread count — also when the two corrupted items'
+  // lanes run in the opposite order to their ids.
+  const int32_t items = 3001, users = 40, clusters = 13;
+  for (bool bias : {true, false}) {
+    const FactorModel model = RandomModel(users, items, 7, bias, 606);
+    Rng rng(607);
+    std::vector<int32_t> cluster(static_cast<size_t>(items));
+    for (int32_t& c : cluster) {
+      c = static_cast<int32_t>(rng.Uniform(clusters));
+    }
+    std::vector<int32_t> g2l;
+    const std::vector<int32_t> l2g = ClusterLayout(cluster, clusters, &g2l);
+    const PackedSnapshot clean = PackedSnapshot::Build(model, l2g.data());
+    const std::string what = bias ? "bias" : "no bias";
+    for (int threads : {1, 2, 4}) {
+      EXPECT_TRUE(VerifyPackedAgreement(model, clean, kDeltaSample, what,
+                                        threads, nullptr, nullptr,
+                                        l2g.data())
+                      .ok())
+          << what;
+    }
+    PackedSnapshot base_order = PackedSnapshot::Build(model);
+    PackedSnapshot mapped = PackedSnapshot::Build(model, l2g.data());
+    for (ItemId item : {2500, 100, 1777}) {
+      const size_t row = 1 + static_cast<size_t>(item % 7);
+      *PackedLane(&base_order, item, row) += 4.0f;
+      *PackedLane(&mapped, g2l[static_cast<size_t>(item)], row) += 4.0f;
+      const Status want =
+          VerifyPackedAgreement(model, base_order, kDeltaSample, what);
+      ASSERT_FALSE(want.ok());
+      for (int threads : {1, 2, 4}) {
+        const Status got =
+            VerifyPackedAgreement(model, mapped, kDeltaSample, what, threads,
+                                  nullptr, nullptr, l2g.data());
+        EXPECT_EQ(got.code(), want.code()) << what << " item " << item;
+        EXPECT_EQ(got.message(), want.message()) << what << " item " << item;
+      }
+    }
+    // A desynced map: every lane read against another item's doubles.
+    std::vector<int32_t> reversed(l2g.rbegin(), l2g.rend());
+    EXPECT_EQ(VerifyPackedAgreement(model, clean, kDeltaSample, what, 2,
+                                    nullptr, nullptr, reversed.data())
+                  .code(),
+              StatusCode::kFailedPrecondition)
+        << what;
+  }
+}
+
+TEST(PackedAgreementDiffTest, MappedDeltaChecksOnlyTheDirtyItemsBlocks) {
+  // A rebuild moves a few items: their doubles change and some change
+  // cluster, so the counting sort shifts the lane of nearly every item
+  // after them. The delta against the verified baseline layout must return
+  // the full check's Status and compare only the candidate blocks that
+  // hold a dirty item; a corrupted clean lane must still be refused.
+  const int32_t items = 4003, users = 130, clusters = 17;
+  const FactorModel base_model = RandomModel(users, items, 9, true, 808);
+  Rng rng(809);
+  std::vector<int32_t> cluster(static_cast<size_t>(items));
+  for (int32_t& c : cluster) c = static_cast<int32_t>(rng.Uniform(clusters));
+  std::vector<int32_t> base_g2l;
+  const std::vector<int32_t> base_l2g =
+      ClusterLayout(cluster, clusters, &base_g2l);
+  const PackedSnapshot base_packed =
+      PackedSnapshot::Build(base_model, base_l2g.data());
+  AgreementStamp base_stamp;
+  ASSERT_TRUE(VerifyPackedAgreement(base_model, base_packed, kDeltaSample,
+                                    "baseline", 2, nullptr, &base_stamp,
+                                    base_l2g.data())
+                  .ok());
+  ASSERT_EQ(base_stamp.pairs_checked, base_stamp.pairs_total);
+
+  FactorModel model = base_model;
+  std::vector<int32_t> moved_cluster = cluster;
+  for (ItemId i : {40, 41, 900, 2222, 3999}) {
+    model.ItemFactors(i)[2] += 0.05;
+    moved_cluster[static_cast<size_t>(i)] = (cluster[i] + 5) % clusters;
+  }
+  const std::vector<ItemId> dirty = DiffItems(model, base_model, 1).items;
+  ASSERT_EQ(dirty.size(), 5u);
+  std::vector<int32_t> g2l;
+  const std::vector<int32_t> l2g = ClusterLayout(moved_cluster, clusters, &g2l);
+  size_t shifted = 0;
+  for (ItemId i = 0; i < items; ++i) {
+    shifted += g2l[static_cast<size_t>(i)] != base_g2l[static_cast<size_t>(i)];
+  }
+  ASSERT_GT(shifted, static_cast<size_t>(items) / 4);
+  std::vector<int32_t> dirty_blocks;
+  for (ItemId i : dirty) {
+    dirty_blocks.push_back(g2l[static_cast<size_t>(i)] / kPackedBlockItems);
+  }
+  std::sort(dirty_blocks.begin(), dirty_blocks.end());
+  dirty_blocks.erase(std::unique(dirty_blocks.begin(), dirty_blocks.end()),
+                     dirty_blocks.end());
+  const AgreementBaseline baseline{&base_model, &base_packed, base_stamp,
+                                   &dirty, base_g2l.data()};
+  const int64_t sampled = static_cast<int64_t>(
+      GateSampleUsers(users, kDeltaSample).size());
+
+  PackedSnapshot packed = PackedSnapshot::Build(model, l2g.data());
+  for (bool corrupt : {false, true}) {
+    if (corrupt) {
+      // A clean item's lane, far from every dirty one.
+      *PackedLane(&packed, g2l[3000], 3) += 4.0f;
+    }
+    const Status want = VerifyPackedAgreement(
+        model, packed, kDeltaSample, "candidate", 1, nullptr, nullptr,
+        l2g.data());
+    EXPECT_EQ(want.ok(), !corrupt) << want.message();
+    for (int threads : {1, 2, 4}) {
+      AgreementStamp got;
+      const Status delta =
+          VerifyPackedAgreement(model, packed, kDeltaSample, "candidate",
+                                threads, &baseline, &got, l2g.data());
+      EXPECT_EQ(delta.code(), want.code()) << threads;
+      EXPECT_EQ(delta.message(), want.message()) << threads;
+      const int64_t blocks = static_cast<int64_t>(dirty_blocks.size()) +
+                             (corrupt ? 1 : 0);
+      EXPECT_EQ(got.pairs_checked, sampled * blocks) << threads;
+    }
   }
 }
 

@@ -179,7 +179,7 @@ TEST_F(PqServingTest, ExclusionsAndMinScoreHoldUnderPq) {
   gate.ivf.pq = true;
   gate.recall_floor = 0.95;
   gate.recall_users = 12;
-  auto index = BuildGatedIvf(model, packed, gate, nullptr, "test", nullptr);
+  auto index = BuildGatedIvf(model, gate, nullptr, "test", nullptr);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   const RetrievalLayers layers{&model, &packed, index->get()};
 

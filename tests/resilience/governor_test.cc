@@ -560,11 +560,17 @@ TEST(ModelServerGovernorTest, TickerThreadRacesQueriesPublishesAndReaders) {
   ModelServer server(History(), options);
   ASSERT_TRUE(server.PublishModel(RandomModel(1)).ok());
 
-  // Stalled workers keep the queue visibly deep so the ticker has real
-  // pressure to react to while clients, a publisher, and metric readers all
-  // run concurrently.
+  // The first kStalls queries park 20 ms each in the server's two run
+  // slots, keeping the queue visibly deep for the ticker's first ~1000
+  // ticks while clients, a publisher, and metric readers all run
+  // concurrently; the rest of the 200 queries run unstalled.
+  constexpr int64_t kStalls = 24;
   ScopedFaultSchedule faults({{FaultPoint::kServeQueueStall,
-                               {.trigger_at_hit = 1, .max_fires = -1}}});
+                               {.trigger_at_hit = 1, .max_fires = kStalls}}});
+  // The ticker's count when the first stall fired and its count last seen
+  // before the last one did: while stalls fire, a parked query holds a run
+  // slot, so the queue is never empty between the two readings.
+  std::atomic<int64_t> ticks_at_first_stall{-1}, ticks_during_stalls{-1};
 
   std::atomic<bool> stop{false};
   std::thread publisher([&] {
@@ -575,6 +581,13 @@ TEST(ModelServerGovernorTest, TickerThreadRacesQueriesPublishesAndReaders) {
   });
   std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
+      const int64_t fired =
+          FaultInjector::Instance().fires(FaultPoint::kServeQueueStall);
+      const int64_t ticks = server.governor()->ticks();
+      if (fired >= 1 && ticks_at_first_stall.load() < 0) {
+        ticks_at_first_stall.store(ticks);
+      }
+      if (fired >= 1 && fired < kStalls) ticks_during_stalls.store(ticks);
       (void)server.governor()->knobs();
       (void)server.flight_recorder().Snapshot();
       (void)server.metrics().Snapshot();
@@ -598,8 +611,13 @@ TEST(ModelServerGovernorTest, TickerThreadRacesQueriesPublishesAndReaders) {
 
   auto stats = server.stats();
   EXPECT_EQ(stats.queries, 200);
-  // The ticker ran and every knob respected its bounds.
+  // The ticker ran, also while stalled queries held the queue, and every
+  // knob respected its bounds.
   EXPECT_GT(server.governor()->ticks(), 0);
+  EXPECT_EQ(FaultInjector::Instance().fires(FaultPoint::kServeQueueStall),
+            kStalls);
+  EXPECT_GE(ticks_at_first_stall.load(), 0);
+  EXPECT_GT(ticks_during_stalls.load(), ticks_at_first_stall.load());
   const GovernorKnobs knobs = server.governor()->knobs();
   const auto& bounds = server.governor()->bounds();
   EXPECT_GE(knobs.max_queue_depth, bounds.min_queue_depth);

@@ -20,7 +20,9 @@
 // Formats: tab (MovieLens 100K), colons (ML1M), csv (ML20M), pairs.
 
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <tuple>
 
 #include "clapf/clapf.h"
 #include "clapf/data/dataset_io.h"
@@ -62,6 +64,19 @@ Status CheckListLength(int64_t k) {
   if (k >= 0) return Status::OK();
   return Status::InvalidArgument("--k must not be negative, got " +
                                  std::to_string(k));
+}
+
+// Refuses an int32 setting outside [lo, INT32_MAX], naming its flag: a
+// negative count would otherwise silently take a default, and a larger
+// one would wrap.
+Status CheckCount(const char* flag, int64_t value, int64_t lo) {
+  if (value >= lo && value <= std::numeric_limits<int32_t>::max()) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(
+      std::string("--") + flag + " must be in [" + std::to_string(lo) +
+      ", " + std::to_string(std::numeric_limits<int32_t>::max()) +
+      "], got " + std::to_string(value));
 }
 
 // Dumps `registry` as JSON to `path` when --metrics-out was given. A failed
@@ -265,6 +280,12 @@ int RunRecommend(int argc, char** argv) {
     return Fail(Status::InvalidArgument("--dataset required"));
   }
   if (Status s = CheckListLength(k); !s.ok()) return Fail(s);
+  for (const auto& [flag, value, lo] :
+       {std::tuple<const char*, int64_t, int64_t>{"nprobe", nprobe, 0},
+        {"rerank-budget", rerank_budget, 0},
+        {"build-threads", build_threads, 0}}) {
+    if (Status s = CheckCount(flag, value, lo); !s.ok()) return Fail(s);
+  }
   if (pq && !ann) {
     return Fail(Status::InvalidArgument("--pq requires --ann"));
   }
@@ -399,6 +420,14 @@ int RunServe(int argc, char** argv) {
     return Fail(Status::InvalidArgument(
         "--queue-depth must be at least 1, got " +
         std::to_string(queue_depth)));
+  }
+  for (const auto& [flag, value, lo] :
+       {std::tuple<const char*, int64_t, int64_t>{"threads", threads, 1},
+        {"shards", shards, 1},
+        {"nprobe", nprobe, 0},
+        {"rerank-budget", rerank_budget, 0},
+        {"build-threads", build_threads, 0}}) {
+    if (Status s = CheckCount(flag, value, lo); !s.ok()) return Fail(s);
   }
   if (pq && !ann) {
     return Fail(Status::InvalidArgument("--pq requires --ann"));
