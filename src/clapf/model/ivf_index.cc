@@ -1415,7 +1415,8 @@ Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
   build_span.Stop();
   if (options.check_repack) {
     // The repack as built: before any drill below scrambles the index.
-    CLAPF_RETURN_IF_ERROR(options.check_repack(*ivf, delta ? &*delta : nullptr));
+    CLAPF_RETURN_IF_ERROR(
+        options.check_repack(*ivf, delta ? &*delta : nullptr));
   }
   FaultInjector& faults = FaultInjector::Instance();
   if (faults.armed() && faults.ShouldFire(FaultPoint::kAnnCorruptIndex)) {

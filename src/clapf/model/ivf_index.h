@@ -171,7 +171,8 @@ class IvfIndex {
   /// The cluster-ordered packed snapshot probe ranges index into. Same users
   /// and the same per-item float parameters as a snapshot of the source
   /// model — only the item order differs — so re-ranked scores are
-  /// bit-identical to the full packed scan's.
+  /// bit-identical to the full packed scan's. A serving slice with an index
+  /// keeps no other float copy of its catalog.
   const PackedSnapshot& packed() const { return packed_; }
 
   /// Global item id of local id `local` in packed().

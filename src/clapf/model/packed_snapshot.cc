@@ -30,7 +30,8 @@ void PackedSnapshot::PackLanes(const FactorModel& model,
                                std::size_t stride) {
   // Zeroed first, so pad lanes score exactly 0.0 and the bias lane is
   // correct when the model has biases disabled.
-  const int32_t num_blocks = (count + kPackedBlockItems - 1) / kPackedBlockItems;
+  const int32_t num_blocks =
+      (count + kPackedBlockItems - 1) / kPackedBlockItems;
   std::memset(blocks, 0,
               static_cast<std::size_t>(num_blocks) * stride * sizeof(float));
   const int32_t d = model.num_factors();

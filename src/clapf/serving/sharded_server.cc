@@ -328,8 +328,8 @@ Status ModelServer::PublishCandidate(const FactorModel& borrowed,
 
   int64_t published_version = 0;
   // The slices the swap displaces (a 1M-item ANN slice holds ~450 MB:
-  // model, repack, codes, tables) are freed after snapshot_mu_ is released, so no
-  // query's AcquireCut waits on their destructors.
+  // model, repack, codes, tables) are freed after snapshot_mu_ is
+  // released, so no query's AcquireCut waits on their destructors.
   std::vector<std::shared_ptr<const ShardSlice>> displaced;
   {
     // One mutex hold swaps every target: readers cut either the old model
