@@ -1351,7 +1351,7 @@ Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
     const FactorModel& model, const IvfGateOptions& options,
     const IvfIndex* previous, const std::string& context,
     MetricsRegistry* metrics, const GateBaseline* baseline,
-    RecallTruth* truth) {
+    RecallTruth* truth, const IvfRepackCheck& check_repack) {
   std::shared_ptr<IvfIndex> ivf;  // mutable only for the drills below
   TraceSpan build_span(options.build_us);
   IvfBuildPhases phases;  // summed over the rebuild and the build that ran
@@ -1363,8 +1363,8 @@ Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
   };
   bool trained = false;
   // The candidate's dirty items against the model the previous index was
-  // built from: the one dirty set the rebuild, check_repack and the recall
-  // truth share.
+  // built from: the one dirty set the rebuild, `check_repack` and the
+  // recall truth share.
   std::optional<ItemDelta> delta;
   if (previous != nullptr && baseline != nullptr &&
       baseline->model != nullptr &&
@@ -1413,10 +1413,9 @@ Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
   record(options.repack_us, phases.repack_us);
   if (options.ivf.pq) record(options.encode_us, phases.encode_us);
   build_span.Stop();
-  if (options.check_repack) {
+  if (check_repack) {
     // The repack as built: before any drill below scrambles the index.
-    CLAPF_RETURN_IF_ERROR(
-        options.check_repack(*ivf, delta ? &*delta : nullptr));
+    CLAPF_RETURN_IF_ERROR(check_repack(*ivf, delta ? &*delta : nullptr));
   }
   FaultInjector& faults = FaultInjector::Instance();
   if (faults.armed() && faults.ShouldFire(FaultPoint::kAnnCorruptIndex)) {

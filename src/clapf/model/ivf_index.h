@@ -420,18 +420,20 @@ struct IvfGateOptions {
   Histogram* assign_us = nullptr;
   Histogram* repack_us = nullptr;
   Histogram* encode_us = nullptr;
-  /// Runs on the index as built, before the drills and the gate, with the
-  /// dirty set the build took (null when it had none); a refusal refuses
-  /// the index and counts no gate verdict. A publish runs its packed
-  /// agreement here, on the index's repack. Empty runs nothing.
-  std::function<Status(const IvfIndex&, const ItemDelta*)> check_repack;
 };
+
+/// A check of an index as built (BuildGatedIvf's `check_repack`), given
+/// the dirty set the build took (null when it had none).
+using IvfRepackCheck =
+    std::function<Status(const IvfIndex& built, const ItemDelta* delta)>;
 
 /// The one ANN build-and-gate routine, run by every serving publish (one
 /// call per shard slice). Builds the index over
 /// `model` — incrementally from `previous` (may be null) when its options
 /// are compatible and at most half the items changed, else from scratch —
-/// runs options.check_repack on it, fires the kAnnCorruptIndex /
+/// runs `check_repack` (when non-empty; a publish runs its packed agreement
+/// there, on the index's repack as built, and a refusal refuses the index
+/// with no gate verdict counted) on it, fires the kAnnCorruptIndex /
 /// kAnnCorruptCodes drills, then refuses it unless its dimensions match
 /// `model`, it passes VerifyStructure and (recall_floor > 0) its measured
 /// recall@kGateRecallK clears the floor against the exact top lists over
@@ -442,7 +444,7 @@ struct IvfGateOptions {
 ///
 /// With a `baseline` whose model `previous` was built from, the rebuild
 /// takes the DiffItems of `model` against it (timed in the assign phase),
-/// and check_repack and the recall truth take the same set. The truth
+/// and `check_repack` and the recall truth take the same set. The truth
 /// starts from baseline->truth when its stamp matches this gate: a sampled
 /// user whose row in the index's repack equals its row in baseline->served
 /// gets the top of its old list without the dirty items plus the dirty
@@ -458,7 +460,7 @@ Result<std::shared_ptr<const IvfIndex>> BuildGatedIvf(
     const FactorModel& model, const IvfGateOptions& options,
     const IvfIndex* previous, const std::string& context,
     MetricsRegistry* metrics, const GateBaseline* baseline = nullptr,
-    RecallTruth* truth = nullptr);
+    RecallTruth* truth = nullptr, const IvfRepackCheck& check_repack = {});
 
 }  // namespace clapf
 

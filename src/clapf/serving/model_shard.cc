@@ -208,18 +208,18 @@ Status ModelShard::GateSlice(const FactorModel& model, bool packed,
   gate.repack_us = timed.ann_repack;
   gate.encode_us = timed.ann_encode;
   gate.gate_us = timed.ann_gate;
-  gate.check_repack = [&](const IvfIndex& index, const ItemDelta* delta) {
-    return agree(index.packed(), index.local_to_global_data(), delta);
-  };
   GateBaseline baseline;
   if (previous != nullptr) {
     baseline = {&previous->model, previous->served_packed(),
                 previous->recall_truth ? &*previous->recall_truth : nullptr};
   }
   RecallTruth truth;
-  auto ivf = BuildGatedIvf(model, gate,
-                           previous != nullptr ? previous->ivf.get() : nullptr,
-                           context, metrics, &baseline, &truth);
+  auto ivf = BuildGatedIvf(
+      model, gate, previous != nullptr ? previous->ivf.get() : nullptr,
+      context, metrics, &baseline, &truth,
+      [&](const IvfIndex& index, const ItemDelta* delta) {
+        return agree(index.packed(), index.local_to_global_data(), delta);
+      });
   if (!ivf.ok()) return ivf.status();
   slice->ivf = *std::move(ivf);
   if (!truth.lists.empty()) slice->recall_truth = std::move(truth);
