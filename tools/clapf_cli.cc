@@ -318,7 +318,7 @@ int RunRecommend(int argc, char** argv) {
 
   // One shard over the history: the model file goes through LoadModel's CRC
   // and then the canary gate (packed agreement, and with --ann the index
-  // binding and recall checks); a refused publish is a failure here.
+  // structure and recall checks); a refused publish is a failure here.
   ServerOptions server_options;
   server_options.packed = packed || ann;
   server_options.ann = ann;
